@@ -11,8 +11,7 @@ single-barrier and single-well potentials.
 """
 
 from .errors import (DataError, DomainError, IntegrationError, PLapError,
-                     PoleError, PotentialParseError, SearchError, StateError,
-                     UnsupportedRegimeError)
+                     PoleError, PotentialParseError, SearchError, StateError)
 from .ptrig import (PContext, arcsp, arcsp_quadrature, make_context,
                     reduce_argument, sp, sp_pair, sp_prime, tp)
 from .potentials import (Potential, Shape, ShapeCertificate, classify,
@@ -34,7 +33,6 @@ __version__ = "0.1.0"
 __all__ = [
     "PLapError", "DomainError", "PoleError", "PotentialParseError",
     "DataError", "StateError", "IntegrationError", "SearchError",
-    "UnsupportedRegimeError",
     "PContext", "make_context", "sp", "sp_prime", "sp_pair", "tp",
     "reduce_argument", "arcsp", "arcsp_quadrature",
     "Potential", "Shape", "ShapeCertificate", "classify", "restrict",

@@ -43,22 +43,25 @@ EXIT_ERROR = 2       # usage problems and solver failures
 EXIT_VIOLATED = 3
 EXIT_INCONCLUSIVE = 4
 
+_TOL, _SOLVER, _HARNESS = ToleranceConfig(), SolverConfig(), HarnessConfig()
+
+# the numerical defaults are those of the config dataclasses; only the
+# CLI-only keys carry literals here
 DEFAULTS = {
     "p": 2.0,
     "ell": 1.0,
     "n_max": 4,
-    "rel_tol": 1e-10,
-    "abs_tol": 1e-12,
-    "phase_tol": 1e-9,
-    "max_steps": 200_000,
-    "grid_n": 1024,
-    "rho_points": 32,
-    "rho_span": 4.0,
-    "ell_points": 24,
-    "slack_rel": 1e-8,
-    "slack_abs": 1e-10,
+    "rel_tol": _TOL.rel_tol,
+    "abs_tol": _TOL.abs_tol,
+    "phase_tol": _SOLVER.phase_tol,
+    "max_steps": _TOL.max_steps,
+    "grid_n": _HARNESS.classify_grid,
+    "rho_points": _HARNESS.rho_points,
+    "rho_span": _HARNESS.rho_span,
+    "ell_points": _HARNESS.ell_points,
+    "slack_rel": _HARNESS.slack_rel,
+    "slack_abs": _HARNESS.slack_abs,
     "format": "csv",
-    "seed": 0,
 }
 
 
@@ -68,25 +71,25 @@ class UsageError(Exception):
 
 @dataclass
 class RunConfig:
-    """Effective run configuration (defaults, config file, CLI merged)."""
+    """Effective run configuration (defaults, config file, CLI merged);
+    one field per ``DEFAULTS`` key, plus the potential and output path."""
 
-    p: float = 2.0
+    p: float
+    ell: float
+    n_max: int
+    rel_tol: float
+    abs_tol: float
+    phase_tol: float
+    max_steps: int
+    grid_n: int
+    rho_points: int
+    rho_span: float
+    ell_points: int
+    slack_rel: float
+    slack_abs: float
+    format: str
     potential: dict | None = None
-    ell: float = 1.0
-    n_max: int = 4
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    phase_tol: float = 1e-9
-    max_steps: int = 200_000
-    grid_n: int = 1024
-    rho_points: int = 32
-    rho_span: float = 4.0
-    ell_points: int = 24
-    slack_rel: float = 1e-8
-    slack_abs: float = 1e-10
-    format: str = "csv"
     out: str | None = None
-    seed: int = 0
     extra: dict = field(default_factory=dict)
 
     def validate(self) -> None:
@@ -118,10 +121,7 @@ class RunConfig:
                              classify_grid=self.grid_n)
 
     def echo_dict(self) -> dict:
-        d = {k: getattr(self, k) for k in (
-            "p", "ell", "n_max", "rel_tol", "abs_tol", "phase_tol",
-            "max_steps", "grid_n", "rho_points", "rho_span", "ell_points",
-            "slack_rel", "slack_abs", "format", "seed")}
+        d = {k: getattr(self, k) for k in DEFAULTS}
         if self.potential is not None:
             d["potential"] = self.potential
         d.update(self.extra)
@@ -150,7 +150,7 @@ def _load_potential(arg: str) -> Potential:
         raise UsageError(f"invalid potential spec: {exc}") from exc
 
 
-_COMMON_KEYS = ["format", "seed"]
+_COMMON_KEYS = ["format"]
 
 
 def _merge_config(args: argparse.Namespace, keys: list[str]) -> RunConfig:
@@ -174,17 +174,9 @@ def _merge_config(args: argparse.Namespace, keys: list[str]) -> RunConfig:
         if val is not None:
             merged[key] = val
 
-    cfg = RunConfig(
-        p=float(merged["p"]), ell=float(merged["ell"]),
-        n_max=int(merged["n_max"]), rel_tol=float(merged["rel_tol"]),
-        abs_tol=float(merged["abs_tol"]), phase_tol=float(merged["phase_tol"]),
-        max_steps=int(merged["max_steps"]), grid_n=int(merged["grid_n"]),
-        rho_points=int(merged["rho_points"]), rho_span=float(merged["rho_span"]),
-        ell_points=int(merged["ell_points"]),
-        slack_rel=float(merged["slack_rel"]),
-        slack_abs=float(merged["slack_abs"]),
-        format=str(merged["format"]), out=getattr(args, "out", None),
-        seed=int(merged["seed"]))
+    # each value takes the type of its default
+    cfg = RunConfig(**{k: type(v)(merged[k]) for k, v in DEFAULTS.items()},
+                    out=getattr(args, "out", None))
     pot = getattr(args, "potential", None) or merged.get("potential")
     if pot is not None:
         if isinstance(pot, dict):
@@ -261,13 +253,8 @@ def cmd_eigs(args) -> int:
     q = parse_potential_spec(cfg.potential)
     if cfg.ell < q.domain_end:
         q = restrict(q, cfg.ell)
-    try:
-        spectrum = compute_spectrum(ctx, q, cfg.n_max, cfg.ell, cfg.solver())
-    except PLapError as exc:
-        index = getattr(exc, "details", {}).get("n", "?")
-        print(f"eigenvalue search failed at index {index}: {exc}",
-              file=sys.stderr)
-        return EXIT_ERROR
+    # a failed search names its index; main() reports it
+    spectrum = compute_spectrum(ctx, q, cfg.n_max, cfg.ell, cfg.solver())
     rows = [(pr.n, pr.lam, pr.rho, pr.phi_end, pr.residual, pr.zero_count,
              pr.bracket_width) for pr in spectrum.pairs]
     _emit(cfg, ("n", "lambda", "rho", "phi_end", "residual", "zero_count",
@@ -291,16 +278,11 @@ def cmd_verify(args) -> int:
         raise UsageError("--theorem must be one of t1, t2, t3, r1")
     ctx = make_context(cfg.p)
     q = parse_potential_spec(cfg.potential)
-    harness = cfg.harness()
+    kwargs = {"cfg": cfg.harness()}
+    if theorem != "t1":  # T1 scans rho, not an index range
+        kwargs["n_max"] = cfg.n_max
     try:
-        if theorem == "t1":
-            cert = verify_theorem1(ctx, q, cfg=harness)
-        elif theorem == "t2":
-            cert = verify_theorem2(ctx, q, n_max=cfg.n_max, cfg=harness)
-        elif theorem == "t3":
-            cert = verify_theorem3(ctx, q, n_max=cfg.n_max, cfg=harness)
-        else:
-            cert = verify_remark1(ctx, q, n_max=cfg.n_max, cfg=harness)
+        cert = _THEOREMS[theorem](ctx, q, **kwargs)
     except PLapError as exc:
         print(f"verification harness failed: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -363,9 +345,7 @@ def cmd_sweep(args) -> int:
                 rows.append((v, pr.n, pr.lam, pr.lam / lam1,
                              float(pr.n) ** p))
     except PLapError as exc:
-        index = getattr(exc, "details", {}).get("n", "?")
-        print(f"sweep failed at axis value (index {index}): {exc}",
-              file=sys.stderr)
+        print(f"sweep failed at {axis}={_fmt(v)}: {exc}", file=sys.stderr)
         return EXIT_ERROR
     _emit(cfg, ("axis", "n", "lambda", "ratio_to_lambda1", "bound"), rows,
           "sweep")
@@ -380,9 +360,6 @@ def _add_common(sub: argparse.ArgumentParser, potential: bool = True) -> None:
     sub.add_argument("--format", choices=("csv", "report"), default=None,
                      help="output format (csv or JSON report)")
     sub.add_argument("--out", default=None, help="write output to this path")
-    sub.add_argument("--seed", type=int, default=None,
-                     help="seed echoed into reports (randomized potential "
-                          "utilities)")
     if potential:
         sub.add_argument("--potential", default=None,
                          help="potential spec: inline JSON object or file path")

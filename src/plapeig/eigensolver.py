@@ -2,16 +2,17 @@
 
 Because the amplitude R stays positive, y(ell) = 0 exactly when the
 phase satisfies phi(ell, rho) = n * pi_p; the n-th eigenvalue is the
-unique lambda = rho^p > 0 at which that level is crossed.  Candidate
+unique lambda = rho^p at which that level is crossed.  Candidate
 intervals come from the constant-comparison bound
 
     (n*pi_p/ell)^p + min q  <=  lambda_n  <=  (n*pi_p/ell)^p + max q,
 
 and the root is located by bracketed bisection with inverse-quadratic
-acceleration that never leaves the bracket.  Eigenvalues that are not
-positive cannot be represented by the substitution rho = lambda^(1/p);
-those regimes are served only by :func:`sign_of_lambda1`, which shoots
-the original second-order equation at lambda = 0.
+acceleration that never leaves the bracket.  The substitution
+rho = lambda^(1/p) needs lambda > 0, so when the lower bound is not
+positive the search runs on the shifted potential q + c with
+c = -min q and reports lambda_n(q) = lambda_n(q + c) - c; the shift
+identity is exact, and the shifted bracket starts at (n*pi_p/ell)^p > 0.
 
 The direct shooter integrates the untransformed equation as the first
 order system (y, v) with v = (y')^(p-1), using an independent library
@@ -23,14 +24,12 @@ slope at the degenerate points v = 0 when p > 2.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from .errors import DomainError, SearchError, UnsupportedRegimeError
+from .errors import DomainError, SearchError
 from .potentials import Potential
 from .prufer import PruferTrajectory, ToleranceConfig, integrate_phase
 from .ptrig import PContext
@@ -59,9 +58,15 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class Eigenpair:
-    """One validated eigenvalue: lambda = rho^p, residual in phase units,
-    zero_count interior zeros of the eigenfunction, and the final
-    lambda-bracket width as an honesty interval."""
+    """One validated eigenvalue: lambda = rho^p - shift, residual in
+    phase units, zero_count interior zeros of the eigenfunction, and the
+    final lambda-bracket as an honesty interval.
+
+    ``shift`` is the constant c the search added to the potential (0
+    unless the comparison lower bound is not positive), so the
+    eigenfunction is ``integrate_amplitude(ctx, q.shifted(pair.shift),
+    pair.rho, ell)``.  ``bracket`` is in unshifted lambda.
+    """
 
     n: int
     lam: float
@@ -70,6 +75,7 @@ class Eigenpair:
     residual: float
     zero_count: int
     bracket: tuple[float, float]
+    shift: float = 0.0
 
     @property
     def bracket_width(self) -> float:
@@ -90,32 +96,17 @@ class Spectrum:
         return np.array([pr.lam for pr in self.pairs])
 
 
-# lambda-bracket floor when the comparison bound dips below zero
-def _epsilon_floor(q: Potential) -> float:
-    return 1e-12 * (1.0 + abs(q.min_max()[0]))
-
-
 def bracket_eigenvalue(ctx: PContext, q: Potential, n: int, ell: float
                        ) -> tuple[float, float]:
-    """Comparison-based lambda interval guaranteed to contain lambda_n.
-
-    If the lower end is not positive it is clipped to a tiny positive
-    floor and a warning is issued: the phase substitution only reaches
-    lambda > 0.
-    """
+    """Comparison-based lambda interval guaranteed to contain lambda_n:
+    (n*pi_p/ell)^p + min q and (n*pi_p/ell)^p + max q, of either sign."""
     if n < 1:
         raise DomainError(f"eigenvalue index must be >= 1, got {n}")
     if not 0.0 < ell <= 1.0:
         raise DomainError(f"interval length must lie in (0, 1], got {ell}")
     qmin, qmax = q.min_max()
     free = (n * ctx.pi_p / ell) ** ctx.p
-    lo, hi = free + qmin, free + qmax
-    if lo <= 0.0:
-        lo = _epsilon_floor(q)
-        warnings.warn(
-            f"bracket for n={n} clipped at lambda={lo:g}: the phase method "
-            "covers only lambda > 0", RuntimeWarning, stacklevel=2)
-    return lo, hi
+    return free + qmin, free + qmax
 
 
 def find_eigenvalue(ctx: PContext, q: Potential, n: int, ell: float,
@@ -124,18 +115,18 @@ def find_eigenvalue(ctx: PContext, q: Potential, n: int, ell: float,
 
     Bisection on the bracket guarantees convergence (phi(ell, .) crosses
     each level n*pi_p exactly once upward); inverse-quadratic steps only
-    accelerate inside the bracket.  Raises
-    :class:`UnsupportedRegimeError` when lambda_n <= 0, which the phase
-    substitution cannot represent.
+    accelerate inside the bracket.  Every real lambda_n is reached: when
+    the comparison lower bound is not positive, the search runs on
+    q - min q and the shift is taken off again (``Eigenpair.shift``).
     """
     target = n * ctx.pi_p
     lo, hi = bracket_eigenvalue(ctx, q, n, ell)
-    eps = _epsilon_floor(q)
-    if hi <= eps:
-        raise UnsupportedRegimeError(
-            f"lambda_{n} <= 0 on [0, {ell}]; use sign_of_lambda1")
+    shift = 0.0 if lo > 0.0 else -q.min_max()[0]
+    if shift:
+        q = q.shifted(shift)
+        lo, hi = lo + shift, hi + shift
     width = max(hi - lo, 1e-9 * (1.0 + abs(hi)))
-    lo = max(lo - 1e-12 * (1.0 + abs(lo)), eps)
+    lo = max(lo - 1e-12 * (1.0 + abs(lo)), 0.5 * lo)
     hi = hi + 1e-12 * (1.0 + abs(hi))
 
     evals: list[tuple[float, float]] = []
@@ -163,13 +154,9 @@ def find_eigenvalue(ctx: PContext, q: Potential, n: int, ell: float,
     shrink = 0
     while f_lo > 0.0:
         shrink += 1
-        lo = max(lo - width * 2.0 ** shrink, eps)
+        lo = max(lo - width * 2.0 ** shrink, 0.5 * lo)
         rho_lo = lo ** (1.0 / ctx.p)
         f_lo = h(rho_lo)
-        if lo <= eps and f_lo > 0.0:
-            raise UnsupportedRegimeError(
-                f"phi(ell, rho) exceeds {n}*pi_p down to lambda={eps:g}: "
-                f"lambda_{n} <= 0; use sign_of_lambda1")
         if shrink > 60:
             raise SearchError(
                 f"no sign change while expanding lower bracket for n={n}",
@@ -232,8 +219,8 @@ def find_eigenvalue(ctx: PContext, q: Potential, n: int, ell: float,
     lam = rho_n ** ctx.p
     neg = [r ** ctx.p for r, v in evals if v < 0.0]
     pos = [r ** ctx.p for r, v in evals if v > 0.0]
-    bracket = (min(max(neg) if neg else lam, lam),
-               max(min(pos) if pos else lam, lam))
+    bracket = (min(max(neg) if neg else lam, lam) - shift,
+               max(min(pos) if pos else lam, lam) - shift)
 
     zero_count = _interior_level_crossings(traj, cfg.phase_tol)
     if zero_count != n - 1:
@@ -248,9 +235,9 @@ def find_eigenvalue(ctx: PContext, q: Potential, n: int, ell: float,
                 f"direct-shooting oracle counts {shot.zero_count} zeros "
                 f"for n={n}", details={"lambda": lam})
 
-    return Eigenpair(n=n, lam=lam, rho=rho_n, phi_end=traj.phi_end,
+    return Eigenpair(n=n, lam=lam - shift, rho=rho_n, phi_end=traj.phi_end,
                      residual=residual, zero_count=zero_count,
-                     bracket=bracket)
+                     bracket=bracket, shift=shift)
 
 
 def _interior_level_crossings(traj: PruferTrajectory, phase_tol: float) -> int:
@@ -274,8 +261,8 @@ def compute_spectrum(ctx: PContext, q: Potential, n_max: int, ell: float,
     for n in range(1, n_max + 1):
         try:
             pairs.append(find_eigenvalue(ctx, q, n, ell, cfg))
-        except (SearchError, UnsupportedRegimeError) as exc:
-            raise SearchError(f"eigenvalue search failed at index n={n}: {exc}",
+        except SearchError as exc:
+            raise SearchError(f"eigenvalue search failed at index {n}: {exc}",
                               details={"n": n}) from exc
     for a, b in zip(pairs, pairs[1:]):
         if b.lam <= a.lam:
@@ -305,15 +292,17 @@ def direct_shoot(ctx: PContext, q: Potential, lam: float, ell: float,
     """Integrate the original equation from y(0)=0, y'(0)=1 to x=ell.
 
     First-order form: y' = |v|^(1/(p-1)) sgn(v), v' = -(p-1)(lambda - q) y^(p-1)
-    with v = (y')^(p-1).  Works for any real lambda, which makes it both
-    the validation oracle for the phase route and the only path for
-    lambda <= 0.  Interior zeros are counted from dense samples of y;
-    the adaptive integrator shortens steps through the degenerate v = 0
-    points (p > 2), where local accuracy drops to first order, so oracle
-    comparisons use a looser tolerance than the phase method.  On an
-    integration failure the shot retries with 100x coarser tolerance and
-    flags ``quality_warning``.
+    with v = (y')^(p-1).  Works for any real lambda and shares no code
+    with the phase route, which makes it the validation oracle behind
+    ``oracle_check`` and the tests.  Interior zeros are counted from
+    dense samples of y; the adaptive integrator shortens steps through
+    the degenerate v = 0 points (p > 2), where local accuracy drops to
+    first order, so oracle comparisons use a looser tolerance than the
+    phase method.  On an integration failure the shot retries with 100x
+    coarser tolerance and flags ``quality_warning``.
     """
+    from scipy.integrate import solve_ivp
+
     if not 0.0 < ell <= 1.0:
         raise DomainError(f"interval length must lie in (0, 1], got {ell}")
     lam = float(lam)
@@ -369,25 +358,27 @@ class Lambda1Sign:
     """Classification of the sign of the first eigenvalue."""
 
     classification: str  # "positive" | "zero_within_tol" | "nonpositive"
-    margin: float        # |y(ell)| of the lambda = 0 shot
+    margin: float        # |pi_p - phi(ell)| at lambda = 0, phase units
 
 
 def sign_of_lambda1(ctx: PContext, q: Potential, ell: float,
                     cfg: SolverConfig = SolverConfig()) -> Lambda1Sign:
-    """Sturm-comparison test of lambda_1(ell) > 0 via the lambda = 0 shot.
+    """Sturm-comparison test of lambda_1(ell) > 0 by one phase at lambda = 0.
 
     The first eigenvalue is positive exactly when the lambda = 0
-    solution keeps its sign on (0, ell]; a zero at the right endpoint
-    within tolerance marks the borderline case.
+    solution keeps its sign on (0, ell].  That solution is the phase of
+    q + c at rho = c^(1/p), here with c = (pi_p/ell)^p; since phi crosses
+    multiples of pi_p only upward, y has no zero in (0, ell] exactly when
+    phi(ell) < pi_p.  |pi_p - phi(ell)| <= phase_tol marks the borderline.
     """
-    shot = direct_shoot(ctx, q, 0.0, ell, cfg)
-    tol_y = 1e-9 * max(shot.max_abs_y, 1e-300)
-    if shot.zero_count > 0:
-        cls = "nonpositive"
-    elif abs(shot.y_end) <= tol_y:
+    rho = ctx.pi_p / ell
+    phi_end = integrate_phase(ctx, q.shifted(rho ** ctx.p), rho, ell,
+                              cfg.tolerance).phi_end
+    gap = ctx.pi_p - phi_end
+    if abs(gap) <= cfg.phase_tol:
         cls = "zero_within_tol"
-    elif shot.y_end > 0.0:
+    elif gap > 0.0:
         cls = "positive"
     else:
         cls = "nonpositive"
-    return Lambda1Sign(classification=cls, margin=abs(shot.y_end))
+    return Lambda1Sign(classification=cls, margin=abs(gap))

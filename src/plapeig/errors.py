@@ -51,8 +51,3 @@ class SearchError(PLapError, RuntimeError):
     def __init__(self, message: str, details: dict | None = None):
         super().__init__(message)
         self.details = dict(details or {})
-
-
-class UnsupportedRegimeError(PLapError, RuntimeError):
-    """The requested eigenvalue is not positive, outside the phase method's
-    range; callers should fall back to ``sign_of_lambda1``."""

@@ -158,7 +158,7 @@ def _advance_piece(f, x, y, x_end, h, tol, record, counters):
                 _MAX_FACTOR,
                 max(_MIN_FACTOR, _SAFETY * err ** -_PI_ALPHA * err_old ** _PI_BETA))
             err_old = max(err, 1e-4)
-            if h_try >= h:  # not clipped by the piece boundary: rescale
+            if h_try >= h:  # not shortened by the piece boundary: rescale
                 h = h_try * fac
         else:
             counters["n_rejected"] += 1

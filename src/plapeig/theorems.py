@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .eigensolver import SolverConfig, find_eigenvalue, sign_of_lambda1
-from .errors import PLapError, SearchError, UnsupportedRegimeError
+from .errors import PLapError, SearchError
 from .potentials import (BARRIER_LIKE, WELL_LIKE, Potential, Shape,
                          classify, restrict)
 from .prufer import integrate_sensitivity
@@ -252,15 +252,13 @@ def verify_theorem1(ctx: PContext, q: Potential,
 def _collect_lambdas(ctx: PContext, q: Potential, n_max: int, ell: float,
                      cfg: HarnessConfig, notes: list[str]
                      ) -> tuple[dict[int, float], bool]:
-    """Eigenvalues 1..n_max; indices with lambda <= 0 are skipped with a
-    note (out of every threshold hypothesis), other failures flag errors."""
+    """Eigenvalues 1..n_max; a failed search skips its index with a note
+    and flags errors."""
     lambdas: dict[int, float] = {}
     had_errors = False
     for n in range(1, n_max + 1):
         try:
             lambdas[n] = find_eigenvalue(ctx, q, n, ell, cfg.solver).lam
-        except UnsupportedRegimeError:
-            notes.append(f"lambda_{n} <= 0: index skipped, out of hypothesis")
         except SearchError as exc:
             had_errors = True
             notes.append(f"eigenvalue search failed at n={n}: {exc}")
@@ -351,7 +349,7 @@ def verify_theorem3(ctx: PContext, q: Potential, ell_grid=None,
 
     Scans ell through (0, ell_bound] with
     ell_bound = min(1, (-p/(3 q*))^(1/p)); at each ell requires
-    lambda_1(ell) > 0 (by the lambda = 0 shot) and the ratio lower bound
+    lambda_1(ell) > 0 (by the lambda = 0 phase) and the ratio lower bound
     for every pair.  The statement only asserts that some ell_0 > 0
     works, so once a grid point fails, it and every larger grid point
     are recorded out of hypothesis and the certificate reports the

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from plapeig import SolverConfig, ToleranceConfig
 from plapeig.cli import main
 
 TENT_SPEC = '{"type":"scaled_tent","depth":-5,"rise":4}'
@@ -98,12 +99,34 @@ class TestEigs:
         assert len(lams) == 5
         assert all(a < b for a, b in zip(lams, lams[1:]))
 
+    def test_negative_eigenvalues(self, capsys):
+        code, out, _ = run_cli(capsys, "eigs", "--p", "2", "--potential",
+                               '{"type":"constant","value":-50}',
+                               "--n-max", "2")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [float(r[1]) for r in rows] == pytest.approx(
+            [math.pi ** 2 - 50.0, 4 * math.pi ** 2 - 50.0], rel=1e-10)
+
     def test_solver_failure_exit_2(self, capsys):
+        # phase_tol 1e-16 is below what the integration reproduces
         code, _, err = run_cli(capsys, "eigs", "--p", "2", "--potential",
                                '{"type":"constant","value":-50}',
-                               "--n-max", "1")
+                               "--n-max", "1", "--phase-tol", "1e-16")
         assert code == 2
         assert "index 1" in err
+        assert err.count("eigenvalue search failed") == 1
+
+    def test_default_tolerances_echoed(self, capsys):
+        code, out, _ = run_cli(capsys, "eigs", "--potential", FREE_SPEC,
+                               "--n-max", "1", "--format", "report")
+        assert code == 0
+        echoed = json.loads(out)["config"]
+        tol, solver = ToleranceConfig(), SolverConfig()
+        assert echoed["rel_tol"] == tol.rel_tol
+        assert echoed["abs_tol"] == tol.abs_tol
+        assert echoed["max_steps"] == tol.max_steps
+        assert echoed["phase_tol"] == solver.phase_tol
 
     def test_no_crlf_and_config_echo(self, capsys):
         code, out, _ = run_cli(capsys, "eigs", "--p", "2", "--potential",
@@ -157,6 +180,14 @@ class TestVerify:
 
 
 class TestSweep:
+    def test_failure_reported_once(self, capsys):
+        code, _, err = run_cli(capsys, "sweep", "--axis", "p", "--values",
+                               "2,3", "--potential", FREE_SPEC,
+                               "--n-max", "1", "--phase-tol", "1e-16")
+        assert code == 2
+        assert "sweep failed at p=2" in err
+        assert err.count("eigenvalue search failed") == 1
+
     def test_ell_axis_monotone(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--axis", "ell", "--values",
                                "0.2,0.4,0.6,0.8,1.0", "--p", "2",

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from plapeig import (DomainError, SearchError, SolverConfig,
-                     UnsupportedRegimeError, bracket_eigenvalue,
-                     compute_spectrum, constant, direct_shoot,
-                     find_eigenvalue, integrate_amplitude,
+                     bracket_eigenvalue, compute_spectrum, constant,
+                     direct_shoot, find_eigenvalue, integrate_amplitude,
                      random_nonpositive_piecewise_linear,
                      reconstruct_eigenfunction, restrict, scaled_tent,
                      sign_of_lambda1)
@@ -34,10 +33,9 @@ class TestBracket:
         assert lo == pytest.approx(math.pi ** 2 - 5.0, rel=1e-14)
         assert hi == pytest.approx(math.pi ** 2 - 3.0, rel=1e-14)
 
-    def test_clipped_bracket_warns(self, ctx2):
-        with pytest.warns(RuntimeWarning):
-            lo, hi = bracket_eigenvalue(ctx2, constant(-50.0), 1, 1.0)
-        assert 0.0 < lo < 1e-9
+    def test_negative_bounds_returned(self, ctx2):
+        lo, hi = bracket_eigenvalue(ctx2, constant(-50.0), 1, 1.0)
+        assert lo == pytest.approx(math.pi ** 2 - 50.0, rel=1e-14)
         assert hi == pytest.approx(math.pi ** 2 - 50.0, rel=1e-14)
 
     def test_bad_args(self, ctx2):
@@ -70,8 +68,13 @@ class TestFindEigenvalue:
         assert pair.bracket_width <= 1e-6 * pair.lam
 
     def test_negative_lambda_regime(self, ctx2):
-        with pytest.raises(UnsupportedRegimeError):
-            find_eigenvalue(ctx2, constant(-50.0), 1, 1.0, CFG)
+        pair = find_eigenvalue(ctx2, constant(-50.0), 1, 1.0, CFG)
+        assert pair.lam == pytest.approx(math.pi ** 2 - 50.0, rel=1e-10)
+        assert pair.shift == 50.0
+        assert pair.rho ** 2 == pytest.approx(pair.lam + pair.shift,
+                                              rel=1e-14)
+        lo, hi = pair.bracket
+        assert lo <= pair.lam <= hi
 
     def test_oracle_check_toggle(self, ctx2):
         cfg = SolverConfig(oracle_check=True)
@@ -104,13 +107,17 @@ class TestSpectrum:
                             >= (n / m) ** 2 * (1.0 - 1e-10))
 
     def test_failure_carries_index(self, ctx2):
+        # a phase residual of 1e-16 is below what the integration can
+        # reproduce, so the search must refuse
         with pytest.raises(SearchError) as err:
-            compute_spectrum(ctx2, constant(-50.0), 2, 1.0, CFG)
+            compute_spectrum(ctx2, constant(-50.0), 2, 1.0,
+                             SolverConfig(phase_tol=1e-16))
         assert err.value.details.get("n") == 1
 
 
 class TestShiftCovariance:
-    @pytest.mark.parametrize("c", (-1.0, 2.0))
+    # c = -8 carries lambda_1 from about 6.3 to about -1.7
+    @pytest.mark.parametrize("c", (-1.0, 2.0, -8.0))
     def test_tent_shift(self, ctx2, c):
         base = compute_spectrum(ctx2, TENT, 3, 1.0, CFG).lambdas()
         shifted = compute_spectrum(ctx2, TENT.shifted(c), 3, 1.0, CFG).lambdas()
@@ -157,6 +164,26 @@ class TestSignOfLambda1:
         # analytic: lambda_1 = (pi/0.3)^2 - 50 > 0
         assert (math.pi / 0.3) ** 2 - 50.0 > 0.0
 
+    def test_borderline_zero(self, ctx2):
+        res = sign_of_lambda1(ctx2, constant(-math.pi ** 2), 1.0, CFG)
+        assert res.classification == "zero_within_tol"
+        assert res.margin <= CFG.phase_tol
+
+    @pytest.mark.parametrize("p", (2.0, 3.0))
+    def test_agrees_with_direct_shot(self, ctx_for, p):
+        ctx = ctx_for(p)
+        for q in (constant(-50.0), scaled_tent(-30.0, 30.0)):
+            classes = set()
+            for ell in np.linspace(0.1, 1.0, 10):
+                qr = restrict(q, ell)
+                shot = direct_shoot(ctx, qr, 0.0, ell, CFG)
+                direct = ("positive" if shot.zero_count == 0
+                          and shot.y_end > 0.0 else "nonpositive")
+                res = sign_of_lambda1(ctx, qr, ell, CFG)
+                assert res.classification == direct, (p, ell)
+                classes.add(direct)
+            assert classes == {"positive", "nonpositive"}
+
 
 class TestOracleAgreement:
     @pytest.mark.parametrize("p,seed", [(1.5, 1), (2.0, 2), (3.0, 3),
@@ -168,6 +195,15 @@ class TestOracleAgreement:
             lam = find_eigenvalue(ctx, q, n, 1.0, CFG).lam
             lam_direct = direct_eigenvalue(ctx, q, n, 1.0, CFG)
             assert abs(lam - lam_direct) / abs(lam) <= 1e-6
+
+    @pytest.mark.parametrize("p", (1.5, 2.0, 3.0))
+    def test_negative_lambda1(self, ctx_for, p):
+        ctx = ctx_for(p)
+        q = scaled_tent(-30.0, 30.0)
+        lam = find_eigenvalue(ctx, q, 1, 1.0, CFG).lam
+        lam_direct = direct_eigenvalue(ctx, q, 1, 1.0, CFG)
+        assert lam < 0.0
+        assert abs(lam - lam_direct) / abs(lam) <= 1e-6
 
 
 class TestOscillation:

@@ -119,17 +119,18 @@ class TestTheorem2:
         cert = verify_theorem2(ctx2, WELL, n_max=3)
         assert cert.verdict == "inconclusive"
 
-    def test_nonpositive_lambda1_skipped(self, ctx2):
-        # depth -30 pushes lambda_1 below zero: the index is skipped with
-        # a note (it sits below the threshold anyway) and the remaining
+    def test_negative_lambda1_below_threshold(self, ctx2):
+        # depth -30 pushes lambda_1 below zero: its pairs sit below the
+        # threshold, are recorded out of hypothesis, and the remaining
         # pairs still verify
         deep = scaled_tent(-30.0, 30.0)
         cert = verify_theorem2(ctx2, deep, n_max=4)
         assert cert.verdict == "verified"
-        assert cert.hypotheses["lambdas"][0] is None
-        assert any("lambda_1 <= 0" in n for n in cert.notes)
-        ms = {dict(s.inputs)["m"] for s in cert.scan}
-        assert 1.0 not in ms
+        assert cert.hypotheses["lambdas"][0] < 0.0
+        first = [s for s in cert.scan if dict(s.inputs)["m"] == 1.0]
+        assert len(first) == 3
+        assert all(not s.in_hypothesis and "below threshold" in s.note
+                   for s in first)
 
     def test_t1_t2_rigidity_consistency(self, ctx2):
         # strictly negative sensitivity somewhere forbids the all-pairs
