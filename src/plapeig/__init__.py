@@ -12,15 +12,14 @@ single-barrier and single-well potentials.
 
 from .errors import (DataError, DomainError, IntegrationError, PLapError,
                      PoleError, PotentialParseError, SearchError, StateError)
-from .ptrig import (PContext, arcsp, arcsp_quadrature, make_context,
-                    reduce_argument, sp, sp_pair, sp_prime, tp)
+from .ptrig import (PContext, arcsp, make_context, reduce_argument, sp,
+                    sp_pair, sp_prime, tp)
 from .potentials import (Potential, Shape, ShapeCertificate, classify,
                          constant, parse_potential_spec, piecewise_linear,
-                         random_nonpositive_piecewise_linear, restrict,
-                         sampled_table, scaled_tent)
+                         restrict, sampled_table, scaled_tent)
 from .prufer import (PruferTrajectory, ToleranceConfig, integrate_amplitude,
-                     integrate_phase, integrate_phase_from,
-                     integrate_sensitivity, reconstruct_eigenfunction)
+                     integrate_phase, integrate_sensitivity,
+                     reconstruct_eigenfunction)
 from .eigensolver import (Eigenpair, Lambda1Sign, ShotResult, SolverConfig,
                           Spectrum, bracket_eigenvalue, compute_spectrum,
                           direct_shoot, find_eigenvalue, sign_of_lambda1)
@@ -34,12 +33,12 @@ __all__ = [
     "PLapError", "DomainError", "PoleError", "PotentialParseError",
     "DataError", "StateError", "IntegrationError", "SearchError",
     "PContext", "make_context", "sp", "sp_prime", "sp_pair", "tp",
-    "reduce_argument", "arcsp", "arcsp_quadrature",
+    "reduce_argument", "arcsp",
     "Potential", "Shape", "ShapeCertificate", "classify", "restrict",
     "parse_potential_spec", "constant", "piecewise_linear", "sampled_table",
-    "scaled_tent", "random_nonpositive_piecewise_linear",
+    "scaled_tent",
     "ToleranceConfig", "PruferTrajectory", "integrate_phase",
-    "integrate_amplitude", "integrate_sensitivity", "integrate_phase_from",
+    "integrate_amplitude", "integrate_sensitivity",
     "reconstruct_eigenfunction",
     "SolverConfig", "Eigenpair", "Spectrum", "bracket_eigenvalue",
     "find_eigenvalue", "compute_spectrum", "direct_shoot", "sign_of_lambda1",

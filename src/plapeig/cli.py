@@ -129,6 +129,8 @@ class RunConfig:
 
 
 def _fmt(v) -> str:
+    if v is None:
+        return ""
     if isinstance(v, bool):
         return str(v).lower()
     if isinstance(v, float):
@@ -255,10 +257,11 @@ def cmd_eigs(args) -> int:
         q = restrict(q, cfg.ell)
     # a failed search names its index; main() reports it
     spectrum = compute_spectrum(ctx, q, cfg.n_max, cfg.ell, cfg.solver())
+    # rho belongs to q + shift: rho^p = lambda + shift
     rows = [(pr.n, pr.lam, pr.rho, pr.phi_end, pr.residual, pr.zero_count,
-             pr.bracket_width) for pr in spectrum.pairs]
+             pr.bracket_width, pr.shift) for pr in spectrum.pairs]
     _emit(cfg, ("n", "lambda", "rho", "phi_end", "residual", "zero_count",
-                "bracket_width"), rows, "spectrum")
+                "bracket_width", "shift"), rows, "spectrum")
     return EXIT_OK
 
 
@@ -340,9 +343,11 @@ def cmd_sweep(args) -> int:
                 q = restrict(q, ell)
             ctx = make_context(p)
             spectrum = compute_spectrum(ctx, q, cfg.n_max, ell, cfg.solver())
+            # a ratio to lambda_1 <= 0 says nothing: left empty (null)
             lam1 = spectrum.pairs[0].lam
             for pr in spectrum.pairs:
-                rows.append((v, pr.n, pr.lam, pr.lam / lam1,
+                rows.append((v, pr.n, pr.lam,
+                             pr.lam / lam1 if lam1 > 0.0 else None,
                              float(pr.n) ** p))
     except PLapError as exc:
         print(f"sweep failed at {axis}={_fmt(v)}: {exc}", file=sys.stderr)

@@ -7,8 +7,12 @@ intervals come from the constant-comparison bound
 
     (n*pi_p/ell)^p + min q  <=  lambda_n  <=  (n*pi_p/ell)^p + max q,
 
-and the root is located by bracketed bisection with inverse-quadratic
-acceleration that never leaves the bracket.  The substitution
+and one routine widens that interval until the phase miss
+phi(ell) - n*pi_p changes sign and runs Brent's method on it.  For
+p != 2 the phase right-hand side is only C^1 at phi = k*pi_p/2, so the
+adaptive integrator reproduces phi(ell) only to its accumulated error,
+which can exceed the residual gate; the same routine then runs once more
+on a 1000x tighter integration, from the root found.  The substitution
 rho = lambda^(1/p) needs lambda > 0, so when the lower bound is not
 positive the search runs on the shifted potential q + c with
 c = -min q and reports lambda_n(q) = lambda_n(q + c) - c; the shift
@@ -31,8 +35,12 @@ from scipy.optimize import brentq
 
 from .errors import DomainError, SearchError
 from .potentials import Potential
-from .prufer import PruferTrajectory, ToleranceConfig, integrate_phase
+from .prufer import ToleranceConfig, integrate_phase
 from .ptrig import PContext
+
+# iteration cap for Brent's method, which stops far earlier on a
+# bracketed sign change
+_BRENT_MAXITER = 200
 
 
 @dataclass(frozen=True)
@@ -40,20 +48,21 @@ class SolverConfig:
     """Eigenvalue search configuration.
 
     ``phase_tol`` is the accepted residual |phi(ell) - n*pi_p| in phase
-    units.  ``oracle_check`` re-shoots each found eigenvalue with the
-    direct integrator and validates its interior zero count.
+    units; a root that misses it at ``tolerance`` is solved once more at
+    a 1000x tighter ``tolerance``, and a second miss is a
+    ``SearchError``.  ``oracle_check`` re-shoots each found eigenvalue
+    with the direct integrator and validates its interior zero count.
     """
 
     phase_tol: float = 1e-9
-    max_bisections: int = 200
     tolerance: ToleranceConfig = field(default_factory=ToleranceConfig)
     oracle_rtol: float = 1e-10
     oracle_atol: float = 1e-12
     oracle_check: bool = False
 
     def __post_init__(self):
-        if self.phase_tol <= 0.0 or self.max_bisections < 8:
-            raise DomainError("phase_tol must be positive, max_bisections >= 8")
+        if self.phase_tol <= 0.0:
+            raise DomainError("phase_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -113,11 +122,14 @@ def find_eigenvalue(ctx: PContext, q: Potential, n: int, ell: float,
                     cfg: SolverConfig = SolverConfig()) -> Eigenpair:
     """Locate lambda_n(ell) by root-finding phi(ell, rho) = n*pi_p.
 
-    Bisection on the bracket guarantees convergence (phi(ell, .) crosses
-    each level n*pi_p exactly once upward); inverse-quadratic steps only
-    accelerate inside the bracket.  Every real lambda_n is reached: when
-    the comparison lower bound is not positive, the search runs on
-    q - min q and the shift is taken off again (``Eigenpair.shift``).
+    One routine, :func:`_solve`, widens the comparison bracket until the
+    phase miss changes sign and runs Brent's method on it; phi(ell, .)
+    crosses each level n*pi_p exactly once upward, so the root is unique.
+    When the miss at the root exceeds ``phase_tol``, the same routine runs
+    once more on a 1000x tighter integration, starting from the root
+    found.  Every real lambda_n is reached: when the comparison lower
+    bound is not positive, the search runs on q - min q and the shift is
+    taken off again (``Eigenpair.shift``).
     """
     target = n * ctx.pi_p
     lo, hi = bracket_eigenvalue(ctx, q, n, ell)
@@ -129,15 +141,76 @@ def find_eigenvalue(ctx: PContext, q: Potential, n: int, ell: float,
     lo = max(lo - 1e-12 * (1.0 + abs(lo)), 0.5 * lo)
     hi = hi + 1e-12 * (1.0 + abs(hi))
 
-    evals: list[tuple[float, float]] = []
+    # terminal phase of every integration, by (rho, tolerance): Brent's
+    # method re-evaluates the bracket ends and returns an evaluated point
+    phis: dict[tuple[float, ToleranceConfig], float] = {}
 
-    def h(rho: float) -> float:
-        r = integrate_phase(ctx, q, rho, ell, cfg.tolerance).phi_end - target
-        evals.append((rho, r))
-        return r
+    def miss(tol: ToleranceConfig):
+        def h(rho: float) -> float:
+            if (rho, tol) not in phis:
+                phis[rho, tol] = integrate_phase(ctx, q, rho, ell, tol).phi_end
+            return phis[rho, tol] - target
+        return h
 
-    rho_lo = lo ** (1.0 / ctx.p)
-    rho_hi = hi ** (1.0 / ctx.p)
+    tol = cfg.tolerance
+    rho_n = _solve(miss(tol), ctx.p, lo, hi, width, n)
+    phi_end = phis[rho_n, tol]
+    residual = abs(phi_end - target)
+    if residual > cfg.phase_tol:
+        # the integrated phase is only reproducible to the integrator's
+        # accumulated error, which can exceed phase_tol at the default
+        # local tolerance: for p != 2 the right-hand side is merely C^1
+        # in phi at the multiples of pi_p/2.  Solve once more on a
+        # tighter integration, from the root found, with the lambda step
+        # that moves the phase by the residual (d phi/d rho ~ phi/rho)
+        tol = ToleranceConfig(
+            rel_tol=max(1e-3 * tol.rel_tol, 1e-14),
+            abs_tol=max(1e-3 * tol.abs_tol, 1e-15),
+            max_steps=tol.max_steps)
+        lam = rho_n ** ctx.p
+        rho_n = _solve(miss(tol), ctx.p, lam, lam,
+                       ctx.p * lam * residual / target, n)
+        phi_end = phis[rho_n, tol]
+        residual = abs(phi_end - target)
+        if residual > cfg.phase_tol:
+            raise SearchError(
+                f"root polish for n={n} stalled at residual {residual:g} "
+                f"(phase_tol {cfg.phase_tol:g})",
+                details={"rho": rho_n, "phi_end": phi_end})
+
+    lam = rho_n ** ctx.p
+    neg = [r ** ctx.p for (r, _), phi in phis.items() if phi < target]
+    pos = [r ** ctx.p for (r, _), phi in phis.items() if phi > target]
+    bracket = (min(max(neg) if neg else lam, lam) - shift,
+               max(min(pos) if pos else lam, lam) - shift)
+
+    zero_count = _interior_level_crossings(ctx, phi_end, cfg.phase_tol)
+    if zero_count != n - 1:
+        raise SearchError(
+            f"zero count {zero_count} inconsistent with index n={n}",
+            details={"rho": rho_n, "phi_end": phi_end})
+
+    if cfg.oracle_check:
+        shot = direct_shoot(ctx, q, lam, ell, cfg)
+        if shot.zero_count != n - 1:
+            raise SearchError(
+                f"direct-shooting oracle counts {shot.zero_count} zeros "
+                f"for n={n}", details={"lambda": lam})
+
+    return Eigenpair(n=n, lam=lam - shift, rho=rho_n, phi_end=phi_end,
+                     residual=residual, zero_count=zero_count,
+                     bracket=bracket, shift=shift)
+
+
+def _solve(h, p: float, lo: float, hi: float, width: float, n: int) -> float:
+    """Root in rho of the phase miss h on the lambda interval [lo, hi].
+
+    Widens the upper end by width*2^k while h(hi^(1/p)) < 0 and the lower
+    end by width*2^k (at most halving it, so it stays positive) while
+    h(lo^(1/p)) > 0, then runs Brent's method on the sign change.
+    """
+    rho_lo = lo ** (1.0 / p)
+    rho_hi = hi ** (1.0 / p)
     f_lo = h(rho_lo)
     f_hi = h(rho_hi) if rho_hi > rho_lo else f_lo
 
@@ -147,100 +220,31 @@ def find_eigenvalue(ctx: PContext, q: Potential, n: int, ell: float,
         if grow > 60:
             raise SearchError(
                 f"no sign change while expanding upper bracket for n={n}",
-                details={"phi_lo": f_lo + target, "phi_hi": f_hi + target})
+                details={"miss_lo": f_lo, "miss_hi": f_hi})
         hi += width * 2.0 ** grow
-        rho_hi = hi ** (1.0 / ctx.p)
+        rho_hi = hi ** (1.0 / p)
         f_hi = h(rho_hi)
     shrink = 0
     while f_lo > 0.0:
         shrink += 1
         lo = max(lo - width * 2.0 ** shrink, 0.5 * lo)
-        rho_lo = lo ** (1.0 / ctx.p)
+        rho_lo = lo ** (1.0 / p)
         f_lo = h(rho_lo)
         if shrink > 60:
             raise SearchError(
                 f"no sign change while expanding lower bracket for n={n}",
-                details={"phi_lo": f_lo + target, "phi_hi": f_hi + target})
+                details={"miss_lo": f_lo, "miss_hi": f_hi})
 
     if f_lo == 0.0:
-        rho_n = rho_lo
-    elif f_hi == 0.0:
-        rho_n = rho_hi
-    else:
-        rho_n = brentq(h, rho_lo, rho_hi, xtol=1e-13 * (1.0 + rho_hi),
-                       rtol=4.0 * np.finfo(float).eps,
-                       maxiter=cfg.max_bisections)
-
-    traj = integrate_phase(ctx, q, rho_n, ell, cfg.tolerance)
-    residual = abs(traj.phi_end - target)
-    if residual > cfg.phase_tol:
-        # the integrated phase is only reproducible to the integrator's
-        # accumulated error, which can exceed phase_tol at the default
-        # local tolerance (the right-hand side is merely C^1 in phi at
-        # multiples of pi_p when p < 2); re-polish on a tighter
-        # integration around the located root
-        tight = ToleranceConfig(
-            rel_tol=max(1e-3 * cfg.tolerance.rel_tol, 1e-14),
-            abs_tol=max(1e-3 * cfg.tolerance.abs_tol, 1e-15),
-            max_steps=cfg.tolerance.max_steps)
-
-        def h_tight(rho: float) -> float:
-            r = integrate_phase(ctx, q, rho, ell, tight).phi_end - target
-            evals.append((rho, r))
-            return r
-
-        w = max(16.0 * residual / max(0.1, ell), 1e-12 * (1.0 + rho_n))
-        for _ in range(8):
-            a, b = max(rho_n - w, 0.5 * rho_n), rho_n + w
-            fa, fb = h_tight(a), h_tight(b)
-            if fa <= 0.0 <= fb:
-                break
-            w *= 4.0
-        else:
-            raise SearchError(
-                f"could not re-bracket n={n} for the tight polish",
-                details={"rho": rho_n})
-        if fa == 0.0:
-            rho_n = a
-        elif fb == 0.0:
-            rho_n = b
-        else:
-            rho_n = brentq(h_tight, a, b, xtol=1e-13 * (1.0 + b),
-                           rtol=4.0 * np.finfo(float).eps,
-                           maxiter=cfg.max_bisections)
-        traj = integrate_phase(ctx, q, rho_n, ell, tight)
-        residual = abs(traj.phi_end - target)
-        if residual > cfg.phase_tol:
-            raise SearchError(
-                f"root polish for n={n} stalled at residual {residual:g} "
-                f"(phase_tol {cfg.phase_tol:g})",
-                details={"rho": rho_n, "phi_end": traj.phi_end})
-
-    lam = rho_n ** ctx.p
-    neg = [r ** ctx.p for r, v in evals if v < 0.0]
-    pos = [r ** ctx.p for r, v in evals if v > 0.0]
-    bracket = (min(max(neg) if neg else lam, lam) - shift,
-               max(min(pos) if pos else lam, lam) - shift)
-
-    zero_count = _interior_level_crossings(traj, cfg.phase_tol)
-    if zero_count != n - 1:
-        raise SearchError(
-            f"zero count {zero_count} inconsistent with index n={n}",
-            details={"rho": rho_n, "phi_end": traj.phi_end})
-
-    if cfg.oracle_check:
-        shot = direct_shoot(ctx, q, lam, ell, cfg)
-        if shot.zero_count != n - 1:
-            raise SearchError(
-                f"direct-shooting oracle counts {shot.zero_count} zeros "
-                f"for n={n}", details={"lambda": lam})
-
-    return Eigenpair(n=n, lam=lam - shift, rho=rho_n, phi_end=traj.phi_end,
-                     residual=residual, zero_count=zero_count,
-                     bracket=bracket, shift=shift)
+        return rho_lo
+    if f_hi == 0.0:
+        return rho_hi
+    return brentq(h, rho_lo, rho_hi, xtol=1e-13 * (1.0 + rho_hi),
+                  rtol=4.0 * np.finfo(float).eps, maxiter=_BRENT_MAXITER)
 
 
-def _interior_level_crossings(traj: PruferTrajectory, phase_tol: float) -> int:
+def _interior_level_crossings(ctx: PContext, phi_end: float,
+                              phase_tol: float) -> int:
     """Number of interior zeros of y: upward crossings of k*pi_p in (0, ell).
 
     The phase can only cross multiples of pi_p upward (phi' = rho > 0
@@ -249,7 +253,7 @@ def _interior_level_crossings(traj: PruferTrajectory, phase_tol: float) -> int:
     being counted as interior.
     """
     guard = max(1e-6, 10.0 * phase_tol)
-    return max(0, int(math.floor((traj.phi_end - guard) / traj.ctx.pi_p)))
+    return max(0, int(math.floor((phi_end - guard) / ctx.pi_p)))
 
 
 def compute_spectrum(ctx: PContext, q: Potential, n_max: int, ell: float,
@@ -282,9 +286,6 @@ class ShotResult:
     yprime_end: float
     max_abs_y: float
     quality_warning: bool = False
-
-    def __iter__(self):
-        return iter((self.y_end, self.zero_count))
 
 
 def direct_shoot(ctx: PContext, q: Potential, lam: float, ell: float,

@@ -184,20 +184,6 @@ def scaled_tent(depth: float, rise: float) -> Potential:
                      params=(("depth", depth), ("rise", rise)))
 
 
-def random_nonpositive_piecewise_linear(rng: np.random.Generator,
-                                        n_knots: int = 5,
-                                        depth_scale: float = 6.0) -> Potential:
-    """Seeded random nonpositive piecewise-linear potential on [0, 1]."""
-    if n_knots < 2:
-        raise DomainError("need at least 2 knots")
-    interior = np.sort(rng.uniform(0.05, 0.95, size=n_knots - 2))
-    xs = np.concatenate(([0.0], interior, [1.0]))
-    qs = -rng.uniform(0.0, depth_scale, size=n_knots)
-    return Potential(kind="piecewise_linear",
-                     xs=tuple(float(v) for v in xs),
-                     qs=tuple(float(v) for v in qs))
-
-
 def restrict(q: Potential, ell: float) -> Potential:
     """The same function reinterpreted on [0, ell], 0 < ell <= domain_end."""
     ell = float(ell)

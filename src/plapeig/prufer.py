@@ -167,8 +167,7 @@ def _advance_piece(f, x, y, x_end, h, tol, record, counters):
 
 
 def _integrate(ctx: PContext, q: Potential, rho: float, ell: float,
-               tol: ToleranceConfig, with_logr: bool, with_u: bool,
-               x_start: float = 0.0, y_start: tuple | None = None
+               tol: ToleranceConfig, with_logr: bool, with_u: bool
                ) -> PruferTrajectory:
     if not (isinstance(rho, (int, float)) and math.isfinite(rho)) or rho <= 0.0:
         raise DomainError(
@@ -219,10 +218,7 @@ def _integrate(ctx: PContext, q: Potential, rho: float, ell: float,
             return (rho - qval(x) * inv_rho_pm1 * fast_abs_sp_pow(ctx, y[0]),)
         dim = 1
 
-    y = y_start if y_start is not None else (0.0,) * dim
-    if len(y) != dim:
-        raise DomainError("initial state has wrong dimension")
-    x = x_start
+    x, y = 0.0, (0.0,) * dim
 
     k0 = f(x, y)
     xs = [x]
@@ -290,15 +286,6 @@ def integrate_sensitivity(ctx: PContext, q: Potential, rho: float, ell: float,
     and serve only as a test oracle.
     """
     return _integrate(ctx, q, rho, ell, tol, with_logr=True, with_u=True)
-
-
-def integrate_phase_from(ctx: PContext, q: Potential, rho: float,
-                         x_start: float, phi_start: float, ell: float,
-                         tol: ToleranceConfig = ToleranceConfig()) -> PruferTrajectory:
-    """Phase integration restarted from an interior state (consistency
-    checks and piecewise scans)."""
-    return _integrate(ctx, q, rho, ell, tol, with_logr=False, with_u=False,
-                      x_start=float(x_start), y_start=(float(phi_start),))
 
 
 def _hermite(xq, xs, ys, ds):

@@ -29,7 +29,6 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate as _sint
 from scipy import special as _sps
 
 from .errors import DomainError, PoleError
@@ -128,43 +127,6 @@ def arcsp(ctx: PContext, s) -> np.ndarray | float:
     z = np.abs(np.asarray(s, dtype=float)) ** ctx.p
     out = ctx.quarter * _sps.betainc(a, 1.0 - a, z)
     return float(out) if np.ndim(s) == 0 else out
-
-
-def arcsp_quadrature(ctx: PContext, s: float, epsabs: float = 1e-13) -> float:
-    """Inverse p-sine by adaptive Gauss-Kronrod quadrature.
-
-    Independent of :func:`arcsp`: integrates (1 - t^p)^(-1/p) directly.
-    The integrable endpoint singularity at t = 1 is removed by the
-    substitution 1 - t = w^m with m = p/(p-1), which turns the tail into
-    the bounded integrand m * g(1 - w^m)^(-1/p) for
-    g(t) = (1 - t^p)/(1 - t).  Used as a cross-check of the beta-function
-    route and of pi_p itself (x(1) = pi_p/2).
-    """
-    s = float(s)
-    if not 0.0 <= s <= 1.0:
-        raise DomainError(f"arcsp argument must lie in [0, 1], got {s}")
-    p = ctx.p
-    split = min(s, 0.85)
-    total = 0.0
-    if split > 0.0:
-        val, _ = _sint.quad(lambda t: (1.0 - t ** p) ** (-1.0 / p),
-                            0.0, split, epsabs=epsabs, epsrel=1e-13, limit=200)
-        total += val
-    if s > split:
-        m = ctx.p_conj
-
-        def regularized(w):
-            # g(1 - w^m) with 1 - (1-w^m)^p evaluated cancellation-free
-            wm = w ** m
-            one_minus_tp = -math.expm1(p * math.log1p(-wm))
-            return m * (one_minus_tp / wm) ** (-1.0 / p)
-
-        w_hi = (1.0 - split) ** (1.0 / m)
-        w_lo = 0.0 if s >= 1.0 else (1.0 - s) ** (1.0 / m)
-        val, _ = _sint.quad(regularized, w_lo, w_hi,
-                            epsabs=epsabs, epsrel=1e-13, limit=200)
-        total += val
-    return total
 
 
 def _quarter_pair(ctx: PContext, xr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -9,10 +9,10 @@ so agreement is evidence rather than tautology.
 import math
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 
-from plapeig import direct_shoot
+from plapeig import DomainError, Potential, direct_shoot
 
 
 def sp_ivp(p, x, rtol=1e-12, atol=1e-14):
@@ -46,6 +46,55 @@ SP_IVP_FROZEN = {
 }
 
 
+def arcsp_quadrature(ctx, s, epsabs=1e-13):
+    """Inverse p-sine by adaptive Gauss-Kronrod quadrature.
+
+    Independent of ``plapeig.arcsp``: integrates (1 - t^p)^(-1/p) directly.
+    The integrable endpoint singularity at t = 1 is removed by the
+    substitution 1 - t = w^m with m = p/(p-1), which turns the tail into
+    the bounded integrand m * g(1 - w^m)^(-1/p) for
+    g(t) = (1 - t^p)/(1 - t).  Used as a cross-check of the beta-function
+    route and of pi_p itself (x(1) = pi_p/2).
+    """
+    s = float(s)
+    if not 0.0 <= s <= 1.0:
+        raise DomainError(f"arcsp argument must lie in [0, 1], got {s}")
+    p = ctx.p
+    split = min(s, 0.85)
+    total = 0.0
+    if split > 0.0:
+        val, _ = quad(lambda t: (1.0 - t ** p) ** (-1.0 / p),
+                      0.0, split, epsabs=epsabs, epsrel=1e-13, limit=200)
+        total += val
+    if s > split:
+        m = ctx.p_conj
+
+        def regularized(w):
+            # g(1 - w^m) with 1 - (1-w^m)^p evaluated cancellation-free
+            wm = w ** m
+            one_minus_tp = -math.expm1(p * math.log1p(-wm))
+            return m * (one_minus_tp / wm) ** (-1.0 / p)
+
+        w_hi = (1.0 - split) ** (1.0 / m)
+        w_lo = 0.0 if s >= 1.0 else (1.0 - s) ** (1.0 / m)
+        val, _ = quad(regularized, w_lo, w_hi,
+                      epsabs=epsabs, epsrel=1e-13, limit=200)
+        total += val
+    return total
+
+
+def random_nonpositive_piecewise_linear(rng, n_knots=5, depth_scale=6.0):
+    """Seeded random nonpositive piecewise-linear potential on [0, 1]."""
+    if n_knots < 2:
+        raise DomainError("need at least 2 knots")
+    interior = np.sort(rng.uniform(0.05, 0.95, size=n_knots - 2))
+    xs = np.concatenate(([0.0], interior, [1.0]))
+    qs = -rng.uniform(0.0, depth_scale, size=n_knots)
+    return Potential(kind="piecewise_linear",
+                     xs=tuple(float(v) for v in xs),
+                     qs=tuple(float(v) for v in qs))
+
+
 def classical_prufer_p2(q, rho, ell, rtol=1e-12, atol=1e-13):
     """(phi(ell), log R(ell)) for p = 2 via the classical circular-phase
     equations with sin/cos, independent of the S_p machinery."""
@@ -62,18 +111,28 @@ def classical_prufer_p2(q, rho, ell, rtol=1e-12, atol=1e-13):
     return float(sol.y[0, -1]), float(sol.y[1, -1])
 
 
-def direct_eigenvalue(ctx, q, n, ell, cfg, rel_width=1e-9):
-    """lambda_n by bisection on the direct shot's zero count and terminal
-    sign, refined by root-finding on y(ell); never touches the phase
-    route."""
+def direct_eigenvalue(ctx, q, n, ell, cfg):
+    """lambda_n from direct shots alone; never touches the phase route.
+
+    Bisection on the shot's zero count and terminal sign runs only until
+    both bracket ends show n - 1 interior zeros; y(ell) changes sign
+    exactly once on that bracket, and Brent's method on it sets the
+    final accuracy.  Shots are cached by lambda.
+    """
     qmin, qmax = q.min_max()
     free = (n * ctx.pi_p / ell) ** ctx.p
     lo = free + qmin - 1e-6 * (1.0 + abs(free))
     hi = free + qmax + 1e-6 * (1.0 + abs(free))
     parity = -1.0 if n % 2 == 0 else 1.0  # sign of y on its n-th arch
+    shots = {}
+
+    def shoot(lam):
+        if lam not in shots:
+            shots[lam] = direct_shoot(ctx, q, lam, ell, cfg)
+        return shots[lam]
 
     def past(lam):
-        shot = direct_shoot(ctx, q, lam, ell, cfg)
+        shot = shoot(lam)
         if shot.zero_count >= n:
             return True
         return shot.zero_count == n - 1 and parity * shot.y_end <= 0.0
@@ -91,21 +150,24 @@ def direct_eigenvalue(ctx, q, n, ell, cfg, rel_width=1e-9):
             break
     assert past(hi), "oracle bracket: upper end not past lambda_n"
 
-    while hi - lo > rel_width * max(1.0, abs(hi)):
+    for _ in range(100):
+        if shoot(lo).zero_count == shoot(hi).zero_count == n - 1:
+            break
         mid = 0.5 * (lo + hi)
         if past(mid):
             hi = mid
         else:
             lo = mid
+    else:
+        raise RuntimeError(
+            f"oracle bracket: no interval with {n - 1} zeros at both ends "
+            f"found near [{lo!r}, {hi!r}]")
 
     def y_end(lam):
-        return direct_shoot(ctx, q, lam, ell, cfg).y_end
+        return shoot(lam).y_end
 
-    f_lo, f_hi = y_end(lo), y_end(hi)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0 or f_lo * f_hi > 0.0:
-        return 0.5 * (lo + hi)
+    if y_end(hi) == 0.0:
+        return hi
     return brentq(y_end, lo, hi, rtol=1e-13)
 
 

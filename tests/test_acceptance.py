@@ -11,13 +11,13 @@ import pytest
 
 from plapeig import (SolverConfig, compute_spectrum, constant,
                      find_eigenvalue, integrate_amplitude, integrate_phase,
-                     piecewise_linear, random_nonpositive_piecewise_linear,
-                     reconstruct_eigenfunction, restrict, scaled_tent,
-                     sp_pair, verify_remark1, verify_theorem1,
+                     piecewise_linear, reconstruct_eigenfunction, restrict,
+                     scaled_tent, sp_pair, verify_remark1, verify_theorem1,
                      verify_theorem2, verify_theorem3)
 from plapeig.cli import main as cli_main
 
-from oracles import count_sign_changes, direct_eigenvalue, fd_theta_dot
+from oracles import (count_sign_changes, direct_eigenvalue, fd_theta_dot,
+                     random_nonpositive_piecewise_linear)
 
 CFG = SolverConfig()
 
@@ -103,8 +103,7 @@ def test_criterion_4_oracle_agreement(ctx_for):
         q = random_nonpositive_piecewise_linear(rng)
         for n in range(1, 7):
             lam = find_eigenvalue(ctx, q, n, 1.0, CFG).lam
-            lam_direct = direct_eigenvalue(ctx, q, n, 1.0, CFG,
-                                           rel_width=1e-5)
+            lam_direct = direct_eigenvalue(ctx, q, n, 1.0, CFG)
             worst = max(worst, abs(lam - lam_direct) / abs(lam))
     _report(4, "phase vs direct-shooting oracle", worst <= 1e-6,
             f"worst relative discrepancy {worst:.2e} (<=1e-6), "

@@ -73,7 +73,7 @@ class TestEigs:
         assert code == 0
         header, rows = parse_csv(out)
         assert header == ["n", "lambda", "rho", "phi_end", "residual",
-                          "zero_count", "bracket_width"]
+                          "zero_count", "bracket_width", "shift"]
         lams = [float(r[1]) for r in rows]
         assert lams == pytest.approx([math.pi ** 2, 4 * math.pi ** 2,
                                       9 * math.pi ** 2], rel=1e-9)
@@ -108,10 +108,24 @@ class TestEigs:
         assert [float(r[1]) for r in rows] == pytest.approx(
             [math.pi ** 2 - 50.0, 4 * math.pi ** 2 - 50.0], rel=1e-10)
 
+    def test_shift_column(self, capsys):
+        # rho belongs to the shifted potential: rho^p = lambda + shift,
+        # with shift 50 wherever the comparison lower bound is <= 0
+        code, out, _ = run_cli(capsys, "eigs", "--p", "2", "--potential",
+                               '{"type":"constant","value":-50}',
+                               "--n-max", "3")
+        assert code == 0
+        header, rows = parse_csv(out)
+        assert header[-1] == "shift"
+        assert [float(r[-1]) for r in rows] == [50.0, 50.0, 0.0]
+        for r in rows:
+            lam, rho, shift = float(r[1]), float(r[2]), float(r[-1])
+            assert rho ** 2 == pytest.approx(lam + shift, rel=1e-14)
+
     def test_solver_failure_exit_2(self, capsys):
         # phase_tol 1e-16 is below what the integration reproduces
         code, _, err = run_cli(capsys, "eigs", "--p", "2", "--potential",
-                               '{"type":"constant","value":-50}',
+                               '{"type":"constant","value":-2}',
                                "--n-max", "1", "--phase-tol", "1e-16")
         assert code == 2
         assert "index 1" in err
@@ -182,7 +196,8 @@ class TestVerify:
 class TestSweep:
     def test_failure_reported_once(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--axis", "p", "--values",
-                               "2,3", "--potential", FREE_SPEC,
+                               "2,3", "--potential",
+                               '{"type":"constant","value":-2}',
                                "--n-max", "1", "--phase-tol", "1e-16")
         assert code == 2
         assert "sweep failed at p=2" in err
@@ -230,6 +245,27 @@ class TestSweep:
         # deeper tents push lambda_1 down
         lam1 = [float(r[2]) for r in rows if r[1] == "1"]
         assert lam1[0] > lam1[1] > lam1[2]
+
+    def test_ratio_empty_when_lambda1_nonpositive(self, capsys):
+        argv = ("sweep", "--axis", "depth", "--values=-5,-30", "--p", "2",
+                "--potential", '{"type":"scaled_tent","depth":-5,"rise":30}',
+                "--n-max", "3")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        _, rows = parse_csv(out)
+        shallow = [r for r in rows if r[0] == "-5"]
+        deep = [r for r in rows if r[0] == "-30"]
+        assert len(shallow) == len(deep) == 3
+        lam1 = float(shallow[0][2])
+        assert lam1 > 0.0
+        for r in shallow:
+            assert float(r[3]) == float(r[2]) / lam1
+        assert float(deep[0][2]) < 0.0
+        assert all(r[3] == "" for r in deep)
+        code, out, _ = run_cli(capsys, *argv, "--format", "report")
+        doc = json.loads(out)
+        col = doc["columns"].index("ratio_to_lambda1")
+        assert [row[col] is None for row in doc["rows"]] == [False] * 3 + [True] * 3
 
     def test_too_few_values(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--axis", "ell", "--values",

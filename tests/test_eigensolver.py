@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from plapeig import (DomainError, SearchError, SolverConfig,
+from plapeig import eigensolver
+from plapeig import (DomainError, SearchError, SolverConfig, ToleranceConfig,
                      bracket_eigenvalue, compute_spectrum, constant,
                      direct_shoot, find_eigenvalue, integrate_amplitude,
-                     random_nonpositive_piecewise_linear,
                      reconstruct_eigenfunction, restrict, scaled_tent,
                      sign_of_lambda1)
 
-from oracles import count_sign_changes, direct_eigenvalue
+from oracles import (count_sign_changes, direct_eigenvalue,
+                     random_nonpositive_piecewise_linear)
 
 TENT = scaled_tent(-5.0, 4.0)
 CFG = SolverConfig()
@@ -82,6 +83,42 @@ class TestFindEigenvalue:
         assert pair.zero_count == 1
 
 
+def spy_integrations(monkeypatch):
+    """Record (rho, rel_tol) of every phase integration of the search."""
+    calls = []
+    real = eigensolver.integrate_phase
+
+    def spy(ctx, q, rho, ell, tol):
+        calls.append((rho, tol.rel_tol))
+        return real(ctx, q, rho, ell, tol)
+
+    monkeypatch.setattr(eigensolver, "integrate_phase", spy)
+    return calls
+
+
+class TestRootFind:
+    def test_no_integration_repeated(self, ctx2, monkeypatch):
+        calls = spy_integrations(monkeypatch)
+        find_eigenvalue(ctx2, TENT, 2, 1.0)
+        assert calls
+        assert len(set(calls)) == len(calls)
+
+    def test_tight_pass(self, ctx_for, monkeypatch):
+        # at p = 1.5 the default-tolerance root of n = 5 misses phase_tol
+        ctx = ctx_for(1.5)
+        calls = spy_integrations(monkeypatch)
+        pair = find_eigenvalue(ctx, TENT, 5, 1.0, CFG)
+        assert any(rel_tol < 1e-10 for _, rel_tol in calls)
+        assert len(set(calls)) == len(calls)
+        assert pair.residual <= CFG.phase_tol
+        lo, hi = pair.bracket
+        assert lo <= pair.lam <= hi
+        monkeypatch.undo()
+        ref = find_eigenvalue(ctx, TENT, 5, 1.0, SolverConfig(
+            tolerance=ToleranceConfig(rel_tol=1e-13, abs_tol=1e-15)))
+        assert pair.lam == pytest.approx(ref.lam, rel=1e-7)
+
+
 class TestSpectrum:
     def test_free_p2(self, ctx2):
         spec = compute_spectrum(ctx2, constant(0.0), 4, 1.0, CFG)
@@ -108,9 +145,9 @@ class TestSpectrum:
 
     def test_failure_carries_index(self, ctx2):
         # a phase residual of 1e-16 is below what the integration can
-        # reproduce, so the search must refuse
+        # reproduce on this input, so the search must refuse
         with pytest.raises(SearchError) as err:
-            compute_spectrum(ctx2, constant(-50.0), 2, 1.0,
+            compute_spectrum(ctx2, constant(-2.0), 2, 1.0,
                              SolverConfig(phase_tol=1e-16))
         assert err.value.details.get("n") == 1
 
@@ -141,10 +178,6 @@ class TestDirectShoot:
         shot = direct_shoot(ctx2, constant(-2.0), 0.0, 1.0, CFG)
         assert shot.zero_count == 0
         assert shot.y_end > 0.0
-
-    def test_result_unpacks(self, ctx2):
-        y_end, zero_count = direct_shoot(ctx2, constant(0.0), 1.0, 1.0, CFG)
-        assert isinstance(zero_count, int)
 
 
 class TestSignOfLambda1:

@@ -6,8 +6,10 @@ import pytest
 
 from plapeig import (DataError, DomainError, PotentialParseError, Shape,
                      classify, constant, parse_potential_spec,
-                     piecewise_linear, random_nonpositive_piecewise_linear,
-                     restrict, sampled_table, scaled_tent)
+                     piecewise_linear, restrict, sampled_table,
+                     scaled_tent)
+
+from oracles import random_nonpositive_piecewise_linear
 
 
 def tent_barrier():

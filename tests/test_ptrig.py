@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from plapeig import (DomainError, PoleError, arcsp, arcsp_quadrature,
-                     make_context, reduce_argument, sp, sp_pair, sp_prime, tp)
+from plapeig import (DomainError, PoleError, arcsp, make_context,
+                     reduce_argument, sp, sp_pair, sp_prime, tp)
 from plapeig.ptrig import fast_pair
 
-from oracles import SP_IVP_FROZEN, sp_ivp
+from oracles import SP_IVP_FROZEN, arcsp_quadrature, sp_ivp
 
 ALL_P = (1.2, 1.5, 2.0, 3.0, 5.0, 10.0)
 
