@@ -12,8 +12,7 @@ single-barrier and single-well potentials.
 
 from .errors import (DataError, DomainError, IntegrationError, PLapError,
                      PoleError, PotentialParseError, SearchError, StateError)
-from .ptrig import (PContext, arcsp, make_context, reduce_argument, sp,
-                    sp_pair, sp_prime, tp)
+from .ptrig import PContext, arcsp, make_context, sp, sp_pair, sp_prime, tp
 from .potentials import (Potential, Shape, ShapeCertificate, classify,
                          constant, parse_potential_spec, piecewise_linear,
                          restrict, sampled_table, scaled_tent)
@@ -33,7 +32,7 @@ __all__ = [
     "PLapError", "DomainError", "PoleError", "PotentialParseError",
     "DataError", "StateError", "IntegrationError", "SearchError",
     "PContext", "make_context", "sp", "sp_prime", "sp_pair", "tp",
-    "reduce_argument", "arcsp",
+    "arcsp",
     "Potential", "Shape", "ShapeCertificate", "classify", "restrict",
     "parse_potential_spec", "constant", "piecewise_linear", "sampled_table",
     "scaled_tent",

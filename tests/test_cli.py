@@ -122,11 +122,10 @@ class TestEigs:
             lam, rho, shift = float(r[1]), float(r[2]), float(r[-1])
             assert rho ** 2 == pytest.approx(lam + shift, rel=1e-14)
 
-    def test_solver_failure_exit_2(self, capsys):
-        # phase_tol 1e-16 is below what the integration reproduces
+    def test_solver_failure_exit_2(self, capsys, coarse_phase):
         code, _, err = run_cli(capsys, "eigs", "--p", "2", "--potential",
                                '{"type":"constant","value":-2}',
-                               "--n-max", "1", "--phase-tol", "1e-16")
+                               "--n-max", "1")
         assert code == 2
         assert "index 1" in err
         assert err.count("eigenvalue search failed") == 1
@@ -194,11 +193,11 @@ class TestVerify:
 
 
 class TestSweep:
-    def test_failure_reported_once(self, capsys):
+    def test_failure_reported_once(self, capsys, coarse_phase):
         code, _, err = run_cli(capsys, "sweep", "--axis", "p", "--values",
                                "2,3", "--potential",
                                '{"type":"constant","value":-2}',
-                               "--n-max", "1", "--phase-tol", "1e-16")
+                               "--n-max", "1")
         assert code == 2
         assert "sweep failed at p=2" in err
         assert err.count("eigenvalue search failed") == 1
@@ -340,3 +339,13 @@ class TestEntryPoint:
              "--p", "2", "--potential", TENT_SPEC],
             capture_output=True, text=True, timeout=120)
         assert proc.returncode == 4
+
+    def test_import_leaves_out_scipy_integrate(self):
+        # only the direct-shooting oracle uses scipy's integrator and it
+        # imports it on first call, so a cold start does not pay for it
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, plapeig, plapeig.cli; "
+             "print('scipy.integrate' in sys.modules)"],
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

@@ -143,12 +143,9 @@ class TestSpectrum:
                     assert (lams[n - 1] / lams[m - 1]
                             >= (n / m) ** 2 * (1.0 - 1e-10))
 
-    def test_failure_carries_index(self, ctx2):
-        # a phase residual of 1e-16 is below what the integration can
-        # reproduce on this input, so the search must refuse
+    def test_failure_carries_index(self, ctx2, coarse_phase):
         with pytest.raises(SearchError) as err:
-            compute_spectrum(ctx2, constant(-2.0), 2, 1.0,
-                             SolverConfig(phase_tol=1e-16))
+            compute_spectrum(ctx2, constant(-2.0), 2, 1.0, CFG)
         assert err.value.details.get("n") == 1
 
 

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from plapeig import (DomainError, PoleError, arcsp, make_context,
-                     reduce_argument, sp, sp_pair, sp_prime, tp)
-from plapeig.ptrig import fast_pair
+from plapeig import (DomainError, PoleError, arcsp, make_context, sp,
+                     sp_pair, sp_prime, tp)
+from plapeig.ptrig import _quarter, fast_pair
 
 from oracles import SP_IVP_FROZEN, arcsp_quadrature, sp_ivp
 
@@ -74,6 +74,10 @@ class TestSpValues:
         assert sp(ctx3, 0.8) == pytest.approx(y_ref, abs=1e-12)
         assert sp_prime(ctx3, 0.8) == pytest.approx(yp_ref, abs=1e-12)
 
+    def test_empty_array(self, ctx3):
+        s, c = sp_pair(ctx3, np.array([]))
+        assert s.shape == c.shape == (0,)
+
     def test_rejects_nonfinite(self, ctx2):
         with pytest.raises(DomainError):
             sp(ctx2, math.inf)
@@ -135,33 +139,55 @@ class TestIdentities:
 
 
 class TestArgumentReduction:
+    # _quarter(ctx, x) -> (xr, s, sign_s, sign_c); the quadrant is the
+    # sign pair: (+,+), (+,-), (-,-), (-,+)
     def test_three_quarters_p2(self, ctx2):
-        xr, quad, periods = reduce_argument(ctx2, 1.5 * math.pi)
+        xr, _, sign_s, sign_c = _quarter(ctx2, 1.5 * math.pi)
         assert xr == pytest.approx(math.pi / 2.0, abs=1e-15)
-        assert quad == 2
-        assert periods == 0
+        assert (sign_s, sign_c) == (-1.0, -1.0)
 
     def test_period_count(self, ctx3):
-        xr, quad, periods = reduce_argument(ctx3, 2.0 * ctx3.pi_p + 0.3)
-        assert periods == 1
-        assert quad == 0
+        xr, _, sign_s, sign_c = _quarter(ctx3, 2.0 * ctx3.pi_p + 0.3)
+        assert (sign_s, sign_c) == (1.0, 1.0)
         assert xr == pytest.approx(0.3, abs=1e-13)
-        xr, quad, periods = reduce_argument(ctx3, -0.3)
-        assert periods == -1
-        assert quad == 3
+        xr, _, sign_s, sign_c = _quarter(ctx3, -0.3)
+        assert (sign_s, sign_c) == (-1.0, 1.0)
         assert xr == pytest.approx(0.3, abs=1e-13)
 
     def test_reconstruction_signs(self, ctx3):
-        signs_s = (1.0, 1.0, -1.0, -1.0)
-        signs_c = (1.0, -1.0, -1.0, 1.0)
         for x in np.linspace(-2.5 * ctx3.pi_p, 2.5 * ctx3.pi_p, 101):
-            xr, quad, _ = reduce_argument(ctx3, float(x))
-            assert 0.0 <= xr <= ctx3.pi_p / 2.0 + 1e-15
+            xr, _, sign_s, sign_c = _quarter(ctx3, float(x))
+            assert 0.0 <= xr <= ctx3.pi_p / 2.0
             sq, cq = sp_pair(ctx3, xr)
-            assert sp(ctx3, float(x)) == pytest.approx(signs_s[quad] * sq,
-                                                       abs=1e-12)
-            assert sp_prime(ctx3, float(x)) == pytest.approx(signs_c[quad] * cq,
+            assert sp(ctx3, float(x)) == pytest.approx(sign_s * sq, abs=1e-12)
+            assert sp_prime(ctx3, float(x)) == pytest.approx(sign_c * cq,
                                                              abs=1e-12)
+
+    def test_huge_arguments(self, ctx3):
+        # from about 6e16 the rounded floor(x / 2pi_p) misses by more
+        # than one period; the fold still lands on the quarter period
+        for x in (5.923175574983616e16, -8.8867668955274e16,
+                  9.211191485207544e17, 1e300):
+            assert 0.0 <= _quarter(ctx3, x)[0] <= ctx3.quarter
+            s, c = sp_pair(ctx3, x)
+            assert abs(abs(s) ** 3 + abs(c) ** 3 - 1.0) <= 1e-10
+
+    @pytest.mark.parametrize("p", (1.5, 3.0, 10.0))
+    def test_quadrant_boundaries(self, ctx_for, p):
+        # at k*pi_p/2 and one ulp either side: the fold stays on the
+        # quarter period, the power identity holds, and S_p' changes
+        # sign across each of its zeros (odd k)
+        ctx = ctx_for(p)
+        for k in range(-8, 9):
+            b = k * ctx.quarter
+            xs = np.array([np.nextafter(b, -math.inf), b,
+                           np.nextafter(b, math.inf)])
+            for x in xs:
+                assert 0.0 <= _quarter(ctx, float(x))[0] <= ctx.quarter
+            s, c = sp_pair(ctx, xs)
+            assert np.abs(np.abs(s) ** p + np.abs(c) ** p - 1.0).max() <= 1e-10
+            if k % 2:
+                assert c[0] * c[2] < 0.0, (k, c)
 
 
 class TestTangent:
@@ -182,6 +208,10 @@ class TestTangent:
         assert err.value.nearest_pole == pytest.approx(pole, rel=1e-12)
         with pytest.raises(PoleError):
             tp(ctx3, pole + 3.0 * ctx3.pi_p)
+        for x in (-pole - 1e-9, -pole + 1e-9):
+            with pytest.raises(PoleError) as err:
+                tp(ctx3, x)
+            assert err.value.nearest_pole == pytest.approx(-pole, rel=1e-12)
 
     @pytest.mark.parametrize("p", (1.5, 2.0, 3.0))
     def test_derivative_identity(self, ctx_for, p):
