@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DomainError, SearchError
 from .potentials import Potential
@@ -209,6 +208,8 @@ def _solve(h, p: float, lo: float, hi: float, width: float, n: int) -> float:
     end by width*2^k (at most halving it, so it stays positive) while
     h(lo^(1/p)) > 0, then runs Brent's method on the sign change.
     """
+    from scipy.optimize import brentq  # lazy: keeps it out of a cold start
+
     rho_lo = lo ** (1.0 / p)
     rho_hi = hi ** (1.0 / p)
     f_lo = h(rho_lo)

@@ -26,6 +26,15 @@ potentials are forced to be step boundaries because the right-hand side
 is only C0 there.  The phase is never reduced modulo the period during
 integration; it accumulates so that the Dirichlet eigencondition
 phi(ell) = n*pi_p indexes eigenvalues unambiguously.
+
+Two stage-unrolled kernels run the pair.  ``_phase_kernel`` steps the
+phase alone on a plain float, with named stages k1..k7 and counts in
+local ints; the eigenvalue search and the sign test of lambda_1 use only
+this one.  ``_system_kernel`` takes the same steps on (phi, log R, u)
+for the amplitude and sensitivity systems.  Both add every sum left to
+right in tableau order, so they reproduce a generic tableau loop bit for
+bit: terminal values, step sequence and counts.  The test oracle
+``reference_dp45`` is that loop, and the tests compare with ``==``.
 """
 
 from __future__ import annotations
@@ -90,21 +99,24 @@ class PruferTrajectory:
         return (self.rho * self.u_end - self.phi_end) / self.rho ** 2
 
 
-# Dormand-Prince 4(5) pair; row 7 equals the 5th-order weights (FSAL).
-_C = (0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0)
-_A = (
-    (),
-    (1.0 / 5.0,),
-    (3.0 / 40.0, 9.0 / 40.0),
-    (44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0),
-    (19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0),
-    (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0,
-     -5103.0 / 18656.0),
-    (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0,
-     11.0 / 84.0),
-)
-_E = (71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0,
-      -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0)
+# Dormand-Prince 4(5) pair.  _Aij: weight of slope j in stage i; row 7
+# is the 5th-order solution, so k7 is the next step's k1 (FSAL).  _Ej:
+# 5th- minus 4th-order weights.  The zero entries a72 and e2 are left
+# out of the sums: a term 0*k can change only the sign of a zero sum.
+_C2, _C3, _C4, _C5 = 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0  # c6 = c7 = 1
+_A21 = 1.0 / 5.0
+_A31, _A32 = 3.0 / 40.0, 9.0 / 40.0
+_A41, _A42, _A43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
+_A51, _A52, _A53, _A54 = (19372.0 / 6561.0, -25360.0 / 2187.0,
+                          64448.0 / 6561.0, -212.0 / 729.0)
+_A61, _A62, _A63, _A64, _A65 = (9017.0 / 3168.0, -355.0 / 33.0,
+                                46732.0 / 5247.0, 49.0 / 176.0,
+                                -5103.0 / 18656.0)
+_A71, _A73, _A74, _A75, _A76 = (35.0 / 384.0, 500.0 / 1113.0, 125.0 / 192.0,
+                                -2187.0 / 6784.0, 11.0 / 84.0)
+_E1, _E3, _E4, _E5, _E6, _E7 = (71.0 / 57600.0, -71.0 / 16695.0,
+                                71.0 / 1920.0, -17253.0 / 339200.0,
+                                22.0 / 525.0, -1.0 / 40.0)
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -114,56 +126,176 @@ _PI_ALPHA = 0.17
 _PI_BETA = 0.04
 
 
-def _advance_piece(f, x, y, x_end, h, tol, record, counters):
-    """Adaptive DP45 over one smooth piece; mutates record/counters."""
-    dim = len(y)
-    k1 = f(x, y)
-    counters["n_rhs"] += 1
-    err_old = 1e-4
-    while x < x_end:
-        if counters["n_steps"] + counters["n_rejected"] >= tol.max_steps:
-            raise IntegrationError(
-                f"step budget {tol.max_steps} exhausted at x={x!r}", last_x=x)
-        h_try = min(h, x_end - x)
-        if h_try < 1e-14 * max(1.0, abs(x)):
-            raise IntegrationError(
-                f"step size underflow at x={x!r}", last_x=x)
+def _pi_factor(err: float, err_old: float) -> float:
+    """Step-size factor after an accepted step with error norm ``err``."""
+    if err == 0.0:
+        return _MAX_FACTOR
+    return min(_MAX_FACTOR,
+               max(_MIN_FACTOR, _SAFETY * err ** -_PI_ALPHA * err_old ** _PI_BETA))
 
-        k = [k1]
-        yi = y
-        for i in range(1, 7):
-            a = _A[i]
-            yi = tuple(
-                y[d] + h_try * sum(a[j] * k[j][d] for j in range(i))
-                for d in range(dim))
-            k.append(f(x + _C[i] * h_try, yi))
-        counters["n_rhs"] += 6
-        y_new = yi  # stage 7 argument: the 5th-order solution
 
-        err = 0.0
-        for d in range(dim):
-            e = h_try * sum(_E[j] * k[j][d] for j in range(7))
-            sc = tol.abs_tol + tol.rel_tol * max(abs(y[d]), abs(y_new[d]))
-            err += (e / sc) ** 2
-        err = math.sqrt(err / dim)
+def _phase_kernel(f, bounds, h, tol, stats):
+    """Adaptive DP45 on the scalar phase, phi(bounds[0]) = 0.
 
-        if err <= 1.0:
-            x_new = x + h_try
-            if x_end - x_new < 1e-14 * max(1.0, abs(x_end)):
-                x_new = x_end
-            x, y, k1 = x_new, y_new, k[6]  # FSAL
-            counters["n_steps"] += 1
-            record(x, y, k1)
-            fac = _MAX_FACTOR if err == 0.0 else min(
-                _MAX_FACTOR,
-                max(_MIN_FACTOR, _SAFETY * err ** -_PI_ALPHA * err_old ** _PI_BETA))
-            err_old = max(err, 1e-4)
-            if h_try >= h:  # not shortened by the piece boundary: rescale
-                h = h_try * fac
-        else:
-            counters["n_rejected"] += 1
-            h = h_try * max(0.1, min(0.9, _SAFETY * err ** -0.2))
-    return x, y, h
+    ``f(x, phi) -> float``.  Each piece of ``bounds`` starts with a fresh
+    slope and a fresh controller memory; the step size carries over.
+    Returns phi at the last bound and the accepted-step lists (x, phi,
+    phi').  The step, reject and RHS counts go to ``stats``, also when
+    the integration fails.
+    """
+    abs_tol, rel_tol, max_steps = tol.abs_tol, tol.rel_tol, tol.max_steps
+    x = bounds[0]
+    phi = 0.0
+    k1 = f(x, phi)
+    xs, phis, dphis = [x], [phi], [k1]
+    n_steps = n_rejected = 0
+    n_rhs = 1
+    try:
+        for x, x_end in zip(bounds, bounds[1:]):
+            snap = 1e-14 * max(1.0, abs(x_end))
+            k1 = f(x, phi)
+            n_rhs += 1
+            err_old = 1e-4
+            while x < x_end:
+                if n_steps + n_rejected >= max_steps:
+                    raise IntegrationError(
+                        f"step budget {max_steps} exhausted at x={x!r}", last_x=x)
+                rest = x_end - x
+                ht = rest if rest < h else h
+                if ht < 1e-14 * max(1.0, abs(x)):
+                    raise IntegrationError(
+                        f"step size underflow at x={x!r}", last_x=x)
+
+                k2 = f(x + _C2 * ht, phi + ht * (_A21 * k1))
+                k3 = f(x + _C3 * ht, phi + ht * (_A31 * k1 + _A32 * k2))
+                k4 = f(x + _C4 * ht,
+                       phi + ht * (_A41 * k1 + _A42 * k2 + _A43 * k3))
+                k5 = f(x + _C5 * ht,
+                       phi + ht * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4))
+                k6 = f(x + ht,
+                       phi + ht * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4
+                                   + _A65 * k5))
+                phi_new = phi + ht * (_A71 * k1 + _A73 * k3 + _A74 * k4
+                                      + _A75 * k5 + _A76 * k6)
+                k7 = f(x + ht, phi_new)
+                n_rhs += 6
+
+                e = ht * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6
+                          + _E7 * k7)
+                err = math.sqrt(
+                    (e / (abs_tol + rel_tol * max(abs(phi), abs(phi_new)))) ** 2)
+
+                if err <= 1.0:
+                    x_new = x + ht
+                    x = x_end if x_end - x_new < snap else x_new
+                    phi, k1 = phi_new, k7
+                    n_steps += 1
+                    xs.append(x)
+                    phis.append(phi)
+                    dphis.append(k1)
+                    if ht >= h:  # not shortened by the piece boundary: rescale
+                        h = ht * _pi_factor(err, err_old)
+                    err_old = max(err, 1e-4)
+                else:
+                    n_rejected += 1
+                    h = ht * max(0.1, min(0.9, _SAFETY * err ** -0.2))
+    finally:
+        stats.update(n_steps=n_steps, n_rejected=n_rejected, n_rhs=n_rhs)
+    return phi, (xs, phis, dphis)
+
+
+def _system_kernel(f, bounds, h, tol, stats, dim):
+    """The steps of :func:`_phase_kernel` on the state (phi, log R, u).
+
+    ``f(x, phi, u) -> (phi', (log R)', u')``; log R enters no right-hand
+    side, so only its 5th-order value is formed.  The error norm is the
+    RMS over ``dim`` components: with dim = 2 (amplitude only) ``f``
+    returns u' = 0, so u stays 0 and adds exactly 0 to the norm.
+    Returns (phi, log R, u) at the last bound and the accepted-step
+    lists (x, phi, phi', log R, (log R)').
+    """
+    abs_tol, rel_tol, max_steps = tol.abs_tol, tol.rel_tol, tol.max_steps
+    x = bounds[0]
+    phi = lr = u = 0.0
+    p1, l1, u1 = f(x, phi, u)
+    xs, phis, dphis, lrs, dlrs = [x], [phi], [p1], [lr], [l1]
+    n_steps = n_rejected = 0
+    n_rhs = 1
+    try:
+        for x, x_end in zip(bounds, bounds[1:]):
+            snap = 1e-14 * max(1.0, abs(x_end))
+            p1, l1, u1 = f(x, phi, u)
+            n_rhs += 1
+            err_old = 1e-4
+            while x < x_end:
+                if n_steps + n_rejected >= max_steps:
+                    raise IntegrationError(
+                        f"step budget {max_steps} exhausted at x={x!r}", last_x=x)
+                rest = x_end - x
+                ht = rest if rest < h else h
+                if ht < 1e-14 * max(1.0, abs(x)):
+                    raise IntegrationError(
+                        f"step size underflow at x={x!r}", last_x=x)
+
+                p2, l2, u2 = f(x + _C2 * ht, phi + ht * (_A21 * p1),
+                               u + ht * (_A21 * u1))
+                p3, l3, u3 = f(x + _C3 * ht,
+                               phi + ht * (_A31 * p1 + _A32 * p2),
+                               u + ht * (_A31 * u1 + _A32 * u2))
+                p4, l4, u4 = f(x + _C4 * ht,
+                               phi + ht * (_A41 * p1 + _A42 * p2 + _A43 * p3),
+                               u + ht * (_A41 * u1 + _A42 * u2 + _A43 * u3))
+                p5, l5, u5 = f(x + _C5 * ht,
+                               phi + ht * (_A51 * p1 + _A52 * p2 + _A53 * p3
+                                           + _A54 * p4),
+                               u + ht * (_A51 * u1 + _A52 * u2 + _A53 * u3
+                                         + _A54 * u4))
+                p6, l6, u6 = f(x + ht,
+                               phi + ht * (_A61 * p1 + _A62 * p2 + _A63 * p3
+                                           + _A64 * p4 + _A65 * p5),
+                               u + ht * (_A61 * u1 + _A62 * u2 + _A63 * u3
+                                         + _A64 * u4 + _A65 * u5))
+                phi_new = phi + ht * (_A71 * p1 + _A73 * p3 + _A74 * p4
+                                      + _A75 * p5 + _A76 * p6)
+                lr_new = lr + ht * (_A71 * l1 + _A73 * l3 + _A74 * l4
+                                    + _A75 * l5 + _A76 * l6)
+                u_new = u + ht * (_A71 * u1 + _A73 * u3 + _A74 * u4
+                                  + _A75 * u5 + _A76 * u6)
+                p7, l7, u7 = f(x + ht, phi_new, u_new)
+                n_rhs += 6
+
+                ep = ht * (_E1 * p1 + _E3 * p3 + _E4 * p4 + _E5 * p5 + _E6 * p6
+                           + _E7 * p7)
+                el = ht * (_E1 * l1 + _E3 * l3 + _E4 * l4 + _E5 * l5 + _E6 * l6
+                           + _E7 * l7)
+                eu = ht * (_E1 * u1 + _E3 * u3 + _E4 * u4 + _E5 * u5 + _E6 * u6
+                           + _E7 * u7)
+                err = math.sqrt((
+                    (ep / (abs_tol + rel_tol * max(abs(phi), abs(phi_new)))) ** 2
+                    + (el / (abs_tol + rel_tol * max(abs(lr), abs(lr_new)))) ** 2
+                    + (eu / (abs_tol + rel_tol * max(abs(u), abs(u_new)))) ** 2
+                ) / dim)
+
+                if err <= 1.0:
+                    x_new = x + ht
+                    x = x_end if x_end - x_new < snap else x_new
+                    phi, lr, u = phi_new, lr_new, u_new
+                    p1, l1, u1 = p7, l7, u7
+                    n_steps += 1
+                    xs.append(x)
+                    phis.append(phi)
+                    dphis.append(p1)
+                    lrs.append(lr)
+                    dlrs.append(l1)
+                    if ht >= h:  # not shortened by the piece boundary: rescale
+                        h = ht * _pi_factor(err, err_old)
+                    err_old = max(err, 1e-4)
+                else:
+                    n_rejected += 1
+                    h = ht * max(0.1, min(0.9, _SAFETY * err ** -0.2))
+    finally:
+        stats.update(n_steps=n_steps, n_rejected=n_rejected, n_rhs=n_rhs)
+    return (phi, lr, u), (xs, phis, dphis, lrs, dlrs)
 
 
 def _integrate(ctx: PContext, q: Potential, rho: float, ell: float,
@@ -189,74 +321,57 @@ def _integrate(ctx: PContext, q: Potential, rho: float, ell: float,
         stats_warnings.append(msg)
 
     p = ctx.p
+    pm1 = p - 1.0
+    neg_p = -p
     inv_rho_pm1 = rho ** (1.0 - p)
     inv_rho_p = rho ** -p
     qval = q.value
 
+    bounds = [0.0] + [b for b in q.interior_knots() if 0.0 < b < ell] + [ell]
+    h = min(ell, 0.1 * ctx.pi_p / rho)
+    stats = {"n_steps": 0, "n_rejected": 0, "n_rhs": 0,
+             "n_pieces": len(bounds) - 1,
+             "rel_tol": tol.rel_tol, "abs_tol": tol.abs_tol,
+             "warnings": tuple(stats_warnings)}
+
+    if not (with_logr or with_u):
+        def f(x, phi):
+            return rho - qval(x) * inv_rho_pm1 * fast_abs_sp_pow(ctx, phi)
+
+        phi, (xs, phis, dphis) = _phase_kernel(f, bounds, h, tol, stats)
+        return PruferTrajectory(
+            ctx=ctx, rho=rho, ell=ell, phi_end=phi, theta_end=phi / rho,
+            logr_end=None, u_end=None,
+            dense_x=np.asarray(xs), dense_phi=np.asarray(phis),
+            dense_dphi=np.asarray(dphis), dense_logr=None, dense_dlogr=None,
+            stats=stats)
+
     if with_u:
-        def f(x, y):
-            phi, _, u = y
+        def f(x, phi, u):
             s, c = fast_pair(ctx, phi)
             abs_s_p = abs(s) ** p
-            odd = math.copysign(abs(s) ** (p - 1.0), s) * c
+            odd = math.copysign(abs(s) ** pm1, s) * c
             qx = qval(x)
             coef = qx * inv_rho_pm1
             return (rho - coef * abs_s_p,
                     coef * odd,
-                    -p * coef * odd * u + 1.0 + (p - 1.0) * qx * inv_rho_p * abs_s_p)
-        dim = 3
-    elif with_logr:
-        def f(x, y):
-            phi, _ = y
+                    neg_p * coef * odd * u + 1.0 + pm1 * qx * inv_rho_p * abs_s_p)
+    else:
+        def f(x, phi, u):
             s, c = fast_pair(ctx, phi)
             coef = qval(x) * inv_rho_pm1
             return (rho - coef * abs(s) ** p,
-                    coef * math.copysign(abs(s) ** (p - 1.0), s) * c)
-        dim = 2
-    else:
-        def f(x, y):
-            return (rho - qval(x) * inv_rho_pm1 * fast_abs_sp_pow(ctx, y[0]),)
-        dim = 1
+                    coef * math.copysign(abs(s) ** pm1, s) * c,
+                    0.0)
 
-    x, y = 0.0, (0.0,) * dim
-
-    k0 = f(x, y)
-    xs = [x]
-    phis = [y[0]]
-    dphis = [k0[0]]
-    logrs = [y[1]] if with_logr or with_u else None
-    dlogrs = [k0[1]] if with_logr or with_u else None
-
-    def record(xv, yv, kv):
-        xs.append(xv)
-        phis.append(yv[0])
-        dphis.append(kv[0])
-        if logrs is not None:
-            logrs.append(yv[1])
-            dlogrs.append(kv[1])
-
-    counters = {"n_steps": 0, "n_rejected": 0, "n_rhs": 1}
-    bounds = [x] + [b for b in q.interior_knots() if x < b < ell] + [ell]
-    h = min(ell - x, 0.1 * ctx.pi_p / rho)
-    for a, b in zip(bounds, bounds[1:]):
-        x, y, h = _advance_piece(f, a, y, b, h, tol, record, counters)
-
-    stats = {"n_steps": counters["n_steps"],
-             "n_rejected": counters["n_rejected"],
-             "n_rhs": counters["n_rhs"],
-             "n_pieces": len(bounds) - 1,
-             "rel_tol": tol.rel_tol, "abs_tol": tol.abs_tol,
-             "warnings": tuple(stats_warnings)}
+    (phi, logr, u), (xs, phis, dphis, logrs, dlogrs) = _system_kernel(
+        f, bounds, h, tol, stats, 3 if with_u else 2)
     return PruferTrajectory(
-        ctx=ctx, rho=rho, ell=ell,
-        phi_end=y[0], theta_end=y[0] / rho,
-        logr_end=y[1] if (with_logr or with_u) else None,
-        u_end=y[2] if with_u else None,
+        ctx=ctx, rho=rho, ell=ell, phi_end=phi, theta_end=phi / rho,
+        logr_end=logr, u_end=u if with_u else None,
         dense_x=np.asarray(xs), dense_phi=np.asarray(phis),
-        dense_dphi=np.asarray(dphis),
-        dense_logr=None if logrs is None else np.asarray(logrs),
-        dense_dlogr=None if dlogrs is None else np.asarray(dlogrs),
-        stats=stats)
+        dense_dphi=np.asarray(dphis), dense_logr=np.asarray(logrs),
+        dense_dlogr=np.asarray(dlogrs), stats=stats)
 
 
 def integrate_phase(ctx: PContext, q: Potential, rho: float, ell: float,

@@ -41,6 +41,8 @@ TABLE_INTERVALS = 2048
 _NEWTON_ITERS = 2
 # tp() refuses evaluation closer than this to an odd multiple of pi_p/2.
 POLE_GUARD = 1e-8
+# Below x^p = eps, S_p(x) = x * (1 - x^p/(p*(p+1)) + ...) rounds to x.
+_IDENTITY_BELOW = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -133,7 +135,9 @@ def _quarter_pair(ctx: PContext, xr: np.ndarray,
     Below the midpoint, Newton inverts x(s) from ``seed``, the table's
     S_p(xr); above it the complementary integral in the derivative
     variable is inverted so accuracy does not collapse where the direct
-    map flattens.
+    map flattens.  Where xr^p < eps, S_p(xr) is xr to rounding and Newton
+    could only spoil it: betainc's relative error grows with -log(s^p),
+    and once s^p underflows the residual reads -xr.
     """
     p = ctx.p
     qtr = ctx.quarter
@@ -150,6 +154,7 @@ def _quarter_pair(ctx: PContext, xr: np.ndarray,
             # F(s) - x = 0, F'(s) = (1 - s^p)^(-1/p)
             resid = qtr * _sps.betainc(a, b, sv ** p) - x_lo
             sv = np.clip(sv - resid * (1.0 - sv ** p) ** (1.0 / p), 0.0, 1.0)
+        sv = np.where(x_lo ** p < _IDENTITY_BELOW, x_lo, sv)
         s[lo] = sv
         c[lo] = (1.0 - sv ** p) ** (1.0 / p)
 
@@ -227,11 +232,14 @@ def _pair(ctx: PContext, x) -> tuple:
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise DomainError("argument must be finite")
-    # reshape so that an empty argument still unpacks into four rows
+    flat = arr.ravel()
+    # fold |x| and apply oddness, so S_p(-x) = -S_p(x) exactly and a tiny
+    # negative x is not rounded onto the period 2*pi_p; reshape so that an
+    # empty argument still unpacks into four rows
     xr, seed, sign_s, sign_c = np.array(
-        [_quarter(ctx, v) for v in arr.ravel().tolist()]).reshape(-1, 4).T
+        [_quarter(ctx, abs(v)) for v in flat.tolist()]).reshape(-1, 4).T
     s, c = _quarter_pair(ctx, xr, seed)
-    s = (sign_s * s).reshape(arr.shape)
+    s = (np.copysign(1.0, flat) * sign_s * s).reshape(arr.shape)
     c = (sign_c * c).reshape(arr.shape)
     if arr.ndim == 0:
         return float(s), float(c)

@@ -12,7 +12,7 @@ import numpy as np
 from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 
-from plapeig import DomainError, Potential, direct_shoot
+from plapeig import DomainError, IntegrationError, Potential, direct_shoot
 
 
 def sp_ivp(p, x, rtol=1e-12, atol=1e-14):
@@ -241,6 +241,129 @@ def fd_theta_dot(ctx, q, rho, ell, tol=None, h=1e-5):
     hi = phase_end_fixed_mesh(ctx, q, rho + h, ell) / (rho + h)
     lo = phase_end_fixed_mesh(ctx, q, rho - h, ell) / (rho - h)
     return (hi - lo) / (2.0 * h)
+
+
+# Dormand-Prince 4(5) tableau as tables; row 7 equals the 5th-order
+# weights (FSAL)
+_DP_C = (0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0)
+_DP_A = (
+    (),
+    (1.0 / 5.0,),
+    (3.0 / 40.0, 9.0 / 40.0),
+    (44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0),
+    (19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0),
+    (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0,
+     -5103.0 / 18656.0),
+    (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0,
+     11.0 / 84.0),
+)
+_DP_E = (71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0,
+         -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0)
+
+
+def _dot(coeffs, ks, d):
+    """sum_j coeffs[j] * ks[j][d], added left to right from 0.0 (the
+    builtin ``sum`` of Python >= 3.12 compensates, which would not)."""
+    acc = 0.0
+    for a, k in zip(coeffs, ks):
+        acc += a * k[d]
+    return acc
+
+
+def _reference_piece(f, x, y, x_end, h, tol, counters):
+    """Adaptive DP45 over one smooth piece by a generic tableau loop."""
+    dim = len(y)
+    k1 = f(x, y)
+    counters["n_rhs"] += 1
+    err_old = 1e-4
+    while x < x_end:
+        if counters["n_steps"] + counters["n_rejected"] >= tol.max_steps:
+            raise IntegrationError(
+                f"step budget {tol.max_steps} exhausted at x={x!r}", last_x=x)
+        h_try = min(h, x_end - x)
+        if h_try < 1e-14 * max(1.0, abs(x)):
+            raise IntegrationError(f"step size underflow at x={x!r}", last_x=x)
+
+        k = [k1]
+        yi = y
+        for i in range(1, 7):
+            yi = tuple(y[d] + h_try * _dot(_DP_A[i], k, d) for d in range(dim))
+            k.append(f(x + _DP_C[i] * h_try, yi))
+        counters["n_rhs"] += 6
+        y_new = yi  # stage 7 argument: the 5th-order solution
+
+        err = 0.0
+        for d in range(dim):
+            e = h_try * _dot(_DP_E, k, d)
+            sc = tol.abs_tol + tol.rel_tol * max(abs(y[d]), abs(y_new[d]))
+            err += (e / sc) ** 2
+        err = math.sqrt(err / dim)
+
+        if err <= 1.0:
+            x_new = x + h_try
+            if x_end - x_new < 1e-14 * max(1.0, abs(x_end)):
+                x_new = x_end
+            x, y, k1 = x_new, y_new, k[6]  # FSAL
+            counters["n_steps"] += 1
+            fac = 6.0 if err == 0.0 else min(
+                6.0, max(0.2, 0.9 * err ** -0.17 * err_old ** 0.04))
+            err_old = max(err, 1e-4)
+            if h_try >= h:  # not shortened by the piece boundary: rescale
+                h = h_try * fac
+        else:
+            counters["n_rejected"] += 1
+            h = h_try * max(0.1, min(0.9, 0.9 * err ** -0.2))
+    return x, y, h
+
+
+def reference_dp45(ctx, q, rho, ell, tol, dim):
+    """Terminal state and counts of the Prufer system by a generic DP45.
+
+    A tableau loop over tuple states, with the package's right-hand
+    sides and step control: dim = 1 is the phase, 2 adds log R, 3 adds
+    u = d(phi)/d(rho).  The stage-unrolled kernels must match it bit for
+    bit.  Returns a dict with ``phi_end``, ``logr_end``, ``u_end`` (None
+    where not integrated), ``n_steps``, ``n_rejected`` and ``n_rhs``.
+    """
+    from plapeig.ptrig import fast_abs_sp_pow, fast_pair
+
+    p = ctx.p
+    inv_rho_pm1 = rho ** (1.0 - p)
+    inv_rho_p = rho ** -p
+    qval = q.value
+
+    if dim == 3:
+        def f(x, y):
+            phi, _, u = y
+            s, c = fast_pair(ctx, phi)
+            abs_s_p = abs(s) ** p
+            odd = math.copysign(abs(s) ** (p - 1.0), s) * c
+            qx = qval(x)
+            coef = qx * inv_rho_pm1
+            return (rho - coef * abs_s_p,
+                    coef * odd,
+                    -p * coef * odd * u + 1.0 + (p - 1.0) * qx * inv_rho_p * abs_s_p)
+    elif dim == 2:
+        def f(x, y):
+            s, c = fast_pair(ctx, y[0])
+            coef = qval(x) * inv_rho_pm1
+            return (rho - coef * abs(s) ** p,
+                    coef * math.copysign(abs(s) ** (p - 1.0), s) * c)
+    else:
+        def f(x, y):
+            return (rho - qval(x) * inv_rho_pm1 * fast_abs_sp_pow(ctx, y[0]),)
+
+    y = (0.0,) * dim
+    f(0.0, y)  # the slope recorded at x = 0
+    counters = {"n_steps": 0, "n_rejected": 0, "n_rhs": 1}
+    bounds = [0.0] + [b for b in q.interior_knots() if 0.0 < b < ell] + [ell]
+    h = min(ell, 0.1 * ctx.pi_p / rho)
+    for a, b in zip(bounds, bounds[1:]):
+        _, y, h = _reference_piece(f, a, y, b, h, tol, counters)
+    return {"phi_end": y[0],
+            "logr_end": y[1] if dim > 1 else None,
+            "u_end": y[2] if dim > 2 else None,
+            **counters}
 
 
 def count_sign_changes(values, floor_rel=1e-9):

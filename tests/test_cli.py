@@ -341,11 +341,13 @@ class TestEntryPoint:
         assert proc.returncode == 4
 
     def test_import_leaves_out_scipy_integrate(self):
-        # only the direct-shooting oracle uses scipy's integrator and it
-        # imports it on first call, so a cold start does not pay for it
+        # only the direct-shooting oracle uses scipy's integrator, and only
+        # the eigenvalue search uses its root-finder; each is imported on
+        # first call, so a cold start pays for neither
         proc = subprocess.run(
             [sys.executable, "-c", "import sys, plapeig, plapeig.cli; "
-             "print('scipy.integrate' in sys.modules)"],
+             "print('scipy.integrate' in sys.modules, "
+             "'scipy.optimize' in sys.modules)"],
             capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "False False"

@@ -3,16 +3,23 @@ import math
 import numpy as np
 import pytest
 
-from plapeig import (DomainError, StateError, ToleranceConfig, constant,
-                     direct_shoot, integrate_amplitude, integrate_phase,
+from plapeig import (DomainError, IntegrationError, StateError,
+                     ToleranceConfig, constant, direct_shoot,
+                     integrate_amplitude, integrate_phase,
                      integrate_sensitivity, piecewise_linear,
                      reconstruct_eigenfunction, restrict, scaled_tent, sp)
 
 from oracles import (classical_prufer_p2, fd_u,
-                     random_nonpositive_piecewise_linear)
+                     random_nonpositive_piecewise_linear, reference_dp45)
 
 TENT = scaled_tent(-5.0, 4.0)
 TIGHT = ToleranceConfig(rel_tol=1e-12, abs_tol=1e-13)
+# interior knots, and a piece where q > 0 (phi' < rho there)
+BUMP = piecewise_linear([[0.0, -2.0], [0.45, 3.0], [1.0, -1.0]])
+WELL = piecewise_linear([[0.0, 5.0], [0.4, 0.5], [1.0, 4.0]])
+# integrator and the dimension of its state
+INTEGRATORS = ((integrate_phase, 1), (integrate_amplitude, 2),
+               (integrate_sensitivity, 3))
 
 
 class TestFreePotential:
@@ -134,6 +141,49 @@ class TestTrajectoryContracts:
         traj = integrate_phase(ctx2, TENT, 3.0, 1.0)
         assert traj.stats["n_steps"] == len(traj.dense_x) - 1
         assert traj.stats["n_rhs"] > 0
+
+
+class TestUnrolledKernels:
+    """The stage-unrolled kernels against the generic tableau loop."""
+
+    @pytest.mark.parametrize("integrate,dim", INTEGRATORS)
+    @pytest.mark.parametrize("q", (TENT, BUMP, WELL),
+                             ids=("tent", "bump", "well"))
+    @pytest.mark.parametrize("p", (1.5, 2.0, 3.0, 5.0))
+    def test_bit_identical_to_reference(self, ctx_for, p, q, integrate, dim):
+        ctx = ctx_for(p)
+        for rho in (2.5, 11.0):
+            traj = integrate(ctx, q, rho, 1.0)
+            ref = reference_dp45(ctx, q, rho, 1.0, ToleranceConfig(), dim)
+            assert traj.phi_end == ref["phi_end"]
+            assert traj.logr_end == ref["logr_end"]
+            assert traj.u_end == ref["u_end"]
+            for key in ("n_steps", "n_rejected", "n_rhs"):
+                assert traj.stats[key] == ref[key], key
+
+    @pytest.mark.parametrize("integrate", [i for i, _ in INTEGRATORS])
+    @pytest.mark.parametrize("p", (1.5, 3.0))
+    def test_rhs_count(self, ctx_for, p, integrate):
+        # one slope at x = 0, one per piece start, six per attempted step
+        q = piecewise_linear([[0.0, -1.0], [0.2, 2.0], [0.5, -4.0],
+                              [0.8, 0.5], [1.0, -2.0]])
+        for rho in (1.5, 6.0):
+            st = integrate(ctx_for(p), q, rho, 1.0).stats
+            assert st["n_pieces"] == 4
+            assert st["n_rhs"] == 1 + st["n_pieces"] + 6 * (
+                st["n_steps"] + st["n_rejected"])
+
+    @pytest.mark.parametrize("integrate,dim", ((integrate_phase, 1),
+                                               (integrate_sensitivity, 3)))
+    def test_step_budget(self, ctx3, integrate, dim):
+        tol = ToleranceConfig(max_steps=10)
+        with pytest.raises(IntegrationError) as info:
+            integrate(ctx3, TENT, 40.0, 1.0, tol)
+        with pytest.raises(IntegrationError) as ref:
+            reference_dp45(ctx3, TENT, 40.0, 1.0, tol, dim)
+        assert math.isfinite(info.value.last_x)
+        assert 0.0 < info.value.last_x < 1.0
+        assert info.value.last_x == ref.value.last_x
 
 
 class TestErrors:

@@ -78,6 +78,17 @@ class TestSpValues:
         s, c = sp_pair(ctx3, np.array([]))
         assert s.shape == c.shape == (0,)
 
+    @pytest.mark.parametrize("p", (1.5, 3.0, 10.0))
+    def test_tiny_arguments(self, ctx_for, p):
+        # S_p(x) = x to rounding here; s^p underflows from 1e-300 (p = 1.5),
+        # 1e-110 (p = 3) and 1e-40 (p = 10)
+        ctx = ctx_for(p)
+        for x in 10.0 ** -np.arange(20, 301, 5):
+            x = float(x)
+            assert sp(ctx, x) / x == pytest.approx(1.0, rel=0, abs=1e-15)
+            assert sp(ctx, -x) == -sp(ctx, x)
+            assert sp_prime(ctx, -x) == sp_prime(ctx, x)
+
     def test_rejects_nonfinite(self, ctx2):
         with pytest.raises(DomainError):
             sp(ctx2, math.inf)
