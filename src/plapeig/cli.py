@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -152,11 +153,9 @@ def _load_potential(arg: str) -> Potential:
         raise UsageError(f"invalid potential spec: {exc}") from exc
 
 
-_COMMON_KEYS = ["format"]
-
-
-def _merge_config(args: argparse.Namespace, keys: list[str]) -> RunConfig:
-    keys = list(keys) + [k for k in _COMMON_KEYS if k not in keys]
+def _merge_config(args: argparse.Namespace) -> RunConfig:
+    """Defaults, then the config file, then every ``DEFAULTS`` flag the
+    subcommand registered."""
     merged = dict(DEFAULTS)
     config_path = getattr(args, "config", None)
     if config_path:
@@ -171,7 +170,7 @@ def _merge_config(args: argparse.Namespace, keys: list[str]) -> RunConfig:
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
         merged.update(file_cfg)
-    for key in keys:
+    for key in DEFAULTS:
         val = getattr(args, key, None)
         if val is not None:
             merged[key] = val
@@ -218,7 +217,7 @@ def _write_out(cfg: RunConfig, text: str) -> None:
 
 
 def cmd_ptrig_table(args) -> int:
-    cfg = _merge_config(args, ["p", "format"])
+    cfg = _merge_config(args)
     if args.steps is None or args.steps < 2:
         raise UsageError("--steps must be >= 2")
     if args.x_max is None or args.x_min is None or not (args.x_max > args.x_min):
@@ -235,7 +234,7 @@ def cmd_ptrig_table(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    cfg = _merge_config(args, ["potential", "grid_n", "format"])
+    cfg = _merge_config(args)
     if cfg.potential is None:
         raise UsageError("--potential is required")
     q = parse_potential_spec(cfg.potential)
@@ -247,8 +246,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_eigs(args) -> int:
-    cfg = _merge_config(args, ["p", "potential", "ell", "n_max", "rel_tol",
-                               "abs_tol", "phase_tol", "max_steps", "format"])
+    cfg = _merge_config(args)
     if cfg.potential is None:
         raise UsageError("--potential is required")
     ctx = make_context(cfg.p)
@@ -270,10 +268,7 @@ _THEOREMS = {"t1": verify_theorem1, "t2": verify_theorem2,
 
 
 def cmd_verify(args) -> int:
-    cfg = _merge_config(args, ["p", "potential", "ell", "n_max", "rel_tol",
-                               "abs_tol", "phase_tol", "max_steps", "grid_n",
-                               "rho_points", "rho_span", "ell_points",
-                               "slack_rel", "slack_abs", "format"])
+    cfg = _merge_config(args)
     if cfg.potential is None:
         raise UsageError("--potential is required")
     theorem = (args.theorem or "").lower()
@@ -307,8 +302,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _merge_config(args, ["p", "potential", "ell", "n_max", "rel_tol",
-                               "abs_tol", "phase_tol", "max_steps", "format"])
+    cfg = _merge_config(args)
     if cfg.potential is None:
         raise UsageError("--potential is required")
     axis = (args.axis or "").lower()
@@ -357,9 +351,12 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _add_common(sub: argparse.ArgumentParser, potential: bool = True) -> None:
-    sub.add_argument("--p", type=float, default=None,
-                     help="exponent p > 1 of the p-Laplacian")
+def _add_common(sub: argparse.ArgumentParser, p: bool = True,
+                potential: bool = True, solver: bool = True) -> None:
+    """Register the output flags and each flag group the subcommand reads."""
+    if p:
+        sub.add_argument("--p", type=float, default=None,
+                         help="exponent p > 1 of the p-Laplacian")
     sub.add_argument("--config", default=None,
                      help="JSON config file; CLI flags override it")
     sub.add_argument("--format", choices=("csv", "report"), default=None,
@@ -368,6 +365,7 @@ def _add_common(sub: argparse.ArgumentParser, potential: bool = True) -> None:
     if potential:
         sub.add_argument("--potential", default=None,
                          help="potential spec: inline JSON object or file path")
+    if solver:
         sub.add_argument("--ell", type=float, default=None,
                          help="right endpoint of the interval, in (0, 1]")
         sub.add_argument("--n-max", dest="n_max", type=int, default=None,
@@ -386,26 +384,28 @@ def build_parser() -> argparse.ArgumentParser:
         description="Dirichlet spectra of the one-dimensional p-Laplacian "
                     "and eigenvalue-ratio verification")
     subs = parser.add_subparsers(dest="command", required=True)
+    # no prefix matching: classify would read --p as --potential
+    add = functools.partial(subs.add_parser, allow_abbrev=False)
 
-    s = subs.add_parser("ptrig-table",
-                        help="tabulate S_p, S_p' and the power identity")
-    _add_common(s, potential=False)
+    s = add("ptrig-table",
+            help="tabulate S_p, S_p' and the power identity")
+    _add_common(s, potential=False, solver=False)
     s.add_argument("--x-min", dest="x_min", type=float, default=None)
     s.add_argument("--x-max", dest="x_max", type=float, default=None)
     s.add_argument("--steps", type=int, default=None,
                    help="number of grid intervals (emits steps+1 rows)")
     s.set_defaults(func=cmd_ptrig_table)
 
-    s = subs.add_parser("classify", help="shape-certify a potential")
-    _add_common(s)
+    s = add("classify", help="shape-certify a potential")
+    _add_common(s, p=False, solver=False)
     s.add_argument("--grid-n", dest="grid_n", type=int, default=None)
     s.set_defaults(func=cmd_classify)
 
-    s = subs.add_parser("eigs", help="compute the Dirichlet spectrum")
+    s = add("eigs", help="compute the Dirichlet spectrum")
     _add_common(s)
     s.set_defaults(func=cmd_eigs)
 
-    s = subs.add_parser("verify", help="run a verification harness")
+    s = add("verify", help="run a verification harness")
     _add_common(s)
     s.add_argument("--theorem", choices=("t1", "t2", "t3", "r1"),
                    default=None)
@@ -417,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--slack-abs", dest="slack_abs", type=float, default=None)
     s.set_defaults(func=cmd_verify)
 
-    s = subs.add_parser("sweep", help="parameter sweep, long-form CSV")
+    s = add("sweep", help="parameter sweep, long-form CSV")
     _add_common(s)
     s.add_argument("--axis", choices=("p", "ell", "depth"), default=None)
     s.add_argument("--values", default=None,

@@ -70,6 +70,10 @@ class Eigenpair:
     phase units, zero_count interior zeros of the eigenfunction, and the
     final lambda-bracket as an honesty interval.
 
+    ``zero_count`` is n - 1, fixed by the accepted residual: the phase
+    crosses the multiples of pi_p only upward, so phi(ell) = n*pi_p
+    within ``phase_tol`` leaves n - 1 interior crossings.
+
     ``shift`` is the constant c the search added to the potential (0
     unless the comparison lower bound is not positive), so the
     eigenfunction is ``integrate_amplitude(ctx, q.shifted(pair.shift),
@@ -128,7 +132,8 @@ def find_eigenvalue(ctx: PContext, q: Potential, n: int, ell: float,
     once more on a 1000x tighter integration, starting from the root
     found.  Every real lambda_n is reached: when the comparison lower
     bound is not positive, the search runs on q - min q and the shift is
-    taken off again (``Eigenpair.shift``).
+    taken off again (``Eigenpair.shift``).  The residual is the only
+    acceptance test; it fixes ``zero_count`` at n - 1.
     """
     target = n * ctx.pi_p
     lo, hi = bracket_eigenvalue(ctx, q, n, ell)
@@ -183,12 +188,6 @@ def find_eigenvalue(ctx: PContext, q: Potential, n: int, ell: float,
     bracket = (min(max(neg) if neg else lam, lam) - shift,
                max(min(pos) if pos else lam, lam) - shift)
 
-    zero_count = _interior_level_crossings(ctx, phi_end, cfg.phase_tol)
-    if zero_count != n - 1:
-        raise SearchError(
-            f"zero count {zero_count} inconsistent with index n={n}",
-            details={"rho": rho_n, "phi_end": phi_end})
-
     if cfg.oracle_check:
         shot = direct_shoot(ctx, q, lam, ell, cfg)
         if shot.zero_count != n - 1:
@@ -197,7 +196,7 @@ def find_eigenvalue(ctx: PContext, q: Potential, n: int, ell: float,
                 f"for n={n}", details={"lambda": lam})
 
     return Eigenpair(n=n, lam=lam - shift, rho=rho_n, phi_end=phi_end,
-                     residual=residual, zero_count=zero_count,
+                     residual=residual, zero_count=n - 1,
                      bracket=bracket, shift=shift)
 
 
@@ -244,19 +243,6 @@ def _solve(h, p: float, lo: float, hi: float, width: float, n: int) -> float:
                   rtol=4.0 * np.finfo(float).eps, maxiter=_BRENT_MAXITER)
 
 
-def _interior_level_crossings(ctx: PContext, phi_end: float,
-                              phase_tol: float) -> int:
-    """Number of interior zeros of y: upward crossings of k*pi_p in (0, ell).
-
-    The phase can only cross multiples of pi_p upward (phi' = rho > 0
-    there), so the count is determined by the terminal phase; a guard
-    keeps the crossing at the endpoint itself (the eigencondition) from
-    being counted as interior.
-    """
-    guard = max(1e-6, 10.0 * phase_tol)
-    return max(0, int(math.floor((phi_end - guard) / ctx.pi_p)))
-
-
 def compute_spectrum(ctx: PContext, q: Potential, n_max: int, ell: float,
                      cfg: SolverConfig = SolverConfig()) -> Spectrum:
     """Eigenpairs 1..n_max, validated for strict increase."""
@@ -286,7 +272,6 @@ class ShotResult:
     zero_count: int
     yprime_end: float
     max_abs_y: float
-    quality_warning: bool = False
 
 
 def direct_shoot(ctx: PContext, q: Potential, lam: float, ell: float,
@@ -300,8 +285,8 @@ def direct_shoot(ctx: PContext, q: Potential, lam: float, ell: float,
     dense samples of y; the adaptive integrator shortens steps through
     the degenerate v = 0 points (p > 2), where local accuracy drops to
     first order, so oracle comparisons use a looser tolerance than the
-    phase method.  On an integration failure the shot retries with 100x
-    coarser tolerance and flags ``quality_warning``.
+    phase method.  A piece that ``solve_ivp`` fails to integrate at
+    ``oracle_rtol``/``oracle_atol`` raises :class:`SearchError`.
     """
     from scipy.integrate import solve_ivp
 
@@ -322,18 +307,12 @@ def direct_shoot(ctx: PContext, q: Potential, lam: float, ell: float,
     samples_per_piece = max(64, 2048 // max(1, len(bounds) - 1))
 
     state = (0.0, 1.0)
-    warned = False
     ys_all = []
     for a, b in zip(bounds, bounds[1:]):
-        rtol, atol = cfg.oracle_rtol, cfg.oracle_atol
-        for attempt in range(2):
-            sol = solve_ivp(rhs, (a, b), state, method="RK45",
-                            rtol=rtol, atol=atol, dense_output=True)
-            if sol.success:
-                break
-            rtol, atol = rtol * 100.0, atol * 100.0
-            warned = True
-        else:
+        sol = solve_ivp(rhs, (a, b), state, method="RK45",
+                        rtol=cfg.oracle_rtol, atol=cfg.oracle_atol,
+                        dense_output=True)
+        if not sol.success:
             raise SearchError(f"direct shot failed on [{a}, {b}]",
                               details={"lambda": lam})
         xs = np.linspace(a, b, samples_per_piece + 1)
@@ -352,7 +331,7 @@ def direct_shoot(ctx: PContext, q: Potential, lam: float, ell: float,
     y_end, v_end = state
     yp_end = math.copysign(abs(v_end) ** exp_back, v_end) if v_end else 0.0
     return ShotResult(y_end=y_end, zero_count=zero_count, yprime_end=yp_end,
-                      max_abs_y=max_abs, quality_warning=warned)
+                      max_abs_y=max_abs)
 
 
 @dataclass(frozen=True)

@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import DomainError, IntegrationError, StateError
 from .potentials import Potential
-from .ptrig import PContext, fast_abs_sp_pow, fast_pair, sp_pair
+from .ptrig import PContext, _quarter, fast_abs_sp_pow, sp_pair
 
 # rho beyond this is accepted but flagged: b(x) -> 1 and theta -> ell,
 # so sensitivity output carries heavy cancellation
@@ -72,9 +72,11 @@ class PruferTrajectory:
     """Result of one integration over [0, ell].
 
     ``dense_x``/``dense_phi``/``dense_logr`` (and matching derivative
-    arrays) hold the controller-accepted steps for reconstruction;
-    ``dense_logr`` is None when amplitude was not requested, ``u_end``
-    is None when sensitivity was not requested.  Immutable once built.
+    arrays) hold the controller-accepted steps of an amplitude or
+    sensitivity integration for reconstruction; a phase-only integration
+    keeps none, so all five are None there.  ``logr_end`` is None when
+    amplitude was not requested, ``u_end`` when sensitivity was not.
+    ``stats`` holds the step, reject and RHS counts.  Immutable once built.
     """
 
     ctx: PContext
@@ -84,12 +86,12 @@ class PruferTrajectory:
     theta_end: float
     logr_end: float | None
     u_end: float | None
-    dense_x: np.ndarray = field(repr=False, compare=False)
-    dense_phi: np.ndarray = field(repr=False, compare=False)
-    dense_dphi: np.ndarray = field(repr=False, compare=False)
-    dense_logr: np.ndarray | None = field(repr=False, compare=False)
-    dense_dlogr: np.ndarray | None = field(repr=False, compare=False)
     stats: dict = field(repr=False, compare=False)
+    dense_x: np.ndarray | None = field(default=None, repr=False, compare=False)
+    dense_phi: np.ndarray | None = field(default=None, repr=False, compare=False)
+    dense_dphi: np.ndarray | None = field(default=None, repr=False, compare=False)
+    dense_logr: np.ndarray | None = field(default=None, repr=False, compare=False)
+    dense_dlogr: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def theta_dot_end(self) -> float:
@@ -139,15 +141,15 @@ def _phase_kernel(f, bounds, h, tol, stats):
 
     ``f(x, phi) -> float``.  Each piece of ``bounds`` starts with a fresh
     slope and a fresh controller memory; the step size carries over.
-    Returns phi at the last bound and the accepted-step lists (x, phi,
-    phi').  The step, reject and RHS counts go to ``stats``, also when
-    the integration fails.
+    Returns phi at the last bound.  The step, reject and RHS counts go to
+    ``stats``, also when the integration fails; like the system kernel,
+    which records it as dense output, it evaluates and counts the slope
+    at bounds[0] before the first piece.
     """
     abs_tol, rel_tol, max_steps = tol.abs_tol, tol.rel_tol, tol.max_steps
     x = bounds[0]
     phi = 0.0
-    k1 = f(x, phi)
-    xs, phis, dphis = [x], [phi], [k1]
+    f(x, phi)
     n_steps = n_rejected = 0
     n_rhs = 1
     try:
@@ -190,9 +192,6 @@ def _phase_kernel(f, bounds, h, tol, stats):
                     x = x_end if x_end - x_new < snap else x_new
                     phi, k1 = phi_new, k7
                     n_steps += 1
-                    xs.append(x)
-                    phis.append(phi)
-                    dphis.append(k1)
                     if ht >= h:  # not shortened by the piece boundary: rescale
                         h = ht * _pi_factor(err, err_old)
                     err_old = max(err, 1e-4)
@@ -201,7 +200,7 @@ def _phase_kernel(f, bounds, h, tol, stats):
                     h = ht * max(0.1, min(0.9, _SAFETY * err ** -0.2))
     finally:
         stats.update(n_steps=n_steps, n_rejected=n_rejected, n_rhs=n_rhs)
-    return phi, (xs, phis, dphis)
+    return phi
 
 
 def _system_kernel(f, bounds, h, tol, stats, dim):
@@ -299,8 +298,10 @@ def _system_kernel(f, bounds, h, tol, stats, dim):
 
 
 def _integrate(ctx: PContext, q: Potential, rho: float, ell: float,
-               tol: ToleranceConfig, with_logr: bool, with_u: bool
-               ) -> PruferTrajectory:
+               tol: ToleranceConfig, dim: int) -> PruferTrajectory:
+    """One integration over [0, ell] of the first ``dim`` components of
+    (phi, log R, u): 1 is the phase alone, 2 adds the amplitude, 3 the
+    sensitivity."""
     if not (isinstance(rho, (int, float)) and math.isfinite(rho)) or rho <= 0.0:
         raise DomainError(
             f"rho must be a positive real (the substitution needs lambda > 0), got {rho!r}")
@@ -322,6 +323,7 @@ def _integrate(ctx: PContext, q: Potential, rho: float, ell: float,
 
     p = ctx.p
     pm1 = p - 1.0
+    inv_p = 1.0 / p
     neg_p = -p
     inv_rho_pm1 = rho ** (1.0 - p)
     inv_rho_p = rho ** -p
@@ -334,23 +336,22 @@ def _integrate(ctx: PContext, q: Potential, rho: float, ell: float,
              "rel_tol": tol.rel_tol, "abs_tol": tol.abs_tol,
              "warnings": tuple(stats_warnings)}
 
-    if not (with_logr or with_u):
+    if dim == 1:
         def f(x, phi):
             return rho - qval(x) * inv_rho_pm1 * fast_abs_sp_pow(ctx, phi)
 
-        phi, (xs, phis, dphis) = _phase_kernel(f, bounds, h, tol, stats)
+        phi = _phase_kernel(f, bounds, h, tol, stats)
         return PruferTrajectory(
             ctx=ctx, rho=rho, ell=ell, phi_end=phi, theta_end=phi / rho,
-            logr_end=None, u_end=None,
-            dense_x=np.asarray(xs), dense_phi=np.asarray(phis),
-            dense_dphi=np.asarray(dphis), dense_logr=None, dense_dlogr=None,
-            stats=stats)
+            logr_end=None, u_end=None, stats=stats)
 
-    if with_u:
+    # one table read per call: S_p = ss*s, S_p' = sc*(1 - s^p)^(1/p)
+    # (as fast_pair forms it), |S_p|^p = s^p, S_p^(p-1) = ss*s^(p-1)
+    if dim == 3:
         def f(x, phi, u):
-            s, c = fast_pair(ctx, phi)
-            abs_s_p = abs(s) ** p
-            odd = math.copysign(abs(s) ** pm1, s) * c
+            _, s, ss, sc = _quarter(ctx, phi)
+            abs_s_p = s ** p
+            odd = ss * s ** pm1 * (sc * (1.0 - abs_s_p) ** inv_p)
             qx = qval(x)
             coef = qx * inv_rho_pm1
             return (rho - coef * abs_s_p,
@@ -358,29 +359,31 @@ def _integrate(ctx: PContext, q: Potential, rho: float, ell: float,
                     neg_p * coef * odd * u + 1.0 + pm1 * qx * inv_rho_p * abs_s_p)
     else:
         def f(x, phi, u):
-            s, c = fast_pair(ctx, phi)
+            _, s, ss, sc = _quarter(ctx, phi)
+            abs_s_p = s ** p
             coef = qval(x) * inv_rho_pm1
-            return (rho - coef * abs(s) ** p,
-                    coef * math.copysign(abs(s) ** pm1, s) * c,
+            return (rho - coef * abs_s_p,
+                    coef * (ss * s ** pm1) * (sc * (1.0 - abs_s_p) ** inv_p),
                     0.0)
 
     (phi, logr, u), (xs, phis, dphis, logrs, dlogrs) = _system_kernel(
-        f, bounds, h, tol, stats, 3 if with_u else 2)
+        f, bounds, h, tol, stats, dim)
     return PruferTrajectory(
         ctx=ctx, rho=rho, ell=ell, phi_end=phi, theta_end=phi / rho,
-        logr_end=logr, u_end=u if with_u else None,
+        logr_end=logr, u_end=u if dim == 3 else None, stats=stats,
         dense_x=np.asarray(xs), dense_phi=np.asarray(phis),
         dense_dphi=np.asarray(dphis), dense_logr=np.asarray(logrs),
-        dense_dlogr=np.asarray(dlogrs), stats=stats)
+        dense_dlogr=np.asarray(dlogrs))
 
 
 def integrate_phase(ctx: PContext, q: Potential, rho: float, ell: float,
                     tol: ToleranceConfig = ToleranceConfig()) -> PruferTrajectory:
     """Integrate the phase equation with phi(0) = 0 up to x = ell.
 
-    For q <= 0 the phase is strictly increasing (phi' >= rho > 0).
+    For q <= 0 the phase is strictly increasing (phi' >= rho > 0).  Only
+    the terminal phase and the counts are kept: the dense output is None.
     """
-    return _integrate(ctx, q, rho, ell, tol, with_logr=False, with_u=False)
+    return _integrate(ctx, q, rho, ell, tol, 1)
 
 
 def integrate_amplitude(ctx: PContext, q: Potential, rho: float, ell: float,
@@ -389,7 +392,7 @@ def integrate_amplitude(ctx: PContext, q: Potential, rho: float, ell: float,
 
     Integrating log R keeps R positive by construction.
     """
-    return _integrate(ctx, q, rho, ell, tol, with_logr=True, with_u=False)
+    return _integrate(ctx, q, rho, ell, tol, 2)
 
 
 def integrate_sensitivity(ctx: PContext, q: Potential, rho: float, ell: float,
@@ -400,7 +403,7 @@ def integrate_sensitivity(ctx: PContext, q: Potential, rho: float, ell: float,
     rho-derivative; finite differences in rho are noisier at large rho
     and serve only as a test oracle.
     """
-    return _integrate(ctx, q, rho, ell, tol, with_logr=True, with_u=True)
+    return _integrate(ctx, q, rho, ell, tol, 3)
 
 
 def _hermite(xq, xs, ys, ds):

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eigensolver import SolverConfig, find_eigenvalue, sign_of_lambda1
+from .eigensolver import Eigenpair, SolverConfig, find_eigenvalue
 from .errors import PLapError, SearchError
 from .potentials import (BARRIER_LIKE, WELL_LIKE, Potential, Shape,
                          classify, restrict)
@@ -249,23 +249,23 @@ def verify_theorem1(ctx: PContext, q: Potential,
     return _finalize("T1", hypotheses, scan, config, notes, had_errors)
 
 
-def _collect_lambdas(ctx: PContext, q: Potential, n_max: int, ell: float,
-                     cfg: HarnessConfig, notes: list[str]
-                     ) -> tuple[dict[int, float], bool]:
-    """Eigenvalues 1..n_max; a failed search skips its index with a note
-    and flags errors."""
-    lambdas: dict[int, float] = {}
+def _collect_pairs(ctx: PContext, q: Potential, indices, ell: float,
+                   cfg: HarnessConfig, notes: list[str]
+                   ) -> tuple[dict[int, Eigenpair], bool]:
+    """Eigenpairs for ``indices``; a failed search skips its index with a
+    note and flags errors."""
+    pairs: dict[int, Eigenpair] = {}
     had_errors = False
-    for n in range(1, n_max + 1):
+    for n in indices:
         try:
-            lambdas[n] = find_eigenvalue(ctx, q, n, ell, cfg.solver).lam
+            pairs[n] = find_eigenvalue(ctx, q, n, ell, cfg.solver)
         except SearchError as exc:
             had_errors = True
             notes.append(f"eigenvalue search failed at n={n}: {exc}")
-    return lambdas, had_errors
+    return pairs, had_errors
 
 
-def _ratio_points(ctx: PContext, lambdas: dict[int, float], n_max: int,
+def _ratio_points(ctx: PContext, pairs: dict[int, Eigenpair], n_max: int,
                   threshold: float | None, lower: bool, cfg: HarnessConfig,
                   ell: float | None = None) -> list[ScanPoint]:
     """Pairwise ratio checks; ``lower`` picks the bound direction.
@@ -277,12 +277,12 @@ def _ratio_points(ctx: PContext, lambdas: dict[int, float], n_max: int,
     points = []
     base_inputs = (("ell", ell),) if ell is not None else ()
     for m in range(1, n_max + 1):
-        if m not in lambdas:
+        if m not in pairs:
             continue
         for n in range(m + 1, n_max + 1):
-            if n not in lambdas:
+            if n not in pairs:
                 continue
-            lam_m, lam_n = lambdas[m], lambdas[n]
+            lam_m, lam_n = pairs[m].lam, pairs[n].lam
             bound = (n / m) ** p
             ratio = lam_n / lam_m
             lhs = lam_n * m ** p
@@ -333,10 +333,11 @@ def verify_theorem2(ctx: PContext, q: Potential, n_max: int = 6,
             f"q must be single-barrier; certified {cert.shape.value}")
 
     notes: list[str] = []
-    lambdas, had_errors = _collect_lambdas(ctx, q, n_max, q.domain_end, cfg,
-                                           notes)
-    hypotheses["lambdas"] = [lambdas.get(n) for n in range(1, n_max + 1)]
-    scan = _ratio_points(ctx, lambdas, n_max, threshold, lower=True, cfg=cfg)
+    pairs, had_errors = _collect_pairs(ctx, q, range(1, n_max + 1),
+                                       q.domain_end, cfg, notes)
+    hypotheses["lambdas"] = [pairs[n].lam if n in pairs else None
+                             for n in range(1, n_max + 1)]
+    scan = _ratio_points(ctx, pairs, n_max, threshold, lower=True, cfg=cfg)
     if cert.nonnegative and cert.nonpositive:
         notes.append("q vanishes: rigidity direction, ratios should be exact")
     return _finalize("T2", hypotheses, scan, config, notes, had_errors)
@@ -349,12 +350,18 @@ def verify_theorem3(ctx: PContext, q: Potential, ell_grid=None,
 
     Scans ell through (0, ell_bound] with
     ell_bound = min(1, (-p/(3 q*))^(1/p)); at each ell requires
-    lambda_1(ell) > 0 (by the lambda = 0 phase) and the ratio lower bound
-    for every pair.  The statement only asserts that some ell_0 > 0
-    works, so once a grid point fails, it and every larger grid point
-    are recorded out of hypothesis and the certificate reports the
-    empirical ell_hat; if the smallest grid point already fails the
-    verdict is inconclusive.
+    lambda_1(ell) > 0 and the ratio lower bound for every pair.  The
+    sign of lambda_1 comes from its own search: positive exactly when
+    the lower end of the found lambda_1 bracket is, and only then are
+    lambda_2..lambda_n_max searched and the ratios checked.  The
+    ``lambda1`` row carries the found lambda_1 wherever that search
+    succeeded.  On the default grid the comparison bound already gives
+    lambda_1 >= (pi_p/ell)^p + q* > 0.
+
+    The statement only asserts that some ell_0 > 0 works, so once a grid
+    point fails, it and every larger grid point are recorded out of
+    hypothesis and the certificate reports the empirical ell_hat; if the
+    smallest grid point already fails the verdict is inconclusive.
     """
     cert = classify(q, cfg.classify_grid)
     hypotheses = {"shape_certificate": cert.as_dict()}
@@ -395,26 +402,25 @@ def verify_theorem3(ctx: PContext, q: Potential, ell_grid=None,
                      else "beyond empirical ell_hat" if beyond_break else "")
 
         qr = restrict(q, ell)
-        sign = sign_of_lambda1(ctx, qr, ell, cfg.solver)
-        positive = sign.classification == "positive"
-        ell_points_here: list[ScanPoint] = []
+        pairs, errs = _collect_pairs(ctx, qr, [1], ell, cfg, notes)
+        had_errors |= errs
+        first = pairs.get(1)
+        positive = first is not None and first.bracket[0] > 0.0
+        lam1 = first.lam if first is not None else math.nan
 
-        lam1 = math.nan
+        pair_pts: list[ScanPoint] = []
         if positive:
-            lambdas, errs = _collect_lambdas(ctx, qr, n_max, ell, cfg, notes)
+            more, errs = _collect_pairs(ctx, qr, range(2, n_max + 1), ell,
+                                        cfg, notes)
             had_errors |= errs
-            lam1 = lambdas.get(1, math.nan)
-            pair_pts = _ratio_points(ctx, lambdas, n_max, threshold=None,
+            pair_pts = _ratio_points(ctx, pairs | more, n_max, threshold=None,
                                      lower=True, cfg=cfg, ell=ell)
-        else:
-            pair_pts = []
 
-        ell_points_here.append(ScanPoint(
-            "lambda1", (("ell", ell),), lam1, 0.0,
-            lam1 if positive else -1.0, in_hyp, positive,
-            base_note if positive else
-            (base_note + "; " if base_note else "")
-            + f"sign_of_lambda1: {sign.classification}"))
+        why = ("" if positive else "lambda_1 search failed" if first is None
+               else "lambda_1 not positive")
+        ell_points_here = [ScanPoint(
+            "lambda1", (("ell", ell),), lam1, 0.0, lam1, in_hyp, positive,
+            "; ".join(t for t in (base_note, why) if t))]
         ell_points_here.extend(pair_pts)
 
         ok_here = positive and all(s.satisfied for s in pair_pts)
@@ -464,9 +470,10 @@ def verify_remark1(ctx: PContext, q: Potential, n_max: int = 6,
             f"q must be single-well; certified {cert.shape.value}")
 
     notes: list[str] = []
-    lambdas, had_errors = _collect_lambdas(ctx, q, n_max, q.domain_end, cfg,
-                                           notes)
-    hypotheses["lambdas"] = [lambdas.get(n) for n in range(1, n_max + 1)]
-    scan = _ratio_points(ctx, lambdas, n_max, threshold=None, lower=False,
+    pairs, had_errors = _collect_pairs(ctx, q, range(1, n_max + 1),
+                                       q.domain_end, cfg, notes)
+    hypotheses["lambdas"] = [pairs[n].lam if n in pairs else None
+                             for n in range(1, n_max + 1)]
+    scan = _ratio_points(ctx, pairs, n_max, threshold=None, lower=False,
                          cfg=cfg)
     return _finalize("R1", hypotheses, scan, config, notes, had_errors)

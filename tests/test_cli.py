@@ -130,6 +130,14 @@ class TestEigs:
         assert "index 1" in err
         assert err.count("eigenvalue search failed") == 1
 
+    def test_large_phase_tol(self, capsys):
+        code, out, err = run_cli(capsys, "eigs", "--p", "2", "--potential",
+                                 '{"type":"constant","value":-2}',
+                                 "--n-max", "3", "--phase-tol", "0.5")
+        assert code == 0, err
+        _, rows = parse_csv(out)
+        assert [int(r[5]) for r in rows] == [0, 1, 2]
+
     def test_default_tolerances_echoed(self, capsys):
         code, out, _ = run_cli(capsys, "eigs", "--potential", FREE_SPEC,
                                "--n-max", "1", "--format", "report")
@@ -294,6 +302,16 @@ class TestClassify:
                                '{"type":"nope"}')
         assert code == 2
         assert "usage error" in err
+
+    @pytest.mark.parametrize("flag,value", [("--p", "3"), ("--n-max", "9"),
+                                            ("--rel-tol", "1e-3")])
+    def test_unread_flag_is_usage_error(self, capsys, flag, value):
+        # classify reads no solver setting, so it registers none, and
+        # --p is not taken as an abbreviation of --potential
+        with pytest.raises(SystemExit) as info:
+            main(["classify", flag, value, "--potential", TENT_SPEC])
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestConfigPrecedence:

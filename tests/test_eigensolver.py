@@ -82,6 +82,15 @@ class TestFindEigenvalue:
         pair = find_eigenvalue(ctx2, TENT, 2, 1.0, cfg)
         assert pair.zero_count == 1
 
+    def test_large_phase_tol(self, ctx2):
+        # a loose phase_tol accepts the same root; the accepted residual
+        # fixes the zero count at n - 1, however wide the gate
+        pair = find_eigenvalue(ctx2, scaled_tent(-5, 4), 2, 1.0,
+                               SolverConfig(phase_tol=0.5))
+        ref = find_eigenvalue(ctx2, scaled_tent(-5, 4), 2, 1.0, CFG)
+        assert pair.lam == ref.lam
+        assert pair.zero_count == 1
+
 
 def spy_integrations(monkeypatch):
     """Record (rho, rel_tol) of every phase integration of the search."""

@@ -114,7 +114,7 @@ class TestTrajectoryContracts:
                                                           rel=4e-16)
 
     def test_positivity_for_nonpositive_q(self, ctx3):
-        traj = integrate_phase(ctx3, TENT, 2.0, 1.0)
+        traj = integrate_amplitude(ctx3, TENT, 2.0, 1.0)
         assert np.all(traj.dense_dphi >= traj.rho - 1e-12)
         assert np.all(np.diff(traj.dense_phi) > 0.0)
 
@@ -133,14 +133,22 @@ class TestTrajectoryContracts:
 
     def test_knots_are_step_boundaries(self, ctx2):
         q = piecewise_linear([[0.0, -1.0], [0.37, -4.0], [1.0, -2.0]])
-        traj = integrate_phase(ctx2, q, 3.0, 1.0)
+        traj = integrate_amplitude(ctx2, q, 3.0, 1.0)
         assert 0.37 in set(np.round(traj.dense_x, 12))
         assert traj.stats["n_pieces"] == 2
 
     def test_stats_recorded(self, ctx2):
-        traj = integrate_phase(ctx2, TENT, 3.0, 1.0)
+        traj = integrate_amplitude(ctx2, TENT, 3.0, 1.0)
         assert traj.stats["n_steps"] == len(traj.dense_x) - 1
         assert traj.stats["n_rhs"] > 0
+
+    def test_phase_keeps_no_dense_output(self, ctx2):
+        # the search reads only phi_end; the counts stay
+        traj = integrate_phase(ctx2, TENT, 3.0, 1.0)
+        assert traj.dense_x is None
+        assert traj.dense_phi is None and traj.dense_dphi is None
+        assert traj.dense_logr is None and traj.dense_dlogr is None
+        assert traj.stats["n_steps"] > 0 and traj.stats["n_rhs"] > 0
 
 
 class TestUnrolledKernels:

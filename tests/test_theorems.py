@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from plapeig import (HarnessConfig, constant, piecewise_linear,
-                     scaled_tent, verify_remark1, verify_theorem1,
+from plapeig import (HarnessConfig, constant, piecewise_linear, prufer,
+                     scaled_tent, theorems, verify_remark1, verify_theorem1,
                      verify_theorem2, verify_theorem3)
 
 from oracles import fd_theta_dot
@@ -178,6 +178,42 @@ class TestTheorem3:
         assert cert.verdict == "verified"
         assert cert.hypotheses["ell_bound"] == 1.0
         assert any("degenerate threshold" in n for n in cert.notes)
+
+    def test_sign_of_lambda1_from_its_search(self, ctx2, monkeypatch):
+        # off the default grid: lambda_1 = (pi/ell)^2 - 50 is positive at
+        # ell = 0.1 and negative at 0.5 and 1.0
+        searching = []
+        outside = []
+        real_find, real_integrate = theorems.find_eigenvalue, prufer._integrate
+
+        def find(*args, **kwargs):
+            searching.append(True)
+            try:
+                return real_find(*args, **kwargs)
+            finally:
+                searching.pop()
+
+        def integrate(*args, **kwargs):
+            if not searching:
+                outside.append(args[2])
+            return real_integrate(*args, **kwargs)
+
+        monkeypatch.setattr(theorems, "find_eigenvalue", find)
+        monkeypatch.setattr(prufer, "_integrate", integrate)
+        cert = verify_theorem3(ctx2, constant(-50.0),
+                               ell_grid=[0.1, 0.5, 1.0], n_max=2)
+        assert outside == []
+        rows = {dict(s.inputs)["ell"]: s for s in cert.scan
+                if s.quantity == "lambda1"}
+        assert sorted(rows) == [0.1, 0.5, 1.0]
+        for ell, s in rows.items():
+            assert s.value == pytest.approx((math.pi / ell) ** 2 - 50.0,
+                                            rel=1e-8)
+        assert rows[0.1].satisfied
+        assert not rows[0.5].satisfied and not rows[1.0].satisfied
+        assert {dict(s.inputs)["ell"] for s in cert.scan
+                if s.quantity == "ratio"} == {0.1}
+        assert "NaN" not in cert.to_json()
 
     def test_first_point_failure_is_inconclusive(self, ctx2):
         # a negative slack forges a violation at every point, driving the
