@@ -73,7 +73,9 @@ class UsageError(Exception):
 @dataclass
 class RunConfig:
     """Effective run configuration (defaults, config file, CLI merged);
-    one field per ``DEFAULTS`` key, plus the potential and output path."""
+    one field per ``DEFAULTS`` key, plus the potential and output path.
+    ``echo`` names the ``DEFAULTS`` keys the subcommand registered, the
+    only ones its output header repeats."""
 
     p: float
     ell: float
@@ -92,6 +94,7 @@ class RunConfig:
     potential: dict | None = None
     out: str | None = None
     extra: dict = field(default_factory=dict)
+    echo: tuple[str, ...] = tuple(DEFAULTS)
 
     def validate(self) -> None:
         if not self.ell > 0.0 or self.ell > 1.0:
@@ -122,7 +125,7 @@ class RunConfig:
                              classify_grid=self.grid_n)
 
     def echo_dict(self) -> dict:
-        d = {k: getattr(self, k) for k in DEFAULTS}
+        d = {k: getattr(self, k) for k in self.echo}
         if self.potential is not None:
             d["potential"] = self.potential
         d.update(self.extra)
@@ -177,7 +180,8 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
 
     # each value takes the type of its default
     cfg = RunConfig(**{k: type(v)(merged[k]) for k, v in DEFAULTS.items()},
-                    out=getattr(args, "out", None))
+                    out=getattr(args, "out", None),
+                    echo=tuple(k for k in DEFAULTS if hasattr(args, k)))
     pot = getattr(args, "potential", None) or merged.get("potential")
     if pot is not None:
         if isinstance(pot, dict):

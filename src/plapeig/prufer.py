@@ -20,21 +20,34 @@ from which the rho-derivative of the scaled phase theta = phi/rho at
 the right endpoint is (rho*u - phi)/rho^2.
 
 The integrator is an adaptive explicit Dormand-Prince 4(5) pair with PI
-step-size control.  The right-hand sides are smooth wherever q is, so
-stiffness is not a concern; interior knots of piecewise-linear
-potentials are forced to be step boundaries because the right-hand side
-is only C0 there.  The phase is never reduced modulo the period during
-integration; it accumulates so that the Dirichlet eigencondition
-phi(ell) = n*pi_p indexes eigenvalues unambiguously.
+step-size control.  Stiffness is not a concern.  Interior knots of
+piecewise-linear potentials are forced to be step boundaries because
+the right-hand side is only C0 there.  The phase is never reduced modulo
+the period during integration; it accumulates so that the Dirichlet
+eigencondition phi(ell) = n*pi_p indexes eigenvalues unambiguously.
+
+For p != 2 the phase right-hand side is also not smooth in phi at the
+quarter points k*pi_p/2: |S_p|^p behaves like |phi - k*pi_p|^p at the
+zeros of S_p and like 1 - c*|phi - (k+1/2)*pi_p|^(p/(p-1)) at its
+extrema.  A step that straddles such a point carries an error the DP45
+estimate does not see, and where the straddle falls moves with rho, so
+phi(ell, rho) jitters in rho far above the local tolerance.  The phase
+kernel therefore lands a step on every level k*pi_p/2 the phase reaches:
+it locates the crossing on the cubic Hermite dense output of the step
+that passed it (Hairer, Norsett and Wanner, Solving ODEs I, II.6) and
+replaces that step by a shorter one that ends there.  At p = 2,
+|S_2|^2 = sin^2 is analytic, so no level is landed and results keep
+their bits.  The amplitude and sensitivity systems do not land.
 
 Two stage-unrolled kernels run the pair.  ``_phase_kernel`` steps the
 phase alone on a plain float, with named stages k1..k7 and counts in
 local ints; the eigenvalue search and the sign test of lambda_1 use only
-this one.  ``_system_kernel`` takes the same steps on (phi, log R, u)
-for the amplitude and sensitivity systems.  Both add every sum left to
-right in tableau order, so they reproduce a generic tableau loop bit for
-bit: terminal values, step sequence and counts.  The test oracle
-``reference_dp45`` is that loop, and the tests compare with ``==``.
+this one.  ``_system_kernel`` takes the same steps, without the
+landings, on (phi, log R, u) for the amplitude and sensitivity systems.
+Both add every sum left to right in tableau order, so they reproduce a
+generic tableau loop bit for bit: terminal values, step sequence and
+counts.  The test oracle ``reference_dp45`` is that loop, landings
+included, and the tests compare with ``==``.
 """
 
 from __future__ import annotations
@@ -136,34 +149,66 @@ def _pi_factor(err: float, err_old: float) -> float:
                max(_MIN_FACTOR, _SAFETY * err ** -_PI_ALPHA * err_old ** _PI_BETA))
 
 
-def _phase_kernel(f, bounds, h, tol, stats):
+def _hermite_crossing(y0, y1, d0, d1, level):
+    """theta in (0, 1] where the cubic Hermite with end values y0, y1 and
+    end slopes d0, d1 (per unit theta) equals ``level``: three Newton
+    steps from the linear estimate, enough for a crossing bracketed by
+    y0 and y1 on a step the error control accepted."""
+    c2 = 3.0 * (y1 - y0) - 2.0 * d0 - d1
+    c3 = d0 + d1 - 2.0 * (y1 - y0)
+    g0 = y0 - level
+    theta = (level - y0) / (y1 - y0)
+    for _ in range(3):
+        theta -= ((g0 + theta * (d0 + theta * (c2 + theta * c3)))
+                  / (d0 + theta * (2.0 * c2 + theta * (3.0 * c3))))
+    return theta
+
+
+def _phase_kernel(f, bounds, h, tol, stats, spacing):
     """Adaptive DP45 on the scalar phase, phi(bounds[0]) = 0.
 
     ``f(x, phi) -> float``.  Each piece of ``bounds`` starts with a fresh
     slope and a fresh controller memory; the step size carries over.
-    Returns phi at the last bound.  The step, reject and RHS counts go to
-    ``stats``, also when the integration fails; like the system kernel,
-    which records it as dense output, it evaluates and counts the slope
-    at bounds[0] before the first piece.
+    Returns phi at the last bound.
+
+    With ``spacing`` (pi_p/2 for p != 2, None at p = 2) every level
+    k*spacing the phase reaches becomes a step boundary.  The kernel
+    keeps the open cell (L - spacing, L + spacing) around the last level
+    L the phase sat on (first 0).  An accepted trial that takes phi to
+    or past an end of the cell is discarded: the crossing theta of that
+    level on the trial's cubic Hermite (phi, phi_new, h*k1, h*k7) is
+    found by three Newton steps from the linear estimate, and the step
+    of length theta*h is taken in its place, so the next step starts on
+    the level.  A crossing within ``snap`` of either end of the trial
+    keeps the trial.  The right-hand side is smooth between levels, so
+    a step straddles a non-smooth point of |S_p|^p by no more than the
+    error of the Hermite estimate.
+
+    The step, reject and RHS counts and ``n_landed``, the discarded
+    trials (six RHS evaluations each), go to ``stats``, also when the
+    integration fails.
     """
     abs_tol, rel_tol, max_steps = tol.abs_tol, tol.rel_tol, tol.max_steps
-    x = bounds[0]
     phi = 0.0
-    f(x, phi)
-    n_steps = n_rejected = 0
-    n_rhs = 1
+    k = dk = 0  # the phase last sat on the level k*spacing
+    lo_level, hi_level = (-spacing, spacing) if spacing else (-math.inf, math.inf)
+    n_steps = n_rejected = n_landed = n_rhs = 0
     try:
         for x, x_end in zip(bounds, bounds[1:]):
             snap = 1e-14 * max(1.0, abs(x_end))
             k1 = f(x, phi)
             n_rhs += 1
             err_old = 1e-4
+            land = 0.0  # length of a pending step onto a level, else 0
             while x < x_end:
-                if n_steps + n_rejected >= max_steps:
+                if n_steps + n_rejected + n_landed >= max_steps:
                     raise IntegrationError(
                         f"step budget {max_steps} exhausted at x={x!r}", last_x=x)
-                rest = x_end - x
-                ht = rest if rest < h else h
+                if land:
+                    ht = land
+                else:
+                    rest = x_end - x
+                    ht = rest if rest < h else h
                 if ht < 1e-14 * max(1.0, abs(x)):
                     raise IntegrationError(
                         f"step size underflow at x={x!r}", last_x=x)
@@ -188,18 +233,34 @@ def _phase_kernel(f, bounds, h, tol, stats):
                     (e / (abs_tol + rel_tol * max(abs(phi), abs(phi_new)))) ** 2)
 
                 if err <= 1.0:
+                    if land or phi_new >= hi_level or phi_new <= lo_level:
+                        if not land:
+                            dk = 1 if phi_new >= hi_level else -1
+                            land = ht * _hermite_crossing(
+                                phi, phi_new, ht * k1, ht * k7,
+                                (k + dk) * spacing)
+                            if land >= snap and x_end - (x + land) >= snap:
+                                n_landed += 1  # discard: land next attempt
+                                continue
+                        # on the level: landed, or the crossing is an
+                        # end of the trial, which is then kept
+                        k += dk
+                        lo_level, hi_level = (k - 1) * spacing, (k + 1) * spacing
+                        land = 0.0
                     x_new = x + ht
                     x = x_end if x_end - x_new < snap else x_new
                     phi, k1 = phi_new, k7
                     n_steps += 1
-                    if ht >= h:  # not shortened by the piece boundary: rescale
+                    if ht >= h:  # not shortened by a boundary: rescale
                         h = ht * _pi_factor(err, err_old)
                     err_old = max(err, 1e-4)
                 else:
                     n_rejected += 1
                     h = ht * max(0.1, min(0.9, _SAFETY * err ** -0.2))
+                    land = 0.0
     finally:
-        stats.update(n_steps=n_steps, n_rejected=n_rejected, n_rhs=n_rhs)
+        stats.update(n_steps=n_steps, n_rejected=n_rejected, n_rhs=n_rhs,
+                     n_landed=n_landed)
     return phi
 
 
@@ -331,7 +392,7 @@ def _integrate(ctx: PContext, q: Potential, rho: float, ell: float,
 
     bounds = [0.0] + [b for b in q.interior_knots() if 0.0 < b < ell] + [ell]
     h = min(ell, 0.1 * ctx.pi_p / rho)
-    stats = {"n_steps": 0, "n_rejected": 0, "n_rhs": 0,
+    stats = {"n_steps": 0, "n_rejected": 0, "n_landed": 0, "n_rhs": 0,
              "n_pieces": len(bounds) - 1,
              "rel_tol": tol.rel_tol, "abs_tol": tol.abs_tol,
              "warnings": tuple(stats_warnings)}
@@ -340,7 +401,8 @@ def _integrate(ctx: PContext, q: Potential, rho: float, ell: float,
         def f(x, phi):
             return rho - qval(x) * inv_rho_pm1 * fast_abs_sp_pow(ctx, phi)
 
-        phi = _phase_kernel(f, bounds, h, tol, stats)
+        phi = _phase_kernel(f, bounds, h, tol, stats,
+                            None if p == 2.0 else 0.5 * ctx.pi_p)
         return PruferTrajectory(
             ctx=ctx, rho=rho, ell=ell, phi_end=phi, theta_end=phi / rho,
             logr_end=None, u_end=None, stats=stats)

@@ -47,3 +47,21 @@ def coarse_phase(monkeypatch):
         return dataclasses.replace(traj, phi_end=round(traj.phi_end, 3))
 
     monkeypatch.setattr(eigensolver, "integrate_phase", rounded)
+
+
+@pytest.fixture
+def rounded_first_pass(monkeypatch):
+    """Round the terminal phase to 1e-6 for the integrations at the
+    default ``rel_tol`` only, so the first pass of the search misses
+    ``phase_tol`` and the tighter re-solve must rescue the root (an
+    injected fault, independent of the last bit of any integration)."""
+    integrate = eigensolver.integrate_phase
+    default_rel_tol = eigensolver.SolverConfig().tolerance.rel_tol
+
+    def rounded(ctx, q, rho, ell, tol):
+        traj = integrate(ctx, q, rho, ell, tol)
+        if tol.rel_tol != default_rel_tol:
+            return traj
+        return dataclasses.replace(traj, phi_end=round(traj.phi_end, 6))
+
+    monkeypatch.setattr(eigensolver, "integrate_phase", rounded)

@@ -270,17 +270,44 @@ def _dot(coeffs, ks, d):
     return acc
 
 
-def _reference_piece(f, x, y, x_end, h, tol, counters):
-    """Adaptive DP45 over one smooth piece by a generic tableau loop."""
+def _hermite_root(y0, y1, s0, s1, level):
+    """theta in (0, 1] where the cubic Hermite through (0, y0) and
+    (1, y1), with slopes s0 and s1 per unit theta, meets ``level``: three
+    Newton steps from the secant estimate."""
+    dy = y1 - y0
+    b2 = 3.0 * dy - 2.0 * s0 - s1
+    b3 = s0 + s1 - 2.0 * dy
+    theta = (level - y0) / dy
+    for _ in range(3):
+        value = (y0 - level) + theta * (s0 + theta * (b2 + theta * b3))
+        slope = s0 + theta * (2.0 * b2 + theta * (3.0 * b3))
+        theta -= value / slope
+    return theta
+
+
+def _reference_piece(f, x, y, x_end, h, tol, counters, spacing):
+    """Adaptive DP45 over one smooth piece by a generic tableau loop.
+
+    With ``spacing`` (the phase at p != 2; else None), an accepted step
+    whose phase reaches a level (k +- 1)*spacing next to the level
+    k*spacing it last sat on is replaced by the step that ends where the
+    step's cubic Hermite meets that level, unless that point lies within
+    the snap distance of either end of the step.  ``counters["level"]``
+    carries k across pieces.
+    """
     dim = len(y)
     k1 = f(x, y)
     counters["n_rhs"] += 1
     err_old = 1e-4
+    snap = 1e-14 * max(1.0, abs(x_end))
+    landing = None  # (length, level step) of a pending step onto a level
     while x < x_end:
-        if counters["n_steps"] + counters["n_rejected"] >= tol.max_steps:
+        attempts = (counters["n_steps"] + counters["n_rejected"]
+                    + counters["n_landed"])
+        if attempts >= tol.max_steps:
             raise IntegrationError(
                 f"step budget {tol.max_steps} exhausted at x={x!r}", last_x=x)
-        h_try = min(h, x_end - x)
+        h_try = landing[0] if landing else min(h, x_end - x)
         if h_try < 1e-14 * max(1.0, abs(x)):
             raise IntegrationError(f"step size underflow at x={x!r}", last_x=x)
 
@@ -300,19 +327,37 @@ def _reference_piece(f, x, y, x_end, h, tol, counters):
         err = math.sqrt(err / dim)
 
         if err <= 1.0:
+            if landing:
+                counters["level"] += landing[1]
+                landing = None
+            elif spacing:
+                level = counters["level"]
+                step = (1 if y_new[0] >= (level + 1) * spacing
+                        else -1 if y_new[0] <= (level - 1) * spacing else 0)
+                if step:
+                    length = h_try * _hermite_root(
+                        y[0], y_new[0], h_try * k[0][0], h_try * k[6][0],
+                        (level + step) * spacing)
+                    if length >= snap and x_end - (x + length) >= snap:
+                        landing = (length, step)
+                        counters["n_landed"] += 1
+                        continue
+                    # a crossing at either end of the step keeps it
+                    counters["level"] += step
             x_new = x + h_try
-            if x_end - x_new < 1e-14 * max(1.0, abs(x_end)):
+            if x_end - x_new < snap:
                 x_new = x_end
             x, y, k1 = x_new, y_new, k[6]  # FSAL
             counters["n_steps"] += 1
             fac = 6.0 if err == 0.0 else min(
                 6.0, max(0.2, 0.9 * err ** -0.17 * err_old ** 0.04))
             err_old = max(err, 1e-4)
-            if h_try >= h:  # not shortened by the piece boundary: rescale
+            if h_try >= h:  # not shortened by a boundary: rescale
                 h = h_try * fac
         else:
             counters["n_rejected"] += 1
             h = h_try * max(0.1, min(0.9, 0.9 * err ** -0.2))
+            landing = None
     return x, y, h
 
 
@@ -321,9 +366,11 @@ def reference_dp45(ctx, q, rho, ell, tol, dim):
 
     A tableau loop over tuple states, with the package's right-hand
     sides and step control: dim = 1 is the phase, 2 adds log R, 3 adds
-    u = d(phi)/d(rho).  The stage-unrolled kernels must match it bit for
+    u = d(phi)/d(rho).  For dim = 1 and p != 2 the steps land on the
+    levels k*pi_p/2.  The stage-unrolled kernels must match it bit for
     bit.  Returns a dict with ``phi_end``, ``logr_end``, ``u_end`` (None
-    where not integrated), ``n_steps``, ``n_rejected`` and ``n_rhs``.
+    where not integrated), ``n_steps``, ``n_rejected``, ``n_landed``
+    and ``n_rhs``.
     """
     from plapeig.ptrig import fast_abs_sp_pow, fast_pair
 
@@ -354,12 +401,17 @@ def reference_dp45(ctx, q, rho, ell, tol, dim):
             return (rho - qval(x) * inv_rho_pm1 * fast_abs_sp_pow(ctx, y[0]),)
 
     y = (0.0,) * dim
-    f(0.0, y)  # the slope recorded at x = 0
-    counters = {"n_steps": 0, "n_rejected": 0, "n_rhs": 1}
+    counters = {"n_steps": 0, "n_rejected": 0, "n_landed": 0, "n_rhs": 0,
+                "level": 0}
+    if dim > 1:
+        f(0.0, y)  # the slope recorded at x = 0 as dense output
+        counters["n_rhs"] = 1
+    spacing = 0.5 * ctx.pi_p if dim == 1 and p != 2.0 else None
     bounds = [0.0] + [b for b in q.interior_knots() if 0.0 < b < ell] + [ell]
     h = min(ell, 0.1 * ctx.pi_p / rho)
     for a, b in zip(bounds, bounds[1:]):
-        _, y, h = _reference_piece(f, a, y, b, h, tol, counters)
+        _, y, h = _reference_piece(f, a, y, b, h, tol, counters, spacing)
+    del counters["level"]
     return {"phi_end": y[0],
             "logr_end": y[1] if dim > 1 else None,
             "u_end": y[2] if dim > 2 else None,

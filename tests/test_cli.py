@@ -46,6 +46,14 @@ class TestPtrigTable:
         _, rows = parse_csv(out)
         assert all(abs(float(r[3]) - 1.0) <= 1e-10 for r in rows)
 
+    def test_header_echoes_only_what_it_reads(self, capsys):
+        code, out, _ = run_cli(capsys, "ptrig-table", "--p", "3",
+                               "--x-min", "0", "--x-max", "1", "--steps", "2")
+        assert code == 0
+        echoed = sorted(line.split("=")[0] for line in out.splitlines()
+                        if line.startswith("#"))
+        assert echoed == ["# format", "# p", "# steps", "# x_max", "# x_min"]
+
     def test_p1_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "ptrig-table", "--p", "1",
                                "--x-min", "0", "--x-max", "1", "--steps", "4")
@@ -289,6 +297,19 @@ class TestClassify:
         assert row["shape"] == "single_barrier"
         assert float(row["x0"]) == pytest.approx(0.5)
         assert float(row["q_star"]) == -5.0
+
+    def test_header_echoes_only_what_classify_reads(self, capsys):
+        code, out, _ = run_cli(capsys, "classify", "--potential",
+                               '{"type":"constant","value":-2}')
+        assert code == 0
+        echoed = sorted(line.split("=")[0] for line in out.splitlines()
+                        if line.startswith("#"))
+        assert "# p" not in echoed
+        assert echoed == ["# format", "# grid_n", "# potential"]
+        code, out, _ = run_cli(capsys, "classify", "--potential", TENT_SPEC,
+                               "--format", "report")
+        assert sorted(json.loads(out)["config"]) == ["format", "grid_n",
+                                                     "potential"]
 
     def test_potential_from_file(self, capsys, tmp_path):
         path = tmp_path / "well.json"

@@ -112,8 +112,9 @@ class TestRootFind:
         assert calls
         assert len(set(calls)) == len(calls)
 
-    def test_tight_pass(self, ctx_for, monkeypatch):
-        # at p = 1.5 the default-tolerance root of n = 5 misses phase_tol
+    def test_tight_pass(self, ctx_for, rounded_first_pass, monkeypatch):
+        # the first pass sees phi(ell) rounded to 1e-6, so its root
+        # misses phase_tol and the tight pass must run
         ctx = ctx_for(1.5)
         calls = spy_integrations(monkeypatch)
         pair = find_eigenvalue(ctx, TENT, 5, 1.0, CFG)
@@ -151,6 +152,14 @@ class TestSpectrum:
                 for n in range(m + 1, 6):
                     assert (lams[n - 1] / lams[m - 1]
                             >= (n / m) ** 2 * (1.0 - 1e-10))
+
+    def test_no_stall_at_p15(self, ctx_for):
+        # the benchmark's constant at seed 18: a straddled level once
+        # stalled the tight re-solve of n = 11 at residual 1.09e-9
+        spec = compute_spectrum(ctx_for(1.5),
+                                constant(-2.191908090045919), 12, 1.0, CFG)
+        assert [pr.n for pr in spec.pairs] == list(range(1, 13))
+        assert max(pr.residual for pr in spec.pairs) <= CFG.phase_tol
 
     def test_failure_carries_index(self, ctx2, coarse_phase):
         with pytest.raises(SearchError) as err:

@@ -172,14 +172,44 @@ class TestUnrolledKernels:
     @pytest.mark.parametrize("integrate", [i for i, _ in INTEGRATORS])
     @pytest.mark.parametrize("p", (1.5, 3.0))
     def test_rhs_count(self, ctx_for, p, integrate):
-        # one slope at x = 0, one per piece start, six per attempted step
+        # one slope per piece start and six per attempted step; the
+        # phase also pays six per discarded trial of a level landing,
+        # the systems one slope at x = 0, stored as dense output
         q = piecewise_linear([[0.0, -1.0], [0.2, 2.0], [0.5, -4.0],
                               [0.8, 0.5], [1.0, -2.0]])
+        landed = 0
         for rho in (1.5, 6.0):
             st = integrate(ctx_for(p), q, rho, 1.0).stats
             assert st["n_pieces"] == 4
-            assert st["n_rhs"] == 1 + st["n_pieces"] + 6 * (
-                st["n_steps"] + st["n_rejected"])
+            landed += st["n_landed"]
+            if integrate is integrate_phase:
+                assert st["n_rhs"] == st["n_pieces"] + 6 * (
+                    st["n_steps"] + st["n_rejected"] + st["n_landed"])
+            else:
+                assert st["n_rhs"] == 1 + st["n_pieces"] + 6 * (
+                    st["n_steps"] + st["n_rejected"])
+        # only the phase lands; at rho = 6 it passes pi_p/2
+        assert (landed > 0) == (integrate is integrate_phase)
+
+    @pytest.mark.parametrize("p", (1.5, 3.0))
+    def test_level_at_piece_end(self, ctx_for, p):
+        # q = 0 puts phi = rho*x, so the level pi_p falls at
+        # x = 1/(1 + rel): within the snap distance of the end the trial
+        # is kept, farther in the step lands and one short step follows
+        ctx = ctx_for(p)
+        for rel, landed in ((4e-15, 1), (4e-13, 2)):
+            rho = ctx.pi_p * (1.0 + rel)
+            traj = integrate_phase(ctx, constant(0.0), rho, 1.0)
+            ref = reference_dp45(ctx, constant(0.0), rho, 1.0,
+                                 ToleranceConfig(), 1)
+            assert traj.phi_end == ref["phi_end"]
+            assert traj.phi_end == pytest.approx(rho, rel=1e-15)
+            assert traj.stats["n_landed"] == ref["n_landed"] == landed
+
+    def test_p2_never_lands(self, ctx2):
+        # |S_2|^2 = sin^2 is analytic: no level is a step boundary
+        st = integrate_phase(ctx2, TENT, 11.0, 1.0).stats
+        assert st["n_landed"] == 0
 
     @pytest.mark.parametrize("integrate,dim", ((integrate_phase, 1),
                                                (integrate_sensitivity, 3)))
@@ -192,6 +222,24 @@ class TestUnrolledKernels:
         assert math.isfinite(info.value.last_x)
         assert 0.0 < info.value.last_x < 1.0
         assert info.value.last_x == ref.value.last_x
+
+
+class TestTerminalMap:
+    """phi(ell, rho) is smooth in rho once no step straddles a level
+    k*pi_p/2, where |S_p|^p is not smooth for p != 2."""
+
+    @pytest.mark.parametrize("p", (1.5, 3.0, 5.0))
+    def test_no_jitter_near_twelfth_eigenvalue(self, ctx_for, p):
+        # 101 values of rho within 1e-9 relative of rho_12 on q = -2; a
+        # step straddling a level made phi(ell) jitter by 3e-7 or more
+        ctx = ctx_for(p)
+        q = constant(-2.0)
+        rho12 = ((12.0 * ctx.pi_p) ** p - 2.0) ** (1.0 / p)
+        offsets = np.linspace(-1e-9, 1e-9, 101) * rho12
+        phis = np.array([integrate_phase(ctx, q, rho12 + d, 1.0).phi_end
+                         for d in offsets])
+        fit = np.polyval(np.polyfit(offsets, phis, 1), offsets)
+        assert np.abs(phis - fit).max() <= 1e-8
 
 
 class TestErrors:
