@@ -3,7 +3,7 @@
 One binary with subcommands:
 
     plapeig ptrig-table  --p P --x-min A --x-max B --steps N
-    plapeig classify     --potential SPEC [--grid-n N]
+    plapeig classify     --potential SPEC
     plapeig eigs         --p P --potential SPEC [--ell L] --n-max N
     plapeig verify       --theorem t1|t2|t3|r1 --p P --potential SPEC ...
     plapeig sweep        --axis p|ell|depth --values V1,V2,... ...
@@ -56,7 +56,6 @@ DEFAULTS = {
     "abs_tol": _TOL.abs_tol,
     "phase_tol": _SOLVER.phase_tol,
     "max_steps": _TOL.max_steps,
-    "grid_n": _HARNESS.classify_grid,
     "rho_points": _HARNESS.rho_points,
     "rho_span": _HARNESS.rho_span,
     "ell_points": _HARNESS.ell_points,
@@ -73,7 +72,8 @@ class UsageError(Exception):
 @dataclass
 class RunConfig:
     """Effective run configuration (defaults, config file, CLI merged);
-    one field per ``DEFAULTS`` key, plus the potential and output path.
+    one field per ``DEFAULTS`` key, plus the parsed potential and the
+    output path.
     ``echo`` names the ``DEFAULTS`` keys the subcommand registered, the
     only ones its output header repeats."""
 
@@ -84,14 +84,13 @@ class RunConfig:
     abs_tol: float
     phase_tol: float
     max_steps: int
-    grid_n: int
     rho_points: int
     rho_span: float
     ell_points: int
     slack_rel: float
     slack_abs: float
     format: str
-    potential: dict | None = None
+    potential: Potential | None = None
     out: str | None = None
     extra: dict = field(default_factory=dict)
     echo: tuple[str, ...] = tuple(DEFAULTS)
@@ -121,13 +120,12 @@ class RunConfig:
                              slack_abs=self.slack_abs,
                              rho_points=self.rho_points,
                              rho_span=self.rho_span,
-                             ell_points=self.ell_points,
-                             classify_grid=self.grid_n)
+                             ell_points=self.ell_points)
 
     def echo_dict(self) -> dict:
         d = {k: getattr(self, k) for k in self.echo}
         if self.potential is not None:
-            d["potential"] = self.potential
+            d["potential"] = self.potential.to_spec()
         d.update(self.extra)
         return d
 
@@ -142,9 +140,11 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _load_potential(arg: str) -> Potential:
-    text = arg.strip()
-    if not text.startswith("{"):
+def _load_potential(arg) -> Potential:
+    """Parse a potential given as a spec object, as its JSON text, or as
+    the path of a JSON file; any failure is a usage error."""
+    text = arg
+    if isinstance(arg, str) and not arg.strip().startswith("{"):
         try:
             with open(arg, "r", encoding="utf-8") as fh:
                 text = fh.read()
@@ -182,12 +182,11 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(**{k: type(v)(merged[k]) for k, v in DEFAULTS.items()},
                     out=getattr(args, "out", None),
                     echo=tuple(k for k in DEFAULTS if hasattr(args, k)))
-    pot = getattr(args, "potential", None) or merged.get("potential")
-    if pot is not None:
-        if isinstance(pot, dict):
-            cfg.potential = pot
-        else:
-            cfg.potential = _load_potential(pot).to_spec()
+    # a potential is parsed, and echoed, only where the subcommand reads one
+    if hasattr(args, "potential"):
+        pot = args.potential or merged.get("potential")
+        if pot is not None:
+            cfg.potential = _load_potential(pot)
     cfg.validate()
     return cfg
 
@@ -241,8 +240,7 @@ def cmd_classify(args) -> int:
     cfg = _merge_config(args)
     if cfg.potential is None:
         raise UsageError("--potential is required")
-    q = parse_potential_spec(cfg.potential)
-    cert = classify(q, cfg.grid_n)
+    cert = classify(cfg.potential)
     d = cert.as_dict()
     header = tuple(d.keys())
     _emit(cfg, header, [tuple(d.values())], "shape_certificate")
@@ -254,7 +252,7 @@ def cmd_eigs(args) -> int:
     if cfg.potential is None:
         raise UsageError("--potential is required")
     ctx = make_context(cfg.p)
-    q = parse_potential_spec(cfg.potential)
+    q = cfg.potential
     if cfg.ell < q.domain_end:
         q = restrict(q, cfg.ell)
     # a failed search names its index; main() reports it
@@ -279,7 +277,7 @@ def cmd_verify(args) -> int:
     if theorem not in _THEOREMS:
         raise UsageError("--theorem must be one of t1, t2, t3, r1")
     ctx = make_context(cfg.p)
-    q = parse_potential_spec(cfg.potential)
+    q = cfg.potential
     kwargs = {"cfg": cfg.harness()}
     if theorem != "t1":  # T1 scans rho, not an index range
         kwargs["n_max"] = cfg.n_max
@@ -320,7 +318,7 @@ def cmd_sweep(args) -> int:
         raise UsageError("--values needs at least 2 points")
     cfg.extra = {"axis": axis, "values": ",".join(_fmt(v) for v in values)}
 
-    base = parse_potential_spec(cfg.potential)
+    base = cfg.potential
     rows = []
     try:
         for v in values:
@@ -402,7 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = add("classify", help="shape-certify a potential")
     _add_common(s, p=False, solver=False)
-    s.add_argument("--grid-n", dest="grid_n", type=int, default=None)
     s.set_defaults(func=cmd_classify)
 
     s = add("eigs", help="compute the Dirichlet spectrum")
@@ -413,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(s)
     s.add_argument("--theorem", choices=("t1", "t2", "t3", "r1"),
                    default=None)
-    s.add_argument("--grid-n", dest="grid_n", type=int, default=None)
     s.add_argument("--rho-points", dest="rho_points", type=int, default=None)
     s.add_argument("--rho-span", dest="rho_span", type=float, default=None)
     s.add_argument("--ell-points", dest="ell_points", type=int, default=None)

@@ -4,8 +4,8 @@ Every potential is stored canonically as a piecewise-linear function on
 strictly increasing knots covering its domain; the constant, tabulated
 and tent families are special knot layouts.  Evaluation, restriction
 and min/max are therefore exact.  Shape claims (single well, single
-barrier, monotone, constant) are certified on a finite grid: an
-empirical statement at a recorded resolution, not a proof.
+barrier, monotone, constant) are exact from the knots too: the function
+is monotone between knots and attains its extrema on them.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DataError, DomainError, PotentialParseError
 
-# equal-within-tolerance samples count as a plateau
+# knot values equal within tolerance count as a plateau
 MONOTONE_TOL = 1e-12
 
 
@@ -128,12 +128,11 @@ class Potential:
 
 @dataclass(frozen=True)
 class ShapeCertificate:
-    """Grid-certified shape report for one potential.
+    """Shape report for one potential, exact from its knots.
 
     ``x0`` is the midpoint of the extremal plateau (maximum for
-    barrier-like shapes, minimum for a single well); ``q_star`` is
-    min(q(0), q(end)).  ``grid_resolution`` records the number of grid
-    intervals the certificate was computed on.
+    barrier-like shapes, minimum for a single well), so it lies on a
+    knot or halfway between two; ``q_star`` is min(q(0), q(end)).
     """
 
     shape: Shape
@@ -143,14 +142,12 @@ class ShapeCertificate:
     q_star: float
     q0: float
     q1: float
-    grid_resolution: int
 
     def as_dict(self) -> dict:
         return {"shape": self.shape.value, "x0": self.x0,
                 "nonpositive": self.nonpositive,
                 "nonnegative": self.nonnegative,
-                "q_star": self.q_star, "q0": self.q0, "q1": self.q1,
-                "grid_resolution": self.grid_resolution}
+                "q_star": self.q_star, "q0": self.q0, "q1": self.q1}
 
 
 def constant(value: float) -> Potential:
@@ -200,64 +197,53 @@ def restrict(q: Potential, ell: float) -> Potential:
                      domain_end=ell)
 
 
-def classify(q: Potential, grid_n: int = 1024) -> ShapeCertificate:
-    """Certify monotone structure on a uniform grid of grid_n intervals.
+# run-length sign patterns of the knot differences, plateaus dropped
+_SHAPE_OF_RUNS = {(): Shape.CONSTANT, (1,): Shape.MONOTONE_INCREASING,
+                  (-1,): Shape.MONOTONE_DECREASING,
+                  (1, -1): Shape.SINGLE_BARRIER, (-1, 1): Shape.SINGLE_WELL}
 
-    Plateaus (consecutive samples equal within tolerance) count as both
-    nondecreasing and nonincreasing, so a constant classifies as a
-    degenerate barrier and well at once and is reported as CONSTANT.
-    The turning point of a multi-point extremal plateau is its midpoint,
-    a deterministic choice that keeps reports reproducible.
+
+def classify(q: Potential) -> ShapeCertificate:
+    """Certify monotone structure, extremum and signs from the knots.
+
+    q is linear between consecutive knots, so the signs of the knot
+    differences decide its shape, and its extrema and signs sit on
+    knots.  Plateaus (consecutive knot values equal within tolerance)
+    count as both nondecreasing and nonincreasing, so a constant
+    classifies as a degenerate barrier and well at once and is reported
+    as CONSTANT.  The turning point of a multi-knot extremal plateau is
+    its midpoint, a deterministic choice that keeps reports
+    reproducible.
     """
-    if grid_n < 16:
-        raise DomainError(f"classification grid must have >= 16 intervals, got {grid_n}")
-    xs = np.linspace(0.0, q.domain_end, grid_n + 1)
-    vals = np.asarray(q(xs), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        bad = int(np.flatnonzero(~np.isfinite(vals))[0])
-        raise DataError(f"non-finite potential sample at x={xs[bad]!r}")
+    xs, vals = q.xs, q.qs
+    for x, v in zip(xs, vals):
+        if not math.isfinite(v):
+            raise DataError(f"non-finite potential value at knot x={x!r}")
 
-    diffs = np.diff(vals)
-    signs = np.zeros_like(diffs, dtype=int)
-    signs[diffs > MONOTONE_TOL] = 1
-    signs[diffs < -MONOTONE_TOL] = -1
     runs: list[int] = []
-    for sgn in signs:
-        if sgn != 0 and (not runs or runs[-1] != sgn):
-            runs.append(int(sgn))
-
-    if not runs:
-        shape = Shape.CONSTANT
-    elif runs == [1]:
-        shape = Shape.MONOTONE_INCREASING
-    elif runs == [-1]:
-        shape = Shape.MONOTONE_DECREASING
-    elif runs == [1, -1]:
-        shape = Shape.SINGLE_BARRIER
-    elif runs == [-1, 1]:
-        shape = Shape.SINGLE_WELL
-    else:
-        shape = Shape.NEITHER
+    for a, b in zip(vals, vals[1:]):
+        d = b - a
+        sgn = 1 if d > MONOTONE_TOL else -1 if d < -MONOTONE_TOL else 0
+        if sgn and (not runs or runs[-1] != sgn):
+            runs.append(sgn)
+    shape = _SHAPE_OF_RUNS.get(tuple(runs), Shape.NEITHER)
 
     if shape is Shape.SINGLE_WELL:
-        extremum = vals.min()
-        plateau = np.flatnonzero(vals <= extremum + MONOTONE_TOL)
+        extremum = min(vals)
+        plateau = [x for x, v in zip(xs, vals) if v <= extremum + MONOTONE_TOL]
     else:
-        extremum = vals.max()
-        plateau = np.flatnonzero(vals >= extremum - MONOTONE_TOL)
-    x0 = 0.5 * (xs[plateau[0]] + xs[plateau[-1]])
+        extremum = max(vals)
+        plateau = [x for x, v in zip(xs, vals) if v >= extremum - MONOTONE_TOL]
 
-    q0 = float(vals[0])
-    q1 = float(vals[-1])
+    q0, q1 = vals[0], vals[-1]
     return ShapeCertificate(
         shape=shape,
-        x0=float(x0),
-        nonpositive=bool(np.all(vals <= MONOTONE_TOL)),
-        nonnegative=bool(np.all(vals >= -MONOTONE_TOL)),
+        x0=0.5 * (plateau[0] + plateau[-1]),
+        nonpositive=max(vals) <= MONOTONE_TOL,
+        nonnegative=min(vals) >= -MONOTONE_TOL,
         q_star=min(q0, q1),
         q0=q0,
         q1=q1,
-        grid_resolution=grid_n,
     )
 
 

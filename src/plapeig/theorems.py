@@ -29,14 +29,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .eigensolver import Eigenpair, SolverConfig, find_eigenvalue
 from .errors import PLapError, SearchError
 from .potentials import (BARRIER_LIKE, WELL_LIKE, Potential, Shape,
-                         classify, restrict)
+                         ShapeCertificate, classify, restrict)
 from .prufer import integrate_sensitivity
 from .ptrig import PContext
 
@@ -58,7 +58,6 @@ class HarnessConfig:
     rho_points: int = 32
     rho_span: float = 4.0     # grid reaches rho_span * threshold
     ell_points: int = 24
-    classify_grid: int = 1024
 
 
 @dataclass(frozen=True)
@@ -138,8 +137,7 @@ def _config_dict(ctx: PContext, q: Potential, cfg: HarnessConfig,
          "slack_rel": cfg.slack_rel, "slack_abs": cfg.slack_abs,
          "phase_tol": cfg.solver.phase_tol,
          "rel_tol": cfg.solver.tolerance.rel_tol,
-         "abs_tol": cfg.solver.tolerance.abs_tol,
-         "classify_grid": cfg.classify_grid}
+         "abs_tol": cfg.solver.tolerance.abs_tol}
     d.update(extra)
     return d
 
@@ -161,6 +159,29 @@ def _finalize(theorem_id: str, hypotheses: dict, scan: list[ScanPoint],
                               notes=tuple(notes))
 
 
+# (name, shapes) pairs for the shape half of a hypothesis gate
+_SINGLE_BARRIER = ("single-barrier", BARRIER_LIKE)
+_SINGLE_WELL = ("single-well", WELL_LIKE)
+_NONDECREASING = ("nondecreasing",
+                  frozenset({Shape.MONOTONE_INCREASING, Shape.CONSTANT}))
+
+
+def _hypothesis_gate(cert: ShapeCertificate, sign: str,
+                     shape: tuple[str, frozenset] | None,
+                     where: str = "") -> str:
+    """Why q fails a statement's hypothesis, or "" when it meets it.
+
+    ``sign`` names the certificate's sign flag ("nonpositive" or
+    "nonnegative"); ``shape`` is a (name, allowed shapes) pair, or None
+    to check the sign alone; ``where`` qualifies the interval.
+    """
+    if not getattr(cert, sign):
+        return f"q must be {sign}{where}"
+    if shape is not None and cert.shape not in shape[1]:
+        return f"q must be {shape[0]}{where}; certified {cert.shape.value}"
+    return ""
+
+
 def _hypothesis_failure(theorem_id: str, hypotheses: dict, config: dict,
                         reason: str) -> TheoremCertificate:
     return TheoremCertificate(theorem_id=theorem_id, verdict=INCONCLUSIVE,
@@ -179,7 +200,7 @@ def verify_theorem1(ctx: PContext, q: Potential,
     rho >= (-2 q(0))^(1/p); grid points below the threshold are
     recorded out of hypothesis.
     """
-    full = classify(q, cfg.classify_grid)
+    full = classify(q)
     x0 = full.x0
     notes: list[str] = []
     hypotheses: dict = {"shape_certificate": full.as_dict(), "x0": x0}
@@ -190,7 +211,7 @@ def verify_theorem1(ctx: PContext, q: Potential,
         q0 = q.value(0.0)
     else:
         qr = restrict(q, x0)
-        sub = classify(qr, cfg.classify_grid)
+        sub = classify(qr)
         q0 = qr.value(0.0)
     hypotheses["restricted_shape"] = sub.shape.value
     hypotheses["q0"] = q0
@@ -200,14 +221,11 @@ def verify_theorem1(ctx: PContext, q: Potential,
     config = _config_dict(ctx, q, cfg, rho_points=cfg.rho_points,
                           rho_span=cfg.rho_span)
 
-    if not sub.nonpositive:
-        return _hypothesis_failure("T1", hypotheses, config,
-                                   "q must be nonpositive on [0, x0]")
-    if not trivial_interval and sub.shape not in (Shape.MONOTONE_INCREASING,
-                                                  Shape.CONSTANT):
-        return _hypothesis_failure(
-            "T1", hypotheses, config,
-            f"q must be nondecreasing on [0, x0]; certified {sub.shape.value}")
+    reason = _hypothesis_gate(sub, "nonpositive",
+                              None if trivial_interval else _NONDECREASING,
+                              " on [0, x0]")
+    if reason:
+        return _hypothesis_failure("T1", hypotheses, config, reason)
 
     if rho_grid is None:
         if threshold > 0.0:
@@ -318,19 +336,15 @@ def verify_theorem2(ctx: PContext, q: Potential, n_max: int = 6,
     separately and never count against the statement (threshold
     sharpness probe).
     """
-    cert = classify(q, cfg.classify_grid)
+    cert = classify(q)
     threshold = -2.0 * cert.q_star
     hypotheses = {"shape_certificate": cert.as_dict(),
                   "lambda_threshold": threshold}
     config = _config_dict(ctx, q, cfg, n_max=n_max)
 
-    if not cert.nonpositive:
-        return _hypothesis_failure("T2", hypotheses, config,
-                                   "q must be nonpositive")
-    if cert.shape not in BARRIER_LIKE:
-        return _hypothesis_failure(
-            "T2", hypotheses, config,
-            f"q must be single-barrier; certified {cert.shape.value}")
+    reason = _hypothesis_gate(cert, "nonpositive", _SINGLE_BARRIER)
+    if reason:
+        return _hypothesis_failure("T2", hypotheses, config, reason)
 
     notes: list[str] = []
     pairs, had_errors = _collect_pairs(ctx, q, range(1, n_max + 1),
@@ -363,17 +377,13 @@ def verify_theorem3(ctx: PContext, q: Potential, ell_grid=None,
     hypothesis and the certificate reports the empirical ell_hat; if the
     smallest grid point already fails the verdict is inconclusive.
     """
-    cert = classify(q, cfg.classify_grid)
+    cert = classify(q)
     hypotheses = {"shape_certificate": cert.as_dict()}
     config = _config_dict(ctx, q, cfg, n_max=n_max, ell_points=cfg.ell_points)
 
-    if not cert.nonpositive:
-        return _hypothesis_failure("T3", hypotheses, config,
-                                   "q must be nonpositive")
-    if cert.shape not in BARRIER_LIKE:
-        return _hypothesis_failure(
-            "T3", hypotheses, config,
-            f"q must be single-barrier; certified {cert.shape.value}")
+    reason = _hypothesis_gate(cert, "nonpositive", _SINGLE_BARRIER)
+    if reason:
+        return _hypothesis_failure("T3", hypotheses, config, reason)
 
     notes: list[str] = []
     q_star = cert.q_star
@@ -429,10 +439,9 @@ def verify_theorem3(ctx: PContext, q: Potential, ell_grid=None,
             # empirically certified range instead of refuting the claim
             broke_at = ell
             ell_points_here = [
-                ScanPoint(s.quantity, s.inputs, s.value, s.bound, s.margin,
-                          False, s.satisfied,
-                          (s.note + "; " if s.note else "")
-                          + "property breaks at this ell")
+                replace(s, in_hypothesis=False,
+                        note=(s.note + "; " if s.note else "")
+                        + "property breaks at this ell")
                 for s in ell_points_here]
             notes.append(f"property breaks at ell={ell!r} <= ell_bound; "
                          "flagged, existence claim judged by smaller ell")
@@ -440,9 +449,7 @@ def verify_theorem3(ctx: PContext, q: Potential, ell_grid=None,
             ell_hat = ell
         if not in_hyp:
             ell_points_here = [
-                ScanPoint(s.quantity, s.inputs, s.value, s.bound, s.margin,
-                          False, s.satisfied,
-                          s.note if s.note else base_note)
+                replace(s, in_hypothesis=False, note=s.note or base_note)
                 for s in ell_points_here]
         scan.extend(ell_points_here)
 
@@ -457,17 +464,13 @@ def verify_theorem3(ctx: PContext, q: Potential, ell_grid=None,
 def verify_remark1(ctx: PContext, q: Potential, n_max: int = 6,
                    cfg: HarnessConfig = HarnessConfig()) -> TheoremCertificate:
     """Ratio upper bound for nonnegative single-well potentials."""
-    cert = classify(q, cfg.classify_grid)
+    cert = classify(q)
     hypotheses = {"shape_certificate": cert.as_dict()}
     config = _config_dict(ctx, q, cfg, n_max=n_max)
 
-    if not cert.nonnegative:
-        return _hypothesis_failure("R1", hypotheses, config,
-                                   "q must be nonnegative")
-    if cert.shape not in WELL_LIKE:
-        return _hypothesis_failure(
-            "R1", hypotheses, config,
-            f"q must be single-well; certified {cert.shape.value}")
+    reason = _hypothesis_gate(cert, "nonnegative", _SINGLE_WELL)
+    if reason:
+        return _hypothesis_failure("R1", hypotheses, config, reason)
 
     notes: list[str] = []
     pairs, had_errors = _collect_pairs(ctx, q, range(1, n_max + 1),

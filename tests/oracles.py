@@ -95,6 +95,35 @@ def random_nonpositive_piecewise_linear(rng, n_knots=5, depth_scale=6.0):
                      qs=tuple(float(v) for v in qs))
 
 
+def sampled_shape(q, tol=1e-12):
+    """Shape report of q by the sampled rule: run-length signs of
+    consecutive sample differences, plateau midpoint for x0, signs from
+    the sample extrema.  Samples sit at every knot and every knot
+    midpoint, so a turn between knots that the knots miss would show
+    here.  Returns the ``ShapeCertificate.as_dict`` layout."""
+    mids = [0.5 * (a + b) for a, b in zip(q.xs, q.xs[1:])]
+    xs = np.array(sorted(q.xs + tuple(mids)))
+    vals = np.asarray(q(xs), dtype=float)
+    runs = []
+    for d in np.diff(vals):
+        sgn = 1 if d > tol else -1 if d < -tol else 0
+        if sgn and (not runs or runs[-1] != sgn):
+            runs.append(sgn)
+    shape = {(): "constant", (1,): "monotone_increasing",
+             (-1,): "monotone_decreasing", (1, -1): "single_barrier",
+             (-1, 1): "single_well"}.get(tuple(runs), "neither")
+    if shape == "single_well":
+        plateau = np.flatnonzero(vals <= vals.min() + tol)
+    else:
+        plateau = np.flatnonzero(vals >= vals.max() - tol)
+    q0, q1 = float(vals[0]), float(vals[-1])
+    return {"shape": shape,
+            "x0": float(0.5 * (xs[plateau[0]] + xs[plateau[-1]])),
+            "nonpositive": bool(np.all(vals <= tol)),
+            "nonnegative": bool(np.all(vals >= -tol)),
+            "q_star": min(q0, q1), "q0": q0, "q1": q1}
+
+
 def classical_prufer_p2(q, rho, ell, rtol=1e-12, atol=1e-13):
     """(phi(ell), log R(ell)) for p = 2 via the classical circular-phase
     equations with sin/cos, independent of the S_p machinery."""

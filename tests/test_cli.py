@@ -54,6 +54,17 @@ class TestPtrigTable:
                         if line.startswith("#"))
         assert echoed == ["# format", "# p", "# steps", "# x_max", "# x_min"]
 
+    def test_config_potential_not_read(self, capsys, tmp_path):
+        # a config file shared with other subcommands may hold a
+        # potential; ptrig-table neither parses nor echoes it
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"potential": {"type": "nope"}}))
+        code, out, _ = run_cli(capsys, "ptrig-table", "--p", "2",
+                               "--config", str(cfg), "--x-min", "0",
+                               "--x-max", "1", "--steps", "2")
+        assert code == 0
+        assert "potential" not in out
+
     def test_p1_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "ptrig-table", "--p", "1",
                                "--x-min", "0", "--x-max", "1", "--steps", "4")
@@ -305,11 +316,10 @@ class TestClassify:
         echoed = sorted(line.split("=")[0] for line in out.splitlines()
                         if line.startswith("#"))
         assert "# p" not in echoed
-        assert echoed == ["# format", "# grid_n", "# potential"]
+        assert echoed == ["# format", "# potential"]
         code, out, _ = run_cli(capsys, "classify", "--potential", TENT_SPEC,
                                "--format", "report")
-        assert sorted(json.loads(out)["config"]) == ["format", "grid_n",
-                                                     "potential"]
+        assert sorted(json.loads(out)["config"]) == ["format", "potential"]
 
     def test_potential_from_file(self, capsys, tmp_path):
         path = tmp_path / "well.json"
@@ -325,7 +335,8 @@ class TestClassify:
         assert "usage error" in err
 
     @pytest.mark.parametrize("flag,value", [("--p", "3"), ("--n-max", "9"),
-                                            ("--rel-tol", "1e-3")])
+                                            ("--rel-tol", "1e-3"),
+                                            ("--grid-n", "64")])
     def test_unread_flag_is_usage_error(self, capsys, flag, value):
         # classify reads no solver setting, so it registers none, and
         # --p is not taken as an abbreviation of --potential
@@ -360,6 +371,29 @@ class TestConfigPrecedence:
                                "--potential", FREE_SPEC)
         assert code == 2
         assert "unknown config keys" in err
+
+    def test_bad_config_potential_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(
+            {"potential": {"type": "constant", "value": "x"}}))
+        for argv in (("classify", "--config", str(cfg)),
+                     ("classify", "--potential",
+                      '{"type":"constant","value":"x"}')):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("usage error: invalid potential spec")
+
+    def test_file_and_inline_potential_same_header(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(
+            {"potential": {"type": "constant", "value": -2}}))
+        inline = ("--potential", '{"type":"constant","value":-2}')
+        for command in (("classify",), ("eigs", "--n-max", "1")):
+            _, from_file, _ = run_cli(capsys, *command, "--config", str(cfg))
+            _, from_flag, _ = run_cli(capsys, *command, *inline)
+            assert from_file == from_flag
+            assert '# potential={"type": "constant", "value": -2.0}' in from_file
 
 
 class TestEntryPoint:

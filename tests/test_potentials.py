@@ -3,13 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plapeig import (DataError, DomainError, PotentialParseError, Shape,
                      classify, constant, parse_potential_spec,
                      piecewise_linear, restrict, sampled_table,
                      scaled_tent)
 
-from oracles import random_nonpositive_piecewise_linear
+from oracles import random_nonpositive_piecewise_linear, sampled_shape
 
 
 def tent_barrier():
@@ -18,6 +20,19 @@ def tent_barrier():
 
 def tent_well():
     return piecewise_linear([[0.0, 5.0], [0.5, 3.0], [1.0, 5.0]])
+
+
+@st.composite
+def lattice_potentials(draw):
+    """Piecewise-linear q with 2-9 knots and values on a 0.25 lattice,
+    so every knot difference is 0 or at least 0.25, far from
+    MONOTONE_TOL."""
+    interior = draw(st.lists(st.floats(0.001, 0.999), max_size=7,
+                             unique=True))
+    xs = [0.0] + sorted(interior) + [1.0]
+    qs = draw(st.lists(st.integers(-12, 12), min_size=len(xs),
+                       max_size=len(xs)))
+    return piecewise_linear([[x, 0.25 * v] for x, v in zip(xs, qs)])
 
 
 class TestEvaluation:
@@ -105,21 +120,43 @@ class TestClassify:
         assert cert.q_star == pytest.approx(-3.0)
         assert -2.0 * cert.q_star >= 0.0
 
-    def test_stable_under_refinement(self):
-        for q in (tent_barrier(), tent_well(), constant(-1.0),
-                  scaled_tent(-8.0, 6.0)):
-            shapes = {classify(q, n).shape for n in (64, 128, 1024, 2048)}
-            assert len(shapes) == 1
+    @settings(max_examples=300, deadline=None)
+    @given(lattice_potentials())
+    def test_agrees_with_sampled_rule(self, q):
+        # the sampled rule, on samples at every knot and knot midpoint,
+        # must give the same report field for field
+        assert classify(q).as_dict() == sampled_shape(q)
+
+    def test_narrow_spike_is_not_nonpositive(self):
+        # a spike to +1 only 5e-4 wide on an otherwise constant -2
+        q = piecewise_linear([[0.0, -2.0], [0.5002, -2.0], [0.50045, 1.0],
+                              [0.5007, -2.0], [1.0, -2.0]])
+        cert = classify(q)
+        assert not cert.nonpositive
+        assert cert.shape is Shape.SINGLE_BARRIER
+        assert cert.x0 == 0.50045
+
+    def test_two_close_minima_are_neither(self):
+        q = piecewise_linear([[0.0, 5.0], [0.3001, 1.0], [0.3002, 4.0],
+                              [0.3003, 1.0], [1.0, 5.0]])
+        assert classify(q).shape is Shape.NEITHER
+
+    def test_x0_exact_on_peak_knot(self):
+        q = piecewise_linear([[0.0, -5.0], [0.37, -3.0], [1.0, -5.0]])
+        assert classify(q).x0 == 0.37
+
+    def test_x0_exact_plateau_midpoint(self):
+        q = piecewise_linear([[0.0, -5.0], [0.3, -3.0], [0.6, -3.0],
+                              [1.0, -5.0]])
+        cert = classify(q)
+        assert cert.shape is Shape.SINGLE_BARRIER
+        assert cert.x0 == 0.5 * (0.3 + 0.6)
 
     def test_nonfinite_sample_rejected(self):
         q = constant(1.0)
         object.__setattr__(q, "qs", (1.0, math.inf))
         with pytest.raises(DataError):
             classify(q)
-
-    def test_grid_too_coarse_rejected(self):
-        with pytest.raises(DomainError):
-            classify(constant(0.0), grid_n=8)
 
 
 class TestRestrict:

@@ -14,6 +14,12 @@ TENT = scaled_tent(-5.0, 4.0)
 WELL = piecewise_linear([[0.0, 5.0], [0.5, 3.0], [1.0, 5.0]])
 WSHAPE = piecewise_linear([[0.0, 0.0], [0.25, -1.0], [0.5, 0.0],
                            [0.75, -1.0], [1.0, 0.0]])
+# a narrow rise to +1 on an otherwise constant -2
+SPIKE = piecewise_linear([[0.0, -2.0], [0.5002, -2.0], [0.50045, 1.0],
+                          [0.5007, -2.0], [1.0, -2.0]])
+# two minima 2e-4 apart
+TWO_MINIMA = piecewise_linear([[0.0, 5.0], [0.3001, 1.0], [0.3002, 4.0],
+                               [0.3003, 1.0], [1.0, 5.0]])
 FAST = HarnessConfig(ell_points=8)
 
 
@@ -75,6 +81,14 @@ class TestTheorem1:
         assert any("hypothesis failure" in n for n in cert.notes)
         assert cert.scan == ()
 
+    def test_turning_point_on_the_peak_knot(self, ctx2):
+        # [0, x0] must end on the peak, so q is nondecreasing on all of it
+        peak = piecewise_linear([[0.0, -5.0], [0.37, -3.0], [1.0, -5.0]])
+        cert = verify_theorem1(ctx2, peak, rho_grid=[4.0])
+        assert cert.hypotheses["x0"] == 0.37
+        assert cert.hypotheses["restricted_shape"] == "monotone_increasing"
+        assert cert.verdict == "verified"
+
     def test_below_threshold_points_flagged(self, ctx2):
         thr = math.sqrt(10.0)
         cert = verify_theorem1(ctx2, TENT, rho_grid=[0.5 * thr, thr, 2 * thr])
@@ -118,6 +132,11 @@ class TestTheorem2:
     def test_gating_positive(self, ctx2):
         cert = verify_theorem2(ctx2, WELL, n_max=3)
         assert cert.verdict == "inconclusive"
+
+    def test_gating_narrow_spike(self, ctx2):
+        cert = verify_theorem2(ctx2, SPIKE, n_max=3)
+        assert cert.verdict == "inconclusive"
+        assert cert.notes == ("hypothesis failure: q must be nonpositive",)
 
     def test_negative_lambda1_below_threshold(self, ctx2):
         # depth -30 pushes lambda_1 below zero: its pairs sit below the
@@ -170,6 +189,11 @@ class TestTheorem3:
     def test_gating(self, ctx2):
         assert verify_theorem3(ctx2, WELL, cfg=FAST).verdict == "inconclusive"
         assert verify_theorem3(ctx2, WSHAPE, cfg=FAST).verdict == "inconclusive"
+
+    def test_gating_narrow_spike(self, ctx2):
+        cert = verify_theorem3(ctx2, SPIKE, n_max=2, cfg=FAST)
+        assert cert.verdict == "inconclusive"
+        assert cert.notes == ("hypothesis failure: q must be nonpositive",)
 
     def test_degenerate_threshold_q_star_zero(self, ctx2):
         # vanishing q is the only nonpositive barrier with q* = 0; the
@@ -250,6 +274,12 @@ class TestRemark1:
 
     def test_gating_barrier(self, ctx2):
         assert verify_remark1(ctx2, TENT, n_max=3).verdict == "inconclusive"
+
+    def test_gating_two_minima(self, ctx2):
+        cert = verify_remark1(ctx2, TWO_MINIMA, n_max=3)
+        assert cert.verdict == "inconclusive"
+        assert cert.notes == ("hypothesis failure: q must be single-well; "
+                              "certified neither",)
 
 
 class TestCertificates:
