@@ -10,8 +10,8 @@ harnesses that numerically verify eigenvalue-ratio inequalities for
 single-barrier and single-well potentials.
 """
 
-from .errors import (DataError, DomainError, IntegrationError, PLapError,
-                     PoleError, PotentialParseError, SearchError, StateError)
+from .errors import (DomainError, IntegrationError, PLapError, PoleError,
+                     PotentialParseError, SearchError, StateError)
 from .ptrig import PContext, arcsp, make_context, sp, sp_pair, sp_prime, tp
 from .potentials import (Potential, Shape, ShapeCertificate, classify,
                          constant, parse_potential_spec, piecewise_linear,
@@ -30,7 +30,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "PLapError", "DomainError", "PoleError", "PotentialParseError",
-    "DataError", "StateError", "IntegrationError", "SearchError",
+    "StateError", "IntegrationError", "SearchError",
     "PContext", "make_context", "sp", "sp_prime", "sp_pair", "tp",
     "arcsp",
     "Potential", "Shape", "ShapeCertificate", "classify", "restrict",

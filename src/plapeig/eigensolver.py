@@ -7,12 +7,15 @@ intervals come from the constant-comparison bound
 
     (n*pi_p/ell)^p + min q  <=  lambda_n  <=  (n*pi_p/ell)^p + max q,
 
-and one routine widens that interval until the phase miss
-phi(ell) - n*pi_p changes sign and runs Brent's method on it.  For
-p != 2 the phase right-hand side is only C^1 at phi = k*pi_p/2, so the
-adaptive integrator reproduces phi(ell) only to its accumulated error,
-which can exceed the residual gate; the same routine then runs once more
-on a 1000x tighter integration, from the root found.  The substitution
+and one routine runs a secant iteration on the phase miss
+phi(ell) - n*pi_p in rho, from the first-order guess
+(n*pi_p/ell)^p + mean q, safeguarded by that interval: a step that
+leaves the part of it known to hold the root becomes a bisection, and an
+end that fails to bracket the root is widened.  For p != 2 the phase
+right-hand side is only C^1 at phi = k*pi_p/2, so the adaptive
+integrator reproduces phi(ell) only to its accumulated error, which can
+exceed the residual gate; the same routine then runs once more on a
+1000x tighter integration, from the root found.  The substitution
 rho = lambda^(1/p) needs lambda > 0, so when the lower bound is not
 positive the search runs on the shifted potential q + c with
 c = -min q and reports lambda_n(q) = lambda_n(q + c) - c; the shift
@@ -37,9 +40,9 @@ from .potentials import Potential
 from .prufer import ToleranceConfig, integrate_phase
 from .ptrig import PContext
 
-# iteration cap for Brent's method, which stops far earlier on a
-# bracketed sign change
-_BRENT_MAXITER = 200
+# secant or bisection steps one search takes at most before it returns
+# the best evaluated rho; it converges far earlier
+_MAX_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -47,8 +50,10 @@ class SolverConfig:
     """Eigenvalue search configuration.
 
     ``phase_tol`` is the accepted residual |phi(ell) - n*pi_p| in phase
-    units; a root that misses it at ``tolerance`` is solved once more at
-    a 1000x tighter ``tolerance``, and a second miss is a
+    units.  The secant search aims at min(1e-10, phase_tol/10), so the
+    root does not depend on ``phase_tol`` at or above the default; a
+    root that misses ``phase_tol`` at ``tolerance`` is solved once more
+    at a 1000x tighter ``tolerance``, and a second miss is a
     ``SearchError``.  ``oracle_check`` re-shoots each found eigenvalue
     with the direct integrator and validates its interior zero count.
     """
@@ -125,16 +130,21 @@ def find_eigenvalue(ctx: PContext, q: Potential, n: int, ell: float,
                     cfg: SolverConfig = SolverConfig()) -> Eigenpair:
     """Locate lambda_n(ell) by root-finding phi(ell, rho) = n*pi_p.
 
-    One routine, :func:`_solve`, widens the comparison bracket until the
-    phase miss changes sign and runs Brent's method on it; phi(ell, .)
-    crosses each level n*pi_p exactly once upward, so the root is unique.
-    When the miss at the root exceeds ``phase_tol``, the same routine runs
-    once more on a 1000x tighter integration, starting from the root
-    found.  Every real lambda_n is reached: when the comparison lower
-    bound is not positive, the search runs on q - min q and the shift is
-    taken off again (``Eigenpair.shift``).  The residual is the only
-    acceptance test; it fixes ``zero_count`` at n - 1.
+    One routine, :func:`_solve`, runs a safeguarded secant in rho from
+    the first-order guess lambda_0 = (n*pi_p/ell)^p + mean q, with the
+    slope d phi/d rho = ell of q = 0; phi(ell, .) crosses each level
+    n*pi_p exactly once upward, so the root is unique, and the
+    comparison bracket safeguards the search.  When the miss at the root
+    exceeds ``phase_tol``, the same routine runs once more on a 1000x
+    tighter integration, from the root found with its last slope.  The
+    returned bracket is built from every evaluation; when none lies
+    just across the root, one more is taken there.  Every real lambda_n
+    is reached: when the comparison lower bound is not positive, the
+    search runs on q - min q and the shift is taken off again
+    (``Eigenpair.shift``).  The residual is the only acceptance test; it
+    fixes ``zero_count`` at n - 1.
     """
+    p = ctx.p
     target = n * ctx.pi_p
     lo, hi = bracket_eigenvalue(ctx, q, n, ell)
     shift = 0.0 if lo > 0.0 else -q.min_max()[0]
@@ -142,11 +152,12 @@ def find_eigenvalue(ctx: PContext, q: Potential, n: int, ell: float,
         q = q.shifted(shift)
         lo, hi = lo + shift, hi + shift
     width = max(hi - lo, 1e-9 * (1.0 + abs(hi)))
+    lam0 = min(max((n * ctx.pi_p / ell) ** p + _mean(q, ell), lo), hi)
     lo = max(lo - 1e-12 * (1.0 + abs(lo)), 0.5 * lo)
     hi = hi + 1e-12 * (1.0 + abs(hi))
+    stop = min(1e-10, 0.1 * cfg.phase_tol)
 
-    # terminal phase of every integration, by (rho, tolerance): Brent's
-    # method re-evaluates the bracket ends and returns an evaluated point
+    # terminal phase of every integration, by (rho, tolerance)
     phis: dict[tuple[float, ToleranceConfig], float] = {}
 
     def miss(tol: ToleranceConfig):
@@ -157,36 +168,50 @@ def find_eigenvalue(ctx: PContext, q: Potential, n: int, ell: float,
         return h
 
     tol = cfg.tolerance
-    rho_n = _solve(miss(tol), ctx.p, lo, hi, width, n)
-    phi_end = phis[rho_n, tol]
-    residual = abs(phi_end - target)
+    rho_n, slope = _solve(miss(tol), p, lo, hi, width, n,
+                          lam0 ** (1.0 / p), ell, stop)
+    residual = abs(phis[rho_n, tol] - target)
     if residual > cfg.phase_tol:
         # the integrated phase is only reproducible to the integrator's
         # accumulated error, which can exceed phase_tol at the default
         # local tolerance: for p != 2 the right-hand side is merely C^1
         # in phi at the multiples of pi_p/2.  Solve once more on a
-        # tighter integration, from the root found, with the lambda step
-        # that moves the phase by the residual (d phi/d rho ~ phi/rho)
+        # tighter integration, from the root found
         tol = ToleranceConfig(
             rel_tol=max(1e-3 * tol.rel_tol, 1e-14),
             abs_tol=max(1e-3 * tol.abs_tol, 1e-15),
             max_steps=tol.max_steps)
-        lam = rho_n ** ctx.p
-        rho_n = _solve(miss(tol), ctx.p, lam, lam,
-                       ctx.p * lam * residual / target, n)
-        phi_end = phis[rho_n, tol]
-        residual = abs(phi_end - target)
+        rho_n, slope = _solve(miss(tol), p, lo, hi, width, n, rho_n, slope,
+                              stop)
+        residual = abs(phis[rho_n, tol] - target)
         if residual > cfg.phase_tol:
             raise SearchError(
                 f"root polish for n={n} stalled at residual {residual:g} "
                 f"(phase_tol {cfg.phase_tol:g})",
-                details={"rho": rho_n, "phi_end": phi_end})
+                details={"rho": rho_n, "phi_end": phis[rho_n, tol]})
 
-    lam = rho_n ** ctx.p
-    neg = [r ** ctx.p for (r, _), phi in phis.items() if phi < target]
-    pos = [r ** ctx.p for (r, _), phi in phis.items() if phi > target]
-    bracket = (min(max(neg) if neg else lam, lam) - shift,
-               max(min(pos) if pos else lam, lam) - shift)
+    # honesty bracket: an evaluation across the root within four
+    # corrections of it, or one more, stepping out until it lands there
+    h = miss(tol)
+    side = 1.0 if h(rho_n) < 0.0 else -1.0
+    step = max(2.0 * residual / slope if slope > 0.0 else 0.0,
+               1e-12 * rho_n)
+    if residual and not any(
+            side * (phi - target) > 0.0 and abs(r - rho_n) <= 2.0 * step
+            for (r, _), phi in phis.items()):
+        for _ in range(60):
+            if side * h(rho_n + side * step) > 0.0:
+                break
+            step *= 2.0
+        else:
+            raise SearchError(f"no evaluation across the root for n={n}",
+                              details={"rho": rho_n, "residual": residual})
+
+    # both sides now hold an evaluation; an exact hit belongs to both
+    lam = rho_n ** p
+    neg = [r ** p for (r, _), phi in phis.items() if phi <= target]
+    pos = [r ** p for (r, _), phi in phis.items() if phi >= target]
+    bracket = (min(max(neg), lam) - shift, max(min(pos), lam) - shift)
 
     if cfg.oracle_check:
         shot = direct_shoot(ctx, q, lam, ell, cfg)
@@ -195,52 +220,95 @@ def find_eigenvalue(ctx: PContext, q: Potential, n: int, ell: float,
                 f"direct-shooting oracle counts {shot.zero_count} zeros "
                 f"for n={n}", details={"lambda": lam})
 
-    return Eigenpair(n=n, lam=lam - shift, rho=rho_n, phi_end=phi_end,
-                     residual=residual, zero_count=n - 1,
-                     bracket=bracket, shift=shift)
+    return Eigenpair(n=n, lam=lam - shift, rho=rho_n,
+                     phi_end=phis[rho_n, tol], residual=residual,
+                     zero_count=n - 1, bracket=bracket, shift=shift)
 
 
-def _solve(h, p: float, lo: float, hi: float, width: float, n: int) -> float:
-    """Root in rho of the phase miss h on the lambda interval [lo, hi].
+def _mean(q: Potential, ell: float) -> float:
+    """Mean of q on [0, ell], exact by the trapezoid rule on its knots."""
+    xs = [x for x in q.xs if x < ell] + [ell]
+    qs = [q.value(x) for x in xs]
+    return sum((b - a) * (qa + qb) for a, b, qa, qb
+               in zip(xs, xs[1:], qs, qs[1:])) / (2.0 * ell)
 
-    Widens the upper end by width*2^k while h(hi^(1/p)) < 0 and the lower
-    end by width*2^k (at most halving it, so it stays positive) while
-    h(lo^(1/p)) > 0, then runs Brent's method on the sign change.
+
+def _solve(h, p: float, lo: float, hi: float, width: float, n: int,
+           rho: float, slope: float, stop: float) -> tuple[float, float]:
+    """Root in rho of the phase miss h, by a safeguarded secant from rho.
+
+    The root lies between the largest rho whose miss is negative and the
+    smallest whose miss is positive; until one of those is seen, the end
+    of the lambda interval [lo, hi] stands in for it.  A step that
+    leaves this bracket, or follows two evaluations that each failed to
+    halve the miss, bisects it instead.  A bracket end not yet evaluated
+    is evaluated first, widened by width*2^k while it fails to bracket
+    the root (the lower end at most halving, so it stays positive).
+    Stops at |miss| <= stop, or returns the evaluated rho of least miss
+    once the bracket has collapsed.  Returns (rho, last slope).
     """
-    from scipy.optimize import brentq  # lazy: keeps it out of a cold start
+    ends = [lo, hi]
+    bracket = [lo ** (1.0 / p), hi ** (1.0 / p)]
+    seen = [False, False]  # whether each bracket end has been evaluated
+    best = (math.inf, rho)
+    f_prev = math.inf
+    stalls = 0
 
-    rho_lo = lo ** (1.0 / p)
-    rho_hi = hi ** (1.0 / p)
-    f_lo = h(rho_lo)
-    f_hi = h(rho_hi) if rho_hi > rho_lo else f_lo
+    def visit(r: float) -> float:
+        nonlocal best
+        f = h(r)
+        if f < 0.0:
+            bracket[0], seen[0] = r, True
+        elif f > 0.0:
+            bracket[1], seen[1] = r, True
+        best = min(best, (abs(f), r))
+        return f
 
-    grow = 0
-    while f_hi < 0.0:
-        grow += 1
-        if grow > 60:
-            raise SearchError(
-                f"no sign change while expanding upper bracket for n={n}",
-                details={"miss_lo": f_lo, "miss_hi": f_hi})
-        hi += width * 2.0 ** grow
-        rho_hi = hi ** (1.0 / p)
-        f_hi = h(rho_hi)
-    shrink = 0
-    while f_lo > 0.0:
-        shrink += 1
-        lo = max(lo - width * 2.0 ** shrink, 0.5 * lo)
-        rho_lo = lo ** (1.0 / p)
-        f_lo = h(rho_lo)
-        if shrink > 60:
-            raise SearchError(
-                f"no sign change while expanding lower bracket for n={n}",
-                details={"miss_lo": f_lo, "miss_hi": f_hi})
+    def widen(i: int) -> tuple[float, float]:
+        # evaluate end i (0 lower, 1 upper); widen it while its miss has
+        # the wrong sign, so the root lies beyond it
+        r = bracket[i]
+        f = visit(r)
+        k = 0
+        while (f < 0.0) if i else (f > 0.0):
+            k += 1
+            if k > 60:
+                raise SearchError(
+                    f"no sign change while expanding "
+                    f"{'upper' if i else 'lower'} bracket for n={n}",
+                    details={"miss": f})
+            if i:
+                ends[1] += width * 2.0 ** k
+            else:
+                ends[0] = max(ends[0] - width * 2.0 ** k, 0.5 * ends[0])
+            r = bracket[i] = ends[i] ** (1.0 / p)
+            f = visit(r)
+        seen[i] = True
+        return r, f
 
-    if f_lo == 0.0:
-        return rho_lo
-    if f_hi == 0.0:
-        return rho_hi
-    return brentq(h, rho_lo, rho_hi, xtol=1e-13 * (1.0 + rho_hi),
-                  rtol=4.0 * np.finfo(float).eps, maxiter=_BRENT_MAXITER)
+    f = visit(rho)
+    for _ in range(_MAX_STEPS):
+        if abs(f) <= stop:
+            return rho, slope
+        a, b = bracket
+        if seen[0] and seen[1] and b - a <= 1e-13 * (1.0 + b):
+            break
+        stalls = stalls + 1 if abs(f) > 0.5 * f_prev else 0
+        nxt = rho - f / slope if slope > 0.0 and stalls < 2 else math.nan
+        if not a < nxt < b:
+            i = 1 if f < 0.0 else 0  # the side the root lies on
+            if not seen[i]:
+                r, fr = widen(i)
+                slope = (fr - f) / (r - rho)
+                rho, f = r, fr
+                f_prev, stalls = math.inf, 0
+                continue
+            nxt = 0.5 * (a + b)
+        fn = visit(nxt)
+        slope = (fn - f) / (nxt - rho)
+        f_prev = abs(f)
+        rho, f = nxt, fn
+    return best[1], slope
 
 
 def compute_spectrum(ctx: PContext, q: Potential, n_max: int, ell: float,

@@ -29,10 +29,6 @@ class PotentialParseError(PLapError, ValueError):
         self.location = location
 
 
-class DataError(PLapError, ValueError):
-    """Sampled data is unusable (non-finite values and the like)."""
-
-
 class StateError(PLapError, RuntimeError):
     """An object is missing state required by the operation."""
 

@@ -19,7 +19,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import DataError, DomainError, PotentialParseError
+from .errors import DomainError, PotentialParseError
 
 # knot values equal within tolerance count as a plateau
 MONOTONE_TOL = 1e-12
@@ -132,11 +132,12 @@ class ShapeCertificate:
 
     ``x0`` is the midpoint of the extremal plateau (maximum for
     barrier-like shapes, minimum for a single well), so it lies on a
-    knot or halfway between two; ``q_star`` is min(q(0), q(end)).
+    knot or halfway between two; a NEITHER shape has no single turning
+    point and reports ``x0 = None``.  ``q_star`` is min(q(0), q(end)).
     """
 
     shape: Shape
-    x0: float
+    x0: float | None
     nonpositive: bool
     nonnegative: bool
     q_star: float
@@ -213,13 +214,9 @@ def classify(q: Potential) -> ShapeCertificate:
     classifies as a degenerate barrier and well at once and is reported
     as CONSTANT.  The turning point of a multi-knot extremal plateau is
     its midpoint, a deterministic choice that keeps reports
-    reproducible.
+    reproducible.  A NEITHER shape gets no turning point.
     """
     xs, vals = q.xs, q.qs
-    for x, v in zip(xs, vals):
-        if not math.isfinite(v):
-            raise DataError(f"non-finite potential value at knot x={x!r}")
-
     runs: list[int] = []
     for a, b in zip(vals, vals[1:]):
         d = b - a
@@ -228,17 +225,23 @@ def classify(q: Potential) -> ShapeCertificate:
             runs.append(sgn)
     shape = _SHAPE_OF_RUNS.get(tuple(runs), Shape.NEITHER)
 
-    if shape is Shape.SINGLE_WELL:
-        extremum = min(vals)
-        plateau = [x for x, v in zip(xs, vals) if v <= extremum + MONOTONE_TOL]
+    if shape is Shape.NEITHER:
+        x0 = None
     else:
-        extremum = max(vals)
-        plateau = [x for x, v in zip(xs, vals) if v >= extremum - MONOTONE_TOL]
+        if shape is Shape.SINGLE_WELL:
+            extremum = min(vals)
+            plateau = [x for x, v in zip(xs, vals)
+                       if v <= extremum + MONOTONE_TOL]
+        else:
+            extremum = max(vals)
+            plateau = [x for x, v in zip(xs, vals)
+                       if v >= extremum - MONOTONE_TOL]
+        x0 = 0.5 * (plateau[0] + plateau[-1])
 
     q0, q1 = vals[0], vals[-1]
     return ShapeCertificate(
         shape=shape,
-        x0=0.5 * (plateau[0] + plateau[-1]),
+        x0=x0,
         nonpositive=max(vals) <= MONOTONE_TOL,
         nonnegative=min(vals) >= -MONOTONE_TOL,
         q_star=min(q0, q1),

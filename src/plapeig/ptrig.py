@@ -10,18 +10,28 @@ with f^(p-1) = |f|^(p-2) f.  It is odd, 2*pi_p-periodic, and satisfies
 its first positive zero (the half period).  On the fundamental quarter
 period [0, pi_p/2] the inverse function is the incomplete integral
 
-    x(s) = integral_0^s (1 - t^p)^(-1/p) dt
-         = (pi_p/2) * I(s^p; 1/p, 1 - 1/p),
+    x(s) = integral_0^s (1 - t^p)^(-1/p) dt,
 
-with I the regularized incomplete beta function.  Every evaluation
-goes through one front end: it folds the argument onto the quarter
-period by periodicity, oddness and the reflection S_p(pi_p - x) =
-S_p(x), and reads S_p there off a Chebyshev-spaced table, built once per
-context, by cubic Hermite interpolation.  The integrator's fast path
-stops there; the public functions polish that value by Newton iteration
-on this relation.  Near the quarter-period endpoint, where the inverse
-map is flat, the complementary integral in s' = S_p' is inverted instead
-so both S_p and S_p' keep full absolute accuracy.
+which two power series with positive terms evaluate, split where
+s^p = S_p'^p = 1/2.  With r_k = (1/p)_k / k! and r'_k = (1 - 1/p)_k / k!
+((a)_k the rising factorial), below the split, in z = s^p,
+
+    x(s) = s * sum_k r_k z^k / (k*p + 1),
+
+and above it, in w = S_p'^(p-1) and zeta = S_p'^p,
+
+    pi_p/2 - x = w * sum_k r'_k zeta^k / ((k+1)*p - 1).
+
+Since z and zeta stay at or below 1/2 on their halves, 60 terms reach
+rounding.  Every evaluation goes through one front end: it folds the
+argument onto the quarter period by periodicity, oddness and the
+reflection S_p(pi_p - x) = S_p(x), and reads S_p there off a table,
+built forward from the two series once per context, by cubic Hermite
+interpolation.  The integrator's fast path stops there; the public
+functions polish that value by Newton iteration on the series of its
+half, in s below the split and in w above it.  Both maps have a slope
+bounded away from zero and infinity on their halves, so S_p and S_p'
+keep full absolute accuracy up to the quarter-period endpoint.
 """
 
 from __future__ import annotations
@@ -31,42 +41,75 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special as _sps
 
 from .errors import DomainError, PoleError
 
-# Quarter-period inversion table: Chebyshev-Lobatto nodes in x.
-TABLE_INTERVALS = 2048
-# Newton polish iterations on top of the table / betaincinv seed.
+# Terms of each inverse-map series; at z = 1/2 the 60th is below rounding.
+SERIES_TERMS = 60
+# Table intervals on each half of the quarter period, split at s^p = 1/2.
+HALF_INTERVALS = 1024
+TABLE_INTERVALS = 2 * HALF_INTERVALS
+# Newton polish iterations on top of the table's cubic Hermite value.
 _NEWTON_ITERS = 2
 # tp() refuses evaluation closer than this to an odd multiple of pi_p/2.
 POLE_GUARD = 1e-8
-# Below x^p = eps, S_p(x) = x * (1 - x^p/(p*(p+1)) + ...) rounds to x.
-_IDENTITY_BELOW = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
 class PContext:
     """Immutable evaluation context for one exponent p.
 
-    Holds the derived constants and the quarter-period inversion table;
-    every operation taking a context is pure and thread-safe.
+    Holds the derived constants, the coefficients of the two inverse-map
+    series and the quarter-period table; every operation taking a
+    context is pure and thread-safe.
     """
 
     p: float
     pi_p: float
     p_conj: float
     # the table: nodes x and S_p(x), S_p'(x) there, as plain floats so
-    # the scalar front end runs on C-level bisect and arithmetic
+    # the scalar front end runs on C-level bisect and arithmetic; node
+    # HALF_INTERVALS is the split s^p = 1/2
     _xs: tuple = field(repr=False, compare=False)
     _ss: tuple = field(repr=False, compare=False)
     _cs: tuple = field(repr=False, compare=False)
+    # series coefficients r_k/(k p + 1) below the split, r'_k/((k+1) p - 1)
+    # above it
+    _lo: np.ndarray = field(repr=False, compare=False)
+    _hi: np.ndarray = field(repr=False, compare=False)
     # max inverse-map residual observed at off-node probe points, /pi_p
     probe_residual: float = field(default=0.0, compare=False)
 
     @property
     def quarter(self) -> float:
         return 0.5 * self.pi_p
+
+
+def _coefficients(a: float, p: float, first: float) -> np.ndarray:
+    """(a)_k / k! / (k*p + first) for k < SERIES_TERMS."""
+    r = np.empty(SERIES_TERMS)
+    r[0] = 1.0
+    for k in range(SERIES_TERMS - 1):
+        r[k + 1] = r[k] * (a + k) / (k + 1)
+    return r / (np.arange(SERIES_TERMS) * p + first)
+
+
+def _series(coef: np.ndarray, z) -> np.ndarray:
+    """sum_{k>=1} coef[k] z^k, elementwise over an array z.  The caller
+    adds the k = 0 term, so the dominant term carries none of the tail's
+    rounding."""
+    zk = np.repeat(z[..., None], SERIES_TERMS - 1, axis=-1).cumprod(axis=-1)
+    return zk @ coef[1:]
+
+
+def _below(ctx: PContext, s: np.ndarray) -> np.ndarray:
+    """x(s) for s^p <= 1/2."""
+    return s + s * _series(ctx._lo, s ** ctx.p)
+
+
+def _above(ctx: PContext, w: np.ndarray) -> np.ndarray:
+    """pi_p/2 - x as a function of w = S_p'^(p-1), for S_p'^p <= 1/2."""
+    return w * ctx._hi[0] + w * _series(ctx._hi, w ** ctx.p_conj)
 
 
 def make_context(p: float) -> PContext:
@@ -80,51 +123,56 @@ def make_context(p: float) -> PContext:
 
     pi_p = 2.0 * math.pi / (p * math.sin(math.pi / p))
     qtr = 0.5 * pi_p
-    a, b = 1.0 / p, 1.0 - 1.0 / p
-
-    n = TABLE_INTERVALS
-    i = np.arange(n + 1)
-    x = qtr * 0.5 * (1.0 - np.cos(np.pi * i / n))  # Chebyshev-Lobatto in x
-    y = x / qtr
-    # Invert from whichever end of the beta integral is well conditioned.
-    lo = y <= 0.5
-    s = np.empty_like(y)
-    c = np.empty_like(y)
-    z_lo = _sps.betaincinv(a, b, y[lo])
-    s[lo] = z_lo ** (1.0 / p)
-    c[lo] = (1.0 - z_lo) ** (1.0 / p)
-    z_hi = _sps.betaincinv(b, a, 1.0 - y[~lo])
-    s[~lo] = (1.0 - z_hi) ** (1.0 / p)
-    c[~lo] = z_hi ** (1.0 / p)
-    s[0], c[0] = 0.0, 1.0
-    s[-1], c[-1] = 1.0, 0.0
-
     ctx = PContext(p=p, pi_p=pi_p, p_conj=p / (p - 1.0),
-                   _xs=tuple(x.tolist()), _ss=tuple(s.tolist()),
-                   _cs=tuple(c.tolist()))
+                   _xs=(), _ss=(), _cs=(),
+                   _lo=_coefficients(1.0 / p, p, 1.0),
+                   _hi=_coefficients(1.0 - 1.0 / p, p, p - 1.0))
 
-    # Accuracy probe at off-node points; large p degrades gracefully and
-    # the context reports by how much.  Each point is judged by the
-    # better-conditioned of the direct and complementary inverse maps.
+    # Nodes clustered at x = 0 and x = pi_p/2: s = s_split * u below the
+    # split and w = w_split * u above it, with u = 1 - cos(pi j / 2048)
+    # rising from 0 to 1 over j = 0..1024.  The split node comes from the
+    # lower series.
+    u = 1.0 - np.cos(0.5 * np.pi * np.arange(HALF_INTERVALS + 1)
+                     / HALF_INTERVALS)
+    half = 0.5 ** (1.0 / p)  # S_p = S_p' at the split
+    s_lo = half * u
+    w = half ** (p - 1.0) * u[-2::-1]  # from the split down to 0
+    x = np.concatenate((_below(ctx, s_lo), qtr - _above(ctx, w)))
+    s = np.concatenate((s_lo, (1.0 - w ** ctx.p_conj) ** (1.0 / p)))
+    c = np.concatenate(((1.0 - s_lo ** p) ** (1.0 / p),
+                        w ** (1.0 / (p - 1.0))))
+    object.__setattr__(ctx, "_xs", tuple(x.tolist()))
+    object.__setattr__(ctx, "_ss", tuple(s.tolist()))
+    object.__setattr__(ctx, "_cs", tuple(c.tolist()))
+
+    # Accuracy probe at off-node points: each point is judged by the
+    # series of its half, the map its Newton polish inverts.
     xp = qtr * (np.arange(1, 64) / 64.0 + 0.5 / TABLE_INTERVALS)
     xp = xp[xp < qtr]
     sv, cv = _pair(ctx, xp)
-    r_direct = np.abs(arcsp(ctx, sv) - xp)
-    r_compl = np.abs(qtr * _sps.betainc(b, a, cv ** p) - (qtr - xp))
-    resid = float(np.max(np.minimum(r_direct, r_compl))) / pi_p
-    object.__setattr__(ctx, "probe_residual", resid)
+    lo = xp <= ctx._xs[HALF_INTERVALS]
+    resid = np.where(lo, _below(ctx, sv) - xp,
+                     _above(ctx, cv ** (p - 1.0)) - (qtr - xp))
+    object.__setattr__(ctx, "probe_residual",
+                       float(np.max(np.abs(resid))) / pi_p)
     return ctx
 
 
 def arcsp(ctx: PContext, s) -> np.ndarray | float:
     """Inverse p-sine on [0, 1]: the incomplete integral x(s).
 
-    Computed through the regularized incomplete beta function; this is
-    the map that Newton iteration inverts during evaluation.
+    Summed by the series of the half that z = s^p falls in; above the
+    split the series runs in zeta = 1 - z, which is exact there.
     """
-    a = 1.0 / ctx.p
-    z = np.abs(np.asarray(s, dtype=float)) ** ctx.p
-    out = ctx.quarter * _sps.betainc(a, 1.0 - a, z)
+    p = ctx.p
+    sa = np.abs(np.asarray(s, dtype=float))
+    z = sa ** p
+    lo = z <= 0.5
+    out = np.empty_like(sa)
+    out[lo] = _below(ctx, sa[lo])
+    zeta = 1.0 - z[~lo]
+    with np.errstate(invalid="ignore"):  # s > 1 has no inverse: nan
+        out[~lo] = ctx.quarter - _above(ctx, zeta ** (1.0 / ctx.p_conj))
     return float(out) if np.ndim(s) == 0 else out
 
 
@@ -132,46 +180,40 @@ def _quarter_pair(ctx: PContext, xr: np.ndarray,
                   seed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(S_p, S_p') on the fundamental quarter period, vectorized.
 
-    Below the midpoint, Newton inverts x(s) from ``seed``, the table's
-    S_p(xr); above it the complementary integral in the derivative
-    variable is inverted so accuracy does not collapse where the direct
-    map flattens.  Where xr^p < eps, S_p(xr) is xr to rounding and Newton
-    could only spoil it: betainc's relative error grows with -log(s^p),
-    and once s^p underflows the residual reads -xr.
+    Newton polishes ``seed``, the table's S_p(xr), on the series of the
+    half xr falls in; the halves part at the table's split node, so each
+    series only ever sees z, zeta <= 1/2.  Below the split it solves
+    x(s) = xr in s; above it, pi_p/2 - x = pi_p/2 - xr in w = S_p'^(p-1),
+    whose slope there is 1/((p-1) s^(p-1)).
     """
     p = ctx.p
-    qtr = ctx.quarter
-    a = 1.0 / p
-    b = 1.0 - a
     s = np.empty_like(xr)
     c = np.empty_like(xr)
+    lo = xr <= ctx._xs[HALF_INTERVALS]
+    half = 0.5 ** (1.0 / p)
 
-    lo = xr <= 0.5 * qtr
     if np.any(lo):
         x_lo = xr[lo]
         sv = seed[lo]
         for _ in range(_NEWTON_ITERS):
-            # F(s) - x = 0, F'(s) = (1 - s^p)^(-1/p)
-            resid = qtr * _sps.betainc(a, b, sv ** p) - x_lo
-            sv = np.clip(sv - resid * (1.0 - sv ** p) ** (1.0 / p), 0.0, 1.0)
-        sv = np.where(x_lo ** p < _IDENTITY_BELOW, x_lo, sv)
+            # x(s) - xr = 0, x'(s) = (1 - s^p)^(-1/p)
+            resid = _below(ctx, sv) - x_lo
+            sv = np.clip(sv - resid * (1.0 - sv ** p) ** (1.0 / p), 0.0, half)
         s[lo] = sv
         c[lo] = (1.0 - sv ** p) ** (1.0 / p)
 
     hi = ~lo
     if np.any(hi):
-        delta = qtr - xr[hi]
-        zc = _sps.betaincinv(b, a, delta / qtr)
-        cv = zc ** (1.0 / p)
-        # one guarded Newton step on the complementary integral H(c) = delta
-        resid = qtr * _sps.betainc(b, a, cv ** p) - delta
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            step = resid * cv ** (2.0 - p) * (1.0 - cv ** p) ** ((p - 1.0) / p)
-        ok = np.isfinite(step) & (np.abs(step) <= 0.25 * cv + 1e-300)
-        cv = np.where(ok, np.clip(cv - step, 0.0, 1.0), cv)
-        c[hi] = cv
-        s[hi] = (1.0 - cv ** p) ** (1.0 / p)
-
+        gap = ctx.quarter - xr[hi]
+        w_split = half ** (p - 1.0)
+        w = np.clip(1.0 - seed[hi] ** p, 0.0, 0.5) ** (1.0 / ctx.p_conj)
+        for _ in range(_NEWTON_ITERS):
+            # D(w) - gap = 0, D'(w) = 1/((p-1) s^(p-1)), s^p = 1 - w^p'
+            resid = _above(ctx, w) - gap
+            s_pm1 = (1.0 - w ** ctx.p_conj) ** (1.0 / ctx.p_conj)
+            w = np.clip(w - resid * (p - 1.0) * s_pm1, 0.0, w_split)
+        c[hi] = w ** (1.0 / (p - 1.0))
+        s[hi] = (1.0 - w ** ctx.p_conj) ** (1.0 / p)
     return s, c
 
 
@@ -290,9 +332,9 @@ def fast_pair(ctx: PContext, x: float) -> tuple[float, float]:
     Cubic Hermite interpolation on the quarter-period table, no Newton
     polish.  Absolute error is ~1e-11 over most of the period but grows
     near the zeros of S_p', where S_p' = (1 - S_p^p)^(1/p) amplifies the
-    error in S_p.  Measured error in S_p' at pi_p/2 - 1e-6: 1.3e-6,
-    2.4e-5 and 4.1e-5 for p = 3, 5 and 10; at pi_p/2 - 1e-9: 2.8e-5,
-    4.6e-3 and 5.1e-2.  Integrated phase error stays well below solver
+    error in S_p.  Measured error in S_p' at pi_p/2 - 1e-6: 1.5e-6,
+    4.0e-6 and 6.8e-7 for p = 3, 5 and 10; at pi_p/2 - 1e-9: 2.6e-5,
+    3.8e-3 and 3.4e-2.  Integrated phase error stays well below solver
     tolerances.  Scalar arguments only.
     """
     _, s, ss, sc = _quarter(ctx, x)

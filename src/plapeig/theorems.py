@@ -164,18 +164,21 @@ _SINGLE_BARRIER = ("single-barrier", BARRIER_LIKE)
 _SINGLE_WELL = ("single-well", WELL_LIKE)
 _NONDECREASING = ("nondecreasing",
                   frozenset({Shape.MONOTONE_INCREASING, Shape.CONSTANT}))
+_ONE_TURNING_POINT = ("monotone on each side of one turning point",
+                      frozenset(Shape) - {Shape.NEITHER})
 
 
-def _hypothesis_gate(cert: ShapeCertificate, sign: str,
+def _hypothesis_gate(cert: ShapeCertificate, sign: str | None,
                      shape: tuple[str, frozenset] | None,
                      where: str = "") -> str:
     """Why q fails a statement's hypothesis, or "" when it meets it.
 
     ``sign`` names the certificate's sign flag ("nonpositive" or
-    "nonnegative"); ``shape`` is a (name, allowed shapes) pair, or None
-    to check the sign alone; ``where`` qualifies the interval.
+    "nonnegative"), or None to check the shape alone; ``shape`` is a
+    (name, allowed shapes) pair, or None to check the sign alone;
+    ``where`` qualifies the interval.
     """
-    if not getattr(cert, sign):
+    if sign is not None and not getattr(cert, sign):
         return f"q must be {sign}{where}"
     if shape is not None and cert.shape not in shape[1]:
         return f"q must be {shape[0]}{where}; certified {cert.shape.value}"
@@ -198,12 +201,18 @@ def verify_theorem1(ctx: PContext, q: Potential,
     Integrates the variational sensitivity over [0, x0] for each grid
     rho and checks theta_dot(x0, rho) <= slack_abs wherever
     rho >= (-2 q(0))^(1/p); grid points below the threshold are
-    recorded out of hypothesis.
+    recorded out of hypothesis.  A q with no single turning point
+    (shape NEITHER) fails the hypothesis.
     """
     full = classify(q)
     x0 = full.x0
     notes: list[str] = []
     hypotheses: dict = {"shape_certificate": full.as_dict(), "x0": x0}
+    config = _config_dict(ctx, q, cfg, rho_points=cfg.rho_points,
+                          rho_span=cfg.rho_span)
+    reason = _hypothesis_gate(full, None, _ONE_TURNING_POINT)
+    if reason:
+        return _hypothesis_failure("T1", hypotheses, config, reason)
 
     trivial_interval = x0 < 1e-9
     if trivial_interval:
@@ -218,8 +227,6 @@ def verify_theorem1(ctx: PContext, q: Potential,
 
     threshold = 0.0 if q0 >= 0.0 else (-2.0 * q0) ** (1.0 / ctx.p)
     hypotheses["rho_threshold"] = threshold
-    config = _config_dict(ctx, q, cfg, rho_points=cfg.rho_points,
-                          rho_span=cfg.rho_span)
 
     reason = _hypothesis_gate(sub, "nonpositive",
                               None if trivial_interval else _NONDECREASING,

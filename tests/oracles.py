@@ -53,8 +53,8 @@ def arcsp_quadrature(ctx, s, epsabs=1e-13):
     The integrable endpoint singularity at t = 1 is removed by the
     substitution 1 - t = w^m with m = p/(p-1), which turns the tail into
     the bounded integrand m * g(1 - w^m)^(-1/p) for
-    g(t) = (1 - t^p)/(1 - t).  Used as a cross-check of the beta-function
-    route and of pi_p itself (x(1) = pi_p/2).
+    g(t) = (1 - t^p)/(1 - t).  Used as a cross-check of the series route
+    and of pi_p itself (x(1) = pi_p/2).
     """
     s = float(s)
     if not 0.0 <= s <= 1.0:
@@ -97,10 +97,10 @@ def random_nonpositive_piecewise_linear(rng, n_knots=5, depth_scale=6.0):
 
 def sampled_shape(q, tol=1e-12):
     """Shape report of q by the sampled rule: run-length signs of
-    consecutive sample differences, plateau midpoint for x0, signs from
-    the sample extrema.  Samples sit at every knot and every knot
-    midpoint, so a turn between knots that the knots miss would show
-    here.  Returns the ``ShapeCertificate.as_dict`` layout."""
+    consecutive sample differences, plateau midpoint for x0 (None for
+    neither), signs from the sample extrema.  Samples sit at every knot
+    and every knot midpoint, so a turn between knots that the knots miss
+    would show here.  Returns the ``ShapeCertificate.as_dict`` layout."""
     mids = [0.5 * (a + b) for a, b in zip(q.xs, q.xs[1:])]
     xs = np.array(sorted(q.xs + tuple(mids)))
     vals = np.asarray(q(xs), dtype=float)
@@ -116,9 +116,11 @@ def sampled_shape(q, tol=1e-12):
         plateau = np.flatnonzero(vals <= vals.min() + tol)
     else:
         plateau = np.flatnonzero(vals >= vals.max() - tol)
+    x0 = (None if shape == "neither"
+          else float(0.5 * (xs[plateau[0]] + xs[plateau[-1]])))
     q0, q1 = float(vals[0]), float(vals[-1])
     return {"shape": shape,
-            "x0": float(0.5 * (xs[plateau[0]] + xs[plateau[-1]])),
+            "x0": x0,
             "nonpositive": bool(np.all(vals <= tol)),
             "nonnegative": bool(np.all(vals >= -tol)),
             "q_star": min(q0, q1), "q0": q0, "q1": q1}

@@ -309,6 +309,19 @@ class TestClassify:
         assert float(row["x0"]) == pytest.approx(0.5)
         assert float(row["q_star"]) == -5.0
 
+    def test_neither_has_no_x0(self, capsys):
+        spec = ('{"type":"piecewise_linear","knots":[[0,-5],[0.2,-1],'
+                '[0.5,-1],[0.6,-3],[0.8,-1],[1,-5]]}')
+        code, out, _ = run_cli(capsys, "classify", "--potential", spec)
+        assert code == 0
+        header, rows = parse_csv(out)
+        row = dict(zip(header, rows[0]))
+        assert (row["shape"], row["x0"]) == ("neither", "")
+        code, out, _ = run_cli(capsys, "classify", "--potential", spec,
+                               "--format", "report")
+        doc = json.loads(out)
+        assert doc["rows"][0][doc["columns"].index("x0")] is None
+
     def test_header_echoes_only_what_classify_reads(self, capsys):
         code, out, _ = run_cli(capsys, "classify", "--potential",
                                '{"type":"constant","value":-2}')
@@ -413,14 +426,23 @@ class TestEntryPoint:
             capture_output=True, text=True, timeout=120)
         assert proc.returncode == 4
 
-    def test_import_leaves_out_scipy_integrate(self):
-        # only the direct-shooting oracle uses scipy's integrator, and only
-        # the eigenvalue search uses its root-finder; each is imported on
-        # first call, so a cold start pays for neither
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys, plapeig, plapeig.cli; "
-             "print('scipy.integrate' in sys.modules, "
-             "'scipy.optimize' in sys.modules)"],
-            capture_output=True, text=True, timeout=120)
+    def test_no_scipy_at_run_time(self):
+        # scipy serves only the opt-in direct-shooting oracle and the
+        # tests: a cold start, the p-sine, a spectrum, a certificate and
+        # a CLI run load none of it
+        code = (
+            "import sys, io, contextlib, plapeig, plapeig.cli\n"
+            "from plapeig import (constant, compute_spectrum, make_context,\n"
+            "                     scaled_tent, sp_pair, verify_theorem2)\n"
+            "ctx = make_context(3)\n"
+            "sp_pair(ctx, [0.1, 1.2, 2.0])\n"
+            "compute_spectrum(ctx, scaled_tent(-5, 4), 3, 1.0)\n"
+            "verify_theorem2(make_context(2), constant(-2.0))\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert plapeig.cli.main(['eigs', '--p', '2', '--potential',"
+            f" {TENT_SPEC!r}, '--n-max', '2']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False False"
+        assert proc.stdout.strip() == "[]"

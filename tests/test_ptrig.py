@@ -239,7 +239,7 @@ class TestInverseRoutes:
     @pytest.mark.parametrize("p", (1.5, 2.0, 3.0, 5.0))
     def test_quadrature_matches_beta_route(self, ctx_for, p):
         # independent Gauss-Kronrod route with the regularizing
-        # substitution against the closed incomplete-beta form
+        # substitution against the series form of the incomplete beta
         ctx = ctx_for(p)
         for s in (0.0, 0.3, 0.85, 0.999, 1.0):
             assert arcsp_quadrature(ctx, s) == pytest.approx(
@@ -270,3 +270,30 @@ class TestFastPath:
         # table interpolation degrades near the derivative's zeros for
         # large p; the bound documents the measured scale
         assert worst <= 5e-8
+
+
+class TestSeries:
+    # the inverse map x(s) is summed by two positive power series, split
+    # where s^p = 1/2; scipy's incomplete beta is the oracle
+    @pytest.mark.parametrize("p", (1.05, 1.5, 3.0, 10.0, 50.0))
+    def test_arcsp_matches_incomplete_beta(self, ctx_for, p):
+        from scipy.special import betainc
+
+        ctx = ctx_for(p)
+        s = np.linspace(0.0, 1.0, 2001)[1:]
+        ref = ctx.quarter * betainc(1.0 / p, 1.0 - 1.0 / p, s ** p)
+        assert np.max(np.abs(arcsp(ctx, s) / ref - 1.0)) <= 4e-14
+
+    def test_arcsp_p2_is_arcsin(self, ctx2):
+        # at p = 2 the closed form is the sharper oracle: x(s) = arcsin(s)
+        s = np.linspace(0.0, 1.0, 2001)
+        assert np.max(np.abs(arcsp(ctx2, s) - np.arcsin(s))) <= 1e-15
+
+    @pytest.mark.parametrize("p", (20.0, 30.0, 50.0))
+    def test_large_p(self, ctx_for, p):
+        ctx = ctx_for(p)
+        assert ctx.probe_residual < 1e-12
+        xs = np.linspace(0.0, ctx.quarter, 4001)
+        s, c = sp_pair(ctx, xs)
+        assert np.all(np.diff(s) >= 0.0)
+        assert np.max(np.abs(s ** p + c ** p - 1.0)) <= 1e-12

@@ -89,6 +89,18 @@ class TestTheorem1:
         assert cert.hypotheses["restricted_shape"] == "monotone_increasing"
         assert cert.verdict == "verified"
 
+    def test_gating_two_peaks(self, ctx2):
+        # nondecreasing on [0, 0.5], but 0.5 is no turning point of q
+        peaks = piecewise_linear([[0.0, -5.0], [0.2, -1.0], [0.5, -1.0],
+                                  [0.6, -3.0], [0.8, -1.0], [1.0, -5.0]])
+        cert = verify_theorem1(ctx2, peaks)
+        assert cert.verdict == "inconclusive"
+        assert cert.hypotheses["x0"] is None
+        assert cert.notes == ("hypothesis failure: q must be monotone on "
+                              "each side of one turning point; certified "
+                              "neither",)
+        assert cert.scan == ()
+
     def test_below_threshold_points_flagged(self, ctx2):
         thr = math.sqrt(10.0)
         cert = verify_theorem1(ctx2, TENT, rho_grid=[0.5 * thr, thr, 2 * thr])
