@@ -19,9 +19,9 @@ from .potentials import (Potential, Shape, ShapeCertificate, classify,
 from .prufer import (PruferTrajectory, ToleranceConfig, integrate_amplitude,
                      integrate_phase, integrate_sensitivity,
                      reconstruct_eigenfunction)
-from .eigensolver import (Eigenpair, Lambda1Sign, ShotResult, SolverConfig,
-                          Spectrum, bracket_eigenvalue, compute_spectrum,
-                          direct_shoot, find_eigenvalue, sign_of_lambda1)
+from .eigensolver import (Eigenpair, ShotResult, SolverConfig, Spectrum,
+                          bracket_eigenvalue, compute_spectrum, direct_shoot,
+                          find_eigenvalue)
 from .theorems import (HarnessConfig, ScanPoint, TheoremCertificate,
                        verify_remark1, verify_theorem1, verify_theorem2,
                        verify_theorem3)
@@ -40,8 +40,7 @@ __all__ = [
     "integrate_amplitude", "integrate_sensitivity",
     "reconstruct_eigenfunction",
     "SolverConfig", "Eigenpair", "Spectrum", "bracket_eigenvalue",
-    "find_eigenvalue", "compute_spectrum", "direct_shoot", "sign_of_lambda1",
-    "ShotResult", "Lambda1Sign",
+    "find_eigenvalue", "compute_spectrum", "direct_shoot", "ShotResult",
     "HarnessConfig", "ScanPoint", "TheoremCertificate", "verify_theorem1",
     "verify_theorem2", "verify_theorem3", "verify_remark1",
     "__version__",

@@ -6,7 +6,7 @@ One binary with subcommands:
     plapeig classify     --potential SPEC
     plapeig eigs         --p P --potential SPEC [--ell L] --n-max N
     plapeig verify       --theorem t1|t2|t3|r1 --p P --potential SPEC ...
-    plapeig sweep        --axis p|ell|depth --values V1,V2,... ...
+    plapeig sweep        --axis p|ell|depth --values V1,V2,... [--ell L] ...
 
 Potentials are given inline as a JSON object or as a path to a JSON
 file.  Option precedence is CLI flags over config file (--config) over
@@ -178,7 +178,15 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         if val is not None:
             merged[key] = val
 
-    # each value takes the type of its default
+    # each value takes the type of its default, which must hold it exactly
+    for k, v in DEFAULTS.items():
+        try:
+            exact = type(v)(merged[k]) == merged[k]
+        except (TypeError, ValueError, OverflowError):
+            exact = False
+        if not exact or isinstance(merged[k], bool):
+            raise UsageError(f"config key {k!r}: expected "
+                             f"{type(v).__name__}, got {merged[k]!r}")
     cfg = RunConfig(**{k: type(v)(merged[k]) for k, v in DEFAULTS.items()},
                     out=getattr(args, "out", None),
                     echo=tuple(k for k in DEFAULTS if hasattr(args, k)))
@@ -227,11 +235,11 @@ def cmd_ptrig_table(args) -> int:
         raise UsageError("--x-max must exceed --x-min")
     ctx = make_context(cfg.p)  # rejects p <= 1
     cfg.extra = {"x_min": args.x_min, "x_max": args.x_max, "steps": args.steps}
-    rows = []
-    for i in range(args.steps + 1):
-        x = args.x_min + (args.x_max - args.x_min) * i / args.steps
-        s, c = sp_pair(ctx, x)
-        rows.append((x, s, c, abs(s) ** ctx.p + abs(c) ** ctx.p))
+    xs = [args.x_min + (args.x_max - args.x_min) * i / args.steps
+          for i in range(args.steps + 1)]
+    ss, cs = sp_pair(ctx, xs)
+    rows = [(x, s, c, abs(s) ** ctx.p + abs(c) ** ctx.p)
+            for x, s, c in zip(xs, ss.tolist(), cs.tolist())]
     _emit(cfg, ("x", "sp", "sp_prime", "identity"), rows, "ptrig_table")
     return EXIT_OK
 
@@ -354,7 +362,8 @@ def cmd_sweep(args) -> int:
 
 
 def _add_common(sub: argparse.ArgumentParser, p: bool = True,
-                potential: bool = True, solver: bool = True) -> None:
+                potential: bool = True, solver: bool = True,
+                ell: bool = False) -> None:
     """Register the output flags and each flag group the subcommand reads."""
     if p:
         sub.add_argument("--p", type=float, default=None,
@@ -367,9 +376,10 @@ def _add_common(sub: argparse.ArgumentParser, p: bool = True,
     if potential:
         sub.add_argument("--potential", default=None,
                          help="potential spec: inline JSON object or file path")
-    if solver:
+    if ell:
         sub.add_argument("--ell", type=float, default=None,
                          help="right endpoint of the interval, in (0, 1]")
+    if solver:
         sub.add_argument("--n-max", dest="n_max", type=int, default=None,
                          help="number of eigenvalues")
         sub.add_argument("--rel-tol", dest="rel_tol", type=float, default=None)
@@ -403,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_classify)
 
     s = add("eigs", help="compute the Dirichlet spectrum")
-    _add_common(s)
+    _add_common(s, ell=True)
     s.set_defaults(func=cmd_eigs)
 
     s = add("verify", help="run a verification harness")
@@ -418,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_verify)
 
     s = add("sweep", help="parameter sweep, long-form CSV")
-    _add_common(s)
+    _add_common(s, ell=True)
     s.add_argument("--axis", choices=("p", "ell", "depth"), default=None)
     s.add_argument("--values", default=None,
                    help="comma-separated axis values (at least 2)")

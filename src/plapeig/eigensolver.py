@@ -1,4 +1,4 @@
-"""Dirichlet eigenvalues by phase shooting, with a direct-shooting oracle.
+"""Dirichlet eigenvalues by phase shooting, and a direct shot for the tests.
 
 Because the amplitude R stays positive, y(ell) = 0 exactly when the
 phase satisfies phi(ell, rho) = n * pi_p; the n-th eigenvalue is the
@@ -21,11 +21,8 @@ positive the search runs on the shifted potential q + c with
 c = -min q and reports lambda_n(q) = lambda_n(q + c) - c; the shift
 identity is exact, and the shifted bracket starts at (n*pi_p/ell)^p > 0.
 
-The direct shooter integrates the untransformed equation as the first
-order system (y, v) with v = (y')^(p-1), using an independent library
-integrator; it is the validation oracle for the phase route and is held
-to a looser tolerance because y' = |v|^(1/(p-1)) sgn(v) has unbounded
-slope at the degenerate points v = 0 when p > 2.
+The direct shooter, ``direct_shoot``, is the tests' oracle for the phase
+route, and no production path calls it.
 """
 
 from __future__ import annotations
@@ -44,6 +41,8 @@ from .ptrig import PContext
 # the best evaluated rho; it converges far earlier
 _MAX_STEPS = 100
 
+_SHOT_RTOL, _SHOT_ATOL = 1e-10, 1e-12
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -54,15 +53,11 @@ class SolverConfig:
     root does not depend on ``phase_tol`` at or above the default; a
     root that misses ``phase_tol`` at ``tolerance`` is solved once more
     at a 1000x tighter ``tolerance``, and a second miss is a
-    ``SearchError``.  ``oracle_check`` re-shoots each found eigenvalue
-    with the direct integrator and validates its interior zero count.
+    ``SearchError``.
     """
 
     phase_tol: float = 1e-9
     tolerance: ToleranceConfig = field(default_factory=ToleranceConfig)
-    oracle_rtol: float = 1e-10
-    oracle_atol: float = 1e-12
-    oracle_check: bool = False
 
     def __post_init__(self):
         if self.phase_tol <= 0.0:
@@ -212,14 +207,6 @@ def find_eigenvalue(ctx: PContext, q: Potential, n: int, ell: float,
     neg = [r ** p for (r, _), phi in phis.items() if phi <= target]
     pos = [r ** p for (r, _), phi in phis.items() if phi >= target]
     bracket = (min(max(neg), lam) - shift, max(min(pos), lam) - shift)
-
-    if cfg.oracle_check:
-        shot = direct_shoot(ctx, q, lam, ell, cfg)
-        if shot.zero_count != n - 1:
-            raise SearchError(
-                f"direct-shooting oracle counts {shot.zero_count} zeros "
-                f"for n={n}", details={"lambda": lam})
-
     return Eigenpair(n=n, lam=lam - shift, rho=rho_n,
                      phi_end=phis[rho_n, tol], residual=residual,
                      zero_count=n - 1, bracket=bracket, shift=shift)
@@ -342,19 +329,19 @@ class ShotResult:
     max_abs_y: float
 
 
-def direct_shoot(ctx: PContext, q: Potential, lam: float, ell: float,
-                 cfg: SolverConfig = SolverConfig()) -> ShotResult:
+def direct_shoot(ctx: PContext, q: Potential, lam: float, ell: float
+                 ) -> ShotResult:
     """Integrate the original equation from y(0)=0, y'(0)=1 to x=ell.
 
     First-order form: y' = |v|^(1/(p-1)) sgn(v), v' = -(p-1)(lambda - q) y^(p-1)
     with v = (y')^(p-1).  Works for any real lambda and shares no code
-    with the phase route, which makes it the validation oracle behind
-    ``oracle_check`` and the tests.  Interior zeros are counted from
-    dense samples of y; the adaptive integrator shortens steps through
-    the degenerate v = 0 points (p > 2), where local accuracy drops to
-    first order, so oracle comparisons use a looser tolerance than the
-    phase method.  A piece that ``solve_ivp`` fails to integrate at
-    ``oracle_rtol``/``oracle_atol`` raises :class:`SearchError`.
+    with the phase route, which makes it the tests' validation oracle;
+    it needs scipy (``solve_ivp``, imported on first call).  Interior
+    zeros are counted from dense samples of y; the adaptive integrator
+    shortens steps through the degenerate v = 0 points (p > 2), where
+    local accuracy drops to first order, so oracle comparisons use a
+    looser tolerance than the phase method.  A piece that ``solve_ivp``
+    fails to integrate raises :class:`SearchError`.
     """
     from scipy.integrate import solve_ivp
 
@@ -378,7 +365,7 @@ def direct_shoot(ctx: PContext, q: Potential, lam: float, ell: float,
     ys_all = []
     for a, b in zip(bounds, bounds[1:]):
         sol = solve_ivp(rhs, (a, b), state, method="RK45",
-                        rtol=cfg.oracle_rtol, atol=cfg.oracle_atol,
+                        rtol=_SHOT_RTOL, atol=_SHOT_ATOL,
                         dense_output=True)
         if not sol.success:
             raise SearchError(f"direct shot failed on [{a}, {b}]",
@@ -400,34 +387,3 @@ def direct_shoot(ctx: PContext, q: Potential, lam: float, ell: float,
     yp_end = math.copysign(abs(v_end) ** exp_back, v_end) if v_end else 0.0
     return ShotResult(y_end=y_end, zero_count=zero_count, yprime_end=yp_end,
                       max_abs_y=max_abs)
-
-
-@dataclass(frozen=True)
-class Lambda1Sign:
-    """Classification of the sign of the first eigenvalue."""
-
-    classification: str  # "positive" | "zero_within_tol" | "nonpositive"
-    margin: float        # |pi_p - phi(ell)| at lambda = 0, phase units
-
-
-def sign_of_lambda1(ctx: PContext, q: Potential, ell: float,
-                    cfg: SolverConfig = SolverConfig()) -> Lambda1Sign:
-    """Sturm-comparison test of lambda_1(ell) > 0 by one phase at lambda = 0.
-
-    The first eigenvalue is positive exactly when the lambda = 0
-    solution keeps its sign on (0, ell].  That solution is the phase of
-    q + c at rho = c^(1/p), here with c = (pi_p/ell)^p; since phi crosses
-    multiples of pi_p only upward, y has no zero in (0, ell] exactly when
-    phi(ell) < pi_p.  |pi_p - phi(ell)| <= phase_tol marks the borderline.
-    """
-    rho = ctx.pi_p / ell
-    phi_end = integrate_phase(ctx, q.shifted(rho ** ctx.p), rho, ell,
-                              cfg.tolerance).phi_end
-    gap = ctx.pi_p - phi_end
-    if abs(gap) <= cfg.phase_tol:
-        cls = "zero_within_tol"
-    elif gap > 0.0:
-        cls = "positive"
-    else:
-        cls = "nonpositive"
-    return Lambda1Sign(classification=cls, margin=abs(gap))

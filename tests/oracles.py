@@ -142,7 +142,7 @@ def classical_prufer_p2(q, rho, ell, rtol=1e-12, atol=1e-13):
     return float(sol.y[0, -1]), float(sol.y[1, -1])
 
 
-def direct_eigenvalue(ctx, q, n, ell, cfg):
+def direct_eigenvalue(ctx, q, n, ell):
     """lambda_n from direct shots alone; never touches the phase route.
 
     Bisection on the shot's zero count and terminal sign runs only until
@@ -159,7 +159,7 @@ def direct_eigenvalue(ctx, q, n, ell, cfg):
 
     def shoot(lam):
         if lam not in shots:
-            shots[lam] = direct_shoot(ctx, q, lam, ell, cfg)
+            shots[lam] = direct_shoot(ctx, q, lam, ell)
         return shots[lam]
 
     def past(lam):

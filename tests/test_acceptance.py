@@ -103,7 +103,7 @@ def test_criterion_4_oracle_agreement(ctx_for):
         q = random_nonpositive_piecewise_linear(rng)
         for n in range(1, 7):
             lam = find_eigenvalue(ctx, q, n, 1.0, CFG).lam
-            lam_direct = direct_eigenvalue(ctx, q, n, 1.0, CFG)
+            lam_direct = direct_eigenvalue(ctx, q, n, 1.0)
             worst = max(worst, abs(lam - lam_direct) / abs(lam))
     _report(4, "phase vs direct-shooting oracle", worst <= 1e-6,
             f"worst relative discrepancy {worst:.2e} (<=1e-6), "

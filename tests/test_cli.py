@@ -218,6 +218,19 @@ class TestVerify:
                                "--rho-points", "8")
         assert code == 0
 
+    def test_ell_is_usage_error(self, capsys):
+        # no harness reads ell (T3 scans its own grid), so verify neither
+        # registers --ell nor echoes ell
+        argv = ["verify", "--theorem", "t2", "--p", "2", "--potential",
+                '{"type":"constant","value":-2}', "--n-max", "2"]
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--ell", "0.5"])
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert "# ell=" not in out
+
 
 class TestSweep:
     def test_failure_reported_once(self, capsys, coarse_phase):
@@ -384,6 +397,27 @@ class TestConfigPrecedence:
                                "--potential", FREE_SPEC)
         assert code == 2
         assert "unknown config keys" in err
+
+    @pytest.mark.parametrize("entry", ({"p": "abc"}, {"n_max": None},
+                                       {"n_max": 2.9}, {"n_max": math.inf},
+                                       {"p": True}),
+                             ids=("p-str", "n_max-null", "n_max-2.9",
+                                  "n_max-inf", "p-bool"))
+    @pytest.mark.parametrize("command", (("eigs",), ("verify", "--theorem",
+                                                      "t2")),
+                             ids=("eigs", "verify"))
+    def test_bad_config_value_is_usage_error(self, capsys, tmp_path, entry,
+                                             command):
+        # a value its key's type cannot hold exactly is refused, not
+        # converted: 2.9 is no n_max, and a string is no p
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(entry))
+        key = next(iter(entry))
+        code, out, err = run_cli(capsys, *command, "--config", str(cfg),
+                                 "--potential", FREE_SPEC)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"usage error: config key '{key}': ")
 
     def test_bad_config_potential_is_usage_error(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"

@@ -7,8 +7,7 @@ from plapeig import eigensolver
 from plapeig import (DomainError, SearchError, SolverConfig, ToleranceConfig,
                      bracket_eigenvalue, compute_spectrum, constant,
                      direct_shoot, find_eigenvalue, integrate_amplitude,
-                     reconstruct_eigenfunction, restrict, scaled_tent,
-                     sign_of_lambda1)
+                     reconstruct_eigenfunction, restrict, scaled_tent)
 
 from oracles import (count_sign_changes, direct_eigenvalue,
                      random_nonpositive_piecewise_linear)
@@ -76,11 +75,6 @@ class TestFindEigenvalue:
                                               rel=1e-14)
         lo, hi = pair.bracket
         assert lo <= pair.lam <= hi
-
-    def test_oracle_check_toggle(self, ctx2):
-        cfg = SolverConfig(oracle_check=True)
-        pair = find_eigenvalue(ctx2, TENT, 2, 1.0, cfg)
-        assert pair.zero_count == 1
 
     def test_large_phase_tol(self, ctx2):
         # a loose phase_tol accepts the same root; the accepted residual
@@ -178,59 +172,40 @@ class TestShiftCovariance:
 
 class TestDirectShoot:
     def test_p2_at_first_eigenvalue(self, ctx2):
-        shot = direct_shoot(ctx2, constant(0.0), math.pi ** 2, 1.0, CFG)
+        shot = direct_shoot(ctx2, constant(0.0), math.pi ** 2, 1.0)
         assert abs(shot.y_end) <= 1e-9 * shot.max_abs_y
         assert shot.zero_count == 0
 
     def test_p3_at_first_eigenvalue(self, ctx3):
-        shot = direct_shoot(ctx3, constant(0.0), ctx3.pi_p ** 3, 1.0, CFG)
+        shot = direct_shoot(ctx3, constant(0.0), ctx3.pi_p ** 3, 1.0)
         assert abs(shot.y_end) <= 1e-7 * shot.max_abs_y
         assert shot.zero_count == 0
 
     def test_lambda_zero_certificate(self, ctx2):
         # q = -2: lambda_1 = pi^2 - 2 > 0, so the lambda = 0 shot keeps
         # its sign
-        shot = direct_shoot(ctx2, constant(-2.0), 0.0, 1.0, CFG)
+        shot = direct_shoot(ctx2, constant(-2.0), 0.0, 1.0)
         assert shot.zero_count == 0
         assert shot.y_end > 0.0
 
 
 class TestSignOfLambda1:
-    def test_free_positive(self, ctx3):
-        res = sign_of_lambda1(ctx3, constant(0.0), 1.0, CFG)
-        assert res.classification == "positive"
-        assert res.margin > 0.0
-
-    def test_deep_constant_nonpositive(self, ctx2):
-        res = sign_of_lambda1(ctx2, constant(-50.0), 1.0, CFG)
-        assert res.classification == "nonpositive"
-
-    def test_deep_constant_short_interval_positive(self, ctx2):
-        q = restrict(constant(-50.0), 0.3)
-        res = sign_of_lambda1(ctx2, q, 0.3, CFG)
-        assert res.classification == "positive"
-        # analytic: lambda_1 = (pi/0.3)^2 - 50 > 0
-        assert (math.pi / 0.3) ** 2 - 50.0 > 0.0
-
-    def test_borderline_zero(self, ctx2):
-        res = sign_of_lambda1(ctx2, constant(-math.pi ** 2), 1.0, CFG)
-        assert res.classification == "zero_within_tol"
-        assert res.margin <= CFG.phase_tol
-
     @pytest.mark.parametrize("p", (2.0, 3.0))
     def test_agrees_with_direct_shot(self, ctx_for, p):
+        # T3's sign test: lambda_1(ell) > 0 exactly when the lower end of
+        # the n = 1 bracket is; the lambda = 0 direct shot keeps its sign
+        # on (0, ell] exactly then
         ctx = ctx_for(p)
         for q in (constant(-50.0), scaled_tent(-30.0, 30.0)):
             classes = set()
             for ell in np.linspace(0.1, 1.0, 10):
                 qr = restrict(q, ell)
-                shot = direct_shoot(ctx, qr, 0.0, ell, CFG)
-                direct = ("positive" if shot.zero_count == 0
-                          and shot.y_end > 0.0 else "nonpositive")
-                res = sign_of_lambda1(ctx, qr, ell, CFG)
-                assert res.classification == direct, (p, ell)
+                shot = direct_shoot(ctx, qr, 0.0, ell)
+                direct = shot.zero_count == 0 and shot.y_end > 0.0
+                pair = find_eigenvalue(ctx, qr, 1, ell, CFG)
+                assert (pair.bracket[0] > 0.0) == direct, (p, ell)
                 classes.add(direct)
-            assert classes == {"positive", "nonpositive"}
+            assert classes == {True, False}
 
 
 class TestOracleAgreement:
@@ -241,7 +216,7 @@ class TestOracleAgreement:
         q = random_nonpositive_piecewise_linear(np.random.default_rng(seed))
         for n in (1, 3):
             lam = find_eigenvalue(ctx, q, n, 1.0, CFG).lam
-            lam_direct = direct_eigenvalue(ctx, q, n, 1.0, CFG)
+            lam_direct = direct_eigenvalue(ctx, q, n, 1.0)
             assert abs(lam - lam_direct) / abs(lam) <= 1e-6
 
     @pytest.mark.parametrize("p", (1.5, 2.0, 3.0))
@@ -249,7 +224,7 @@ class TestOracleAgreement:
         ctx = ctx_for(p)
         q = scaled_tent(-30.0, 30.0)
         lam = find_eigenvalue(ctx, q, 1, 1.0, CFG).lam
-        lam_direct = direct_eigenvalue(ctx, q, 1, 1.0, CFG)
+        lam_direct = direct_eigenvalue(ctx, q, 1, 1.0)
         assert lam < 0.0
         assert abs(lam - lam_direct) / abs(lam) <= 1e-6
 
