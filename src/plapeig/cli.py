@@ -74,8 +74,8 @@ class RunConfig:
     """Effective run configuration (defaults, config file, CLI merged);
     one field per ``DEFAULTS`` key, plus the parsed potential and the
     output path.
-    ``echo`` names the ``DEFAULTS`` keys the subcommand registered, the
-    only ones its output header repeats."""
+    ``echo`` names the ``DEFAULTS`` keys the run reads, the only ones
+    its output header repeats."""
 
     p: float
     ell: float
@@ -156,9 +156,15 @@ def _load_potential(arg) -> Potential:
         raise UsageError(f"invalid potential spec: {exc}") from exc
 
 
-def _merge_config(args: argparse.Namespace) -> RunConfig:
+def _merge_config(args: argparse.Namespace, unread=()) -> RunConfig:
     """Defaults, then the config file, then every ``DEFAULTS`` flag the
-    subcommand registered."""
+    subcommand registered.  ``unread`` names registered keys this run
+    does not read: such a flag is a usage error, a config-file value
+    passes, and neither is echoed."""
+    given = [k for k in unread if getattr(args, k, None) is not None]
+    if given:
+        raise UsageError("this run does not read "
+                         + ", ".join("--" + k.replace("_", "-") for k in given))
     merged = dict(DEFAULTS)
     config_path = getattr(args, "config", None)
     if config_path:
@@ -169,7 +175,7 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
             raise UsageError(f"cannot read config file {config_path!r}: {exc}")
         if not isinstance(file_cfg, dict):
             raise UsageError("config file must hold a JSON object")
-        unknown = set(file_cfg) - set(DEFAULTS) - {"potential", "out"}
+        unknown = set(file_cfg) - set(DEFAULTS) - {"potential"}
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
         merged.update(file_cfg)
@@ -189,7 +195,8 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
                              f"{type(v).__name__}, got {merged[k]!r}")
     cfg = RunConfig(**{k: type(v)(merged[k]) for k, v in DEFAULTS.items()},
                     out=getattr(args, "out", None),
-                    echo=tuple(k for k in DEFAULTS if hasattr(args, k)))
+                    echo=tuple(k for k in DEFAULTS
+                               if hasattr(args, k) and k not in unread))
     # a potential is parsed, and echoed, only where the subcommand reads one
     if hasattr(args, "potential"):
         pot = args.potential or merged.get("potential")
@@ -275,13 +282,18 @@ def cmd_eigs(args) -> int:
 
 _THEOREMS = {"t1": verify_theorem1, "t2": verify_theorem2,
              "t3": verify_theorem3, "r1": verify_remark1}
+# the registered settings each harness leaves unread: T1 scans rho, the
+# others an index range, and only T3 a grid of ell
+_UNREAD = {"t1": ("n_max", "phase_tol", "ell_points", "slack_rel"),
+           "t3": ("rho_points", "rho_span", "slack_abs")}
+_UNREAD["t2"] = _UNREAD["r1"] = _UNREAD["t3"] + ("ell_points",)
 
 
 def cmd_verify(args) -> int:
-    cfg = _merge_config(args)
+    theorem = (args.theorem or "").lower()
+    cfg = _merge_config(args, _UNREAD.get(theorem, ()))
     if cfg.potential is None:
         raise UsageError("--potential is required")
-    theorem = (args.theorem or "").lower()
     if theorem not in _THEOREMS:
         raise UsageError("--theorem must be one of t1, t2, t3, r1")
     ctx = make_context(cfg.p)
@@ -312,10 +324,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _merge_config(args)
+    axis = (args.axis or "").lower()
+    # the swept setting replaces its flag
+    cfg = _merge_config(args, (axis,) if axis in ("p", "ell") else ())
     if cfg.potential is None:
         raise UsageError("--potential is required")
-    axis = (args.axis or "").lower()
     if axis not in ("p", "ell", "depth"):
         raise UsageError("--axis must be one of p, ell, depth")
     try:

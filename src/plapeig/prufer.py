@@ -37,17 +37,20 @@ it locates the crossing on the cubic Hermite dense output of the step
 that passed it (Hairer, Norsett and Wanner, Solving ODEs I, II.6) and
 replaces that step by a shorter one that ends there.  At p = 2,
 |S_2|^2 = sin^2 is analytic, so no level is landed and results keep
-their bits.  The amplitude and sensitivity systems do not land.
+their bits.  The amplitude and sensitivity integrations land too: the
+levels are those of their phase.
 
-Two stage-unrolled kernels run the pair.  ``_phase_kernel`` steps the
-phase alone on a plain float, with named stages k1..k7 and counts in
-local ints; the eigenvalue search and the sign test of lambda_1 use only
-this one.  ``_system_kernel`` takes the same steps, without the
-landings, on (phi, log R, u) for the amplitude and sensitivity systems.
-Both add every sum left to right in tableau order, so they reproduce a
-generic tableau loop bit for bit: terminal values, step sequence and
-counts.  The test oracle ``reference_dp45`` is that loop, landings
-included, and the tests compare with ``==``.
+One stage-unrolled kernel, ``_kernel``, runs the pair for every
+integration, so the step control, the step budget, the snap rule and
+the landings live in one place.  The phase alone steps on a plain
+float, with named stages k1..k7 and counts in local ints; the
+eigenvalue search uses only this path.  For amplitude and sensitivity
+the lanes log R and u ride along through a branch at each stage, and
+the accepted steps are kept as dense output.  Every sum is added left
+to right in tableau order, so the kernel reproduces a generic tableau
+loop bit for bit: terminal values, step sequence and counts.  The test
+oracle ``reference_dp45`` is that loop, landings included, and the
+tests compare with ``==``.
 """
 
 from __future__ import annotations
@@ -85,11 +88,12 @@ class PruferTrajectory:
     """Result of one integration over [0, ell].
 
     ``dense_x``/``dense_phi``/``dense_logr`` (and matching derivative
-    arrays) hold the controller-accepted steps of an amplitude or
-    sensitivity integration for reconstruction; a phase-only integration
-    keeps none, so all five are None there.  ``logr_end`` is None when
-    amplitude was not requested, ``u_end`` when sensitivity was not.
-    ``stats`` holds the step, reject and RHS counts.  Immutable once built.
+    arrays) hold the accepted steps of an amplitude or sensitivity
+    integration for reconstruction, the steps landed on the levels
+    k*pi_p/2 included; a phase-only integration keeps none, so all five
+    are None there.  ``logr_end`` is None when amplitude was not
+    requested, ``u_end`` when sensitivity was not.  ``stats`` holds the
+    step, reject, landing and RHS counts.  Immutable once built.
     """
 
     ctx: PContext
@@ -164,12 +168,21 @@ def _hermite_crossing(y0, y1, d0, d1, level):
     return theta
 
 
-def _phase_kernel(f, bounds, h, tol, stats, spacing):
-    """Adaptive DP45 on the scalar phase, phi(bounds[0]) = 0.
+def _kernel(f, bounds, h, tol, stats, spacing, dim):
+    """Adaptive DP45 on the first ``dim`` components of (phi, log R, u),
+    all 0 at bounds[0].
 
-    ``f(x, phi) -> float``.  Each piece of ``bounds`` starts with a fresh
-    slope and a fresh controller memory; the step size carries over.
-    Returns phi at the last bound.
+    With dim = 1 the phase steps alone on a plain float and
+    ``f(x, phi) -> phi'``.  With dim = 2 or 3 the lanes log R and u ride
+    along and ``f(x, phi, u) -> (phi', (log R)', u')``; log R enters no
+    right-hand side, so only its 5th-order value is formed.  The error
+    norm is the RMS over ``dim`` components: with dim = 2 ``f`` returns
+    u' = 0, so u stays 0 and adds exactly 0 to the norm.  Each piece of
+    ``bounds`` starts with a fresh slope and a fresh controller memory;
+    the step size carries over.  Returns (phi, log R, u) at the last
+    bound and, when the lanes ride along, the list of accepted states
+    (x, phi, phi', log R, (log R)'), whose first entry costs one more
+    slope at bounds[0]; else None.
 
     With ``spacing`` (pi_p/2 for p != 2, None at p = 2) every level
     k*spacing the phase reaches becomes a step boundary.  The kernel
@@ -189,14 +202,23 @@ def _phase_kernel(f, bounds, h, tol, stats, spacing):
     integration fails.
     """
     abs_tol, rel_tol, max_steps = tol.abs_tol, tol.rel_tol, tol.max_steps
-    phi = 0.0
+    lanes = dim > 1
+    phi = lr = u = 0.0
     k = dk = 0  # the phase last sat on the level k*spacing
     lo_level, hi_level = (-spacing, spacing) if spacing else (-math.inf, math.inf)
     n_steps = n_rejected = n_landed = n_rhs = 0
+    dense = None
+    if lanes:
+        k1, l1, u1 = f(bounds[0], phi, u)
+        n_rhs = 1
+        dense = [(bounds[0], phi, k1, lr, l1)]
     try:
         for x, x_end in zip(bounds, bounds[1:]):
             snap = 1e-14 * max(1.0, abs(x_end))
-            k1 = f(x, phi)
+            if lanes:
+                k1, l1, u1 = f(x, phi, u)
+            else:
+                k1 = f(x, phi)
             n_rhs += 1
             err_old = 1e-4
             land = 0.0  # length of a pending step onto a level, else 0
@@ -213,24 +235,63 @@ def _phase_kernel(f, bounds, h, tol, stats, spacing):
                     raise IntegrationError(
                         f"step size underflow at x={x!r}", last_x=x)
 
-                k2 = f(x + _C2 * ht, phi + ht * (_A21 * k1))
-                k3 = f(x + _C3 * ht, phi + ht * (_A31 * k1 + _A32 * k2))
-                k4 = f(x + _C4 * ht,
-                       phi + ht * (_A41 * k1 + _A42 * k2 + _A43 * k3))
-                k5 = f(x + _C5 * ht,
-                       phi + ht * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4))
-                k6 = f(x + ht,
-                       phi + ht * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4
-                                   + _A65 * k5))
+                y = phi + ht * (_A21 * k1)
+                if lanes:
+                    k2, l2, u2 = f(x + _C2 * ht, y, u + ht * (_A21 * u1))
+                else:
+                    k2 = f(x + _C2 * ht, y)
+                y = phi + ht * (_A31 * k1 + _A32 * k2)
+                if lanes:
+                    k3, l3, u3 = f(x + _C3 * ht, y,
+                                   u + ht * (_A31 * u1 + _A32 * u2))
+                else:
+                    k3 = f(x + _C3 * ht, y)
+                y = phi + ht * (_A41 * k1 + _A42 * k2 + _A43 * k3)
+                if lanes:
+                    k4, l4, u4 = f(x + _C4 * ht, y,
+                                   u + ht * (_A41 * u1 + _A42 * u2 + _A43 * u3))
+                else:
+                    k4 = f(x + _C4 * ht, y)
+                y = phi + ht * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4)
+                if lanes:
+                    k5, l5, u5 = f(x + _C5 * ht, y,
+                                   u + ht * (_A51 * u1 + _A52 * u2 + _A53 * u3
+                                             + _A54 * u4))
+                else:
+                    k5 = f(x + _C5 * ht, y)
+                y = phi + ht * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4
+                                + _A65 * k5)
+                if lanes:
+                    k6, l6, u6 = f(x + ht, y,
+                                   u + ht * (_A61 * u1 + _A62 * u2 + _A63 * u3
+                                             + _A64 * u4 + _A65 * u5))
+                else:
+                    k6 = f(x + ht, y)
                 phi_new = phi + ht * (_A71 * k1 + _A73 * k3 + _A74 * k4
                                       + _A75 * k5 + _A76 * k6)
-                k7 = f(x + ht, phi_new)
+                if lanes:
+                    u_new = u + ht * (_A71 * u1 + _A73 * u3 + _A74 * u4
+                                      + _A75 * u5 + _A76 * u6)
+                    k7, l7, u7 = f(x + ht, phi_new, u_new)
+                else:
+                    k7 = f(x + ht, phi_new)
                 n_rhs += 6
 
                 e = ht * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6
                           + _E7 * k7)
-                err = math.sqrt(
-                    (e / (abs_tol + rel_tol * max(abs(phi), abs(phi_new)))) ** 2)
+                err = (e / (abs_tol + rel_tol * max(abs(phi), abs(phi_new)))) ** 2
+                if lanes:
+                    lr_new = lr + ht * (_A71 * l1 + _A73 * l3 + _A74 * l4
+                                        + _A75 * l5 + _A76 * l6)
+                    el = ht * (_E1 * l1 + _E3 * l3 + _E4 * l4 + _E5 * l5
+                               + _E6 * l6 + _E7 * l7)
+                    eu = ht * (_E1 * u1 + _E3 * u3 + _E4 * u4 + _E5 * u5
+                               + _E6 * u6 + _E7 * u7)
+                    err = (err
+                           + (el / (abs_tol + rel_tol * max(abs(lr), abs(lr_new)))) ** 2
+                           + (eu / (abs_tol + rel_tol * max(abs(u), abs(u_new)))) ** 2
+                           ) / dim
+                err = math.sqrt(err)
 
                 if err <= 1.0:
                     if land or phi_new >= hi_level or phi_new <= lo_level:
@@ -251,6 +312,9 @@ def _phase_kernel(f, bounds, h, tol, stats, spacing):
                     x = x_end if x_end - x_new < snap else x_new
                     phi, k1 = phi_new, k7
                     n_steps += 1
+                    if lanes:
+                        lr, u, l1, u1 = lr_new, u_new, l7, u7
+                        dense.append((x, phi, k1, lr, l1))
                     if ht >= h:  # not shortened by a boundary: rescale
                         h = ht * _pi_factor(err, err_old)
                     err_old = max(err, 1e-4)
@@ -261,101 +325,7 @@ def _phase_kernel(f, bounds, h, tol, stats, spacing):
     finally:
         stats.update(n_steps=n_steps, n_rejected=n_rejected, n_rhs=n_rhs,
                      n_landed=n_landed)
-    return phi
-
-
-def _system_kernel(f, bounds, h, tol, stats, dim):
-    """The steps of :func:`_phase_kernel` on the state (phi, log R, u).
-
-    ``f(x, phi, u) -> (phi', (log R)', u')``; log R enters no right-hand
-    side, so only its 5th-order value is formed.  The error norm is the
-    RMS over ``dim`` components: with dim = 2 (amplitude only) ``f``
-    returns u' = 0, so u stays 0 and adds exactly 0 to the norm.
-    Returns (phi, log R, u) at the last bound and the accepted-step
-    lists (x, phi, phi', log R, (log R)').
-    """
-    abs_tol, rel_tol, max_steps = tol.abs_tol, tol.rel_tol, tol.max_steps
-    x = bounds[0]
-    phi = lr = u = 0.0
-    p1, l1, u1 = f(x, phi, u)
-    xs, phis, dphis, lrs, dlrs = [x], [phi], [p1], [lr], [l1]
-    n_steps = n_rejected = 0
-    n_rhs = 1
-    try:
-        for x, x_end in zip(bounds, bounds[1:]):
-            snap = 1e-14 * max(1.0, abs(x_end))
-            p1, l1, u1 = f(x, phi, u)
-            n_rhs += 1
-            err_old = 1e-4
-            while x < x_end:
-                if n_steps + n_rejected >= max_steps:
-                    raise IntegrationError(
-                        f"step budget {max_steps} exhausted at x={x!r}", last_x=x)
-                rest = x_end - x
-                ht = rest if rest < h else h
-                if ht < 1e-14 * max(1.0, abs(x)):
-                    raise IntegrationError(
-                        f"step size underflow at x={x!r}", last_x=x)
-
-                p2, l2, u2 = f(x + _C2 * ht, phi + ht * (_A21 * p1),
-                               u + ht * (_A21 * u1))
-                p3, l3, u3 = f(x + _C3 * ht,
-                               phi + ht * (_A31 * p1 + _A32 * p2),
-                               u + ht * (_A31 * u1 + _A32 * u2))
-                p4, l4, u4 = f(x + _C4 * ht,
-                               phi + ht * (_A41 * p1 + _A42 * p2 + _A43 * p3),
-                               u + ht * (_A41 * u1 + _A42 * u2 + _A43 * u3))
-                p5, l5, u5 = f(x + _C5 * ht,
-                               phi + ht * (_A51 * p1 + _A52 * p2 + _A53 * p3
-                                           + _A54 * p4),
-                               u + ht * (_A51 * u1 + _A52 * u2 + _A53 * u3
-                                         + _A54 * u4))
-                p6, l6, u6 = f(x + ht,
-                               phi + ht * (_A61 * p1 + _A62 * p2 + _A63 * p3
-                                           + _A64 * p4 + _A65 * p5),
-                               u + ht * (_A61 * u1 + _A62 * u2 + _A63 * u3
-                                         + _A64 * u4 + _A65 * u5))
-                phi_new = phi + ht * (_A71 * p1 + _A73 * p3 + _A74 * p4
-                                      + _A75 * p5 + _A76 * p6)
-                lr_new = lr + ht * (_A71 * l1 + _A73 * l3 + _A74 * l4
-                                    + _A75 * l5 + _A76 * l6)
-                u_new = u + ht * (_A71 * u1 + _A73 * u3 + _A74 * u4
-                                  + _A75 * u5 + _A76 * u6)
-                p7, l7, u7 = f(x + ht, phi_new, u_new)
-                n_rhs += 6
-
-                ep = ht * (_E1 * p1 + _E3 * p3 + _E4 * p4 + _E5 * p5 + _E6 * p6
-                           + _E7 * p7)
-                el = ht * (_E1 * l1 + _E3 * l3 + _E4 * l4 + _E5 * l5 + _E6 * l6
-                           + _E7 * l7)
-                eu = ht * (_E1 * u1 + _E3 * u3 + _E4 * u4 + _E5 * u5 + _E6 * u6
-                           + _E7 * u7)
-                err = math.sqrt((
-                    (ep / (abs_tol + rel_tol * max(abs(phi), abs(phi_new)))) ** 2
-                    + (el / (abs_tol + rel_tol * max(abs(lr), abs(lr_new)))) ** 2
-                    + (eu / (abs_tol + rel_tol * max(abs(u), abs(u_new)))) ** 2
-                ) / dim)
-
-                if err <= 1.0:
-                    x_new = x + ht
-                    x = x_end if x_end - x_new < snap else x_new
-                    phi, lr, u = phi_new, lr_new, u_new
-                    p1, l1, u1 = p7, l7, u7
-                    n_steps += 1
-                    xs.append(x)
-                    phis.append(phi)
-                    dphis.append(p1)
-                    lrs.append(lr)
-                    dlrs.append(l1)
-                    if ht >= h:  # not shortened by the piece boundary: rescale
-                        h = ht * _pi_factor(err, err_old)
-                    err_old = max(err, 1e-4)
-                else:
-                    n_rejected += 1
-                    h = ht * max(0.1, min(0.9, _SAFETY * err ** -0.2))
-    finally:
-        stats.update(n_steps=n_steps, n_rejected=n_rejected, n_rhs=n_rhs)
-    return (phi, lr, u), (xs, phis, dphis, lrs, dlrs)
+    return (phi, lr, u), dense
 
 
 def _integrate(ctx: PContext, q: Potential, rho: float, ell: float,
@@ -400,16 +370,9 @@ def _integrate(ctx: PContext, q: Potential, rho: float, ell: float,
     if dim == 1:
         def f(x, phi):
             return rho - qval(x) * inv_rho_pm1 * fast_abs_sp_pow(ctx, phi)
-
-        phi = _phase_kernel(f, bounds, h, tol, stats,
-                            None if p == 2.0 else 0.5 * ctx.pi_p)
-        return PruferTrajectory(
-            ctx=ctx, rho=rho, ell=ell, phi_end=phi, theta_end=phi / rho,
-            logr_end=None, u_end=None, stats=stats)
-
     # one table read per call: S_p = ss*s, S_p' = sc*(1 - s^p)^(1/p)
     # (as fast_pair forms it), |S_p|^p = s^p, S_p^(p-1) = ss*s^(p-1)
-    if dim == 3:
+    elif dim == 3:
         def f(x, phi, u):
             _, s, ss, sc = _quarter(ctx, phi)
             abs_s_p = s ** p
@@ -428,14 +391,15 @@ def _integrate(ctx: PContext, q: Potential, rho: float, ell: float,
                     coef * (ss * s ** pm1) * (sc * (1.0 - abs_s_p) ** inv_p),
                     0.0)
 
-    (phi, logr, u), (xs, phis, dphis, logrs, dlogrs) = _system_kernel(
-        f, bounds, h, tol, stats, dim)
+    (phi, logr, u), dense = _kernel(f, bounds, h, tol, stats,
+                                    None if p == 2.0 else 0.5 * ctx.pi_p, dim)
+    xs, phis, dphis, logrs, dlogrs = ((None,) * 5 if dense is None
+                                      else np.array(dense).T)
     return PruferTrajectory(
         ctx=ctx, rho=rho, ell=ell, phi_end=phi, theta_end=phi / rho,
-        logr_end=logr, u_end=u if dim == 3 else None, stats=stats,
-        dense_x=np.asarray(xs), dense_phi=np.asarray(phis),
-        dense_dphi=np.asarray(dphis), dense_logr=np.asarray(logrs),
-        dense_dlogr=np.asarray(dlogrs))
+        logr_end=logr if dim > 1 else None, u_end=u if dim == 3 else None,
+        stats=stats, dense_x=xs, dense_phi=phis, dense_dphi=dphis,
+        dense_logr=logrs, dense_dlogr=dlogrs)
 
 
 def integrate_phase(ctx: PContext, q: Potential, rho: float, ell: float,

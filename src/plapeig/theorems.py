@@ -79,21 +79,12 @@ class ScanPoint:
     note: str = ""
 
     def csv_row(self, theorem_id: str) -> tuple:
+        """The ``CSV_HEADER`` cells as raw values; None where the point
+        has no such input."""
         cols = dict(self.inputs)
-        return (theorem_id, self.quantity,
-                _fmt(cols.get("rho")), _fmt(cols.get("ell")),
-                _fmt(cols.get("m"), integer=True), _fmt(cols.get("n"), integer=True),
-                _fmt(self.value), _fmt(self.bound), _fmt(self.margin),
-                str(self.in_hypothesis).lower(), str(self.satisfied).lower(),
-                self.note)
-
-
-def _fmt(v, integer: bool = False) -> str:
-    if v is None:
-        return ""
-    if integer:
-        return str(int(v))
-    return format(float(v), ".17g")
+        return (theorem_id, self.quantity, cols.get("rho"), cols.get("ell"),
+                cols.get("m"), cols.get("n"), self.value, self.bound,
+                self.margin, self.in_hypothesis, self.satisfied, self.note)
 
 
 @dataclass(frozen=True)

@@ -397,11 +397,11 @@ def reference_dp45(ctx, q, rho, ell, tol, dim):
 
     A tableau loop over tuple states, with the package's right-hand
     sides and step control: dim = 1 is the phase, 2 adds log R, 3 adds
-    u = d(phi)/d(rho).  For dim = 1 and p != 2 the steps land on the
-    levels k*pi_p/2.  The stage-unrolled kernels must match it bit for
-    bit.  Returns a dict with ``phi_end``, ``logr_end``, ``u_end`` (None
-    where not integrated), ``n_steps``, ``n_rejected``, ``n_landed``
-    and ``n_rhs``.
+    u = d(phi)/d(rho).  For p != 2 the steps land on the levels
+    k*pi_p/2 of the phase, whatever ``dim``.  The stage-unrolled kernel
+    must match it bit for bit.  Returns a dict with ``phi_end``,
+    ``logr_end``, ``u_end`` (None where not integrated), ``n_steps``,
+    ``n_rejected``, ``n_landed`` and ``n_rhs``.
     """
     from plapeig.ptrig import fast_abs_sp_pow, fast_pair
 
@@ -437,7 +437,7 @@ def reference_dp45(ctx, q, rho, ell, tol, dim):
     if dim > 1:
         f(0.0, y)  # the slope recorded at x = 0 as dense output
         counters["n_rhs"] = 1
-    spacing = 0.5 * ctx.pi_p if dim == 1 and p != 2.0 else None
+    spacing = 0.5 * ctx.pi_p if p != 2.0 else None
     bounds = [0.0] + [b for b in q.interior_knots() if 0.0 < b < ell] + [ell]
     h = min(ell, 0.1 * ctx.pi_p / rho)
     for a, b in zip(bounds, bounds[1:]):

@@ -231,6 +231,51 @@ class TestVerify:
         assert code == 0
         assert "# ell=" not in out
 
+    @pytest.mark.parametrize("theorem,echoed", (
+        ("t1", ["abs_tol", "max_steps", "rel_tol", "rho_points", "rho_span",
+                "slack_abs"]),
+        ("t2", ["abs_tol", "max_steps", "n_max", "phase_tol", "rel_tol",
+                "slack_rel"]),
+        ("t3", ["abs_tol", "ell_points", "max_steps", "n_max", "phase_tol",
+                "rel_tol", "slack_rel"]),
+        ("r1", ["abs_tol", "max_steps", "n_max", "phase_tol", "rel_tol",
+                "slack_rel"])))
+    def test_header_echoes_only_what_the_theorem_reads(self, capsys,
+                                                       tmp_path, theorem,
+                                                       echoed):
+        # a config-file value the harness does not read passes unechoed
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"n_max": 2, "rho_points": 2,
+                                   "ell_points": 2, "slack_rel": 1e-8,
+                                   "slack_abs": 1e-10, "phase_tol": 1e-9,
+                                   "rho_span": 4.0}))
+        spec = WELL_SPEC if theorem == "r1" else '{"type":"constant","value":-2}'
+        code, out, _ = run_cli(capsys, "verify", "--theorem", theorem,
+                               "--p", "2", "--potential", spec,
+                               "--config", str(cfg))
+        assert code == 0
+        keys = sorted(line[2:].split("=")[0] for line in out.splitlines()
+                      if line.startswith("# "))
+        assert keys == sorted(echoed + ["format", "p", "potential",
+                                        "theorem"])
+
+    @pytest.mark.parametrize("theorem,flag,value", (
+        ("t1", "--n-max", "9"), ("t1", "--ell-points", "3"),
+        ("t1", "--phase-tol", "1e-8"), ("t1", "--slack-rel", "1e-6"),
+        ("t2", "--rho-points", "4"), ("t2", "--slack-abs", "1e-6"),
+        ("t2", "--ell-points", "3"), ("r1", "--rho-span", "2"),
+        ("t3", "--rho-points", "4")))
+    def test_unread_flag_is_usage_error(self, capsys, theorem, flag, value):
+        # T1 scans rho, the ratio harnesses an index range: a flag the
+        # harness would ignore is refused rather than echoed
+        code, out, err = run_cli(capsys, "verify", "--theorem", theorem,
+                                 "--p", "2", "--potential",
+                                 '{"type":"constant","value":-2}',
+                                 flag, value)
+        assert code == 2
+        assert out == ""
+        assert err == f"usage error: this run does not read {flag}\n"
+
 
 class TestSweep:
     def test_failure_reported_once(self, capsys, coarse_phase):
@@ -305,6 +350,22 @@ class TestSweep:
         doc = json.loads(out)
         col = doc["columns"].index("ratio_to_lambda1")
         assert [row[col] is None for row in doc["rows"]] == [False] * 3 + [True] * 3
+
+    @pytest.mark.parametrize("axis,flag,values", (("ell", "--ell", "0.5,1"),
+                                                  ("p", "--p", "2,3")))
+    def test_swept_setting_not_echoed(self, capsys, axis, flag, values):
+        # the axis replaces the setting: its flag is refused, and the
+        # header does not echo the default the run never reads
+        argv = ("sweep", "--axis", axis, "--values", values, "--potential",
+                '{"type":"constant","value":-2}', "--n-max", "1")
+        code, out, err = run_cli(capsys, *argv, flag, "0.3")
+        assert code == 2
+        assert out == ""
+        assert err == f"usage error: this run does not read {flag}\n"
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert f"# {axis}=" not in out
+        assert "# axis=" + axis in out
 
     def test_too_few_values(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--axis", "ell", "--values",
@@ -389,6 +450,19 @@ class TestConfigPrecedence:
         _, rows = parse_csv(out)
         assert len(rows) == 3
         assert "# n_max=3" in out
+
+    def test_out_key_is_unknown(self, capsys, tmp_path, monkeypatch):
+        # the output path is a flag only: a config file's "out" was
+        # accepted and ignored, so the data went to stdout
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"out": "x.csv"}))
+        code, out, err = run_cli(capsys, "eigs", "--config", str(cfg),
+                                 "--potential", FREE_SPEC, "--n-max", "1")
+        assert code == 2
+        assert out == ""
+        assert err == "usage error: unknown config keys: ['out']\n"
+        assert not (tmp_path / "x.csv").exists()
 
     def test_unknown_config_key(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"

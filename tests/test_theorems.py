@@ -319,8 +319,8 @@ class TestCertificates:
         rows = cert.csv_rows()
         assert len(rows) == len(cert.scan)
         assert all(len(r) == len(CSV_HEADER) for r in rows)
-        # m, n populated; rho, ell blank for ratio rows
-        assert rows[0][2] == "" and rows[0][4] != ""
+        # m, n populated; rho, ell absent (None) for ratio rows
+        assert rows[0][2] is None and rows[0][4] is not None
 
     def test_t1_scan_sorted_by_rho(self, ctx2):
         cert = verify_theorem1(ctx2, TENT)
