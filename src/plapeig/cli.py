@@ -96,14 +96,17 @@ class RunConfig:
     echo: tuple[str, ...] = tuple(DEFAULTS)
 
     def validate(self) -> None:
-        if not self.ell > 0.0 or self.ell > 1.0:
+        """Check the settings the run reads, those in ``echo``; a value
+        the run does not read is not checked."""
+        read = set(self.echo)
+        if "ell" in read and (not self.ell > 0.0 or self.ell > 1.0):
             raise UsageError(f"--ell must lie in (0, 1], got {self.ell}")
-        if self.n_max < 1:
+        if "n_max" in read and self.n_max < 1:
             raise UsageError(f"--n-max must be >= 1, got {self.n_max}")
         for name in ("rel_tol", "abs_tol", "phase_tol", "slack_rel", "slack_abs"):
-            if getattr(self, name) <= 0.0:
+            if name in read and getattr(self, name) <= 0.0:
                 raise UsageError(f"--{name.replace('_', '-')} must be positive")
-        if self.format not in ("csv", "report"):
+        if "format" in read and self.format not in ("csv", "report"):
             raise UsageError(f"--format must be csv or report, got {self.format}")
 
     def tolerance(self) -> ToleranceConfig:

@@ -32,13 +32,17 @@ zeros of S_p and like 1 - c*|phi - (k+1/2)*pi_p|^(p/(p-1)) at its
 extrema.  A step that straddles such a point carries an error the DP45
 estimate does not see, and where the straddle falls moves with rho, so
 phi(ell, rho) jitters in rho far above the local tolerance.  The phase
-kernel therefore lands a step on every level k*pi_p/2 the phase reaches:
-it locates the crossing on the cubic Hermite dense output of the step
-that passed it (Hairer, Norsett and Wanner, Solving ODEs I, II.6) and
-replaces that step by a shorter one that ends there.  At p = 2,
-|S_2|^2 = sin^2 is analytic, so no level is landed and results keep
-their bits.  The amplitude and sensitivity integrations land too: the
-levels are those of their phase.
+kernel therefore ends a step on every level k*pi_p/2 the phase reaches.
+Before each trial it predicts the distance to the next level from the
+slope phi' and, when the trial would reach that level, shortens it to
+end there; a trial that still passes a level is replaced by a shorter
+one that ends where the cubic Hermite dense output of the trial meets
+it (Hairer, Norsett and Wanner, Solving ODEs I, II.6).  The DP45
+estimate under-reads the error of the steps next to a level (II.4), so
+the kernel weights the error norm of a step that starts or ends on one.
+At p = 2, |S_2|^2 = sin^2 is analytic, so no level is landed and
+results keep their bits.  The amplitude and sensitivity integrations
+land too: the levels are those of their phase.
 
 One stage-unrolled kernel, ``_kernel``, runs the pair for every
 integration, so the step control, the step budget, the snap rule and
@@ -143,6 +147,13 @@ _MAX_FACTOR = 6.0
 # PI controller exponents for a 5th-order error estimate
 _PI_ALPHA = 0.17
 _PI_BETA = 0.04
+# at p != 2: a step whose phase ends within _LEVEL_WINDOW*pi_p/2 of a
+# level k*pi_p/2 sits on it, and the error norm of a step that starts on
+# a level is weighted by _START_WEIGHT, of one aimed at a level by
+# _END_WEIGHT: the DP45 estimate under-reads those steps by 5-23x
+_LEVEL_WINDOW = 1e-7
+_START_WEIGHT = 3.0
+_END_WEIGHT = 10.0
 
 
 def _pi_factor(err: float, err_old: float) -> float:
@@ -181,21 +192,33 @@ def _kernel(f, bounds, h, tol, stats, spacing, dim):
     ``bounds`` starts with a fresh slope and a fresh controller memory;
     the step size carries over.  Returns (phi, log R, u) at the last
     bound and, when the lanes ride along, the list of accepted states
-    (x, phi, phi', log R, (log R)'), whose first entry costs one more
-    slope at bounds[0]; else None.
+    (x, phi, phi', log R, (log R)'), whose first entry holds the first
+    piece's opening slope; else None.
 
     With ``spacing`` (pi_p/2 for p != 2, None at p = 2) every level
     k*spacing the phase reaches becomes a step boundary.  The kernel
-    keeps the open cell (L - spacing, L + spacing) around the last level
-    L the phase sat on (first 0).  An accepted trial that takes phi to
-    or past an end of the cell is discarded: the crossing theta of that
-    level on the trial's cubic Hermite (phi, phi_new, h*k1, h*k7) is
-    found by three Newton steps from the linear estimate, and the step
-    of length theta*h is taken in its place, so the next step starts on
-    the level.  A crossing within ``snap`` of either end of the trial
-    keeps the trial.  The right-hand side is smooth between levels, so
-    a step straddles a non-smooth point of |S_p|^p by no more than the
-    error of the Hermite estimate.
+    keeps the last level L the phase sat on (first 0) and the open cell
+    (L - spacing, L + spacing) around it.  Before each trial it predicts
+    the x-distance d = (L' - phi)/k1 to the next level L' in the
+    direction of k1; when d is no longer than the step about to be
+    tried, the trial takes length d instead, unless its end falls
+    within ``snap`` of the piece end.  A step whose phase ends within
+    the window ``_LEVEL_WINDOW*spacing`` of an end of the cell sits on
+    that level.  A step that takes phi farther past an end of the cell
+    is discarded: the crossing theta of that level on the trial's cubic
+    Hermite (phi, phi_new, h*k1, h*k7) is found by three Newton steps
+    from the linear estimate, and the step of length theta*h is taken
+    in its place and sits on the level.  A crossing within ``snap`` of
+    either end of the trial keeps the trial.  The right-hand side is
+    smooth between levels, so a step straddles a non-smooth point of
+    |S_p|^p by no more than the window or the error of the Hermite
+    estimate.  The DP45 estimate under-reads the error of the steps
+    next to a level, so the error norm of a step that starts on a level
+    is multiplied by ``_START_WEIGHT``, and of one aimed to end on a
+    level (predicted or Hermite) by ``_END_WEIGHT``.  A step starts on
+    the level the phase last sat on while the phase is still within
+    the window of it, so a sliver of a step before a knot does not
+    change the weight of the step after it.
 
     The step, reject and RHS counts and ``n_landed``, the discarded
     trials (six RHS evaluations each), go to ``stats``, also when the
@@ -205,18 +228,22 @@ def _kernel(f, bounds, h, tol, stats, spacing, dim):
     lanes = dim > 1
     phi = lr = u = 0.0
     k = dk = 0  # the phase last sat on the level k*spacing
-    lo_level, hi_level = (-spacing, spacing) if spacing else (-math.inf, math.inf)
+    if spacing:
+        # a phase past either bound has reached the level next to it
+        win = _LEVEL_WINDOW * spacing
+        lo_level, hi_level = win - spacing, spacing - win
+    else:
+        lo_level, hi_level = -math.inf, math.inf
+    on_level = bool(spacing)  # phi(0) = 0 is the level 0
     n_steps = n_rejected = n_landed = n_rhs = 0
-    dense = None
-    if lanes:
-        k1, l1, u1 = f(bounds[0], phi, u)
-        n_rhs = 1
-        dense = [(bounds[0], phi, k1, lr, l1)]
+    dense = [] if lanes else None
     try:
         for x, x_end in zip(bounds, bounds[1:]):
             snap = 1e-14 * max(1.0, abs(x_end))
             if lanes:
                 k1, l1, u1 = f(x, phi, u)
+                if not dense:
+                    dense.append((x, phi, k1, lr, l1))
             else:
                 k1 = f(x, phi)
             n_rhs += 1
@@ -226,11 +253,19 @@ def _kernel(f, bounds, h, tol, stats, spacing, dim):
                 if n_steps + n_rejected + n_landed >= max_steps:
                     raise IntegrationError(
                         f"step budget {max_steps} exhausted at x={x!r}", last_x=x)
+                weight = _START_WEIGHT if on_level else 1.0
                 if land:
                     ht = land
+                    weight *= _END_WEIGHT
                 else:
                     rest = x_end - x
                     ht = rest if rest < h else h
+                    if spacing and k1:
+                        # predicted landing on the next level ahead
+                        d = ((k + 1 if k1 > 0.0 else k - 1) * spacing - phi) / k1
+                        if d <= ht and x_end - (x + d) >= snap:
+                            ht = d
+                            weight *= _END_WEIGHT
                 if ht < 1e-14 * max(1.0, abs(x)):
                     raise IntegrationError(
                         f"step size underflow at x={x!r}", last_x=x)
@@ -291,23 +326,30 @@ def _kernel(f, bounds, h, tol, stats, spacing, dim):
                            + (el / (abs_tol + rel_tol * max(abs(lr), abs(lr_new)))) ** 2
                            + (eu / (abs_tol + rel_tol * max(abs(u), abs(u_new)))) ** 2
                            ) / dim
-                err = math.sqrt(err)
+                err = math.sqrt(err) * weight
 
                 if err <= 1.0:
                     if land or phi_new >= hi_level or phi_new <= lo_level:
                         if not land:
                             dk = 1 if phi_new >= hi_level else -1
-                            land = ht * _hermite_crossing(
-                                phi, phi_new, ht * k1, ht * k7,
-                                (k + dk) * spacing)
-                            if land >= snap and x_end - (x + land) >= snap:
-                                n_landed += 1  # discard: land next attempt
-                                continue
-                        # on the level: landed, or the crossing is an
-                        # end of the trial, which is then kept
+                            level = (k + dk) * spacing
+                            if abs(phi_new - level) > win:
+                                land = ht * _hermite_crossing(
+                                    phi, phi_new, ht * k1, ht * k7, level)
+                                if land >= snap and x_end - (x + land) >= snap:
+                                    n_landed += 1  # discard: land next attempt
+                                    continue
+                        # on the level: landed, within the window, or the
+                        # crossing is an end of the trial, which is kept
                         k += dk
-                        lo_level, hi_level = (k - 1) * spacing, (k + 1) * spacing
+                        lo_level = (k - 1) * spacing + win
+                        hi_level = (k + 1) * spacing - win
                         land = 0.0
+                        on_level = True
+                    elif spacing:
+                        # a step that stays within the window of its
+                        # level leaves the next one starting on it
+                        on_level = abs(phi_new - k * spacing) <= win
                     x_new = x + ht
                     x = x_end if x_end - x_new < snap else x_new
                     phi, k1 = phi_new, k7

@@ -319,18 +319,27 @@ def _hermite_root(y0, y1, s0, s1, level):
 def _reference_piece(f, x, y, x_end, h, tol, counters, spacing):
     """Adaptive DP45 over one smooth piece by a generic tableau loop.
 
-    With ``spacing`` (the phase at p != 2; else None), an accepted step
-    whose phase reaches a level (k +- 1)*spacing next to the level
-    k*spacing it last sat on is replaced by the step that ends where the
-    step's cubic Hermite meets that level, unless that point lies within
-    the snap distance of either end of the step.  ``counters["level"]``
-    carries k across pieces.
+    With ``spacing`` (the phase at p != 2; else None) the phase lands on
+    the levels k*spacing.  ``counters["level"]`` is the level k it last
+    sat on and ``counters["on_level"]`` whether the next step starts
+    there; both carry across pieces.  Before a trial, the step to the
+    next level in the direction of the phase slope, (level - phi)/phi',
+    replaces the trial when it is no longer, unless it ends within the
+    snap distance of the piece end.  A step whose phase ends within
+    1e-7*spacing of the level next to k sits on it; one that passes it
+    by more is replaced by the step that ends where the step's cubic
+    Hermite meets the level, unless that point lies within the snap
+    distance of either end of the step.  The error norm is weighted by
+    3 on a step that starts on a level, where the phase sat on it and
+    has stayed within the window since, and by 10 on a step aimed at a
+    level, predicted or Hermite.
     """
     dim = len(y)
     k1 = f(x, y)
     counters["n_rhs"] += 1
     err_old = 1e-4
     snap = 1e-14 * max(1.0, abs(x_end))
+    window = 1e-7 * spacing if spacing else None
     landing = None  # (length, level step) of a pending step onto a level
     while x < x_end:
         attempts = (counters["n_steps"] + counters["n_rejected"]
@@ -338,7 +347,19 @@ def _reference_piece(f, x, y, x_end, h, tol, counters, spacing):
         if attempts >= tol.max_steps:
             raise IntegrationError(
                 f"step budget {tol.max_steps} exhausted at x={x!r}", last_x=x)
-        h_try = landing[0] if landing else min(h, x_end - x)
+        level = counters["level"]
+        weight = 3.0 if counters["on_level"] else 1.0
+        if landing:
+            h_try = landing[0]
+            weight *= 10.0
+        else:
+            h_try = min(h, x_end - x)
+            if spacing and k1[0] != 0.0:
+                ahead = level + 1 if k1[0] > 0.0 else level - 1
+                dist = (ahead * spacing - y[0]) / k1[0]
+                if dist <= h_try and x_end - (x + dist) >= snap:
+                    h_try = dist
+                    weight *= 10.0
         if h_try < 1e-14 * max(1.0, abs(x)):
             raise IntegrationError(f"step size underflow at x={x!r}", last_x=x)
 
@@ -355,26 +376,34 @@ def _reference_piece(f, x, y, x_end, h, tol, counters, spacing):
             e = h_try * _dot(_DP_E, k, d)
             sc = tol.abs_tol + tol.rel_tol * max(abs(y[d]), abs(y_new[d]))
             err += (e / sc) ** 2
-        err = math.sqrt(err / dim)
+        err = math.sqrt(err / dim) * weight
 
         if err <= 1.0:
             if landing:
                 counters["level"] += landing[1]
+                counters["on_level"] = True
                 landing = None
             elif spacing:
-                level = counters["level"]
-                step = (1 if y_new[0] >= (level + 1) * spacing
-                        else -1 if y_new[0] <= (level - 1) * spacing else 0)
+                step = (1 if y_new[0] >= (level + 1) * spacing - window
+                        else -1 if y_new[0] <= (level - 1) * spacing + window
+                        else 0)
                 if step:
-                    length = h_try * _hermite_root(
-                        y[0], y_new[0], h_try * k[0][0], h_try * k[6][0],
-                        (level + step) * spacing)
-                    if length >= snap and x_end - (x + length) >= snap:
-                        landing = (length, step)
-                        counters["n_landed"] += 1
-                        continue
-                    # a crossing at either end of the step keeps it
+                    target = (level + step) * spacing
+                    if abs(y_new[0] - target) > window:
+                        length = h_try * _hermite_root(
+                            y[0], y_new[0], h_try * k[0][0], h_try * k[6][0],
+                            target)
+                        if length >= snap and x_end - (x + length) >= snap:
+                            landing = (length, step)
+                            counters["n_landed"] += 1
+                            continue
+                    # within the window, or a crossing at either end of
+                    # the step: the step is kept and sits on the level
                     counters["level"] += step
+                    counters["on_level"] = True
+                else:
+                    counters["on_level"] = (
+                        abs(y_new[0] - level * spacing) <= window)
             x_new = x + h_try
             if x_end - x_new < snap:
                 x_new = x_end
@@ -398,10 +427,11 @@ def reference_dp45(ctx, q, rho, ell, tol, dim):
     A tableau loop over tuple states, with the package's right-hand
     sides and step control: dim = 1 is the phase, 2 adds log R, 3 adds
     u = d(phi)/d(rho).  For p != 2 the steps land on the levels
-    k*pi_p/2 of the phase, whatever ``dim``.  The stage-unrolled kernel
-    must match it bit for bit.  Returns a dict with ``phi_end``,
-    ``logr_end``, ``u_end`` (None where not integrated), ``n_steps``,
-    ``n_rejected``, ``n_landed`` and ``n_rhs``.
+    k*pi_p/2 of the phase, whatever ``dim``, by prediction and by the
+    Hermite fallback.  The stage-unrolled kernel must match it bit for
+    bit.  Returns a dict with ``phi_end``, ``logr_end``, ``u_end`` (None
+    where not integrated), ``n_steps``, ``n_rejected``, ``n_landed`` and
+    ``n_rhs``.
     """
     from plapeig.ptrig import fast_abs_sp_pow, fast_pair
 
@@ -432,17 +462,15 @@ def reference_dp45(ctx, q, rho, ell, tol, dim):
             return (rho - qval(x) * inv_rho_pm1 * fast_abs_sp_pow(ctx, y[0]),)
 
     y = (0.0,) * dim
-    counters = {"n_steps": 0, "n_rejected": 0, "n_landed": 0, "n_rhs": 0,
-                "level": 0}
-    if dim > 1:
-        f(0.0, y)  # the slope recorded at x = 0 as dense output
-        counters["n_rhs"] = 1
     spacing = 0.5 * ctx.pi_p if p != 2.0 else None
+    # phi(0) = 0 sits on the level 0
+    counters = {"n_steps": 0, "n_rejected": 0, "n_landed": 0, "n_rhs": 0,
+                "level": 0, "on_level": spacing is not None}
     bounds = [0.0] + [b for b in q.interior_knots() if 0.0 < b < ell] + [ell]
     h = min(ell, 0.1 * ctx.pi_p / rho)
     for a, b in zip(bounds, bounds[1:]):
         _, y, h = _reference_piece(f, a, y, b, h, tol, counters, spacing)
-    del counters["level"]
+    del counters["level"], counters["on_level"]
     return {"phi_end": y[0],
             "logr_end": y[1] if dim > 1 else None,
             "u_end": y[2] if dim > 2 else None,

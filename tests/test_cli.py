@@ -464,6 +464,32 @@ class TestConfigPrecedence:
         assert err == "usage error: unknown config keys: ['out']\n"
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("entry,command", (
+        ({"ell": 5}, ("classify", "--potential", TENT_SPEC)),
+        ({"n_max": 0}, ("verify", "--theorem", "t1", "--p", "2",
+                        "--potential", TENT_SPEC))),
+        ids=("classify-ell", "verify-t1-n_max"))
+    def test_unread_config_value_is_not_checked(self, capsys, tmp_path,
+                                                entry, command):
+        # a config-file value the run does not read is neither echoed
+        # nor validated: classify reads no ell and T1 no n_max
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(entry))
+        code, out, err = run_cli(capsys, *command, "--config", str(cfg))
+        assert code == 0, err
+        key = next(iter(entry))
+        assert f"# {key}=" not in out
+        assert "usage error" not in err
+
+    def test_read_config_value_is_checked(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"ell": 5}))
+        code, out, err = run_cli(capsys, "eigs", "--config", str(cfg),
+                                 "--potential", FREE_SPEC, "--n-max", "1")
+        assert code == 2
+        assert out == ""
+        assert err == "usage error: --ell must lie in (0, 1], got 5.0\n"
+
     def test_unknown_config_key(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"nope": 1}))
