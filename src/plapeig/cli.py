@@ -36,7 +36,7 @@ from .errors import PLapError, PotentialParseError
 from .potentials import Potential, classify, parse_potential_spec, restrict, scaled_tent
 from .prufer import ToleranceConfig
 from .ptrig import make_context, sp_pair
-from .theorems import (CSV_HEADER, HarnessConfig, verify_remark1,
+from .theorems import (CSV_HEADER, READS, HarnessConfig, verify_remark1,
                        verify_theorem1, verify_theorem2, verify_theorem3)
 
 EXIT_OK = 0
@@ -285,11 +285,9 @@ def cmd_eigs(args) -> int:
 
 _THEOREMS = {"t1": verify_theorem1, "t2": verify_theorem2,
              "t3": verify_theorem3, "r1": verify_remark1}
-# the registered settings each harness leaves unread: T1 scans rho, the
-# others an index range, and only T3 a grid of ell
-_UNREAD = {"t1": ("n_max", "phase_tol", "ell_points", "slack_rel"),
-           "t3": ("rho_points", "rho_span", "slack_abs")}
-_UNREAD["t2"] = _UNREAD["r1"] = _UNREAD["t3"] + ("ell_points",)
+# the settings a harness leaves unread, which its certificate omits
+_UNREAD = {t: tuple(k for k in DEFAULTS if k not in ("p", "format")
+                    and k not in READS[t.upper()]) for t in _THEOREMS}
 
 
 def cmd_verify(args) -> int:

@@ -11,11 +11,8 @@ and one routine runs a secant iteration on the phase miss
 phi(ell) - n*pi_p in rho, from the first-order guess
 (n*pi_p/ell)^p + mean q, safeguarded by that interval: a step that
 leaves the part of it known to hold the root becomes a bisection, and an
-end that fails to bracket the root is widened.  For p != 2 the phase
-right-hand side is only C^1 at phi = k*pi_p/2, so the adaptive
-integrator reproduces phi(ell) only to its accumulated error, which can
-exceed the residual gate; the same routine then runs once more on a
-1000x tighter integration, from the root found.  The substitution
+end that fails to bracket the root is widened.  It runs once: a root
+whose miss exceeds the residual gate is a ``SearchError``.  The substitution
 rho = lambda^(1/p) needs lambda > 0, so when the lower bound is not
 positive the search runs on the shifted potential q + c with
 c = -min q and reports lambda_n(q) = lambda_n(q + c) - c; the shift
@@ -51,9 +48,7 @@ class SolverConfig:
     ``phase_tol`` is the accepted residual |phi(ell) - n*pi_p| in phase
     units.  The secant search aims at min(1e-10, phase_tol/10), so the
     root does not depend on ``phase_tol`` at or above the default; a
-    root that misses ``phase_tol`` at ``tolerance`` is solved once more
-    at a 1000x tighter ``tolerance``, and a second miss is a
-    ``SearchError``.
+    root that misses it at ``tolerance`` is a ``SearchError``.
     """
 
     phase_tol: float = 1e-9
@@ -129,15 +124,15 @@ def find_eigenvalue(ctx: PContext, q: Potential, n: int, ell: float,
     the first-order guess lambda_0 = (n*pi_p/ell)^p + mean q, with the
     slope d phi/d rho = ell of q = 0; phi(ell, .) crosses each level
     n*pi_p exactly once upward, so the root is unique, and the
-    comparison bracket safeguards the search.  When the miss at the root
-    exceeds ``phase_tol``, the same routine runs once more on a 1000x
-    tighter integration, from the root found with its last slope.  The
-    returned bracket is built from every evaluation; when none lies
-    just across the root, one more is taken there.  Every real lambda_n
-    is reached: when the comparison lower bound is not positive, the
-    search runs on q - min q and the shift is taken off again
-    (``Eigenpair.shift``).  The residual is the only acceptance test; it
-    fixes ``zero_count`` at n - 1.
+    comparison bracket safeguards the search.  It runs once, every
+    integration at ``cfg.tolerance``; a root that misses ``phase_tol``
+    raises :class:`SearchError` with its rho and phi(ell).  The returned
+    bracket is built from every evaluation; when none lies just across
+    the root, one more is taken there.  Every real lambda_n is reached:
+    when the comparison lower bound is not positive, the search runs on
+    q - min q and the shift is taken off again (``Eigenpair.shift``).
+    The residual is the only acceptance test; it fixes ``zero_count`` at
+    n - 1.
     """
     p = ctx.p
     target = n * ctx.pi_p
@@ -152,48 +147,32 @@ def find_eigenvalue(ctx: PContext, q: Potential, n: int, ell: float,
     hi = hi + 1e-12 * (1.0 + abs(hi))
     stop = min(1e-10, 0.1 * cfg.phase_tol)
 
-    # terminal phase of every integration, by (rho, tolerance)
-    phis: dict[tuple[float, ToleranceConfig], float] = {}
+    # terminal phase of every integration, by rho
+    phis: dict[float, float] = {}
 
-    def miss(tol: ToleranceConfig):
-        def h(rho: float) -> float:
-            if (rho, tol) not in phis:
-                phis[rho, tol] = integrate_phase(ctx, q, rho, ell, tol).phi_end
-            return phis[rho, tol] - target
-        return h
+    def h(rho: float) -> float:
+        if rho not in phis:
+            phis[rho] = integrate_phase(ctx, q, rho, ell,
+                                        cfg.tolerance).phi_end
+        return phis[rho] - target
 
-    tol = cfg.tolerance
-    rho_n, slope = _solve(miss(tol), p, lo, hi, width, n,
-                          lam0 ** (1.0 / p), ell, stop)
-    residual = abs(phis[rho_n, tol] - target)
+    rho_n, slope = _solve(h, p, lo, hi, width, n, lam0 ** (1.0 / p), ell,
+                          stop)
+    residual = abs(phis[rho_n] - target)
     if residual > cfg.phase_tol:
-        # the integrated phase is only reproducible to the integrator's
-        # accumulated error, which can exceed phase_tol at the default
-        # local tolerance: for p != 2 the right-hand side is merely C^1
-        # in phi at the multiples of pi_p/2.  Solve once more on a
-        # tighter integration, from the root found
-        tol = ToleranceConfig(
-            rel_tol=max(1e-3 * tol.rel_tol, 1e-14),
-            abs_tol=max(1e-3 * tol.abs_tol, 1e-15),
-            max_steps=tol.max_steps)
-        rho_n, slope = _solve(miss(tol), p, lo, hi, width, n, rho_n, slope,
-                              stop)
-        residual = abs(phis[rho_n, tol] - target)
-        if residual > cfg.phase_tol:
-            raise SearchError(
-                f"root polish for n={n} stalled at residual {residual:g} "
-                f"(phase_tol {cfg.phase_tol:g})",
-                details={"rho": rho_n, "phi_end": phis[rho_n, tol]})
+        raise SearchError(
+            f"root for n={n} misses the phase target by {residual:g} "
+            f"(phase_tol {cfg.phase_tol:g})",
+            details={"rho": rho_n, "phi_end": phis[rho_n]})
 
     # honesty bracket: an evaluation across the root within four
     # corrections of it, or one more, stepping out until it lands there
-    h = miss(tol)
     side = 1.0 if h(rho_n) < 0.0 else -1.0
     step = max(2.0 * residual / slope if slope > 0.0 else 0.0,
                1e-12 * rho_n)
     if residual and not any(
             side * (phi - target) > 0.0 and abs(r - rho_n) <= 2.0 * step
-            for (r, _), phi in phis.items()):
+            for r, phi in phis.items()):
         for _ in range(60):
             if side * h(rho_n + side * step) > 0.0:
                 break
@@ -204,11 +183,11 @@ def find_eigenvalue(ctx: PContext, q: Potential, n: int, ell: float,
 
     # both sides now hold an evaluation; an exact hit belongs to both
     lam = rho_n ** p
-    neg = [r ** p for (r, _), phi in phis.items() if phi <= target]
-    pos = [r ** p for (r, _), phi in phis.items() if phi >= target]
+    neg = [r ** p for r, phi in phis.items() if phi <= target]
+    pos = [r ** p for r, phi in phis.items() if phi >= target]
     bracket = (min(max(neg), lam) - shift, max(min(pos), lam) - shift)
     return Eigenpair(n=n, lam=lam - shift, rho=rho_n,
-                     phi_end=phis[rho_n, tol], residual=residual,
+                     phi_end=phis[rho_n], residual=residual,
                      zero_count=n - 1, bracket=bracket, shift=shift)
 
 

@@ -122,15 +122,19 @@ class TheoremCertificate:
         return [s.csv_row(self.theorem_id) for s in self.scan]
 
 
-def _config_dict(ctx: PContext, q: Potential, cfg: HarnessConfig,
-                 **extra) -> dict:
-    d = {"p": ctx.p, "potential": q.to_spec(),
-         "slack_rel": cfg.slack_rel, "slack_abs": cfg.slack_abs,
-         "phase_tol": cfg.solver.phase_tol,
-         "rel_tol": cfg.solver.tolerance.rel_tol,
-         "abs_tol": cfg.solver.tolerance.abs_tol}
-    d.update(extra)
-    return d
+# the settings each harness reads and its certificate records, besides p
+# and the potential: T1 scans rho, the others an index range, T3 also ell
+_TOLERANCE = ("rel_tol", "abs_tol", "max_steps")
+_RATIO = _TOLERANCE + ("phase_tol", "n_max", "slack_rel")
+READS = {"T1": _TOLERANCE + ("rho_points", "rho_span", "slack_abs"),
+         "T2": _RATIO, "R1": _RATIO, "T3": _RATIO + ("ell_points",)}
+
+
+def _config_dict(theorem_id: str, ctx: PContext, q: Potential,
+                 cfg: HarnessConfig, n_max: int | None = None) -> dict:
+    settings = {**vars(cfg), **vars(cfg.solver), **vars(cfg.solver.tolerance),
+                "n_max": n_max, "p": ctx.p, "potential": q.to_spec()}
+    return {k: settings[k] for k in ("p", "potential") + READS[theorem_id]}
 
 
 def _finalize(theorem_id: str, hypotheses: dict, scan: list[ScanPoint],
@@ -199,8 +203,7 @@ def verify_theorem1(ctx: PContext, q: Potential,
     x0 = full.x0
     notes: list[str] = []
     hypotheses: dict = {"shape_certificate": full.as_dict(), "x0": x0}
-    config = _config_dict(ctx, q, cfg, rho_points=cfg.rho_points,
-                          rho_span=cfg.rho_span)
+    config = _config_dict("T1", ctx, q, cfg)
     reason = _hypothesis_gate(full, None, _ONE_TURNING_POINT)
     if reason:
         return _hypothesis_failure("T1", hypotheses, config, reason)
@@ -338,7 +341,7 @@ def verify_theorem2(ctx: PContext, q: Potential, n_max: int = 6,
     threshold = -2.0 * cert.q_star
     hypotheses = {"shape_certificate": cert.as_dict(),
                   "lambda_threshold": threshold}
-    config = _config_dict(ctx, q, cfg, n_max=n_max)
+    config = _config_dict("T2", ctx, q, cfg, n_max)
 
     reason = _hypothesis_gate(cert, "nonpositive", _SINGLE_BARRIER)
     if reason:
@@ -377,7 +380,7 @@ def verify_theorem3(ctx: PContext, q: Potential, ell_grid=None,
     """
     cert = classify(q)
     hypotheses = {"shape_certificate": cert.as_dict()}
-    config = _config_dict(ctx, q, cfg, n_max=n_max, ell_points=cfg.ell_points)
+    config = _config_dict("T3", ctx, q, cfg, n_max)
 
     reason = _hypothesis_gate(cert, "nonpositive", _SINGLE_BARRIER)
     if reason:
@@ -464,7 +467,7 @@ def verify_remark1(ctx: PContext, q: Potential, n_max: int = 6,
     """Ratio upper bound for nonnegative single-well potentials."""
     cert = classify(q)
     hypotheses = {"shape_certificate": cert.as_dict()}
-    config = _config_dict(ctx, q, cfg, n_max=n_max)
+    config = _config_dict("R1", ctx, q, cfg, n_max)
 
     reason = _hypothesis_gate(cert, "nonnegative", _SINGLE_WELL)
     if reason:

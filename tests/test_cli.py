@@ -259,6 +259,26 @@ class TestVerify:
         assert keys == sorted(echoed + ["format", "p", "potential",
                                         "theorem"])
 
+    @pytest.mark.parametrize("theorem", ("t1", "t2", "t3", "r1"))
+    def test_certificate_records_the_header_settings(self, capsys, tmp_path,
+                                                     theorem):
+        # the certificate's config holds exactly the settings the CLI
+        # header echoes, less the CLI's own format and theorem
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"n_max": 2, "rho_points": 2,
+                                   "ell_points": 2}))
+        spec = WELL_SPEC if theorem == "r1" else '{"type":"constant","value":-2}'
+        argv = ("verify", "--theorem", theorem, "--p", "2", "--potential",
+                spec, "--config", str(cfg))
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        header = {line[2:].split("=")[0] for line in out.splitlines()
+                  if line.startswith("# ")}
+        code, out, _ = run_cli(capsys, *argv, "--format", "report")
+        assert code == 0
+        recorded = json.loads(out)["certificate"]["config"]
+        assert set(recorded) == header - {"format", "theorem"}
+
     @pytest.mark.parametrize("theorem,flag,value", (
         ("t1", "--n-max", "9"), ("t1", "--ell-points", "3"),
         ("t1", "--phase-tol", "1e-8"), ("t1", "--slack-rel", "1e-6"),

@@ -310,7 +310,7 @@ class TestCertificates:
                             "hypotheses", "scan", "notes", "config"}
         assert doc["theorem_id"] == "T2"
         assert doc["config"]["slack_rel"] == 1e-8
-        assert doc["config"]["slack_abs"] == 1e-10
+        assert "slack_abs" not in doc["config"]  # T1's slack, unread here
         assert doc["hypotheses"]["shape_certificate"]["shape"] == "single_barrier"
 
     def test_csv_rows_schema(self, ctx2):
