@@ -29,10 +29,10 @@ import functools
 import io
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .eigensolver import SolverConfig, compute_spectrum
-from .errors import PLapError, PotentialParseError
+from .errors import DomainError, PLapError, PotentialParseError
 from .potentials import Potential, classify, parse_potential_spec, restrict, scaled_tent
 from .prufer import ToleranceConfig
 from .ptrig import make_context, sp_pair
@@ -44,89 +44,53 @@ EXIT_ERROR = 2       # usage problems and solver failures
 EXIT_VIOLATED = 3
 EXIT_INCONCLUSIVE = 4
 
-_TOL, _SOLVER, _HARNESS = ToleranceConfig(), SolverConfig(), HarnessConfig()
-
-# the numerical defaults are those of the config dataclasses; only the
-# CLI-only keys carry literals here
-DEFAULTS = {
-    "p": 2.0,
-    "ell": 1.0,
-    "n_max": 4,
-    "rel_tol": _TOL.rel_tol,
-    "abs_tol": _TOL.abs_tol,
-    "phase_tol": _SOLVER.phase_tol,
-    "max_steps": _TOL.max_steps,
-    "rho_points": _HARNESS.rho_points,
-    "rho_span": _HARNESS.rho_span,
-    "ell_points": _HARNESS.ell_points,
-    "slack_rel": _HARNESS.slack_rel,
-    "slack_abs": _HARNESS.slack_abs,
-    "format": "csv",
-}
+# p, ell, n_max and format are the CLI's own settings; every other key,
+# with its default, is a field of the config dataclasses
+DEFAULTS = {"p": 2.0, "ell": 1.0, "n_max": 4,
+            **HarnessConfig().settings(), "format": "csv"}
 
 
 class UsageError(Exception):
     pass
 
 
+def _flag(key: str) -> str:
+    """The flag that sets ``DEFAULTS`` key ``key``."""
+    return "--" + key.replace("_", "-")
+
+
 @dataclass
 class RunConfig:
-    """Effective run configuration (defaults, config file, CLI merged);
-    one field per ``DEFAULTS`` key, plus the parsed potential and the
-    output path.
+    """Effective run configuration (defaults, config file, CLI merged):
+    the CLI's own settings, the harness config holding every other one,
+    the parsed potential and the output path.
     ``echo`` names the ``DEFAULTS`` keys the run reads, the only ones
     its output header repeats."""
 
     p: float
     ell: float
     n_max: int
-    rel_tol: float
-    abs_tol: float
-    phase_tol: float
-    max_steps: int
-    rho_points: int
-    rho_span: float
-    ell_points: int
-    slack_rel: float
-    slack_abs: float
     format: str
+    harness: HarnessConfig
+    echo: tuple[str, ...]
     potential: Potential | None = None
     out: str | None = None
     extra: dict = field(default_factory=dict)
-    echo: tuple[str, ...] = tuple(DEFAULTS)
 
     def validate(self) -> None:
-        """Check the settings the run reads, those in ``echo``; a value
-        the run does not read is not checked."""
+        """Check the CLI's own settings the run reads, those in ``echo``;
+        the config dataclasses check theirs."""
         read = set(self.echo)
         if "ell" in read and (not self.ell > 0.0 or self.ell > 1.0):
             raise UsageError(f"--ell must lie in (0, 1], got {self.ell}")
         if "n_max" in read and self.n_max < 1:
             raise UsageError(f"--n-max must be >= 1, got {self.n_max}")
-        for name in ("rel_tol", "abs_tol", "phase_tol", "slack_rel", "slack_abs"):
-            if name in read and getattr(self, name) <= 0.0:
-                raise UsageError(f"--{name.replace('_', '-')} must be positive")
         if "format" in read and self.format not in ("csv", "report"):
             raise UsageError(f"--format must be csv or report, got {self.format}")
 
-    def tolerance(self) -> ToleranceConfig:
-        return ToleranceConfig(rel_tol=self.rel_tol, abs_tol=self.abs_tol,
-                               max_steps=self.max_steps)
-
-    def solver(self) -> SolverConfig:
-        return SolverConfig(phase_tol=self.phase_tol,
-                            tolerance=self.tolerance())
-
-    def harness(self) -> HarnessConfig:
-        return HarnessConfig(solver=self.solver(),
-                             slack_rel=self.slack_rel,
-                             slack_abs=self.slack_abs,
-                             rho_points=self.rho_points,
-                             rho_span=self.rho_span,
-                             ell_points=self.ell_points)
-
     def echo_dict(self) -> dict:
-        d = {k: getattr(self, k) for k in self.echo}
+        values = {**vars(self), **self.harness.settings()}
+        d = {k: values[k] for k in self.echo}
         if self.potential is not None:
             d["potential"] = self.potential.to_spec()
         d.update(self.extra)
@@ -159,6 +123,20 @@ def _load_potential(arg) -> Potential:
         raise UsageError(f"invalid potential spec: {exc}") from exc
 
 
+def _harness(values: dict) -> HarnessConfig:
+    """The harness config, and the solver and tolerance configs inside
+    it, from ``values`` by field name; a field without a value keeps its
+    default, and a value its dataclass refuses is a usage error."""
+    def given(cls):
+        return {f.name: values[f.name] for f in fields(cls) if f.name in values}
+    try:
+        solver = SolverConfig(tolerance=ToleranceConfig(**given(ToleranceConfig)),
+                              **given(SolverConfig))
+        return HarnessConfig(solver=solver, **given(HarnessConfig))
+    except DomainError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def _merge_config(args: argparse.Namespace, unread=()) -> RunConfig:
     """Defaults, then the config file, then every ``DEFAULTS`` flag the
     subcommand registered.  ``unread`` names registered keys this run
@@ -167,7 +145,7 @@ def _merge_config(args: argparse.Namespace, unread=()) -> RunConfig:
     given = [k for k in unread if getattr(args, k, None) is not None]
     if given:
         raise UsageError("this run does not read "
-                         + ", ".join("--" + k.replace("_", "-") for k in given))
+                         + ", ".join(_flag(k) for k in given))
     merged = dict(DEFAULTS)
     config_path = getattr(args, "config", None)
     if config_path:
@@ -196,10 +174,14 @@ def _merge_config(args: argparse.Namespace, unread=()) -> RunConfig:
         if not exact or isinstance(merged[k], bool):
             raise UsageError(f"config key {k!r}: expected "
                              f"{type(v).__name__}, got {merged[k]!r}")
-    cfg = RunConfig(**{k: type(v)(merged[k]) for k, v in DEFAULTS.items()},
-                    out=getattr(args, "out", None),
-                    echo=tuple(k for k in DEFAULTS
-                               if hasattr(args, k) and k not in unread))
+    typed = {k: type(v)(merged[k]) for k, v in DEFAULTS.items()}
+    echo = tuple(k for k in DEFAULTS if hasattr(args, k) and k not in unread)
+    # only the settings the run reads reach the config dataclasses, so a
+    # value it ignores keeps the default and goes unchecked
+    cfg = RunConfig(p=typed["p"], ell=typed["ell"], n_max=typed["n_max"],
+                    format=typed["format"],
+                    harness=_harness({k: typed[k] for k in echo}),
+                    echo=echo, out=getattr(args, "out", None))
     # a potential is parsed, and echoed, only where the subcommand reads one
     if hasattr(args, "potential"):
         pot = args.potential or merged.get("potential")
@@ -274,7 +256,7 @@ def cmd_eigs(args) -> int:
     if cfg.ell < q.domain_end:
         q = restrict(q, cfg.ell)
     # a failed search names its index; main() reports it
-    spectrum = compute_spectrum(ctx, q, cfg.n_max, cfg.ell, cfg.solver())
+    spectrum = compute_spectrum(ctx, q, cfg.n_max, cfg.ell, cfg.harness.solver)
     # rho belongs to q + shift: rho^p = lambda + shift
     rows = [(pr.n, pr.lam, pr.rho, pr.phi_end, pr.residual, pr.zero_count,
              pr.bracket_width, pr.shift) for pr in spectrum.pairs]
@@ -299,7 +281,7 @@ def cmd_verify(args) -> int:
         raise UsageError("--theorem must be one of t1, t2, t3, r1")
     ctx = make_context(cfg.p)
     q = cfg.potential
-    kwargs = {"cfg": cfg.harness()}
+    kwargs = {"cfg": cfg.harness}
     if theorem != "t1":  # T1 scans rho, not an index range
         kwargs["n_max"] = cfg.n_max
     try:
@@ -360,7 +342,7 @@ def cmd_sweep(args) -> int:
             if ell < q.domain_end:
                 q = restrict(q, ell)
             ctx = make_context(p)
-            spectrum = compute_spectrum(ctx, q, cfg.n_max, ell, cfg.solver())
+            spectrum = compute_spectrum(ctx, q, cfg.n_max, ell, cfg.harness.solver)
             # a ratio to lambda_1 <= 0 says nothing: left empty (null)
             lam1 = spectrum.pairs[0].lam
             for pr in spectrum.pairs:
@@ -396,12 +378,8 @@ def _add_common(sub: argparse.ArgumentParser, p: bool = True,
     if solver:
         sub.add_argument("--n-max", dest="n_max", type=int, default=None,
                          help="number of eigenvalues")
-        sub.add_argument("--rel-tol", dest="rel_tol", type=float, default=None)
-        sub.add_argument("--abs-tol", dest="abs_tol", type=float, default=None)
-        sub.add_argument("--phase-tol", dest="phase_tol", type=float,
-                         default=None)
-        sub.add_argument("--max-steps", dest="max_steps", type=int,
-                         default=None)
+        for key in ("rel_tol", "abs_tol", "phase_tol", "max_steps"):
+            sub.add_argument(_flag(key), type=type(DEFAULTS[key]))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -434,11 +412,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(s)
     s.add_argument("--theorem", choices=("t1", "t2", "t3", "r1"),
                    default=None)
-    s.add_argument("--rho-points", dest="rho_points", type=int, default=None)
-    s.add_argument("--rho-span", dest="rho_span", type=float, default=None)
-    s.add_argument("--ell-points", dest="ell_points", type=int, default=None)
-    s.add_argument("--slack-rel", dest="slack_rel", type=float, default=None)
-    s.add_argument("--slack-abs", dest="slack_abs", type=float, default=None)
+    for key in ("rho_points", "rho_span", "ell_points", "slack_rel",
+                "slack_abs"):
+        s.add_argument(_flag(key), type=type(DEFAULTS[key]))
     s.set_defaults(func=cmd_verify)
 
     s = add("sweep", help="parameter sweep, long-form CSV")

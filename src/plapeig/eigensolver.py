@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, SearchError
+from .errors import DomainError, SearchError, check_range
 from .potentials import Potential
 from .prufer import ToleranceConfig, integrate_phase
 from .ptrig import PContext
@@ -49,14 +49,15 @@ class SolverConfig:
     units.  The secant search aims at min(1e-10, phase_tol/10), so the
     root does not depend on ``phase_tol`` at or above the default; a
     root that misses it at ``tolerance`` is a ``SearchError``.
+    ``phase_tol`` must be positive and finite; any other value is a
+    ``DomainError`` naming it.
     """
 
     phase_tol: float = 1e-9
     tolerance: ToleranceConfig = field(default_factory=ToleranceConfig)
 
     def __post_init__(self):
-        if self.phase_tol <= 0.0:
-            raise DomainError("phase_tol must be positive")
+        check_range(self, 0, "phase_tol", strict=True)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the config range checks."""
+
+import math
 
 
 class PLapError(Exception):
@@ -47,3 +49,13 @@ class SearchError(PLapError, RuntimeError):
     def __init__(self, message: str, details: dict | None = None):
         super().__init__(message)
         self.details = dict(details or {})
+
+
+def check_range(cfg, low, *names: str, strict: bool = False) -> None:
+    """Raise DomainError naming the first field of ``cfg`` in ``names``
+    that is not finite and at least ``low`` (above it, if ``strict``)."""
+    for name in names:
+        value = getattr(cfg, name)
+        if not (low < value if strict else low <= value) or value == math.inf:
+            rule = f"> {low}" if strict else f">= {low}"
+            raise DomainError(f"{name} must be finite and {rule}, got {value}")

@@ -65,7 +65,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, IntegrationError, StateError
+from .errors import DomainError, IntegrationError, StateError, check_range
 from .potentials import Potential
 from .ptrig import PContext, _quarter, fast_abs_sp_pow, sp_pair
 
@@ -76,15 +76,20 @@ RHO_CONDITIONING_LIMIT = 1e8
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Local error control for the adaptive integrator."""
+    """Local error control for the adaptive integrator.
+
+    ``rel_tol`` and ``abs_tol`` must be positive and finite, and
+    ``max_steps`` at least 10; any other value is a ``DomainError``
+    naming the field.
+    """
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     max_steps: int = 200_000
 
     def __post_init__(self):
-        if self.rel_tol <= 0.0 or self.abs_tol <= 0.0 or self.max_steps < 10:
-            raise DomainError("tolerances must be positive and max_steps >= 10")
+        check_range(self, 0, "rel_tol", "abs_tol", strict=True)
+        check_range(self, 10, "max_steps")
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """Verification harnesses for the eigenvalue-ratio statements.
 
 Each harness checks the hypotheses of one statement on a concrete
-potential, scans the quantified variable (spectral parameter, index
-pair, or interval length), and emits a machine-readable certificate
-with one margin per scan point:
+potential, scans the quantified variable (``rho_points`` values of the
+spectral parameter, the index pairs up to ``n_max``, or ``ell_points``
+interval lengths), and emits a machine-readable certificate with one
+margin per scan point:
 
   T1  scaled-phase sensitivity: theta's rho-derivative at the turning
       point x0 is nonpositive once rho^p >= -2 q(0), for nonpositive q
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .eigensolver import Eigenpair, SolverConfig, find_eigenvalue
-from .errors import PLapError, SearchError
+from .errors import PLapError, SearchError, check_range
 from .potentials import (BARRIER_LIKE, WELL_LIKE, Potential, Shape,
                          ShapeCertificate, classify, restrict)
 from .prufer import integrate_sensitivity
@@ -50,7 +51,13 @@ CSV_HEADER = ("theorem_id", "quantity", "rho", "ell", "m", "n",
 
 @dataclass(frozen=True)
 class HarnessConfig:
-    """Scan resolution and slack for the verification harnesses."""
+    """Scan resolution and slack for the verification harnesses.
+
+    ``slack_rel`` and ``slack_abs`` must be positive and finite,
+    ``rho_points`` and ``ell_points`` at least 1, and ``rho_span``
+    finite and at least 1; any other value is a ``DomainError`` naming
+    the field.
+    """
 
     solver: SolverConfig = field(default_factory=SolverConfig)
     slack_rel: float = 1e-8   # ratio inequalities
@@ -58,6 +65,17 @@ class HarnessConfig:
     rho_points: int = 32
     rho_span: float = 4.0     # grid reaches rho_span * threshold
     ell_points: int = 24
+
+    def __post_init__(self):
+        check_range(self, 0, "slack_rel", "slack_abs", strict=True)
+        check_range(self, 1, "rho_points", "ell_points", "rho_span")
+
+    def settings(self) -> dict:
+        """Every setting by field name, the solver's and its tolerance's
+        included."""
+        flat = {**vars(self.solver.tolerance), **vars(self.solver), **vars(self)}
+        del flat["tolerance"], flat["solver"]
+        return flat
 
 
 @dataclass(frozen=True)
@@ -132,8 +150,8 @@ READS = {"T1": _TOLERANCE + ("rho_points", "rho_span", "slack_abs"),
 
 def _config_dict(theorem_id: str, ctx: PContext, q: Potential,
                  cfg: HarnessConfig, n_max: int | None = None) -> dict:
-    settings = {**vars(cfg), **vars(cfg.solver), **vars(cfg.solver.tolerance),
-                "n_max": n_max, "p": ctx.p, "potential": q.to_spec()}
+    settings = {**cfg.settings(), "n_max": n_max, "p": ctx.p,
+                "potential": q.to_spec()}
     return {k: settings[k] for k in ("p", "potential") + READS[theorem_id]}
 
 
@@ -180,6 +198,10 @@ def _hypothesis_gate(cert: ShapeCertificate, sign: str | None,
     return ""
 
 
+def _join(*notes: str) -> str:
+    return "; ".join(t for t in notes if t)
+
+
 def _hypothesis_failure(theorem_id: str, hypotheses: dict, config: dict,
                         reason: str) -> TheoremCertificate:
     return TheoremCertificate(theorem_id=theorem_id, verdict=INCONCLUSIVE,
@@ -189,15 +211,16 @@ def _hypothesis_failure(theorem_id: str, hypotheses: dict, config: dict,
 
 
 def verify_theorem1(ctx: PContext, q: Potential,
-                    rho_grid=None,
                     cfg: HarnessConfig = HarnessConfig()) -> TheoremCertificate:
     """Sign of theta's rho-derivative at the turning point.
 
-    Integrates the variational sensitivity over [0, x0] for each grid
-    rho and checks theta_dot(x0, rho) <= slack_abs wherever
-    rho >= (-2 q(0))^(1/p); grid points below the threshold are
-    recorded out of hypothesis.  A q with no single turning point
-    (shape NEITHER) fails the hypothesis.
+    Integrates the variational sensitivity over [0, x0] at
+    ``rho_points`` values of rho, geometric from the threshold
+    (-2 q(0))^(1/p) to ``rho_span`` times it, and checks
+    theta_dot(x0, rho) <= slack_abs at each; every row is in hypothesis.
+    When q(0) = 0 the threshold is 0 and the grid runs from
+    max(1, pi_p)/2 to ``rho_span`` * max(1, pi_p).  A q with no single
+    turning point (shape NEITHER) fails the hypothesis.
     """
     full = classify(q)
     x0 = full.x0
@@ -228,26 +251,21 @@ def verify_theorem1(ctx: PContext, q: Potential,
     if reason:
         return _hypothesis_failure("T1", hypotheses, config, reason)
 
-    if rho_grid is None:
-        if threshold > 0.0:
-            rho_grid = np.geomspace(threshold, cfg.rho_span * threshold,
-                                    cfg.rho_points)
-        else:
-            ref = max(1.0, ctx.pi_p)
-            rho_grid = np.geomspace(0.5 * ref, cfg.rho_span * ref,
-                                    cfg.rho_points)
-            notes.append("degenerate threshold q(0) = 0: any rho > 0 "
-                         "is in hypothesis; default grid uses pi_p scale")
-    rho_grid = sorted(float(r) for r in np.asarray(rho_grid, dtype=float))
+    if threshold > 0.0:
+        rho_grid = np.geomspace(threshold, cfg.rho_span * threshold,
+                                cfg.rho_points)
+    else:
+        ref = max(1.0, ctx.pi_p)
+        rho_grid = np.geomspace(0.5 * ref, cfg.rho_span * ref, cfg.rho_points)
+        notes.append("degenerate threshold q(0) = 0: any rho > 0 "
+                     "is in hypothesis; default grid uses pi_p scale")
 
     scan: list[ScanPoint] = []
     had_errors = False
-    for rho in rho_grid:
-        in_hyp = rho >= threshold * (1.0 - 1e-13)
-        note = "" if in_hyp else "below rho threshold"
+    for rho in rho_grid.tolist():
+        note = ""
         if trivial_interval:
-            td = 0.0
-            note = (note + "; " if note else "") + "empty turning interval"
+            td, note = 0.0, "empty turning interval"
         else:
             try:
                 td = integrate_sensitivity(ctx, q, rho, x0,
@@ -255,11 +273,11 @@ def verify_theorem1(ctx: PContext, q: Potential,
             except PLapError as exc:
                 had_errors = True
                 scan.append(ScanPoint("theta_dot", (("rho", rho),),
-                                      math.nan, 0.0, math.nan, in_hyp, False,
+                                      math.nan, 0.0, math.nan, True, False,
                                       f"integration failed: {exc}"))
                 continue
         scan.append(ScanPoint("theta_dot", (("rho", rho),),
-                              td, 0.0, -td, in_hyp,
+                              td, 0.0, -td, True,
                               td <= cfg.slack_abs, note))
 
     if sub.nonnegative and sub.nonpositive:
@@ -358,19 +376,18 @@ def verify_theorem2(ctx: PContext, q: Potential, n_max: int = 6,
     return _finalize("T2", hypotheses, scan, config, notes, had_errors)
 
 
-def verify_theorem3(ctx: PContext, q: Potential, ell_grid=None,
-                    n_max: int = 4,
+def verify_theorem3(ctx: PContext, q: Potential, n_max: int = 4,
                     cfg: HarnessConfig = HarnessConfig()) -> TheoremCertificate:
     """Truncated-interval positivity and ratio bound.
 
-    Scans ell through (0, ell_bound] with
-    ell_bound = min(1, (-p/(3 q*))^(1/p)); at each ell requires
+    Scans ell through the ``ell_points`` equal steps of (0, ell_bound]
+    with ell_bound = min(1, (-p/(3 q*))^(1/p)); at each ell requires
     lambda_1(ell) > 0 and the ratio lower bound for every pair.  The
     sign of lambda_1 comes from its own search: positive exactly when
     the lower end of the found lambda_1 bracket is, and only then are
     lambda_2..lambda_n_max searched and the ratios checked.  The
     ``lambda1`` row carries the found lambda_1 wherever that search
-    succeeded.  On the default grid the comparison bound already gives
+    succeeded.  On this grid the comparison bound already gives
     lambda_1 >= (pi_p/ell)^p + q* > 0.
 
     The statement only asserts that some ell_0 > 0 works, so once a grid
@@ -396,22 +413,12 @@ def verify_theorem3(ctx: PContext, q: Potential, ell_grid=None,
         ell_bound = min(1.0, (-ctx.p / (3.0 * q_star)) ** (1.0 / ctx.p))
     hypotheses["ell_bound"] = ell_bound
 
-    if ell_grid is None:
-        ell_grid = [ell_bound * i / cfg.ell_points
-                    for i in range(1, cfg.ell_points + 1)]
-    ell_grid = sorted(float(e) for e in ell_grid)
-
     scan: list[ScanPoint] = []
     had_errors = False
-    broke_at: float | None = None
+    broken = False
     ell_hat = 0.0
-    for ell in ell_grid:
-        beyond_bound = ell > ell_bound * (1.0 + 1e-13)
-        beyond_break = broke_at is not None
-        in_hyp = not (beyond_bound or beyond_break)
-        base_note = ("beyond ell_bound" if beyond_bound
-                     else "beyond empirical ell_hat" if beyond_break else "")
-
+    for i in range(1, cfg.ell_points + 1):
+        ell = ell_bound * i / cfg.ell_points
         qr = restrict(q, ell)
         pairs, errs = _collect_pairs(ctx, qr, [1], ell, cfg, notes)
         had_errors |= errs
@@ -429,30 +436,25 @@ def verify_theorem3(ctx: PContext, q: Potential, ell_grid=None,
 
         why = ("" if positive else "lambda_1 search failed" if first is None
                else "lambda_1 not positive")
-        ell_points_here = [ScanPoint(
-            "lambda1", (("ell", ell),), lam1, 0.0, lam1, in_hyp, positive,
-            "; ".join(t for t in (base_note, why) if t))]
-        ell_points_here.extend(pair_pts)
-
-        ok_here = positive and all(s.satisfied for s in pair_pts)
-        if in_hyp and not ok_here:
-            # existence statement: this and larger lengths leave the
-            # empirically certified range instead of refuting the claim
-            broke_at = ell
-            ell_points_here = [
-                replace(s, in_hypothesis=False,
-                        note=(s.note + "; " if s.note else "")
-                        + "property breaks at this ell")
-                for s in ell_points_here]
+        rows = [ScanPoint("lambda1", (("ell", ell),), lam1, 0.0, lam1, True,
+                          positive, why), *pair_pts]
+        # existence statement: once a length fails, it and every larger
+        # one leave the empirically certified range instead of refuting
+        # the claim
+        if broken:
+            rows = [replace(s, in_hypothesis=False,
+                            note=_join("beyond empirical ell_hat", s.note))
+                    for s in rows]
+        elif positive and all(s.satisfied for s in pair_pts):
+            ell_hat = ell
+        else:
+            broken = True
+            rows = [replace(s, in_hypothesis=False,
+                            note=_join(s.note, "property breaks at this ell"))
+                    for s in rows]
             notes.append(f"property breaks at ell={ell!r} <= ell_bound; "
                          "flagged, existence claim judged by smaller ell")
-        elif in_hyp and ok_here:
-            ell_hat = ell
-        if not in_hyp:
-            ell_points_here = [
-                replace(s, in_hypothesis=False, note=s.note or base_note)
-                for s in ell_points_here]
-        scan.extend(ell_points_here)
+        scan.extend(rows)
 
     hypotheses["ell_hat"] = ell_hat
     force_inconclusive = ell_hat == 0.0

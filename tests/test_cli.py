@@ -510,6 +510,24 @@ class TestConfigPrecedence:
         assert out == ""
         assert err == "usage error: --ell must lie in (0, 1], got 5.0\n"
 
+    @pytest.mark.parametrize("argv,name", (
+        (("verify", "--theorem", "t1", "--rho-points", "-1"), "rho_points"),
+        (("verify", "--theorem", "t1", "--rho-points", "0"), "rho_points"),
+        (("verify", "--theorem", "t3", "--ell-points", "0"), "ell_points"),
+        (("verify", "--theorem", "t1", "--rho-span", "-1"), "rho_span"),
+        (("eigs", "--phase-tol", "inf"), "phase_tol"),
+        (("eigs", "--max-steps", "5"), "max_steps")),
+        ids=("t1-rho_points-neg", "t1-rho_points-0", "t3-ell_points-0",
+             "t1-rho_span-neg", "eigs-phase_tol-inf", "eigs-max_steps-5"))
+    def test_read_setting_out_of_range_is_usage_error(self, capsys, argv,
+                                                      name):
+        # the config dataclass that owns the setting refuses it, naming it
+        code, out, err = run_cli(capsys, *argv, "--p", "2",
+                                 "--potential", TENT_SPEC)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"usage error: {name} must be ")
+
     def test_unknown_config_key(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"nope": 1}))

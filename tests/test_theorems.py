@@ -1,10 +1,12 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from plapeig import (HarnessConfig, constant, piecewise_linear, prufer,
+from plapeig import (DomainError, HarnessConfig, SolverConfig,
+                     ToleranceConfig, constant, piecewise_linear, prufer,
                      scaled_tent, theorems, verify_remark1, verify_theorem1,
                      verify_theorem2, verify_theorem3)
 
@@ -84,7 +86,7 @@ class TestTheorem1:
     def test_turning_point_on_the_peak_knot(self, ctx2):
         # [0, x0] must end on the peak, so q is nondecreasing on all of it
         peak = piecewise_linear([[0.0, -5.0], [0.37, -3.0], [1.0, -5.0]])
-        cert = verify_theorem1(ctx2, peak, rho_grid=[4.0])
+        cert = verify_theorem1(ctx2, peak, cfg=HarnessConfig(rho_points=1))
         assert cert.hypotheses["x0"] == 0.37
         assert cert.hypotheses["restricted_shape"] == "monotone_increasing"
         assert cert.verdict == "verified"
@@ -100,14 +102,6 @@ class TestTheorem1:
                               "each side of one turning point; certified "
                               "neither",)
         assert cert.scan == ()
-
-    def test_below_threshold_points_flagged(self, ctx2):
-        thr = math.sqrt(10.0)
-        cert = verify_theorem1(ctx2, TENT, rho_grid=[0.5 * thr, thr, 2 * thr])
-        flagged = [s for s in cert.scan if not s.in_hypothesis]
-        assert len(flagged) == 1
-        assert "below rho threshold" in flagged[0].note
-        assert_certificate_consistent(cert)
 
 
 class TestTheorem2:
@@ -216,8 +210,8 @@ class TestTheorem3:
         assert any("degenerate threshold" in n for n in cert.notes)
 
     def test_sign_of_lambda1_from_its_search(self, ctx2, monkeypatch):
-        # off the default grid: lambda_1 = (pi/ell)^2 - 50 is positive at
-        # ell = 0.1 and negative at 0.5 and 1.0
+        # lambda_1 = (pi/ell)^2 - 50 is positive at every ell up to
+        # ell_bound = (1/75)^(1/2), and no integration runs outside a search
         searching = []
         outside = []
         real_find, real_integrate = theorems.find_eigenvalue, prufer._integrate
@@ -236,26 +230,31 @@ class TestTheorem3:
 
         monkeypatch.setattr(theorems, "find_eigenvalue", find)
         monkeypatch.setattr(prufer, "_integrate", integrate)
-        cert = verify_theorem3(ctx2, constant(-50.0),
-                               ell_grid=[0.1, 0.5, 1.0], n_max=2)
+        cert = verify_theorem3(ctx2, constant(-50.0), n_max=2)
         assert outside == []
         rows = {dict(s.inputs)["ell"]: s for s in cert.scan
                 if s.quantity == "lambda1"}
-        assert sorted(rows) == [0.1, 0.5, 1.0]
+        assert len(rows) == 24
         for ell, s in rows.items():
             assert s.value == pytest.approx((math.pi / ell) ** 2 - 50.0,
                                             rel=1e-8)
-        assert rows[0.1].satisfied
-        assert not rows[0.5].satisfied and not rows[1.0].satisfied
+            assert s.satisfied
         assert {dict(s.inputs)["ell"] for s in cert.scan
-                if s.quantity == "ratio"} == {0.1}
+                if s.quantity == "ratio"} == set(rows)
         assert "NaN" not in cert.to_json()
 
-    def test_first_point_failure_is_inconclusive(self, ctx2):
-        # a negative slack forges a violation at every point, driving the
-        # existence judgment to its no-evidence outcome
-        forged = HarnessConfig(ell_points=4, slack_rel=-1.0)
-        cert = verify_theorem3(ctx2, constant(-6.0), n_max=2, cfg=forged)
+    def test_first_point_failure_is_inconclusive(self, ctx2, monkeypatch):
+        # halving every lambda_2 forges a ratio violation at every point,
+        # driving the existence judgment to its no-evidence outcome
+        real_find = theorems.find_eigenvalue
+
+        def find(ctx, q, n, *args, **kwargs):
+            pair = real_find(ctx, q, n, *args, **kwargs)
+            return replace(pair, lam=0.5 * pair.lam) if n == 2 else pair
+
+        monkeypatch.setattr(theorems, "find_eigenvalue", find)
+        cert = verify_theorem3(ctx2, constant(-6.0), n_max=2,
+                               cfg=HarnessConfig(ell_points=4))
         assert cert.verdict == "inconclusive"
         assert cert.hypotheses["ell_hat"] == 0.0
         assert any("no positive ell certified" in n for n in cert.notes)
@@ -326,3 +325,30 @@ class TestCertificates:
         cert = verify_theorem1(ctx2, TENT)
         rhos = [dict(s.inputs)["rho"] for s in cert.scan]
         assert rhos == sorted(rhos)
+
+    def test_config_describes_the_scan(self, ctx2):
+        cfg = HarnessConfig(rho_points=5, rho_span=2.0, ell_points=3)
+        t1 = verify_theorem1(ctx2, TENT, cfg=cfg)
+        rhos = [dict(s.inputs)["rho"] for s in t1.scan]
+        assert len(rhos) == t1.config["rho_points"] == 5
+        assert rhos[0] == t1.hypotheses["rho_threshold"]
+        assert rhos[-1] == pytest.approx(t1.config["rho_span"] * rhos[0],
+                                         rel=1e-14)
+        assert all(s.in_hypothesis for s in t1.scan)
+        t3 = verify_theorem3(ctx2, constant(-6.0), n_max=2, cfg=cfg)
+        ells = [dict(s.inputs)["ell"] for s in t3.scan
+                if s.quantity == "lambda1"]
+        assert len(ells) == t3.config["ell_points"] == 3
+        assert ells[-1] == pytest.approx(t3.hypotheses["ell_bound"],
+                                         rel=1e-15)
+
+
+@pytest.mark.parametrize("cls,name,value", (
+    (HarnessConfig, "rho_points", 0), (HarnessConfig, "ell_points", 0),
+    (HarnessConfig, "rho_span", 0.5), (HarnessConfig, "rho_span", math.inf),
+    (HarnessConfig, "slack_rel", -1.0), (HarnessConfig, "slack_abs", math.nan),
+    (SolverConfig, "phase_tol", math.inf), (ToleranceConfig, "rel_tol", 0.0),
+    (ToleranceConfig, "abs_tol", -1e-12), (ToleranceConfig, "max_steps", 9)))
+def test_config_refuses_out_of_range_setting(cls, name, value):
+    with pytest.raises(DomainError, match=f"^{name} must be "):
+        cls(**{name: value})
