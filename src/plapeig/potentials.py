@@ -79,7 +79,7 @@ class Potential:
         return np.interp(arr, self.xs, self.qs)
 
     def value(self, x: float) -> float:
-        """Scalar evaluation (fast path for integrator callbacks)."""
+        """Scalar evaluation, by the affine piece that holds x."""
         xs = self.xs
         if x <= 0.0:
             if x < -1e-12:
@@ -89,11 +89,18 @@ class Potential:
             if x > xs[-1] + 1e-12:
                 raise DomainError("evaluation outside [0, domain_end]")
             return self.qs[-1]
+        x0, x1, q0, dq = self.piece(x)
+        return q0 + ((x - x0) / (x1 - x0)) * dq
+
+    def piece(self, x: float) -> tuple[float, float, float, float]:
+        """The affine piece [x0, x1] that holds x in [0, domain_end), as
+        (x0, x1, q0, dq): q = q0 + ((x - x0) / (x1 - x0)) * dq there,
+        the arithmetic of :meth:`value`.  A knot opens the piece to its
+        right, so ``value`` at x1 reads the next piece."""
+        xs = self.xs
         i = bisect_right(xs, x) - 1
-        x0 = xs[i]
-        t = (x - x0) / (xs[i + 1] - x0)
         q0 = self.qs[i]
-        return q0 + t * (self.qs[i + 1] - q0)
+        return xs[i], xs[i + 1], q0, self.qs[i + 1] - q0
 
     def interior_knots(self) -> tuple[float, ...]:
         """Breakpoints strictly inside the domain (integrator step bounds)."""

@@ -50,11 +50,22 @@ the landings live in one place.  The phase alone steps on a plain
 float, with named stages k1..k7 and counts in local ints; the
 eigenvalue search uses only this path.  For amplitude and sensitivity
 the lanes log R and u ride along through a branch at each stage, and
-the accepted steps are kept as dense output.  Every sum is added left
-to right in tableau order, so the kernel reproduces a generic tableau
-loop bit for bit: terminal values, step sequence and counts.  The test
-oracle ``reference_dp45`` is that loop, landings included, and the
-tests compare with ``==``.
+the accepted steps are kept as dense output.
+
+The kernel steps knot to knot, so on each of its pieces q is one affine
+function.  It asks ``_integrate`` for the right-hand side of a piece
+once, when the piece starts: that closure holds the potential's affine
+piece (``Potential.piece``, in the arithmetic of ``Potential.value``)
+and the context's bound table fold (``PContext.fold``), so an evaluation
+makes one call, to the fold, and no knot lookup.  Only the c = 1 stages
+of a piece's last step, which land on its right knot or an ulp past it,
+read q through ``Potential.value``, which takes the next piece there.
+
+Every sum is added left to right in tableau order, so the kernel
+reproduces a generic tableau loop bit for bit: terminal values, step
+sequence and counts.  The test oracle ``reference_dp45`` is that loop,
+landings included, with the right-hand sides evaluated the per-call
+way, and the tests compare with ``==``.
 """
 
 from __future__ import annotations
@@ -67,7 +78,7 @@ import numpy as np
 
 from .errors import DomainError, IntegrationError, StateError, check_range
 from .potentials import Potential
-from .ptrig import PContext, _quarter, fast_abs_sp_pow, sp_pair
+from .ptrig import PContext, sp_pair
 
 # rho beyond this is accepted but flagged: b(x) -> 1 and theta -> ell,
 # so sensitivity output carries heavy cancellation
@@ -184,10 +195,12 @@ def _hermite_crossing(y0, y1, d0, d1, level):
     return theta
 
 
-def _kernel(f, bounds, h, tol, stats, spacing, dim):
+def _kernel(rhs, bounds, h, tol, stats, spacing, dim):
     """Adaptive DP45 on the first ``dim`` components of (phi, log R, u),
     all 0 at bounds[0].
 
+    ``rhs(x)`` hands out the right-hand side ``f`` of the piece of
+    ``bounds`` that starts at x; the kernel asks for it once per piece.
     With dim = 1 the phase steps alone on a plain float and
     ``f(x, phi) -> phi'``.  With dim = 2 or 3 the lanes log R and u ride
     along and ``f(x, phi, u) -> (phi', (log R)', u')``; log R enters no
@@ -245,6 +258,7 @@ def _kernel(f, bounds, h, tol, stats, spacing, dim):
     try:
         for x, x_end in zip(bounds, bounds[1:]):
             snap = 1e-14 * max(1.0, abs(x_end))
+            f = rhs(x)
             if lanes:
                 k1, l1, u1 = f(x, phi, u)
                 if not dense:
@@ -405,6 +419,7 @@ def _integrate(ctx: PContext, q: Potential, rho: float, ell: float,
     neg_p = -p
     inv_rho_pm1 = rho ** (1.0 - p)
     inv_rho_p = rho ** -p
+    fold = ctx.fold
     qval = q.value
 
     bounds = [0.0] + [b for b in q.interior_knots() if 0.0 < b < ell] + [ell]
@@ -414,31 +429,41 @@ def _integrate(ctx: PContext, q: Potential, rho: float, ell: float,
              "rel_tol": tol.rel_tol, "abs_tol": tol.abs_tol,
              "warnings": tuple(stats_warnings)}
 
-    if dim == 1:
-        def f(x, phi):
-            return rho - qval(x) * inv_rho_pm1 * fast_abs_sp_pow(ctx, phi)
-    # one table read per call: S_p = ss*s, S_p' = sc*(1 - s^p)^(1/p)
-    # (as fast_pair forms it), |S_p|^p = s^p, S_p^(p-1) = ss*s^(p-1)
-    elif dim == 3:
-        def f(x, phi, u):
-            _, s, ss, sc = _quarter(ctx, phi)
-            abs_s_p = s ** p
-            odd = ss * s ** pm1 * (sc * (1.0 - abs_s_p) ** inv_p)
-            qx = qval(x)
-            coef = qx * inv_rho_pm1
-            return (rho - coef * abs_s_p,
-                    coef * odd,
-                    neg_p * coef * odd * u + 1.0 + pm1 * qx * inv_rho_p * abs_s_p)
-    else:
-        def f(x, phi, u):
-            _, s, ss, sc = _quarter(ctx, phi)
-            abs_s_p = s ** p
-            coef = qval(x) * inv_rho_pm1
-            return (rho - coef * abs_s_p,
-                    coef * (ss * s ** pm1) * (sc * (1.0 - abs_s_p) ** inv_p),
-                    0.0)
+    def rhs(x_start):
+        # q on the kernel piece from x_start is the potential's affine
+        # piece there, in the arithmetic of Potential.value; from its
+        # right knot x1 on (where the c = 1 stages of the last step
+        # land) value reads the next piece, so value answers there
+        x0, x1, q0, dq = q.piece(x_start)
+        dx = x1 - x0
+        if dim == 1:
+            def f(x, phi):
+                qx = q0 + ((x - x0) / dx) * dq if x < x1 else qval(x)
+                return rho - qx * inv_rho_pm1 * fold(phi)[1] ** p
+        # one table read per call: S_p = ss*s, S_p' = sc*(1 - s^p)^(1/p)
+        # (as fast_pair forms it), |S_p|^p = s^p, S_p^(p-1) = ss*s^(p-1)
+        elif dim == 3:
+            def f(x, phi, u):
+                _, s, ss, sc = fold(phi)
+                abs_s_p = s ** p
+                odd = ss * s ** pm1 * (sc * (1.0 - abs_s_p) ** inv_p)
+                qx = q0 + ((x - x0) / dx) * dq if x < x1 else qval(x)
+                coef = qx * inv_rho_pm1
+                return (rho - coef * abs_s_p,
+                        coef * odd,
+                        neg_p * coef * odd * u + 1.0 + pm1 * qx * inv_rho_p * abs_s_p)
+        else:
+            def f(x, phi, u):
+                _, s, ss, sc = fold(phi)
+                abs_s_p = s ** p
+                qx = q0 + ((x - x0) / dx) * dq if x < x1 else qval(x)
+                coef = qx * inv_rho_pm1
+                return (rho - coef * abs_s_p,
+                        coef * (ss * s ** pm1) * (sc * (1.0 - abs_s_p) ** inv_p),
+                        0.0)
+        return f
 
-    (phi, logr, u), dense = _kernel(f, bounds, h, tol, stats,
+    (phi, logr, u), dense = _kernel(rhs, bounds, h, tol, stats,
                                     None if p == 2.0 else 0.5 * ctx.pi_p, dim)
     xs, phis, dphis, logrs, dlogrs = ((None,) * 5 if dense is None
                                       else np.array(dense).T)

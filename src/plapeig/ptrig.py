@@ -27,7 +27,8 @@ rounding.  Every evaluation goes through one front end: it folds the
 argument onto the quarter period by periodicity, oddness and the
 reflection S_p(pi_p - x) = S_p(x), and reads S_p there off a table,
 built forward from the two series once per context, by cubic Hermite
-interpolation.  The integrator's fast path stops there; the public
+interpolation; ``make_context`` binds it to its table as ``fold``.  The
+integrator's right-hand sides stop there; the public
 functions polish that value by Newton iteration on the series of its
 half, in s below the split and in w above it.  Both maps have a slope
 bounded away from zero and infinity on their halves, so S_p and S_p'
@@ -39,6 +40,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -60,7 +62,8 @@ class PContext:
     """Immutable evaluation context for one exponent p.
 
     Holds the derived constants, the coefficients of the two inverse-map
-    series and the quarter-period table; every operation taking a
+    series, the quarter-period table and ``fold``, the front end bound to
+    that table (see :func:`_bind_fold`); every operation taking a
     context is pure and thread-safe.
     """
 
@@ -77,6 +80,8 @@ class PContext:
     # above it
     _lo: np.ndarray = field(repr=False, compare=False)
     _hi: np.ndarray = field(repr=False, compare=False)
+    fold: Callable[[float], tuple[float, float, float, float]] = field(
+        default=None, repr=False, compare=False)
     # max inverse-map residual observed at off-node probe points, /pi_p
     probe_residual: float = field(default=0.0, compare=False)
 
@@ -144,6 +149,8 @@ def make_context(p: float) -> PContext:
     object.__setattr__(ctx, "_xs", tuple(x.tolist()))
     object.__setattr__(ctx, "_ss", tuple(s.tolist()))
     object.__setattr__(ctx, "_cs", tuple(c.tolist()))
+    object.__setattr__(ctx, "fold",
+                       _bind_fold(pi_p, ctx._xs, ctx._ss, ctx._cs))
 
     # Accuracy probe at off-node points: each point is judged by the
     # series of its half, the map its Newton polish inverts.
@@ -217,57 +224,72 @@ def _quarter_pair(ctx: PContext, xr: np.ndarray,
     return s, c
 
 
+def _bind_fold(pi_p: float, xs: tuple, ss: tuple, cs: tuple):
+    """The front end of one context: ``fold(x) -> (xr, s, sign_s, sign_c)``.
+
+    Folds a finite scalar onto the quarter period: ``xr`` lies in
+    [0, pi_p/2], ``s`` is the cubic Hermite interpolant of S_p(xr) on the
+    table, and S_p(x) = sign_s * S_p(xr), S_p'(x) = sign_c * S_p'(xr).
+    Each quadrant is decided on an exact difference (r - pi_p for r in
+    (pi_p, 2*pi_p], pi_p - r for r in (pi_p/2, pi_p]), so ``xr`` never
+    leaves the quarter period and a boundary belongs to the lower
+    quadrant.  The period and the table are bound here, once per
+    context, since fold and lookup run once per integrator right-hand
+    side.
+    """
+    two_pi = 2.0 * pi_p
+    half_pi = 0.5 * pi_p
+    floor = math.floor
+    last = TABLE_INTERVALS - 1
+
+    def fold(x: float) -> tuple[float, float, float, float]:
+        r = x - two_pi * floor(x / two_pi)
+        if not 0.0 <= r < two_pi:
+            # rounding put the floor one period off, or more once the
+            # spacing of floats near x exceeds the period
+            r %= two_pi
+        if r > pi_p:
+            r -= pi_p
+            sign_s = -1.0
+        else:
+            sign_s = 1.0
+        if r > half_pi:
+            xr = pi_p - r
+            sign_c = -sign_s
+        else:
+            xr = r
+            sign_c = sign_s
+
+        i = bisect_right(xs, xr) - 1
+        if i > last:
+            i = last
+        x0 = xs[i]
+        h = xs[i + 1] - x0
+        t = (xr - x0) / h
+        s0 = ss[i]
+        s1 = ss[i + 1]
+        d0 = cs[i]  # ds/dx = S_p'
+        d1 = cs[i + 1]
+        t2 = t * t
+        t3 = t2 * t
+        s = ((2.0 * t3 - 3.0 * t2 + 1.0) * s0 + (t3 - 2.0 * t2 + t) * h * d0
+             + (3.0 * t2 - 2.0 * t3) * s1 + (t3 - t2) * h * d1)
+        if s > 1.0:
+            s = 1.0
+        elif s < 0.0:
+            s = 0.0
+        return xr, s, sign_s, sign_c
+
+    return fold
+
+
 def _quarter(ctx: PContext, x: float) -> tuple[float, float, float, float]:
     """Fold a finite scalar onto the quarter period; the one front end.
 
-    Returns ``(xr, s, sign_s, sign_c)`` with ``xr`` in [0, pi_p/2],
-    ``s`` the cubic Hermite interpolant of S_p(xr) on the table, and
-    S_p(x) = sign_s * S_p(xr), S_p'(x) = sign_c * S_p'(xr).  Each
-    quadrant is decided on an exact difference (r - pi_p for r in
-    (pi_p, 2*pi_p], pi_p - r for r in (pi_p/2, pi_p]), so ``xr`` never
-    leaves the quarter period and a boundary belongs to the lower
-    quadrant.  Fold and lookup share one frame: this runs once per
-    integrator right-hand side.
+    Returns ``(xr, s, sign_s, sign_c)`` as ``ctx.fold`` forms them (see
+    :func:`_bind_fold`).
     """
-    pi_p = ctx.pi_p
-    two_pi = 2.0 * pi_p
-    r = x - two_pi * math.floor(x / two_pi)
-    if not 0.0 <= r < two_pi:
-        # rounding put the floor one period off, or more once the
-        # spacing of floats near x exceeds the period
-        r %= two_pi
-    if r > pi_p:
-        r -= pi_p
-        sign_s = -1.0
-    else:
-        sign_s = 1.0
-    if r > 0.5 * pi_p:
-        xr = pi_p - r
-        sign_c = -sign_s
-    else:
-        xr = r
-        sign_c = sign_s
-
-    xs = ctx._xs
-    i = bisect_right(xs, xr) - 1
-    if i >= TABLE_INTERVALS:
-        i = TABLE_INTERVALS - 1
-    x0 = xs[i]
-    h = xs[i + 1] - x0
-    t = (xr - x0) / h
-    s0 = ctx._ss[i]
-    s1 = ctx._ss[i + 1]
-    d0 = ctx._cs[i]  # ds/dx = S_p'
-    d1 = ctx._cs[i + 1]
-    t2 = t * t
-    t3 = t2 * t
-    s = ((2.0 * t3 - 3.0 * t2 + 1.0) * s0 + (t3 - 2.0 * t2 + t) * h * d0
-         + (3.0 * t2 - 2.0 * t3) * s1 + (t3 - t2) * h * d1)
-    if s > 1.0:
-        s = 1.0
-    elif s < 0.0:
-        s = 0.0
-    return xr, s, sign_s, sign_c
+    return ctx.fold(x)
 
 
 def _pair(ctx: PContext, x) -> tuple:
@@ -341,7 +363,3 @@ def fast_pair(ctx: PContext, x: float) -> tuple[float, float]:
     c = (1.0 - s ** ctx.p) ** (1.0 / ctx.p)
     return ss * s, sc * c
 
-
-def fast_abs_sp_pow(ctx: PContext, x: float) -> float:
-    """|S_p(x)|^p by the table fast path (phase equation right-hand side)."""
-    return _quarter(ctx, x)[1] ** ctx.p

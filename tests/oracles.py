@@ -233,6 +233,15 @@ def fd_u(ctx, q, rho, ell, tol=None, h=1e-5):
     return (hi - lo) / (2.0 * h)
 
 
+def fast_abs_sp_pow(ctx, x):
+    """|S_p(x)|^p by the table front end, folded afresh on every call:
+    the per-call route the integrator's per-piece right-hand sides
+    replaced, kept as their reference."""
+    from plapeig.ptrig import _quarter
+
+    return _quarter(ctx, x)[1] ** ctx.p
+
+
 def phase_end_fixed_mesh(ctx, q, rho, ell, n_steps=2000):
     """phi(ell, rho) by classic fixed-mesh RK4.
 
@@ -241,8 +250,6 @@ def phase_end_fixed_mesh(ctx, q, rho, ell, n_steps=2000):
     integrators re-grid between the two shots and their jitter would
     swamp an h = 1e-5 difference quotient.
     """
-    from plapeig.ptrig import fast_abs_sp_pow
-
     p = ctx.p
     coef = rho ** (1.0 - p)
     qv = q.value
@@ -425,7 +432,8 @@ def reference_dp45(ctx, q, rho, ell, tol, dim):
     """Terminal state and counts of the Prufer system by a generic DP45.
 
     A tableau loop over tuple states, with the package's right-hand
-    sides and step control: dim = 1 is the phase, 2 adds log R, 3 adds
+    sides evaluated the old way, ``Potential.value`` and the table fold
+    on every call, and its step control: dim = 1 is the phase, 2 adds log R, 3 adds
     u = d(phi)/d(rho).  For p != 2 the steps land on the levels
     k*pi_p/2 of the phase, whatever ``dim``, by prediction and by the
     Hermite fallback.  The stage-unrolled kernel must match it bit for
@@ -433,7 +441,7 @@ def reference_dp45(ctx, q, rho, ell, tol, dim):
     where not integrated), ``n_steps``, ``n_rejected``, ``n_landed`` and
     ``n_rhs``.
     """
-    from plapeig.ptrig import fast_abs_sp_pow, fast_pair
+    from plapeig.ptrig import fast_pair
 
     p = ctx.p
     inv_rho_pm1 = rho ** (1.0 - p)

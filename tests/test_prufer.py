@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from plapeig import (DomainError, IntegrationError, StateError,
+from plapeig import (DomainError, IntegrationError, Potential, StateError,
                      ToleranceConfig, constant, direct_shoot, find_eigenvalue,
                      integrate_amplitude, integrate_phase,
                      integrate_sensitivity, piecewise_linear,
                      reconstruct_eigenfunction, restrict, scaled_tent, sp)
+from plapeig import prufer
 
-from oracles import (classical_prufer_p2, fd_u,
+from oracles import (classical_prufer_p2, fast_abs_sp_pow, fd_u,
                      random_nonpositive_piecewise_linear, reference_dp45)
 
 TENT = scaled_tent(-5.0, 4.0)
@@ -17,6 +18,8 @@ TIGHT = ToleranceConfig(rel_tol=1e-12, abs_tol=1e-13)
 # interior knots, and a piece where q > 0 (phi' < rho there)
 BUMP = piecewise_linear([[0.0, -2.0], [0.45, 3.0], [1.0, -1.0]])
 WELL = piecewise_linear([[0.0, 5.0], [0.4, 0.5], [1.0, 4.0]])
+# ends on its own last knot, at 0.8
+SHORT_BUMP = restrict(BUMP, 0.8)
 # integrator and the dimension of its state
 INTEGRATORS = ((integrate_phase, 1), (integrate_amplitude, 2),
                (integrate_sensitivity, 3))
@@ -170,19 +173,23 @@ class TestUnrolledKernels:
     """The stage-unrolled kernels against the generic tableau loop."""
 
     @pytest.mark.parametrize("integrate,dim", INTEGRATORS)
-    @pytest.mark.parametrize("q", (TENT, BUMP, WELL),
-                             ids=("tent", "bump", "well"))
+    @pytest.mark.parametrize("q", (TENT, BUMP, WELL, SHORT_BUMP),
+                             ids=("tent", "bump", "well", "restricted"))
     @pytest.mark.parametrize("p", (1.5, 2.0, 3.0, 5.0))
     def test_bit_identical_to_reference(self, ctx_for, p, q, integrate, dim):
+        # the reference reads q by Potential.value on every call; at
+        # ell = 0.37 the last piece of the kernel ends inside a piece of
+        # the potential, at domain_end on its last knot
         ctx = ctx_for(p)
-        for rho in (2.5, 11.0):
-            traj = integrate(ctx, q, rho, 1.0)
-            ref = reference_dp45(ctx, q, rho, 1.0, ToleranceConfig(), dim)
-            assert traj.phi_end == ref["phi_end"]
-            assert traj.logr_end == ref["logr_end"]
-            assert traj.u_end == ref["u_end"]
-            for key in ("n_steps", "n_rejected", "n_landed", "n_rhs"):
-                assert traj.stats[key] == ref[key], key
+        for ell in (q.domain_end, 0.37):
+            for rho in (2.5, 11.0):
+                traj = integrate(ctx, q, rho, ell)
+                ref = reference_dp45(ctx, q, rho, ell, ToleranceConfig(), dim)
+                assert traj.phi_end == ref["phi_end"]
+                assert traj.logr_end == ref["logr_end"]
+                assert traj.u_end == ref["u_end"]
+                for key in ("n_steps", "n_rejected", "n_landed", "n_rhs"):
+                    assert traj.stats[key] == ref[key], key
 
     @pytest.mark.parametrize("integrate", [i for i, _ in INTEGRATORS])
     @pytest.mark.parametrize("p", (1.5, 3.0))
@@ -239,6 +246,77 @@ class TestUnrolledKernels:
         assert math.isfinite(info.value.last_x)
         assert 0.0 < info.value.last_x < 1.0
         assert info.value.last_x == ref.value.last_x
+
+
+class TestPieceRightHandSide:
+    """The right-hand side the kernel builds once per piece."""
+
+    @staticmethod
+    def piece_rhs(monkeypatch, ctx, q, rho, ell):
+        """The kernel's bounds and its per-piece right-hand-side factory
+        for the phase integration of q at rho over [0, ell]."""
+        seen = {}
+        kernel = prufer._kernel
+
+        def spy(rhs, bounds, *args):
+            seen.update(rhs=rhs, bounds=bounds)
+            return kernel(rhs, bounds, *args)
+
+        monkeypatch.setattr(prufer, "_kernel", spy)
+        integrate_phase(ctx, q, rho, ell)
+        return seen["bounds"], seen["rhs"]
+
+    @pytest.mark.parametrize("p", (1.5, 3.0))
+    def test_equals_per_call_route(self, ctx_for, p, monkeypatch):
+        # random piecewise-linear potentials, both signs: on each piece,
+        # at both ends, their ulp neighbours and random interior points,
+        # the per-piece phase slope is the per-call one bit for bit
+        ctx = ctx_for(p)
+        rng = np.random.default_rng(20)
+        rho = 7.0
+        coef = rho ** (1.0 - p)
+        checked = 0
+        for _ in range(25):
+            inner = np.sort(rng.uniform(0.02, 0.98, size=rng.integers(1, 7)))
+            xs = [0.0, *inner.tolist(), 1.0]
+            q = piecewise_linear([[x, rng.uniform(-40.0, 40.0)] for x in xs])
+            ell = float(rng.choice([1.0, rng.uniform(0.3, 1.0)]))
+            bounds, rhs = self.piece_rhs(monkeypatch, ctx, q, rho, ell)
+            for a, b in zip(bounds, bounds[1:]):
+                f = rhs(a)
+                points = [a, math.nextafter(a, 2.0), math.nextafter(b, 0.0),
+                          b, math.nextafter(b, 2.0),
+                          *rng.uniform(a, b, size=8).tolist()]
+                for x in points:
+                    if x > q.domain_end:
+                        continue
+                    phi = float(rng.uniform(-1.0, 40.0))
+                    assert f(x, phi) == (rho - q.value(x) * coef
+                                         * fast_abs_sp_pow(ctx, phi)), (q, x)
+                    checked += 1
+        assert checked > 1000
+
+    @pytest.mark.parametrize("p", (1.5, 3.0))
+    def test_value_read_only_from_a_right_knot(self, ctx_for, p, monkeypatch):
+        # q comes from the bound piece everywhere short of the piece's
+        # right knot; only the c = 1 stages of a piece's last step, on
+        # the knot or an ulp past it, ask Potential.value
+        q = piecewise_linear([[0.0, -1.0], [0.2, 2.0], [0.5, -4.0],
+                              [0.8, 0.5], [1.0, -2.0]])
+        calls = []
+        value = Potential.value
+
+        def spy(self, x):
+            calls.append(x)
+            return value(self, x)
+
+        monkeypatch.setattr(Potential, "value", spy)
+        for ell in (1.0, 0.65):
+            for rho in (1.5, 6.0, 20.0):
+                integrate_phase(ctx_for(p), q, rho, ell)
+        assert calls
+        for x in calls:
+            assert any(k <= x <= math.nextafter(k, 2.0) for k in q.xs[1:]), x
 
 
 class TestTerminalMap:
