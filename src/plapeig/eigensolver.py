@@ -40,6 +40,12 @@ _MAX_STEPS = 100
 
 _SHOT_RTOL, _SHOT_ATOL = 1e-10, 1e-12
 
+# an unevaluated bracket end within this distance of an evaluated rho,
+# relative, is that rho: its integration would repeat rho's miss.  The
+# comparison bounds are padded by 1e-12 relative, so where they coincide
+# (every constant potential) both ends lie this close to the first guess.
+_SAME_RHO = 1e-11
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -210,7 +216,9 @@ def _solve(h, p: float, lo: float, hi: float, width: float, n: int,
     leaves this bracket, or follows two evaluations that each failed to
     halve the miss, bisects it instead.  A bracket end not yet evaluated
     is evaluated first, widened by width*2^k while it fails to bracket
-    the root (the lower end at most halving, so it stays positive).
+    the root (the lower end at most halving, so it stays positive); an
+    end within ``_SAME_RHO`` of the current rho is not evaluated, and
+    rho's miss, which has the wrong sign there, starts the widening.
     Stops at |miss| <= stop, or returns the evaluated rho of least miss
     once the bracket has collapsed.  Returns (rho, last slope).
     """
@@ -231,11 +239,13 @@ def _solve(h, p: float, lo: float, hi: float, width: float, n: int,
         best = min(best, (abs(f), r))
         return f
 
-    def widen(i: int) -> tuple[float, float]:
-        # evaluate end i (0 lower, 1 upper); widen it while its miss has
-        # the wrong sign, so the root lies beyond it
+    def widen(i: int, rho: float, f: float) -> tuple[float, float]:
+        # evaluate end i (0 lower, 1 upper), or take rho's miss f for it
+        # when it is rho; widen it while its miss has the wrong sign, so
+        # the root lies beyond it
         r = bracket[i]
-        f = visit(r)
+        if abs(r - rho) > _SAME_RHO * rho:
+            f = visit(r)
         k = 0
         while (f < 0.0) if i else (f > 0.0):
             k += 1
@@ -265,7 +275,7 @@ def _solve(h, p: float, lo: float, hi: float, width: float, n: int,
         if not a < nxt < b:
             i = 1 if f < 0.0 else 0  # the side the root lies on
             if not seen[i]:
-                r, fr = widen(i)
+                r, fr = widen(i, rho, f)
                 slope = (fr - f) / (r - rho)
                 rho, f = r, fr
                 f_prev, stalls = math.inf, 0

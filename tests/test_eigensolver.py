@@ -107,6 +107,34 @@ class TestRootFind:
         assert calls
         assert len(set(calls)) == len(calls)
 
+    @pytest.mark.parametrize("q", (constant(-2.0), TENT),
+                             ids=("constant", "tent"))
+    @pytest.mark.parametrize("p", (1.5, 2.0, 3.0, 5.0))
+    def test_no_integration_repeats_a_miss(self, ctx_for, monkeypatch, p, q):
+        # two integrations of one search within 1e-11 relative in rho,
+        # both missing the target by more than the stop on the same
+        # side, say the same thing twice.  On a constant the comparison
+        # bracket has zero width, so its padded ends lie that close to
+        # the first guess, and the first widening used to integrate one
+        ctx = ctx_for(p)
+        real = eigensolver.integrate_phase
+        for n in range(1, 13):
+            misses = []
+
+            def spy(ctx, q, rho, ell, tol, misses=misses, n=n):
+                traj = real(ctx, q, rho, ell, tol)
+                misses.append((rho, traj.phi_end - n * ctx.pi_p))
+                return traj
+
+            monkeypatch.setattr(eigensolver, "integrate_phase", spy)
+            find_eigenvalue(ctx, q, n, 1.0, CFG)
+            stop = 0.1 * CFG.phase_tol
+            for j, (r, m) in enumerate(misses):
+                for r0, m0 in misses[:j]:
+                    assert not (abs(r - r0) <= 1e-11 * max(r, r0)
+                                and m * m0 > 0.0 and min(abs(m), abs(m0)) > stop), (
+                        n, r0, m0, r, m)
+
     def test_missed_root_raises(self, ctx_for, coarse_phase, monkeypatch):
         # phi(ell) rounded to 1e-3 leaves no root within phase_tol: the
         # one pass raises at once, every integration at the configured
