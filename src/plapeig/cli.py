@@ -165,19 +165,21 @@ def _merge_config(args: argparse.Namespace, unread=()) -> RunConfig:
         if val is not None:
             merged[key] = val
 
-    # each value takes the type of its default, which must hold it exactly
-    for k, v in DEFAULTS.items():
+    echo = tuple(k for k in DEFAULTS if hasattr(args, k) and k not in unread)
+    # each value the run reads takes the type of its default, which must
+    # hold it exactly; only those values reach the config dataclasses,
+    # so a value the run ignores keeps the default and goes unchecked
+    typed = dict(DEFAULTS)
+    for k in echo:
+        kind, v = type(DEFAULTS[k]), merged[k]
         try:
-            exact = type(v)(merged[k]) == merged[k]
+            exact = kind(v) == v
         except (TypeError, ValueError, OverflowError):
             exact = False
-        if not exact or isinstance(merged[k], bool):
+        if not exact or isinstance(v, bool):
             raise UsageError(f"config key {k!r}: expected "
-                             f"{type(v).__name__}, got {merged[k]!r}")
-    typed = {k: type(v)(merged[k]) for k, v in DEFAULTS.items()}
-    echo = tuple(k for k in DEFAULTS if hasattr(args, k) and k not in unread)
-    # only the settings the run reads reach the config dataclasses, so a
-    # value it ignores keeps the default and goes unchecked
+                             f"{kind.__name__}, got {v!r}")
+        typed[k] = kind(v)
     cfg = RunConfig(p=typed["p"], ell=typed["ell"], n_max=typed["n_max"],
                     format=typed["format"],
                     harness=_harness({k: typed[k] for k in echo}),

@@ -258,7 +258,7 @@ def verify_theorem1(ctx: PContext, q: Potential,
         ref = max(1.0, ctx.pi_p)
         rho_grid = np.geomspace(0.5 * ref, cfg.rho_span * ref, cfg.rho_points)
         notes.append("degenerate threshold q(0) = 0: any rho > 0 "
-                     "is in hypothesis; default grid uses pi_p scale")
+                     "is in hypothesis; grid uses pi_p scale")
 
     scan: list[ScanPoint] = []
     had_errors = False

@@ -487,12 +487,16 @@ class TestConfigPrecedence:
     @pytest.mark.parametrize("entry,command", (
         ({"ell": 5}, ("classify", "--potential", TENT_SPEC)),
         ({"n_max": 0}, ("verify", "--theorem", "t1", "--p", "2",
-                        "--potential", TENT_SPEC))),
-        ids=("classify-ell", "verify-t1-n_max"))
+                        "--potential", TENT_SPEC)),
+        ({"n_max": 2.9}, ("classify", "--potential", TENT_SPEC)),
+        ({"n_max": 0}, ("classify", "--potential", TENT_SPEC))),
+        ids=("classify-ell", "verify-t1-n_max", "classify-n_max-type",
+             "classify-n_max-range"))
     def test_unread_config_value_is_not_checked(self, capsys, tmp_path,
                                                 entry, command):
         # a config-file value the run does not read is neither echoed
-        # nor validated: classify reads no ell and T1 no n_max
+        # nor validated, by type or by range: classify reads no ell and
+        # no n_max, T1 no n_max
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps(entry))
         code, out, err = run_cli(capsys, *command, "--config", str(cfg))

@@ -42,6 +42,9 @@ class TestTheorem1:
         assert cert.verdict == "verified"
         assert all(abs(s.value) <= 1e-13 for s in cert.scan)
         assert any("rigidity" in n for n in cert.notes)
+        # T1 has one rho grid, so the note names no "default" one
+        assert ("degenerate threshold q(0) = 0: any rho > 0 is in "
+                "hypothesis; grid uses pi_p scale") in cert.notes
         assert_certificate_consistent(cert)
 
     def test_tent_barrier(self, ctx2):
