@@ -28,11 +28,11 @@ argument onto the quarter period by periodicity, oddness and the
 reflection S_p(pi_p - x) = S_p(x), and reads S_p there off a table,
 built forward from the two series once per context, by cubic Hermite
 interpolation; ``make_context`` binds it to its table as ``fold``.  The
-integrator's right-hand sides stop there; the public
-functions polish that value by Newton iteration on the series of its
-half, in s below the split and in w above it.  Both maps have a slope
-bounded away from zero and infinity on their halves, so S_p and S_p'
-keep full absolute accuracy up to the quarter-period endpoint.
+integrator's right-hand sides stop there; the public functions polish
+that value by Newton iteration on the series of its half, in s below
+the split and in w above it.  Both maps have a slope bounded away from
+zero and infinity on their halves, so S_p and S_p' keep full absolute
+accuracy up to the quarter-period endpoint.
 """
 
 from __future__ import annotations
@@ -88,6 +88,11 @@ class PContext:
     @property
     def quarter(self) -> float:
         return 0.5 * self.pi_p
+
+    def __reduce__(self):
+        # pickle cannot carry the closure ``fold``; a context is a
+        # function of p alone, so it is rebuilt from p
+        return make_context, (self.p,)
 
 
 def _coefficients(a: float, p: float, first: float) -> np.ndarray:
@@ -225,7 +230,8 @@ def _quarter_pair(ctx: PContext, xr: np.ndarray,
 
 
 def _bind_fold(pi_p: float, xs: tuple, ss: tuple, cs: tuple):
-    """The front end of one context: ``fold(x) -> (xr, s, sign_s, sign_c)``.
+    """The one front end, bound to one context's table:
+    ``fold(x) -> (xr, s, sign_s, sign_c)``.
 
     Folds a finite scalar onto the quarter period: ``xr`` lies in
     [0, pi_p/2], ``s`` is the cubic Hermite interpolant of S_p(xr) on the
@@ -283,15 +289,6 @@ def _bind_fold(pi_p: float, xs: tuple, ss: tuple, cs: tuple):
     return fold
 
 
-def _quarter(ctx: PContext, x: float) -> tuple[float, float, float, float]:
-    """Fold a finite scalar onto the quarter period; the one front end.
-
-    Returns ``(xr, s, sign_s, sign_c)`` as ``ctx.fold`` forms them (see
-    :func:`_bind_fold`).
-    """
-    return ctx.fold(x)
-
-
 def _pair(ctx: PContext, x) -> tuple:
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
@@ -300,8 +297,9 @@ def _pair(ctx: PContext, x) -> tuple:
     # fold |x| and apply oddness, so S_p(-x) = -S_p(x) exactly and a tiny
     # negative x is not rounded onto the period 2*pi_p; reshape so that an
     # empty argument still unpacks into four rows
+    fold = ctx.fold
     xr, seed, sign_s, sign_c = np.array(
-        [_quarter(ctx, abs(v)) for v in flat.tolist()]).reshape(-1, 4).T
+        [fold(abs(v)) for v in flat.tolist()]).reshape(-1, 4).T
     s, c = _quarter_pair(ctx, xr, seed)
     s = (np.copysign(1.0, flat) * sign_s * s).reshape(arr.shape)
     c = (sign_c * c).reshape(arr.shape)
@@ -337,7 +335,7 @@ def tp(ctx: PContext, x: float) -> float:
     x = float(x)
     if not math.isfinite(x):
         raise DomainError("argument must be finite")
-    xr, _, sign_s, sign_c = _quarter(ctx, x)
+    xr, _, sign_s, sign_c = ctx.fold(x)
     gap = ctx.quarter - xr
     if gap < POLE_GUARD:
         pole = x + sign_s * sign_c * gap
@@ -359,7 +357,7 @@ def fast_pair(ctx: PContext, x: float) -> tuple[float, float]:
     3.8e-3 and 3.4e-2.  Integrated phase error stays well below solver
     tolerances.  Scalar arguments only.
     """
-    _, s, ss, sc = _quarter(ctx, x)
+    _, s, ss, sc = ctx.fold(x)
     c = (1.0 - s ** ctx.p) ** (1.0 / ctx.p)
     return ss * s, sc * c
 

@@ -237,9 +237,7 @@ def fast_abs_sp_pow(ctx, x):
     """|S_p(x)|^p by the table front end, folded afresh on every call:
     the per-call route the integrator's per-piece right-hand sides
     replaced, kept as their reference."""
-    from plapeig.ptrig import _quarter
-
-    return _quarter(ctx, x)[1] ** ctx.p
+    return ctx.fold(x)[1] ** ctx.p
 
 
 def phase_end_fixed_mesh(ctx, q, rho, ell, n_steps=2000):

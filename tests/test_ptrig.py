@@ -1,11 +1,12 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 
-from plapeig import (DomainError, PoleError, arcsp, make_context, sp,
-                     sp_pair, sp_prime, tp)
-from plapeig.ptrig import _quarter, fast_pair
+from plapeig import (DomainError, PoleError, arcsp, compute_spectrum,
+                     constant, make_context, sp, sp_pair, sp_prime, tp)
+from plapeig.ptrig import fast_pair
 
 from oracles import SP_IVP_FROZEN, arcsp_quadrature, sp_ivp
 
@@ -40,6 +41,15 @@ class TestContext:
     def test_probe_residual_small(self, ctx_for):
         for p in ALL_P:
             assert ctx_for(p).probe_residual < 1e-12
+
+    def test_pickle_round_trip(self, ctx3):
+        # the bound fold is a closure; a pickled context is rebuilt from
+        # p, table and fold included, and so is a spectrum holding one
+        ctx = pickle.loads(pickle.dumps(ctx3))
+        assert ctx == ctx3 and ctx._xs == ctx3._xs
+        assert ctx.fold(1.3) == ctx3.fold(1.3)
+        spec = compute_spectrum(ctx3, constant(-2.0), 2, 1.0)
+        assert pickle.loads(pickle.dumps(spec)).pairs == spec.pairs
 
 
 class TestSpValues:
@@ -150,24 +160,24 @@ class TestIdentities:
 
 
 class TestArgumentReduction:
-    # _quarter(ctx, x) -> (xr, s, sign_s, sign_c); the quadrant is the
+    # ctx.fold(x) -> (xr, s, sign_s, sign_c); the quadrant is the
     # sign pair: (+,+), (+,-), (-,-), (-,+)
     def test_three_quarters_p2(self, ctx2):
-        xr, _, sign_s, sign_c = _quarter(ctx2, 1.5 * math.pi)
+        xr, _, sign_s, sign_c = ctx2.fold(1.5 * math.pi)
         assert xr == pytest.approx(math.pi / 2.0, abs=1e-15)
         assert (sign_s, sign_c) == (-1.0, -1.0)
 
     def test_period_count(self, ctx3):
-        xr, _, sign_s, sign_c = _quarter(ctx3, 2.0 * ctx3.pi_p + 0.3)
+        xr, _, sign_s, sign_c = ctx3.fold(2.0 * ctx3.pi_p + 0.3)
         assert (sign_s, sign_c) == (1.0, 1.0)
         assert xr == pytest.approx(0.3, abs=1e-13)
-        xr, _, sign_s, sign_c = _quarter(ctx3, -0.3)
+        xr, _, sign_s, sign_c = ctx3.fold(-0.3)
         assert (sign_s, sign_c) == (-1.0, 1.0)
         assert xr == pytest.approx(0.3, abs=1e-13)
 
     def test_reconstruction_signs(self, ctx3):
         for x in np.linspace(-2.5 * ctx3.pi_p, 2.5 * ctx3.pi_p, 101):
-            xr, _, sign_s, sign_c = _quarter(ctx3, float(x))
+            xr, _, sign_s, sign_c = ctx3.fold(float(x))
             assert 0.0 <= xr <= ctx3.pi_p / 2.0
             sq, cq = sp_pair(ctx3, xr)
             assert sp(ctx3, float(x)) == pytest.approx(sign_s * sq, abs=1e-12)
@@ -179,7 +189,7 @@ class TestArgumentReduction:
         # than one period; the fold still lands on the quarter period
         for x in (5.923175574983616e16, -8.8867668955274e16,
                   9.211191485207544e17, 1e300):
-            assert 0.0 <= _quarter(ctx3, x)[0] <= ctx3.quarter
+            assert 0.0 <= ctx3.fold(x)[0] <= ctx3.quarter
             s, c = sp_pair(ctx3, x)
             assert abs(abs(s) ** 3 + abs(c) ** 3 - 1.0) <= 1e-10
 
@@ -194,7 +204,7 @@ class TestArgumentReduction:
             xs = np.array([np.nextafter(b, -math.inf), b,
                            np.nextafter(b, math.inf)])
             for x in xs:
-                assert 0.0 <= _quarter(ctx, float(x))[0] <= ctx.quarter
+                assert 0.0 <= ctx.fold(float(x))[0] <= ctx.quarter
             s, c = sp_pair(ctx, xs)
             assert np.abs(np.abs(s) ** p + np.abs(c) ** p - 1.0).max() <= 1e-10
             if k % 2:
