@@ -235,8 +235,8 @@ def fd_u(ctx, q, rho, ell, tol=None, h=1e-5):
 
 def fast_abs_sp_pow(ctx, x):
     """|S_p(x)|^p by the table front end, folded afresh on every call:
-    the per-call route the integrator's per-piece right-hand sides
-    replaced, kept as their reference."""
+    the per-call reference for the integrator's per-piece right-hand
+    sides."""
     return ctx.fold(x)[1] ** ctx.p
 
 
@@ -430,9 +430,9 @@ def reference_dp45(ctx, q, rho, ell, tol, dim):
     """Terminal state and counts of the Prufer system by a generic DP45.
 
     A tableau loop over tuple states, with the package's right-hand
-    sides evaluated the old way, ``Potential.value`` and the table fold
-    on every call, and its step control: dim = 1 is the phase, 2 adds log R, 3 adds
-    u = d(phi)/d(rho).  For p != 2 the steps land on the levels
+    sides evaluated per call (``Potential.value`` and the table fold on
+    every call) and its step control: dim = 1 is the phase, 2 adds
+    log R, 3 adds u = d(phi)/d(rho).  For p != 2 the steps land on the levels
     k*pi_p/2 of the phase, whatever ``dim``, by prediction and by the
     Hermite fallback.  The stage-unrolled kernel must match it bit for
     bit.  Returns a dict with ``phi_end``, ``logr_end``, ``u_end`` (None

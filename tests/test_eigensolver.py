@@ -131,9 +131,9 @@ class TestRootFind:
             stop = 0.1 * CFG.phase_tol
             for j, (r, m) in enumerate(misses):
                 for r0, m0 in misses[:j]:
-                    assert not (abs(r - r0) <= 1e-11 * max(r, r0)
-                                and m * m0 > 0.0 and min(abs(m), abs(m0)) > stop), (
-                        n, r0, m0, r, m)
+                    same_rho = abs(r - r0) <= 1e-11 * max(r, r0)
+                    same_miss = m * m0 > 0.0 and min(abs(m), abs(m0)) > stop
+                    assert not (same_rho and same_miss), (n, r0, m0, r, m)
 
     def test_missed_root_raises(self, ctx_for, coarse_phase, monkeypatch):
         # phi(ell) rounded to 1e-3 leaves no root within phase_tol: the
