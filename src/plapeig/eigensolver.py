@@ -7,12 +7,14 @@ intervals come from the constant-comparison bound
 
     (n*pi_p/ell)^p + min q  <=  lambda_n  <=  (n*pi_p/ell)^p + max q,
 
-and one routine runs a secant iteration on the phase miss
+and ``find_eigenvalue`` runs a secant iteration on the phase miss
 phi(ell) - n*pi_p in rho, from the first-order guess
-(n*pi_p/ell)^p + mean q, safeguarded by that interval: a step that
-leaves the part of it known to hold the root becomes a bisection, and an
-end that fails to bracket the root is widened.  It runs once: a root
-whose miss exceeds the residual gate is a ``SearchError``.  The substitution
+(n*pi_p/ell)^p + mean q, safeguarded by that interval.  The terminal
+phase of each integration, kept by rho, is the search's one record: the
+part of the interval known to hold the root is read off it, a step that
+leaves that part becomes a bisection, and an end that fails to bracket
+the root is widened.  It runs once: a root whose miss exceeds the
+residual gate is a ``SearchError``.  The substitution
 rho = lambda^(1/p) needs lambda > 0, so when the lower bound is not
 positive the search runs on the shifted potential q + c with
 c = -min q and reports lambda_n(q) = lambda_n(q + c) - c; the shift
@@ -113,13 +115,20 @@ class Spectrum:
 def bracket_eigenvalue(ctx: PContext, q: Potential, n: int, ell: float
                        ) -> tuple[float, float]:
     """Comparison-based lambda interval guaranteed to contain lambda_n:
-    (n*pi_p/ell)^p + min q and (n*pi_p/ell)^p + max q, of either sign."""
+    (n*pi_p/ell)^p + min q and (n*pi_p/ell)^p + max q, of either sign.
+    Bounds that overflow a float are a ``DomainError``."""
     if n < 1:
         raise DomainError(f"eigenvalue index must be >= 1, got {n}")
     if not 0.0 < ell <= 1.0:
         raise DomainError(f"interval length must lie in (0, 1], got {ell}")
     qmin, qmax = q.min_max()
-    free = (n * ctx.pi_p / ell) ** ctx.p
+    try:
+        free = (n * ctx.pi_p / ell) ** ctx.p
+    except OverflowError:
+        free = math.inf
+    if not math.isfinite(free + qmax):
+        raise DomainError(f"comparison bound (n*pi_p/ell)^p overflows for "
+                          f"n={n}, p={ctx.p:g}, ell={ell:g}")
     return free + qmin, free + qmax
 
 
@@ -127,19 +136,29 @@ def find_eigenvalue(ctx: PContext, q: Potential, n: int, ell: float,
                     cfg: SolverConfig = SolverConfig()) -> Eigenpair:
     """Locate lambda_n(ell) by root-finding phi(ell, rho) = n*pi_p.
 
-    One routine, :func:`_solve`, runs a safeguarded secant in rho from
-    the first-order guess lambda_0 = (n*pi_p/ell)^p + mean q, with the
-    slope d phi/d rho = ell of q = 0; phi(ell, .) crosses each level
-    n*pi_p exactly once upward, so the root is unique, and the
-    comparison bracket safeguards the search.  It runs once, every
-    integration at ``cfg.tolerance``; a root that misses ``phase_tol``
+    A safeguarded secant in rho runs from the first-order guess
+    lambda_0 = (n*pi_p/ell)^p + mean q with the slope d phi/d rho = ell
+    of q = 0; phi(ell, .) crosses each level n*pi_p once, upward, so the
+    root is unique.  The terminal phase of each integration, kept by
+    rho, is the search's only record, and each step reads the bracket
+    off it: the largest rho whose miss is negative and the smallest whose
+    miss is positive, the padded comparison ends standing in until each
+    side is seen.  A step that leaves the bracket, or follows two
+    evaluations that each failed to halve the miss, bisects it.  An end
+    not yet seen is integrated and widened by width*2^k in lambda while
+    its miss has the wrong sign (the lower end at most halving, so it
+    stays positive); an end within ``_SAME_RHO`` of rho is not
+    integrated, and rho's miss starts the widening.  The search stops at
+    |miss| <= min(1e-10, phase_tol/10), or takes the evaluated rho of
+    least miss once the bracket collapses or ``_MAX_STEPS`` run out.
+
+    It runs once, at ``cfg.tolerance``; a root that misses ``phase_tol``
     raises :class:`SearchError` with its rho and phi(ell).  The returned
-    bracket is built from every evaluation; when none lies just across
-    the root, one more is taken there.  Every real lambda_n is reached:
-    when the comparison lower bound is not positive, the search runs on
+    bracket spans the nearest evaluation on each side, one more taken
+    just across the root when none lies there; an exact hit is on both.
+    When the comparison lower bound is not positive, the search runs on
     q - min q and the shift is taken off again (``Eigenpair.shift``).
-    The residual is the only acceptance test; it fixes ``zero_count`` at
-    n - 1.
+    The residual, the only acceptance test, fixes ``zero_count`` at n - 1.
     """
     p = ctx.p
     target = n * ctx.pi_p
@@ -150,8 +169,9 @@ def find_eigenvalue(ctx: PContext, q: Potential, n: int, ell: float,
         lo, hi = lo + shift, hi + shift
     width = max(hi - lo, 1e-9 * (1.0 + abs(hi)))
     lam0 = min(max((n * ctx.pi_p / ell) ** p + _mean(q, ell), lo), hi)
-    lo = max(lo - 1e-12 * (1.0 + abs(lo)), 0.5 * lo)
-    hi = hi + 1e-12 * (1.0 + abs(hi))
+    # the padded comparison interval in lambda, widened as the search goes
+    ends = [max(lo - 1e-12 * (1.0 + abs(lo)), 0.5 * lo),
+            hi + 1e-12 * (1.0 + abs(hi))]
     stop = min(1e-10, 0.1 * cfg.phase_tol)
 
     # terminal phase of every integration, by rho
@@ -163,38 +183,87 @@ def find_eigenvalue(ctx: PContext, q: Potential, n: int, ell: float,
                                         cfg.tolerance).phi_end
         return phis[rho] - target
 
-    rho_n, slope = _solve(h, p, lo, hi, width, n, lam0 ** (1.0 / p), ell,
-                          stop)
-    residual = abs(phis[rho_n] - target)
+    rho, slope = lam0 ** (1.0 / p), ell
+    f = h(rho)
+    f_prev, stalls = math.inf, 0
+    for _ in range(_MAX_STEPS):
+        if abs(f) <= stop:
+            break
+        neg = [r for r, phi in phis.items() if phi < target]
+        pos = [r for r, phi in phis.items() if phi > target]
+        a = max(neg, default=ends[0] ** (1.0 / p))
+        b = min(pos, default=ends[1] ** (1.0 / p))
+        if neg and pos and b - a <= 1e-13 * (1.0 + b):
+            break
+        stalls = stalls + 1 if abs(f) > 0.5 * f_prev else 0
+        nxt = rho - f / slope if slope > 0.0 and stalls < 2 else math.nan
+        if not a < nxt < b:
+            i = 1 if f < 0.0 else 0  # the side the root lies on
+            if not (pos if i else neg):
+                # integrate end i, or take rho's miss when it is rho;
+                # widen it while the root lies beyond it
+                r, fr = (b if i else a), f
+                if abs(r - rho) > _SAME_RHO * rho:
+                    fr = h(r)
+                k = 0
+                while (fr < 0.0) if i else (fr > 0.0):
+                    k += 1
+                    if k > 60:
+                        raise SearchError(
+                            f"no sign change while expanding "
+                            f"{'upper' if i else 'lower'} bracket for n={n}",
+                            details={"miss": fr})
+                    if i:
+                        ends[1] += width * 2.0 ** k
+                    else:
+                        ends[0] = max(ends[0] - width * 2.0 ** k,
+                                      0.5 * ends[0])
+                    r = ends[i] ** (1.0 / p)
+                    fr = h(r)
+                slope = (fr - f) / (r - rho)
+                rho, f = r, fr
+                f_prev, stalls = math.inf, 0
+                continue
+            nxt = 0.5 * (a + b)
+        fn = h(nxt)
+        slope = (fn - f) / (nxt - rho)
+        f_prev = abs(f)
+        rho, f = nxt, fn
+    else:
+        f = math.inf  # out of steps: fall back as on a collapse
+    if abs(f) > stop:
+        rho = min(phis, key=lambda r: (abs(phis[r] - target), r))
+
+    residual = abs(phis[rho] - target)
     if residual > cfg.phase_tol:
         raise SearchError(
             f"root for n={n} misses the phase target by {residual:g} "
             f"(phase_tol {cfg.phase_tol:g})",
-            details={"rho": rho_n, "phi_end": phis[rho_n]})
+            details={"rho": rho, "phi_end": phis[rho]})
 
     # honesty bracket: an evaluation across the root within four
     # corrections of it, or one more, stepping out until it lands there
-    side = 1.0 if h(rho_n) < 0.0 else -1.0
+    side = 1.0 if h(rho) < 0.0 else -1.0
     step = max(2.0 * residual / slope if slope > 0.0 else 0.0,
-               1e-12 * rho_n)
+               1e-12 * rho)
     if residual and not any(
-            side * (phi - target) > 0.0 and abs(r - rho_n) <= 2.0 * step
+            side * (phi - target) > 0.0 and abs(r - rho) <= 2.0 * step
             for r, phi in phis.items()):
         for _ in range(60):
-            if side * h(rho_n + side * step) > 0.0:
+            if side * h(rho + side * step) > 0.0:
                 break
             step *= 2.0
         else:
             raise SearchError(f"no evaluation across the root for n={n}",
-                              details={"rho": rho_n, "residual": residual})
+                              details={"rho": rho, "residual": residual})
 
     # both sides now hold an evaluation; an exact hit belongs to both
-    lam = rho_n ** p
+    lam = rho ** p
     neg = [r ** p for r, phi in phis.items() if phi <= target]
     pos = [r ** p for r, phi in phis.items() if phi >= target]
     bracket = (min(max(neg), lam) - shift, max(min(pos), lam) - shift)
-    return Eigenpair(n=n, lam=lam - shift, rho=rho_n,
-                     phi_end=phis[rho_n], residual=residual,
+    return Eigenpair(n=n, lam=lam - shift, rho=rho,
+                     phi_end=phis[rho], residual=residual,
                      zero_count=n - 1, bracket=bracket, shift=shift)
 
 
@@ -204,88 +273,6 @@ def _mean(q: Potential, ell: float) -> float:
     qs = [q.value(x) for x in xs]
     return sum((b - a) * (qa + qb) for a, b, qa, qb
                in zip(xs, xs[1:], qs, qs[1:])) / (2.0 * ell)
-
-
-def _solve(h, p: float, lo: float, hi: float, width: float, n: int,
-           rho: float, slope: float, stop: float) -> tuple[float, float]:
-    """Root in rho of the phase miss h, by a safeguarded secant from rho.
-
-    The root lies between the largest rho whose miss is negative and the
-    smallest whose miss is positive; until one of those is seen, the end
-    of the lambda interval [lo, hi] stands in for it.  A step that
-    leaves this bracket, or follows two evaluations that each failed to
-    halve the miss, bisects it instead.  A bracket end not yet evaluated
-    is evaluated first, widened by width*2^k while it fails to bracket
-    the root (the lower end at most halving, so it stays positive); an
-    end within ``_SAME_RHO`` of the current rho is not evaluated, and
-    rho's miss, which has the wrong sign there, starts the widening.
-    Stops at |miss| <= stop, or returns the evaluated rho of least miss
-    once the bracket has collapsed.  Returns (rho, last slope).
-    """
-    ends = [lo, hi]
-    bracket = [lo ** (1.0 / p), hi ** (1.0 / p)]
-    seen = [False, False]  # whether each bracket end has been evaluated
-    best = (math.inf, rho)
-    f_prev = math.inf
-    stalls = 0
-
-    def visit(r: float) -> float:
-        nonlocal best
-        f = h(r)
-        if f < 0.0:
-            bracket[0], seen[0] = r, True
-        elif f > 0.0:
-            bracket[1], seen[1] = r, True
-        best = min(best, (abs(f), r))
-        return f
-
-    def widen(i: int, rho: float, f: float) -> tuple[float, float]:
-        # evaluate end i (0 lower, 1 upper), or take rho's miss f for it
-        # when it is rho; widen it while its miss has the wrong sign, so
-        # the root lies beyond it
-        r = bracket[i]
-        if abs(r - rho) > _SAME_RHO * rho:
-            f = visit(r)
-        k = 0
-        while (f < 0.0) if i else (f > 0.0):
-            k += 1
-            if k > 60:
-                raise SearchError(
-                    f"no sign change while expanding "
-                    f"{'upper' if i else 'lower'} bracket for n={n}",
-                    details={"miss": f})
-            if i:
-                ends[1] += width * 2.0 ** k
-            else:
-                ends[0] = max(ends[0] - width * 2.0 ** k, 0.5 * ends[0])
-            r = bracket[i] = ends[i] ** (1.0 / p)
-            f = visit(r)
-        seen[i] = True
-        return r, f
-
-    f = visit(rho)
-    for _ in range(_MAX_STEPS):
-        if abs(f) <= stop:
-            return rho, slope
-        a, b = bracket
-        if seen[0] and seen[1] and b - a <= 1e-13 * (1.0 + b):
-            break
-        stalls = stalls + 1 if abs(f) > 0.5 * f_prev else 0
-        nxt = rho - f / slope if slope > 0.0 and stalls < 2 else math.nan
-        if not a < nxt < b:
-            i = 1 if f < 0.0 else 0  # the side the root lies on
-            if not seen[i]:
-                r, fr = widen(i, rho, f)
-                slope = (fr - f) / (r - rho)
-                rho, f = r, fr
-                f_prev, stalls = math.inf, 0
-                continue
-            nxt = 0.5 * (a + b)
-        fn = visit(nxt)
-        slope = (fn - f) / (nxt - rho)
-        f_prev = abs(f)
-        rho, f = nxt, fn
-    return best[1], slope
 
 
 def compute_spectrum(ctx: PContext, q: Potential, n_max: int, ell: float,

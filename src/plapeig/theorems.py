@@ -156,13 +156,13 @@ def _config_dict(theorem_id: str, ctx: PContext, q: Potential,
 
 
 def _finalize(theorem_id: str, hypotheses: dict, scan: list[ScanPoint],
-              config: dict, notes: list[str], had_errors: bool,
-              force_inconclusive: bool = False) -> TheoremCertificate:
+              config: dict, notes: list[str], had_errors: bool
+              ) -> TheoremCertificate:
     in_points = [s for s in scan if s.in_hypothesis]
     worst = min((s.margin for s in in_points), default=math.nan)
     if any(not s.satisfied for s in in_points):
         verdict = VIOLATED
-    elif had_errors or force_inconclusive or not in_points:
+    elif had_errors or not in_points:
         verdict = INCONCLUSIVE
     else:
         verdict = VERIFIED
@@ -202,14 +202,6 @@ def _join(*notes: str) -> str:
     return "; ".join(t for t in notes if t)
 
 
-def _hypothesis_failure(theorem_id: str, hypotheses: dict, config: dict,
-                        reason: str) -> TheoremCertificate:
-    return TheoremCertificate(theorem_id=theorem_id, verdict=INCONCLUSIVE,
-                              worst_margin=math.nan, hypotheses=hypotheses,
-                              scan=(), config=config,
-                              notes=(f"hypothesis failure: {reason}",))
-
-
 def verify_theorem1(ctx: PContext, q: Potential,
                     cfg: HarnessConfig = HarnessConfig()) -> TheoremCertificate:
     """Sign of theta's rho-derivative at the turning point.
@@ -229,7 +221,8 @@ def verify_theorem1(ctx: PContext, q: Potential,
     config = _config_dict("T1", ctx, q, cfg)
     reason = _hypothesis_gate(full, None, _ONE_TURNING_POINT)
     if reason:
-        return _hypothesis_failure("T1", hypotheses, config, reason)
+        return _finalize("T1", hypotheses, [], config,
+                         [f"hypothesis failure: {reason}"], False)
 
     trivial_interval = x0 < 1e-9
     if trivial_interval:
@@ -249,7 +242,8 @@ def verify_theorem1(ctx: PContext, q: Potential,
                               None if trivial_interval else _NONDECREASING,
                               " on [0, x0]")
     if reason:
-        return _hypothesis_failure("T1", hypotheses, config, reason)
+        return _finalize("T1", hypotheses, [], config,
+                         [f"hypothesis failure: {reason}"], False)
 
     if threshold > 0.0:
         rho_grid = np.geomspace(threshold, cfg.rho_span * threshold,
@@ -363,7 +357,8 @@ def verify_theorem2(ctx: PContext, q: Potential, n_max: int = 6,
 
     reason = _hypothesis_gate(cert, "nonpositive", _SINGLE_BARRIER)
     if reason:
-        return _hypothesis_failure("T2", hypotheses, config, reason)
+        return _finalize("T2", hypotheses, [], config,
+                         [f"hypothesis failure: {reason}"], False)
 
     notes: list[str] = []
     pairs, had_errors = _collect_pairs(ctx, q, range(1, n_max + 1),
@@ -401,7 +396,8 @@ def verify_theorem3(ctx: PContext, q: Potential, n_max: int = 4,
 
     reason = _hypothesis_gate(cert, "nonpositive", _SINGLE_BARRIER)
     if reason:
-        return _hypothesis_failure("T3", hypotheses, config, reason)
+        return _finalize("T3", hypotheses, [], config,
+                         [f"hypothesis failure: {reason}"], False)
 
     notes: list[str] = []
     q_star = cert.q_star
@@ -457,11 +453,11 @@ def verify_theorem3(ctx: PContext, q: Potential, n_max: int = 4,
         scan.extend(rows)
 
     hypotheses["ell_hat"] = ell_hat
-    force_inconclusive = ell_hat == 0.0
-    if force_inconclusive:
+    # ell_hat = 0 leaves no row in hypothesis, so the verdict is
+    # inconclusive
+    if ell_hat == 0.0:
         notes.append("no positive ell certified at this grid resolution")
-    return _finalize("T3", hypotheses, scan, config, notes, had_errors,
-                     force_inconclusive=force_inconclusive)
+    return _finalize("T3", hypotheses, scan, config, notes, had_errors)
 
 
 def verify_remark1(ctx: PContext, q: Potential, n_max: int = 6,
@@ -473,7 +469,8 @@ def verify_remark1(ctx: PContext, q: Potential, n_max: int = 6,
 
     reason = _hypothesis_gate(cert, "nonnegative", _SINGLE_WELL)
     if reason:
-        return _hypothesis_failure("R1", hypotheses, config, reason)
+        return _finalize("R1", hypotheses, [], config,
+                         [f"hypothesis failure: {reason}"], False)
 
     notes: list[str] = []
     pairs, had_errors = _collect_pairs(ctx, q, range(1, n_max + 1),

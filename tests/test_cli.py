@@ -602,6 +602,23 @@ class TestEntryPoint:
             capture_output=True, text=True, timeout=120)
         assert proc.returncode == 4
 
+    @pytest.mark.parametrize("argv", (
+        ("eigs", "--p", "2", "--potential", '{"type":"constant","value":-2}',
+         "--n-max", "2", "--ell", "1e-300"),
+        ("verify", "--theorem", "t2", "--p", "1000", "--potential", TENT_SPEC,
+         "--n-max", "4"),
+        ("sweep", "--axis", "ell", "--values", "1e-300,1", "--p", "2",
+         "--potential", '{"type":"constant","value":-2}', "--n-max", "2")),
+        ids=("eigs-ell", "verify-p", "sweep-ell"))
+    def test_overflowing_bound_exit_2(self, argv):
+        # an in-range --ell or --p whose comparison bound (n*pi_p/ell)^p
+        # overflows a float is a failure with exit 2, not a traceback
+        proc = subprocess.run([sys.executable, "-m", "plapeig", *argv],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "overflows for n=" in proc.stderr
+
     def test_no_scipy_at_run_time(self):
         # scipy serves only the opt-in direct-shooting oracle and the
         # tests: a cold start, the p-sine, a spectrum, a certificate and

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,13 +8,16 @@ from plapeig import eigensolver
 from plapeig import (DomainError, SearchError, SolverConfig,
                      bracket_eigenvalue, compute_spectrum, constant,
                      direct_shoot, find_eigenvalue, integrate_amplitude,
-                     reconstruct_eigenfunction, restrict, scaled_tent)
+                     piecewise_linear, reconstruct_eigenfunction, restrict,
+                     scaled_tent)
 
 from oracles import (count_sign_changes, direct_eigenvalue,
                      random_nonpositive_piecewise_linear)
 
 TENT = scaled_tent(-5.0, 4.0)
 TENT_SEED5 = scaled_tent(-4.526435930669148, 3.542758661908266)
+PL5 = piecewise_linear([[0.0, -1.0], [0.25, -4.0], [0.5, -2.0],
+                        [0.75, -5.0], [1.0, -1.5]])
 CFG = SolverConfig()
 
 
@@ -44,6 +48,14 @@ class TestBracket:
             bracket_eigenvalue(ctx2, TENT, 0, 1.0)
         with pytest.raises(DomainError):
             bracket_eigenvalue(ctx2, TENT, 1, 0.0)
+
+    @pytest.mark.parametrize("p,n,ell", ((2.0, 1, 1e-300), (1000.0, 4, 1.0)))
+    def test_overflow_is_domain_error(self, ctx_for, p, n, ell):
+        # an in-range ell or p whose bound (n*pi_p/ell)^p passes the
+        # largest float is refused by name, not left to OverflowError
+        with pytest.raises(DomainError,
+                           match=f"n={n}, p={p:g}, ell={ell:g}"):
+            bracket_eigenvalue(ctx_for(p), TENT, n, ell)
 
 
 class TestFindEigenvalue:
@@ -134,6 +146,67 @@ class TestRootFind:
                     same_rho = abs(r - r0) <= 1e-11 * max(r, r0)
                     same_miss = m * m0 > 0.0 and min(abs(m), abs(m0)) > stop
                     assert not (same_rho and same_miss), (n, r0, m0, r, m)
+
+    @pytest.mark.parametrize("q", (TENT, constant(-2.0), PL5),
+                             ids=("tent", "constant", "pl5"))
+    @pytest.mark.parametrize("p", (1.5, 2.0, 3.0, 5.0))
+    def test_bracket_is_read_off_the_evaluations(self, ctx_for, monkeypatch,
+                                                 p, q):
+        # each bracket end is lambda of the nearest integrated rho on its
+        # side of the level, or lambda_n itself when the root lies on
+        # that side
+        ctx = ctx_for(p)
+        real = eigensolver.integrate_phase
+        evals = []
+
+        def spy(ctx, q, rho, ell, tol):
+            traj = real(ctx, q, rho, ell, tol)
+            evals.append((rho, traj.phi_end))
+            return traj
+
+        monkeypatch.setattr(eigensolver, "integrate_phase", spy)
+        for n in range(1, 13):
+            evals.clear()
+            pair = find_eigenvalue(ctx, q, n, 1.0, CFG)
+            target = n * ctx.pi_p
+            lam_of = {rho: rho ** p - pair.shift for rho, _ in evals}
+            below = [lam_of[r] for r, phi in evals if phi <= target]
+            above = [lam_of[r] for r, phi in evals if phi >= target]
+            assert pair.lam == lam_of[pair.rho]
+            assert pair.bracket == (min(max(below), pair.lam),
+                                    max(min(above), pair.lam)), n
+
+    def test_exact_hit_is_its_own_bracket(self, ctx2, monkeypatch):
+        # a phase that lands on the level exactly lies on both sides of
+        # it: the bracket is [lambda, lambda], with no step-out
+        real = eigensolver.integrate_phase
+
+        def exact(ctx, q, rho, ell, tol):
+            return dataclasses.replace(real(ctx, q, rho, ell, tol),
+                                       phi_end=2.0 * ctx.pi_p)
+
+        monkeypatch.setattr(eigensolver, "integrate_phase", exact)
+        calls = spy_integrations(monkeypatch)
+        pair = find_eigenvalue(ctx2, TENT, 2, 1.0, CFG)
+        assert pair.residual == 0.0
+        assert pair.bracket == (pair.lam, pair.lam)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("p,ceiling", (
+        (1.5, (59, 46, 54)), (2.0, (51, 42, 52)),
+        (3.0, (47, 51, 45)), (5.0, (40, 53, 41))))
+    def test_integration_count_ceiling(self, ctx_for, monkeypatch, p,
+                                       ceiling):
+        # integrations are the solver's primary cost: compute_spectrum
+        # (n_max=12, ell=1) on TENT, constant(-2) and PL5 makes at most
+        # the counts the search made when this ceiling was set
+        calls = spy_integrations(monkeypatch)
+        counts = []
+        for q in (TENT, constant(-2.0), PL5):
+            before = len(calls)
+            compute_spectrum(ctx_for(p), q, 12, 1.0, CFG)
+            counts.append(len(calls) - before)
+        assert all(c <= top for c, top in zip(counts, ceiling)), counts
 
     def test_missed_root_raises(self, ctx_for, coarse_phase, monkeypatch):
         # phi(ell) rounded to 1e-3 leaves no root within phase_tol: the
