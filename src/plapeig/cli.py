@@ -12,9 +12,9 @@ Potentials are given inline as a JSON object or as a path to a JSON
 file.  Option precedence is CLI flags over config file (--config) over
 built-in defaults, and every report echoes the effective configuration
 so it can be reproduced from its own header.  Data goes to stdout or
---out; diagnostics go to stderr.  Numbers are emitted with 17
-significant digits (round-trip safe) and CSV output is locale
-independent.
+--out; diagnostics go to stderr, a warning as one "warning:" line.  Numbers
+are emitted with 17 significant digits (round-trip safe) and CSV output
+is locale independent.
 
 Exit codes: 0 success/verified, 2 usage or solver failure, 3 statement
 violated, 4 inconclusive (hypothesis mismatch or solver could not
@@ -29,6 +29,7 @@ import functools
 import io
 import json
 import sys
+import warnings
 from dataclasses import dataclass, field, fields
 
 from .eigensolver import SolverConfig, compute_spectrum
@@ -190,6 +191,8 @@ def _merge_config(args: argparse.Namespace, unread=()) -> RunConfig:
         if pot is not None:
             cfg.potential = _load_potential(pot)
     cfg.validate()
+    if hasattr(args, "potential") and cfg.potential is None:
+        raise UsageError("--potential is required")
     return cfg
 
 
@@ -231,32 +234,23 @@ def cmd_ptrig_table(args) -> int:
     cfg.extra = {"x_min": args.x_min, "x_max": args.x_max, "steps": args.steps}
     xs = [args.x_min + (args.x_max - args.x_min) * i / args.steps
           for i in range(args.steps + 1)]
-    ss, cs = sp_pair(ctx, xs)
     rows = [(x, s, c, abs(s) ** ctx.p + abs(c) ** ctx.p)
-            for x, s, c in zip(xs, ss.tolist(), cs.tolist())]
+            for x in xs for s, c in [sp_pair(ctx, x)]]
     _emit(cfg, ("x", "sp", "sp_prime", "identity"), rows, "ptrig_table")
     return EXIT_OK
 
 
 def cmd_classify(args) -> int:
     cfg = _merge_config(args)
-    if cfg.potential is None:
-        raise UsageError("--potential is required")
-    cert = classify(cfg.potential)
-    d = cert.as_dict()
-    header = tuple(d.keys())
-    _emit(cfg, header, [tuple(d.values())], "shape_certificate")
+    d = classify(cfg.potential).as_dict()
+    _emit(cfg, tuple(d), [tuple(d.values())], "shape_certificate")
     return EXIT_OK
 
 
 def cmd_eigs(args) -> int:
     cfg = _merge_config(args)
-    if cfg.potential is None:
-        raise UsageError("--potential is required")
     ctx = make_context(cfg.p)
-    q = cfg.potential
-    if cfg.ell < q.domain_end:
-        q = restrict(q, cfg.ell)
+    q = restrict(cfg.potential, cfg.ell)
     # a failed search names its index; main() reports it
     spectrum = compute_spectrum(ctx, q, cfg.n_max, cfg.ell, cfg.harness.solver)
     # rho belongs to q + shift: rho^p = lambda + shift
@@ -277,8 +271,6 @@ _UNREAD = {t: tuple(k for k in DEFAULTS if k not in ("p", "format")
 def cmd_verify(args) -> int:
     theorem = (args.theorem or "").lower()
     cfg = _merge_config(args, _UNREAD.get(theorem, ()))
-    if cfg.potential is None:
-        raise UsageError("--potential is required")
     if theorem not in _THEOREMS:
         raise UsageError("--theorem must be one of t1, t2, t3, r1")
     ctx = make_context(cfg.p)
@@ -312,8 +304,6 @@ def cmd_sweep(args) -> int:
     axis = (args.axis or "").lower()
     # the swept setting replaces its flag
     cfg = _merge_config(args, (axis,) if axis in ("p", "ell") else ())
-    if cfg.potential is None:
-        raise UsageError("--potential is required")
     if axis not in ("p", "ell", "depth"):
         raise UsageError("--axis must be one of p, ell, depth")
     try:
@@ -341,8 +331,7 @@ def cmd_sweep(args) -> int:
                 if base.kind != "builtin_family":
                     raise UsageError("--axis depth requires a scaled_tent potential")
                 q = scaled_tent(v, dict(base.params)["rise"])
-            if ell < q.domain_end:
-                q = restrict(q, ell)
+            q = restrict(q, ell)
             ctx = make_context(p)
             spectrum = compute_spectrum(ctx, q, cfg.n_max, ell, cfg.harness.solver)
             # a ratio to lambda_1 <= 0 says nothing: left empty (null)
@@ -431,14 +420,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except PLapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: print(
+            f"warning: {message}", file=sys.stderr)
+        try:
+            return args.func(args)
+        except UsageError as exc:
+            print(f"usage error: {exc}", file=sys.stderr)
+            return EXIT_ERROR
+        except PLapError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_ERROR
 
 
 if __name__ == "__main__":

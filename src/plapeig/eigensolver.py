@@ -29,8 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import DomainError, SearchError, check_range
 from .potentials import Potential
 from .prufer import ToleranceConfig, integrate_phase
@@ -108,7 +106,9 @@ class Spectrum:
     potential: Potential
     config: SolverConfig
 
-    def lambdas(self) -> np.ndarray:
+    def lambdas(self):  # an ndarray
+        import numpy as np
+
         return np.array([pr.lam for pr in self.pairs])
 
 
@@ -320,6 +320,7 @@ def direct_shoot(ctx: PContext, q: Potential, lam: float, ell: float
     looser tolerance than the phase method.  A piece that ``solve_ivp``
     fails to integrate raises :class:`SearchError`.
     """
+    import numpy as np
     from scipy.integrate import solve_ivp
 
     if not 0.0 < ell <= 1.0:

@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the config range checks."""
+"""Exception types shared across the package, the config range checks,
+and the array route of the functions that take a scalar or an array."""
 
 import math
 
@@ -59,3 +60,18 @@ def check_range(cfg, low, *names: str, strict: bool = False) -> None:
         if not (low < value if strict else low <= value) or value == math.inf:
             rule = f"> {low}" if strict else f">= {low}"
             raise DomainError(f"{name} must be finite and {rule}, got {value}")
+
+
+def is_array(x) -> bool:
+    """An array or a list, not a scalar; decided without numpy."""
+    return isinstance(x, (list, tuple)) or bool(getattr(x, "ndim", 0))
+
+
+def map_array(f, x, width: int) -> tuple:
+    """``f``, which returns ``width`` floats, on each element of the
+    array-like ``x``: one ndarray of x's shape per value."""
+    import numpy as np
+
+    arr = np.asarray(x, dtype=float)
+    out = np.array([f(v) for v in arr.ravel().tolist()], dtype=float).reshape(-1, width)
+    return tuple(col.reshape(arr.shape) for col in out.T)

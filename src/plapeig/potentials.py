@@ -17,9 +17,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 from typing import Mapping
 
-import numpy as np
-
-from .errors import DomainError, PotentialParseError
+from .errors import DomainError, PotentialParseError, is_array, map_array
 
 # knot values equal within tolerance count as a plateau
 MONOTONE_TOL = 1e-12
@@ -70,13 +68,10 @@ class Potential:
             raise DomainError("knot values must be finite")
 
     def __call__(self, x):
-        """Evaluate q(x); accepts scalars or arrays within the domain."""
-        if np.ndim(x) == 0:
-            return self.value(float(x))
-        arr = np.asarray(x, dtype=float)
-        if arr.size and (arr.min() < -1e-12 or arr.max() > self.domain_end + 1e-12):
-            raise DomainError("evaluation outside [0, domain_end]")
-        return np.interp(arr, self.xs, self.qs)
+        """q(x) by :meth:`value`: a float, or an ndarray for an array."""
+        if is_array(x):
+            return map_array(lambda v: (self.value(v),), x, 1)[0]
+        return self.value(float(x))
 
     def value(self, x: float) -> float:
         """Scalar evaluation, by the affine piece that holds x."""

@@ -74,8 +74,6 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import DomainError, IntegrationError, StateError, check_range
 from .potentials import Potential
 from .ptrig import PContext, sp_pair
@@ -108,10 +106,10 @@ class PruferTrajectory:
     """Result of one integration over [0, ell].
 
     ``dense_x``/``dense_phi``/``dense_logr`` (and matching derivative
-    arrays) hold the accepted steps of an amplitude or sensitivity
+    columns) hold the accepted steps of an amplitude or sensitivity
     integration for reconstruction, the steps landed on the levels
-    k*pi_p/2 included; a phase-only integration keeps none, so all five
-    are None there.  ``logr_end`` is None when amplitude was not
+    k*pi_p/2 included, as tuples of floats; a phase-only integration
+    keeps none, so all five are None there.  ``logr_end`` is None when amplitude was not
     requested, ``u_end`` when sensitivity was not.  ``stats`` holds the
     step, reject, landing and RHS counts.  Immutable once built.
     """
@@ -124,11 +122,11 @@ class PruferTrajectory:
     logr_end: float | None
     u_end: float | None
     stats: dict = field(repr=False, compare=False)
-    dense_x: np.ndarray | None = field(default=None, repr=False, compare=False)
-    dense_phi: np.ndarray | None = field(default=None, repr=False, compare=False)
-    dense_dphi: np.ndarray | None = field(default=None, repr=False, compare=False)
-    dense_logr: np.ndarray | None = field(default=None, repr=False, compare=False)
-    dense_dlogr: np.ndarray | None = field(default=None, repr=False, compare=False)
+    dense_x: tuple | None = field(default=None, repr=False, compare=False)
+    dense_phi: tuple | None = field(default=None, repr=False, compare=False)
+    dense_dphi: tuple | None = field(default=None, repr=False, compare=False)
+    dense_logr: tuple | None = field(default=None, repr=False, compare=False)
+    dense_dlogr: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def theta_dot_end(self) -> float:
@@ -463,10 +461,13 @@ def _integrate(ctx: PContext, q: Potential, rho: float, ell: float,
                         0.0)
         return f
 
-    (phi, logr, u), dense = _kernel(rhs, bounds, h, tol, stats,
-                                    None if p == 2.0 else 0.5 * ctx.pi_p, dim)
+    try:
+        (phi, logr, u), dense = _kernel(
+            rhs, bounds, h, tol, stats, None if p == 2.0 else 0.5 * ctx.pi_p, dim)
+    except IntegrationError as exc:  # name the integration that failed
+        raise IntegrationError(f"{exc} (rho={rho:g}, ell={ell:g})", exc.last_x) from exc
     xs, phis, dphis, logrs, dlogrs = ((None,) * 5 if dense is None
-                                      else np.array(dense).T)
+                                      else tuple(zip(*dense)))
     return PruferTrajectory(
         ctx=ctx, rho=rho, ell=ell, phi_end=phi, theta_end=phi / rho,
         logr_end=logr if dim > 1 else None, u_end=u if dim == 3 else None,
@@ -506,6 +507,9 @@ def integrate_sensitivity(ctx: PContext, q: Potential, rho: float, ell: float,
 
 def _hermite(xq, xs, ys, ds):
     """Vectorized cubic Hermite evaluation on accepted-step data."""
+    import numpy as np
+
+    xs, ys, ds = np.asarray(xs), np.asarray(ys), np.asarray(ds)
     idx = np.clip(np.searchsorted(xs, xq, side="right") - 1, 0, len(xs) - 2)
     x0 = xs[idx]
     h = xs[idx + 1] - x0
@@ -518,24 +522,22 @@ def _hermite(xq, xs, ys, ds):
             + (3 * t2 - 2 * t3) * y1 + (t3 - t2) * h * d1)
 
 
-def reconstruct_eigenfunction(traj: PruferTrajectory, samples: int = 513) -> np.ndarray:
+def reconstruct_eigenfunction(traj: PruferTrajectory, samples: int = 513):
     """Sample y = R*S_p(phi) and y' = rho*R*S_p'(phi) on a uniform grid.
 
-    Requires a trajectory with amplitude dense output.  Returns an array
-    of shape (samples, 3) with columns x, y, y'.
+    Requires a trajectory with amplitude dense output.  Returns an
+    ndarray of shape (samples, 3) with columns x, y, y'.
     """
     if traj.dense_logr is None:
         raise StateError("trajectory carries no amplitude dense output; "
                          "use integrate_amplitude or integrate_sensitivity")
     if samples < 2:
         raise DomainError("need at least 2 samples")
+    import numpy as np
+
     xq = np.linspace(0.0, traj.ell, samples)
     phi = _hermite(xq, traj.dense_x, traj.dense_phi, traj.dense_dphi)
     logr = _hermite(xq, traj.dense_x, traj.dense_logr, traj.dense_dlogr)
     r = np.exp(logr)
     s, c = sp_pair(traj.ctx, phi)
-    out = np.empty((samples, 3))
-    out[:, 0] = xq
-    out[:, 1] = r * s
-    out[:, 2] = traj.rho * r * c
-    return out
+    return np.column_stack((xq, r * s, traj.rho * r * c))

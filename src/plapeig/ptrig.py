@@ -23,7 +23,8 @@ and above it, in w = S_p'^(p-1) and zeta = S_p'^p,
     pi_p/2 - x = w * sum_k r'_k zeta^k / ((k+1)*p - 1).
 
 Since z and zeta stay at or below 1/2 on their halves, 60 terms reach
-rounding.  Every evaluation goes through one front end: it folds the
+rounding; a power sum in Python floats stops once a term no longer
+moves it.  Every evaluation goes through one front end: it folds the
 argument onto the quarter period by periodicity, oddness and the
 reflection S_p(pi_p - x) = S_p(x), and reads S_p there off a table,
 built forward from the two series once per context, by cubic Hermite
@@ -32,19 +33,19 @@ integrator's right-hand sides stop there; the public functions polish
 that value by Newton iteration on the series of its half, in s below
 the split and in w above it.  Both maps have a slope bounded away from
 zero and infinity on their halves, so S_p and S_p' keep full absolute
-accuracy up to the quarter-period endpoint.
+accuracy up to the quarter-period endpoint.  All of it runs on Python
+floats: an array argument is evaluated point by point into an ndarray,
+and only then is numpy imported.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
-import numpy as np
-
-from .errors import DomainError, PoleError
+from .errors import DomainError, PoleError, is_array, map_array
 
 # Terms of each inverse-map series; at z = 1/2 the 60th is below rounding.
 SERIES_TERMS = 60
@@ -70,16 +71,15 @@ class PContext:
     p: float
     pi_p: float
     p_conj: float
-    # the table: nodes x and S_p(x), S_p'(x) there, as plain floats so
-    # the scalar front end runs on C-level bisect and arithmetic; node
-    # HALF_INTERVALS is the split s^p = 1/2
+    # the table: nodes x and S_p(x), S_p'(x) there; node HALF_INTERVALS
+    # is the split s^p = 1/2
     _xs: tuple = field(repr=False, compare=False)
     _ss: tuple = field(repr=False, compare=False)
     _cs: tuple = field(repr=False, compare=False)
     # series coefficients r_k/(k p + 1) below the split, r'_k/((k+1) p - 1)
     # above it
-    _lo: np.ndarray = field(repr=False, compare=False)
-    _hi: np.ndarray = field(repr=False, compare=False)
+    _lo: tuple = field(repr=False, compare=False)
+    _hi: tuple = field(repr=False, compare=False)
     fold: Callable[[float], tuple[float, float, float, float]] = field(
         default=None, repr=False, compare=False)
     # max inverse-map residual observed at off-node probe points, /pi_p
@@ -95,29 +95,36 @@ class PContext:
         return make_context, (self.p,)
 
 
-def _coefficients(a: float, p: float, first: float) -> np.ndarray:
+def _coefficients(a: float, p: float, first: float) -> tuple:
     """(a)_k / k! / (k*p + first) for k < SERIES_TERMS."""
-    r = np.empty(SERIES_TERMS)
-    r[0] = 1.0
+    r = [1.0]
     for k in range(SERIES_TERMS - 1):
-        r[k + 1] = r[k] * (a + k) / (k + 1)
-    return r / (np.arange(SERIES_TERMS) * p + first)
+        r.append(r[k] * (a + k) / (k + 1))
+    return tuple(rk / (k * p + first) for k, rk in enumerate(r))
 
 
-def _series(coef: np.ndarray, z) -> np.ndarray:
-    """sum_{k>=1} coef[k] z^k, elementwise over an array z.  The caller
-    adds the k = 0 term, so the dominant term carries none of the tail's
-    rounding."""
-    zk = np.repeat(z[..., None], SERIES_TERMS - 1, axis=-1).cumprod(axis=-1)
-    return zk @ coef[1:]
+def _series(coef: tuple, z: float) -> float:
+    """sum_{k>=1} coef[k] z^k, added largest term first until a term can
+    no longer move the sum (the terms are positive and fall with k).
+    The caller adds the k = 0 term, so the dominant term carries none of
+    the tail's rounding."""
+    acc = 0.0
+    zk = z
+    for c in coef[1:]:
+        new = acc + c * zk
+        if new == acc:
+            break
+        acc = new
+        zk *= z
+    return acc
 
 
-def _below(ctx: PContext, s: np.ndarray) -> np.ndarray:
+def _below(ctx: PContext, s: float) -> float:
     """x(s) for s^p <= 1/2."""
     return s + s * _series(ctx._lo, s ** ctx.p)
 
 
-def _above(ctx: PContext, w: np.ndarray) -> np.ndarray:
+def _above(ctx: PContext, w: float) -> float:
     """pi_p/2 - x as a function of w = S_p'^(p-1), for S_p'^p <= 1/2."""
     return w * ctx._hi[0] + w * _series(ctx._hi, w ** ctx.p_conj)
 
@@ -142,55 +149,51 @@ def make_context(p: float) -> PContext:
     # split and w = w_split * u above it, with u = 1 - cos(pi j / 2048)
     # rising from 0 to 1 over j = 0..1024.  The split node comes from the
     # lower series.
-    u = 1.0 - np.cos(0.5 * np.pi * np.arange(HALF_INTERVALS + 1)
-                     / HALF_INTERVALS)
+    u = [1.0 - math.cos(0.5 * math.pi * j / HALF_INTERVALS)
+         for j in range(HALF_INTERVALS + 1)]
     half = 0.5 ** (1.0 / p)  # S_p = S_p' at the split
-    s_lo = half * u
-    w = half ** (p - 1.0) * u[-2::-1]  # from the split down to 0
-    x = np.concatenate((_below(ctx, s_lo), qtr - _above(ctx, w)))
-    s = np.concatenate((s_lo, (1.0 - w ** ctx.p_conj) ** (1.0 / p)))
-    c = np.concatenate(((1.0 - s_lo ** p) ** (1.0 / p),
-                        w ** (1.0 / (p - 1.0))))
-    object.__setattr__(ctx, "_xs", tuple(x.tolist()))
-    object.__setattr__(ctx, "_ss", tuple(s.tolist()))
-    object.__setattr__(ctx, "_cs", tuple(c.tolist()))
-    object.__setattr__(ctx, "fold",
-                       _bind_fold(pi_p, ctx._xs, ctx._ss, ctx._cs))
+    w_split = half ** (p - 1.0)
+    s_lo = [half * uj for uj in u]
+    w = [w_split * uj for uj in u[-2::-1]]  # from the split down to 0
+    xs = [_below(ctx, s) for s in s_lo] + [qtr - _above(ctx, wj) for wj in w]
+    ss = s_lo + [(1.0 - wj ** ctx.p_conj) ** (1.0 / p) for wj in w]
+    cs = ([(1.0 - s ** p) ** (1.0 / p) for s in s_lo]
+          + [wj ** (1.0 / (p - 1.0)) for wj in w])
+    xs, ss, cs = tuple(xs), tuple(ss), tuple(cs)
+    ctx = replace(ctx, _xs=xs, _ss=ss, _cs=cs,
+                  fold=_bind_fold(pi_p, xs, ss, cs))
 
     # Accuracy probe at off-node points: each point is judged by the
     # series of its half, the map its Newton polish inverts.
-    xp = qtr * (np.arange(1, 64) / 64.0 + 0.5 / TABLE_INTERVALS)
-    xp = xp[xp < qtr]
-    sv, cv = _pair(ctx, xp)
-    lo = xp <= ctx._xs[HALF_INTERVALS]
-    resid = np.where(lo, _below(ctx, sv) - xp,
-                     _above(ctx, cv ** (p - 1.0)) - (qtr - xp))
-    object.__setattr__(ctx, "probe_residual",
-                       float(np.max(np.abs(resid))) / pi_p)
-    return ctx
+    resid = 0.0
+    for j in range(1, 64):
+        x = qtr * (j / 64.0 + 0.5 / TABLE_INTERVALS)
+        s, c = _pair(ctx, x)
+        resid = max(resid, abs(_below(ctx, s) - x if x <= xs[HALF_INTERVALS]
+                               else _above(ctx, c ** (p - 1.0)) - (qtr - x)))
+    return replace(ctx, probe_residual=resid / pi_p)
 
 
-def arcsp(ctx: PContext, s) -> np.ndarray | float:
+def arcsp(ctx: PContext, s):
     """Inverse p-sine on [0, 1]: the incomplete integral x(s).
 
     Summed by the series of the half that z = s^p falls in; above the
-    split the series runs in zeta = 1 - z, which is exact there.
+    split the series runs in zeta = 1 - z, which is exact there.  Accepts
+    a scalar or an array; s > 1 has no inverse and gives nan.
     """
-    p = ctx.p
-    sa = np.abs(np.asarray(s, dtype=float))
-    z = sa ** p
-    lo = z <= 0.5
-    out = np.empty_like(sa)
-    out[lo] = _below(ctx, sa[lo])
-    zeta = 1.0 - z[~lo]
-    with np.errstate(invalid="ignore"):  # s > 1 has no inverse: nan
-        out[~lo] = ctx.quarter - _above(ctx, zeta ** (1.0 / ctx.p_conj))
-    return float(out) if np.ndim(s) == 0 else out
+    if is_array(s):
+        return map_array(lambda v: (arcsp(ctx, v),), s, 1)[0]
+    sa = abs(float(s))
+    z = sa ** ctx.p
+    if z <= 0.5:
+        return _below(ctx, sa)
+    zeta = 1.0 - z
+    return (ctx.quarter - _above(ctx, zeta ** (1.0 / ctx.p_conj))
+            if zeta >= 0.0 else math.nan)
 
 
-def _quarter_pair(ctx: PContext, xr: np.ndarray,
-                  seed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(S_p, S_p') on the fundamental quarter period, vectorized.
+def _quarter_pair(ctx: PContext, xr: float, seed: float) -> tuple[float, float]:
+    """(S_p, S_p') on the fundamental quarter period.
 
     Newton polishes ``seed``, the table's S_p(xr), on the series of the
     half xr falls in; the halves part at the table's split node, so each
@@ -199,34 +202,24 @@ def _quarter_pair(ctx: PContext, xr: np.ndarray,
     whose slope there is 1/((p-1) s^(p-1)).
     """
     p = ctx.p
-    s = np.empty_like(xr)
-    c = np.empty_like(xr)
-    lo = xr <= ctx._xs[HALF_INTERVALS]
     half = 0.5 ** (1.0 / p)
-
-    if np.any(lo):
-        x_lo = xr[lo]
-        sv = seed[lo]
+    if xr <= ctx._xs[HALF_INTERVALS]:
+        s = seed
         for _ in range(_NEWTON_ITERS):
             # x(s) - xr = 0, x'(s) = (1 - s^p)^(-1/p)
-            resid = _below(ctx, sv) - x_lo
-            sv = np.clip(sv - resid * (1.0 - sv ** p) ** (1.0 / p), 0.0, half)
-        s[lo] = sv
-        c[lo] = (1.0 - sv ** p) ** (1.0 / p)
+            resid = _below(ctx, s) - xr
+            s = min(max(s - resid * (1.0 - s ** p) ** (1.0 / p), 0.0), half)
+        return s, (1.0 - s ** p) ** (1.0 / p)
 
-    hi = ~lo
-    if np.any(hi):
-        gap = ctx.quarter - xr[hi]
-        w_split = half ** (p - 1.0)
-        w = np.clip(1.0 - seed[hi] ** p, 0.0, 0.5) ** (1.0 / ctx.p_conj)
-        for _ in range(_NEWTON_ITERS):
-            # D(w) - gap = 0, D'(w) = 1/((p-1) s^(p-1)), s^p = 1 - w^p'
-            resid = _above(ctx, w) - gap
-            s_pm1 = (1.0 - w ** ctx.p_conj) ** (1.0 / ctx.p_conj)
-            w = np.clip(w - resid * (p - 1.0) * s_pm1, 0.0, w_split)
-        c[hi] = w ** (1.0 / (p - 1.0))
-        s[hi] = (1.0 - w ** ctx.p_conj) ** (1.0 / p)
-    return s, c
+    gap = ctx.quarter - xr
+    w_split = half ** (p - 1.0)
+    w = min(max(1.0 - seed ** p, 0.0), 0.5) ** (1.0 / ctx.p_conj)
+    for _ in range(_NEWTON_ITERS):
+        # D(w) - gap = 0, D'(w) = 1/((p-1) s^(p-1)), s^p = 1 - w^p'
+        resid = _above(ctx, w) - gap
+        s_pm1 = (1.0 - w ** ctx.p_conj) ** (1.0 / ctx.p_conj)
+        w = min(max(w - resid * (p - 1.0) * s_pm1, 0.0), w_split)
+    return (1.0 - w ** ctx.p_conj) ** (1.0 / p), w ** (1.0 / (p - 1.0))
 
 
 def _bind_fold(pi_p: float, xs: tuple, ss: tuple, cs: tuple):
@@ -290,28 +283,22 @@ def _bind_fold(pi_p: float, xs: tuple, ss: tuple, cs: tuple):
 
 
 def _pair(ctx: PContext, x) -> tuple:
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if is_array(x):
+        return map_array(lambda v: _pair(ctx, v), x, 2)
+    x = float(x)
+    if not math.isfinite(x):
         raise DomainError("argument must be finite")
-    flat = arr.ravel()
     # fold |x| and apply oddness, so S_p(-x) = -S_p(x) exactly and a tiny
-    # negative x is not rounded onto the period 2*pi_p; reshape so that an
-    # empty argument still unpacks into four rows
-    fold = ctx.fold
-    xr, seed, sign_s, sign_c = np.array(
-        [fold(abs(v)) for v in flat.tolist()]).reshape(-1, 4).T
+    # negative x is not rounded onto the period 2*pi_p
+    xr, seed, sign_s, sign_c = ctx.fold(abs(x))
     s, c = _quarter_pair(ctx, xr, seed)
-    s = (np.copysign(1.0, flat) * sign_s * s).reshape(arr.shape)
-    c = (sign_c * c).reshape(arr.shape)
-    if arr.ndim == 0:
-        return float(s), float(c)
-    return s, c
+    return math.copysign(1.0, x) * sign_s * s, sign_c * c
 
 
 def sp(ctx: PContext, x):
     """Generalized sine S_p(x); odd, 2*pi_p-periodic, |S_p| <= 1.
 
-    Accepts a scalar or an ndarray.
+    A scalar gives a float, an array or a list an ndarray of its shape.
     """
     return _pair(ctx, x)[0]
 

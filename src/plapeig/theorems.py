@@ -32,8 +32,6 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from .eigensolver import Eigenpair, SolverConfig, find_eigenvalue
 from .errors import PLapError, SearchError, check_range
 from .potentials import (BARRIER_LIKE, WELL_LIKE, Potential, Shape,
@@ -202,6 +200,16 @@ def _join(*notes: str) -> str:
     return "; ".join(t for t in notes if t)
 
 
+def _geomspace(start: float, stop: float, num: int) -> list[float]:
+    """``numpy.geomspace(start, stop, num)`` for 0 < start <= stop, by its
+    steps (log10 of both ends, exponents lo + i*step, ends pinned) in
+    libm's log10 and pow, which numpy's SIMD kernels may round otherwise."""
+    lo, hi = math.log10(start), math.log10(stop)
+    step = (hi - lo) / (num - 1) if num > 1 else 0.0
+    inner = [10.0 ** (lo + i * step) for i in range(1, num - 1)]
+    return [start] + inner + [stop] * (num > 1)
+
+
 def verify_theorem1(ctx: PContext, q: Potential,
                     cfg: HarnessConfig = HarnessConfig()) -> TheoremCertificate:
     """Sign of theta's rho-derivative at the turning point.
@@ -246,17 +254,16 @@ def verify_theorem1(ctx: PContext, q: Potential,
                          [f"hypothesis failure: {reason}"], False)
 
     if threshold > 0.0:
-        rho_grid = np.geomspace(threshold, cfg.rho_span * threshold,
-                                cfg.rho_points)
+        rho_grid = _geomspace(threshold, cfg.rho_span * threshold, cfg.rho_points)
     else:
         ref = max(1.0, ctx.pi_p)
-        rho_grid = np.geomspace(0.5 * ref, cfg.rho_span * ref, cfg.rho_points)
+        rho_grid = _geomspace(0.5 * ref, cfg.rho_span * ref, cfg.rho_points)
         notes.append("degenerate threshold q(0) = 0: any rho > 0 "
                      "is in hypothesis; grid uses pi_p scale")
 
     scan: list[ScanPoint] = []
     had_errors = False
-    for rho in rho_grid.tolist():
+    for rho in rho_grid:
         note = ""
         if trivial_interval:
             td, note = 0.0, "empty turning interval"

@@ -619,6 +619,50 @@ class TestEntryPoint:
         assert "Traceback" not in proc.stderr
         assert "overflows for n=" in proc.stderr
 
+    def test_huge_bound_names_rho_and_ell(self):
+        # rho = 3.1e150 is finite but underflows the first step: one
+        # warning line and one error line naming rho and ell, exit 2
+        proc = subprocess.run(
+            [sys.executable, "-m", "plapeig", "eigs", "--p", "2",
+             "--potential", '{"type":"constant","value":-2}',
+             "--n-max", "1", "--ell", "1e-150"],
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        warning, error = proc.stderr.splitlines()
+        assert warning.startswith("warning: rho=3.14159e+150 is extremely")
+        assert error.startswith("error: step size underflow at x=0.0")
+        assert "rho=3.14159e+150" in error and "ell=1e-150" in error
+
+    def test_no_numpy_at_run_time(self):
+        # numpy serves only the functions that return arrays: importing
+        # the package and running every subcommand load none of it
+        runs = [
+            ["eigs", "--p", "3", "--potential", TENT_SPEC, "--n-max", "2"],
+            ["classify", "--potential", TENT_SPEC],
+            ["ptrig-table", "--p", "3", "--x-min", "0", "--x-max", "5",
+             "--steps", "8"],
+            ["verify", "--theorem", "t1", "--p", "2", "--potential",
+             TENT_SPEC, "--rho-points", "3"],
+            ["verify", "--theorem", "t2", "--p", "3", "--potential",
+             TENT_SPEC, "--n-max", "3"],
+            ["verify", "--theorem", "t3", "--p", "2", "--potential",
+             TENT_SPEC, "--n-max", "2", "--ell-points", "2"],
+            ["verify", "--theorem", "r1", "--p", "2", "--potential",
+             WELL_SPEC, "--n-max", "3"],
+            ["sweep", "--axis", "depth", "--values=-5,-10", "--p", "2",
+             "--potential", TENT_SPEC, "--n-max", "2"]]
+        code = (
+            "import sys, io, contextlib, plapeig, plapeig.cli\n"
+            f"for argv in {runs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()), \\\n"
+            "            contextlib.redirect_stderr(io.StringIO()):\n"
+            "        assert plapeig.cli.main(argv) == 0, argv\n"
+            "print(sorted(m for m in sys.modules if m.startswith('numpy')))\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_no_scipy_at_run_time(self):
         # scipy serves only the opt-in direct-shooting oracle and the
         # tests: a cold start, the p-sine, a spectrum, a certificate and

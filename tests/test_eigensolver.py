@@ -283,6 +283,19 @@ class TestSpectrum:
         assert [pr.n for pr in spec.pairs] == list(range(1, 13))
         assert max(pr.residual for pr in spec.pairs) <= CFG.phase_tol
 
+    def test_array_return_types(self, ctx2):
+        # the functions that return arrays still return ndarrays, numpy
+        # imported on call
+        spec = compute_spectrum(ctx2, TENT, 3, 1.0, CFG)
+        lams = spec.lambdas()
+        assert isinstance(lams, np.ndarray) and lams.shape == (3,)
+        assert lams.tolist() == [pr.lam for pr in spec.pairs]
+        pair = spec.pairs[1]
+        traj = integrate_amplitude(ctx2, TENT, pair.rho, 1.0)
+        grid = reconstruct_eigenfunction(traj, samples=33)
+        assert isinstance(grid, np.ndarray) and grid.shape == (33, 3)
+        assert grid.dtype == float
+
     def test_failure_carries_index(self, ctx2, coarse_phase):
         with pytest.raises(SearchError) as err:
             compute_spectrum(ctx2, constant(-2.0), 2, 1.0, CFG)

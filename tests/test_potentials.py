@@ -50,6 +50,18 @@ class TestEvaluation:
         xs = np.linspace(0.0, 1.0, 17)
         assert np.allclose(q(xs), [q.value(float(x)) for x in xs], atol=0)
 
+    def test_return_types(self):
+        # a scalar gives a float; an array or a list an ndarray of its
+        # shape, equal to the scalar route point by point
+        q = tent_barrier()
+        for x in (0.3, 1, np.float64(0.6), np.array(0.5)):
+            assert type(q(x)) is float
+        for x in ([0.1, 0.7], [[0.0, 0.25], [0.5, 1.0]], np.empty((0, 2))):
+            out = q(x)
+            assert isinstance(out, np.ndarray) and out.shape == np.shape(x)
+            assert out.ravel().tolist() == [
+                q.value(v) for v in np.ravel(x).tolist()]
+
     def test_outside_domain_rejected(self):
         q = constant(1.0)
         with pytest.raises(DomainError):

@@ -106,6 +106,35 @@ class TestSpValues:
             sp_prime(ctx2, math.nan)
 
 
+class TestReturnTypes:
+    """A scalar gives a float; an ndarray or a list gives an ndarray of
+    its shape, equal point by point to the scalar route."""
+
+    @pytest.mark.parametrize("x", (0.7, 0, np.float64(0.25), np.array(0.5)),
+                             ids=("float", "int", "float64", "0-d"))
+    def test_scalar_gives_float(self, ctx3, x):
+        values = (sp(ctx3, x), sp_prime(ctx3, x), *sp_pair(ctx3, x),
+                  arcsp(ctx3, x), tp(ctx3, x))
+        assert all(type(v) is float for v in values)
+
+    @pytest.mark.parametrize("x", ([0.1, 0.5, 0.9], [[0.1, 0.2], [0.3, 0.4]],
+                                   np.linspace(0.0, 1.0, 6).reshape(2, 3),
+                                   [], np.empty((0, 3))),
+                             ids=("list", "nested", "2-d", "empty-list",
+                                  "empty-2-d"))
+    def test_array_gives_array_of_its_shape(self, ctx3, x):
+        shape = np.shape(x)
+        s, c = sp_pair(ctx3, x)  # an empty argument still unpacks
+        for f, out in ((sp, sp(ctx3, x)), (sp_prime, sp_prime(ctx3, x)),
+                       (lambda ctx, v: sp_pair(ctx, v)[0], s),
+                       (lambda ctx, v: sp_pair(ctx, v)[1], c),
+                       (arcsp, arcsp(ctx3, x))):
+            assert isinstance(out, np.ndarray) and out.dtype == float
+            assert out.shape == shape
+            flat = np.asarray(x, dtype=float).ravel().tolist()
+            assert out.ravel().tolist() == [f(ctx3, v) for v in flat]
+
+
 class TestIdentities:
     @pytest.mark.parametrize("p", ALL_P)
     def test_power_identity(self, ctx_for, p):

@@ -37,6 +37,40 @@ def assert_certificate_consistent(cert):
 
 
 class TestTheorem1:
+    @pytest.mark.parametrize("num", (1, 2, 8, 32))
+    @pytest.mark.parametrize("start,stop", (
+        (math.sqrt(10.0), 4.0 * math.sqrt(10.0)), (0.37, 0.37),
+        (2.5, 42.5), (1e-3, 2e-3),
+        (0.5 * math.pi, 4.0 * math.pi)),  # q(0) = 0 at p = 2: pi_p scale
+        ids=("tent", "span-1", "span-17", "small", "q0-zero"))
+    def test_rho_grid_is_geomspace(self, num, start, stop):
+        # numpy.geomspace's steps in Python floats: the ends are pinned
+        # exactly; numpy may run its own SIMD log10 and pow, which round
+        # the interior points otherwise than libm by an ulp or so
+        grid = theorems._geomspace(start, stop, num)
+        ref = np.geomspace(start, stop, num)
+        assert len(grid) == num and all(type(r) is float for r in grid)
+        assert grid[0] == ref[0] == start and grid[-1] == ref[-1]
+        assert np.allclose(grid, ref, rtol=1e-15, atol=0.0)
+        assert theorems._geomspace(1.0, 1000.0, 4) == [1.0, 10.0, 100.0,
+                                                        1000.0]
+
+    @pytest.mark.parametrize("q", (TENT, constant(0.0)), ids=("tent", "zero"))
+    def test_scan_runs_the_rho_grid(self, ctx2, monkeypatch, q):
+        # the harness scans exactly that grid, on the pi_p scale when
+        # q(0) = 0
+        class Flat:
+            theta_dot_end = -1.0
+        monkeypatch.setattr(theorems, "integrate_sensitivity",
+                            lambda *args: Flat())
+        cfg = HarnessConfig(rho_points=8, rho_span=3.0)
+        cert = verify_theorem1(ctx2, q, cfg=cfg)
+        rhos = [dict(s.inputs)["rho"] for s in cert.scan]
+        threshold = cert.hypotheses["rho_threshold"]
+        lo, hi = ((threshold, 3.0 * threshold) if threshold > 0.0
+                  else (0.5 * math.pi, 3.0 * math.pi))
+        assert rhos == theorems._geomspace(lo, hi, 8)
+
     def test_free_potential_zero_margin(self, ctx2):
         cert = verify_theorem1(ctx2, constant(0.0))
         assert cert.verdict == "verified"
