@@ -12,9 +12,9 @@ Potentials are given inline as a JSON object or as a path to a JSON
 file.  Option precedence is CLI flags over config file (--config) over
 built-in defaults, and every report echoes the effective configuration
 so it can be reproduced from its own header.  Data goes to stdout or
---out; diagnostics go to stderr, a warning as one "warning:" line.  Numbers
-are emitted with 17 significant digits (round-trip safe) and CSV output
-is locale independent.
+--out; diagnostics go to stderr, a warning as one "warning:" line.
+Numbers carry 17 significant digits (round-trip safe) and CSV output is
+locale independent.
 
 Exit codes: 0 success/verified, 2 usage or solver failure, 3 statement
 violated, 4 inconclusive (hypothesis mismatch or solver could not
@@ -140,9 +140,9 @@ def _harness(values: dict) -> HarnessConfig:
 
 def _merge_config(args: argparse.Namespace, unread=()) -> RunConfig:
     """Defaults, then the config file, then every ``DEFAULTS`` flag the
-    subcommand registered.  ``unread`` names registered keys this run
-    does not read: such a flag is a usage error, a config-file value
-    passes, and neither is echoed."""
+    subcommand registered; one that registers ``--potential`` needs one.
+    ``unread`` names registered keys this run does not read: such a flag
+    is a usage error, a config-file value passes, and neither is echoed."""
     given = [k for k in unread if getattr(args, k, None) is not None]
     if given:
         raise UsageError("this run does not read "

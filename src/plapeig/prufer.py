@@ -106,10 +106,10 @@ class PruferTrajectory:
     """Result of one integration over [0, ell].
 
     ``dense_x``/``dense_phi``/``dense_logr`` (and matching derivative
-    columns) hold the accepted steps of an amplitude or sensitivity
-    integration for reconstruction, the steps landed on the levels
-    k*pi_p/2 included, as tuples of floats; a phase-only integration
-    keeps none, so all five are None there.  ``logr_end`` is None when amplitude was not
+    tuples) hold, as floats, the accepted steps of an amplitude or
+    sensitivity integration for reconstruction, the steps landed on the
+    levels k*pi_p/2 included; a phase-only integration keeps none, so
+    all five are None there.  ``logr_end`` is None when amplitude was not
     requested, ``u_end`` when sensitivity was not.  ``stats`` holds the
     step, reject, landing and RHS counts.  Immutable once built.
     """

@@ -202,8 +202,8 @@ def _join(*notes: str) -> str:
 
 def _geomspace(start: float, stop: float, num: int) -> list[float]:
     """``numpy.geomspace(start, stop, num)`` for 0 < start <= stop, by its
-    steps (log10 of both ends, exponents lo + i*step, ends pinned) in
-    libm's log10 and pow, which numpy's SIMD kernels may round otherwise."""
+    steps (log10 of both ends, exponents lo + i*step, ends pinned) with
+    libm's log10 and pow; numpy's own SIMD kernels may round otherwise."""
     lo, hi = math.log10(start), math.log10(stop)
     step = (hi - lo) / (num - 1) if num > 1 else 0.0
     inner = [10.0 ** (lo + i * step) for i in range(1, num - 1)]
