@@ -70,7 +70,8 @@ class SolverConfig:
 class Eigenpair:
     """One validated eigenvalue: lambda = rho^p - shift, residual in
     phase units, zero_count interior zeros of the eigenfunction, and the
-    final lambda-bracket as an honesty interval.
+    final lambda-bracket as an honesty interval, [lambda, lambda] when
+    the residual is within rounding of n*pi_p (see ``find_eigenvalue``).
 
     ``zero_count`` is n - 1, fixed by the accepted residual: the phase
     crosses the multiples of pi_p only upward, so phi(ell) = n*pi_p
@@ -155,7 +156,12 @@ def find_eigenvalue(ctx: PContext, q: Potential, n: int, ell: float,
     It runs once, at ``cfg.tolerance``; a root that misses ``phase_tol``
     raises :class:`SearchError` with its rho and phi(ell).  The returned
     bracket spans the nearest evaluation on each side, one more taken
-    just across the root when none lies there; an exact hit is on both.
+    just across the root when none lies there.  A root whose miss is
+    within two ulps of n*pi_p, the rounding of the level itself, is a
+    tie: like an exact hit it lies on both sides, and its bracket is
+    [lambda_n, lambda_n], with no integration taken to close it.  So the
+    bracket holds lambda_n to within the phase's rounding at the level,
+    not beyond it.
     When the comparison lower bound is not positive, the search runs on
     q - min q and the shift is taken off again (``Eigenpair.shift``).
     The residual, the only acceptance test, fixes ``zero_count`` at n - 1.
@@ -241,27 +247,29 @@ def find_eigenvalue(ctx: PContext, q: Potential, n: int, ell: float,
             f"(phase_tol {cfg.phase_tol:g})",
             details={"rho": rho, "phi_end": phis[rho]})
 
-    # honesty bracket: an evaluation across the root within four
-    # corrections of it, or one more, stepping out until it lands there
-    side = 1.0 if h(rho) < 0.0 else -1.0
-    step = max(2.0 * residual / slope if slope > 0.0 else 0.0,
-               1e-12 * rho)
-    if residual and not any(
-            side * (phi - target) > 0.0 and abs(r - rho) <= 2.0 * step
-            for r, phi in phis.items()):
-        for _ in range(60):
-            if side * h(rho + side * step) > 0.0:
-                break
-            step *= 2.0
-        else:
-            raise SearchError(f"no evaluation across the root for n={n}",
-                              details={"rho": rho, "residual": residual})
-
-    # both sides now hold an evaluation; an exact hit belongs to both
+    # honesty bracket: a root within rounding of n*pi_p is a tie and lies
+    # on both sides of it; otherwise an evaluation across the root within
+    # four corrections of it, or one more, stepping out until it lands there
     lam = rho ** p
-    neg = [r ** p for r, phi in phis.items() if phi <= target]
-    pos = [r ** p for r, phi in phis.items() if phi >= target]
-    bracket = (min(max(neg), lam) - shift, max(min(pos), lam) - shift)
+    if residual <= 2.0 * math.ulp(target):
+        bracket = (lam - shift, lam - shift)
+    else:
+        side = 1.0 if h(rho) < 0.0 else -1.0
+        step = max(2.0 * residual / slope if slope > 0.0 else 0.0,
+                   1e-12 * rho)
+        if not any(side * (phi - target) > 0.0 and abs(r - rho) <= 2.0 * step
+                   for r, phi in phis.items()):
+            for _ in range(60):
+                if side * h(rho + side * step) > 0.0:
+                    break
+                step *= 2.0
+            else:
+                raise SearchError(f"no evaluation across the root for n={n}",
+                                  details={"rho": rho, "residual": residual})
+        # both sides now hold an evaluation; one on the level is on both
+        neg = [r ** p for r, phi in phis.items() if phi <= target]
+        pos = [r ** p for r, phi in phis.items() if phi >= target]
+        bracket = (min(max(neg), lam) - shift, max(min(pos), lam) - shift)
     return Eigenpair(n=n, lam=lam - shift, rho=rho,
                      phi_end=phis[rho], residual=residual,
                      zero_count=n - 1, bracket=bracket, shift=shift)

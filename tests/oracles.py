@@ -233,6 +233,44 @@ def fd_u(ctx, q, rho, ell, tol=None, h=1e-5):
     return (hi - lo) / (2.0 * h)
 
 
+def probe_residual(ctx):
+    """Largest inverse-map residual of the polished S_p, over pi_p, at
+    63 points off the table nodes (x = pi_p/2 * (j/64 + 1/4096)): each
+    point is judged by the series of its half, the map its Newton polish
+    inverts."""
+    from plapeig.ptrig import (HALF_INTERVALS, TABLE_INTERVALS, _above,
+                               _below, sp_pair)
+
+    qtr = ctx.quarter
+    resid = 0.0
+    for j in range(1, 64):
+        x = qtr * (j / 64.0 + 0.5 / TABLE_INTERVALS)
+        s, c = sp_pair(ctx, x)
+        resid = max(resid, abs(_below(ctx, s) - x
+                               if x <= ctx._xs[HALF_INTERVALS]
+                               else _above(ctx, c ** (ctx.p - 1.0)) - (qtr - x)))
+    return resid / ctx.pi_p
+
+
+def hermite_table_value(ctx, xr):
+    """S_p(xr) on the quarter period by the cubic Hermite basis on the
+    table interval ``bisect_right`` names (the last one at pi_p/2), from
+    the node values and slopes alone, clamped to [0, 1]: the basis form
+    of the cubic that the table front end evaluates in monomial form."""
+    from bisect import bisect_right
+
+    xs, ss, cs = ctx._xs, ctx._ss, ctx._cs
+    i = min(bisect_right(xs, xr) - 1, len(xs) - 2)
+    x0 = xs[i]
+    h = xs[i + 1] - x0
+    t = (xr - x0) / h
+    t2 = t * t
+    t3 = t2 * t
+    s = ((2.0 * t3 - 3.0 * t2 + 1.0) * ss[i] + (t3 - 2.0 * t2 + t) * h * cs[i]
+         + (3.0 * t2 - 2.0 * t3) * ss[i + 1] + (t3 - t2) * h * cs[i + 1])
+    return min(max(s, 0.0), 1.0)
+
+
 def fast_abs_sp_pow(ctx, x):
     """|S_p(x)|^p by the table front end, folded afresh on every call:
     the per-call reference for the integrator's per-piece right-hand

@@ -154,7 +154,7 @@ class TestRootFind:
                                                  p, q):
         # each bracket end is lambda of the nearest integrated rho on its
         # side of the level, or lambda_n itself when the root lies on
-        # that side
+        # that side; a root within two ulps of the level lies on both
         ctx = ctx_for(p)
         real = eigensolver.integrate_phase
         evals = []
@@ -169,9 +169,12 @@ class TestRootFind:
             evals.clear()
             pair = find_eigenvalue(ctx, q, n, 1.0, CFG)
             target = n * ctx.pi_p
+            tie = pair.residual <= 2.0 * math.ulp(target)
             lam_of = {rho: rho ** p - pair.shift for rho, _ in evals}
-            below = [lam_of[r] for r, phi in evals if phi <= target]
-            above = [lam_of[r] for r, phi in evals if phi >= target]
+            below = [lam_of[r] for r, phi in evals
+                     if phi <= target or tie and r == pair.rho]
+            above = [lam_of[r] for r, phi in evals
+                     if phi >= target or tie and r == pair.rho]
             assert pair.lam == lam_of[pair.rho]
             assert pair.bracket == (min(max(below), pair.lam),
                                     max(min(above), pair.lam)), n
@@ -191,6 +194,36 @@ class TestRootFind:
         assert pair.residual == 0.0
         assert pair.bracket == (pair.lam, pair.lam)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("ulps", (-2, -1, 1, 2, 3))
+    def test_tie_closes_its_bracket(self, ctx2, monkeypatch, ulps):
+        # a first guess that misses the level by at most two ulps of
+        # n*pi_p is a tie: it closes its bracket [lambda, lambda] with no
+        # more integration.  A miss of three ulps is none, and the
+        # step-out integrates across the root
+        real = eigensolver.integrate_phase
+        target = 2.0 * ctx2.pi_p
+        first = []
+
+        def near_miss(ctx, q, rho, ell, tol):
+            traj = real(ctx, q, rho, ell, tol)
+            first.append(rho)
+            if rho != first[0]:
+                return traj
+            return dataclasses.replace(
+                traj, phi_end=target + ulps * math.ulp(target))
+
+        monkeypatch.setattr(eigensolver, "integrate_phase", near_miss)
+        calls = spy_integrations(monkeypatch)
+        pair = find_eigenvalue(ctx2, TENT, 2, 1.0, CFG)
+        assert pair.rho == first[0]
+        assert pair.residual == abs(ulps) * math.ulp(target)
+        if abs(ulps) <= 2:
+            assert pair.bracket == (pair.lam, pair.lam)
+            assert len(calls) == 1
+        else:
+            assert pair.bracket[0] < pair.bracket[1] == pair.lam
+            assert len(calls) > 1
 
     @pytest.mark.parametrize("p,ceiling", (
         (1.5, (59, 46, 54)), (2.0, (51, 42, 52)),

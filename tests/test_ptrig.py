@@ -1,14 +1,16 @@
 import math
 import pickle
+from bisect import bisect_right
 
 import numpy as np
 import pytest
 
 from plapeig import (DomainError, PoleError, arcsp, compute_spectrum,
                      constant, make_context, sp, sp_pair, sp_prime, tp)
-from plapeig.ptrig import fast_pair
+from plapeig.ptrig import _BUCKETS, fast_pair
 
-from oracles import SP_IVP_FROZEN, arcsp_quadrature, sp_ivp
+from oracles import (SP_IVP_FROZEN, arcsp_quadrature, hermite_table_value,
+                     probe_residual, sp_ivp)
 
 ALL_P = (1.2, 1.5, 2.0, 3.0, 5.0, 10.0)
 
@@ -40,7 +42,7 @@ class TestContext:
 
     def test_probe_residual_small(self, ctx_for):
         for p in ALL_P:
-            assert ctx_for(p).probe_residual < 1e-12
+            assert probe_residual(ctx_for(p)) < 1e-12
 
     def test_pickle_round_trip(self, ctx3):
         # the bound fold is a closure; a pickled context is rebuilt from
@@ -240,6 +242,46 @@ class TestArgumentReduction:
                 assert c[0] * c[2] < 0.0, (k, c)
 
 
+class TestTableFold:
+    """The fold reads S_p off the table interval that
+    ``bisect_right(xs, xr) - 1`` names, the last one at pi_p/2, as the
+    interval's cubic in d = xr - x_i."""
+
+    @staticmethod
+    def on_interval(ctx, xr):
+        # the clamped monomial value on the interval bisect names
+        xs = ctx._xs
+        i = min(bisect_right(xs, xr) - 1, len(xs) - 2)
+        d = xr - xs[i]
+        s = ctx._ss[i] + d * (ctx._cs[i] + d * (ctx._c2[i] + d * ctx._c3[i]))
+        return min(max(s, 0.0), 1.0)
+
+    @pytest.mark.parametrize("p", (1.05, 1.5, 2.0, 3.0, 5.0, 50.0))
+    def test_bucket_index_is_bisect(self, ctx_for, p):
+        # every node and its two ulp neighbours, every bucket edge and
+        # its neighbours, 0 and pi_p/2; an interval other than bisect's
+        # shows in the value's last bits
+        ctx = ctx_for(p)
+        edges = [k * ctx.quarter / _BUCKETS for k in range(_BUCKETS + 1)]
+        points = {0.0, ctx.quarter}
+        for x in (*ctx._xs, *edges):
+            points.update((math.nextafter(x, -math.inf), x,
+                           math.nextafter(x, math.inf)))
+        for xr in sorted(x for x in points if 0.0 <= x <= ctx.quarter):
+            assert ctx.fold(xr) == (xr, self.on_interval(ctx, xr), 1.0, 1.0), xr
+
+    @pytest.mark.parametrize("p", ALL_P)
+    def test_monomial_matches_hermite(self, ctx_for, p):
+        # the monomial form of each interval's cubic is the Hermite-basis
+        # form to rounding, and a node gives its value exactly
+        ctx = ctx_for(p)
+        rng = np.random.default_rng(11)
+        for xr in rng.uniform(0.0, ctx.quarter, 4000).tolist():
+            assert abs(ctx.fold(xr)[1] - hermite_table_value(ctx, xr)) <= 4e-16
+        for x, s in zip(ctx._xs, ctx._ss):
+            assert ctx.fold(x)[1] == s
+
+
 class TestTangent:
     def test_zero(self, ctx3):
         assert tp(ctx3, 0.0) == 0.0
@@ -331,7 +373,7 @@ class TestSeries:
     @pytest.mark.parametrize("p", (20.0, 30.0, 50.0))
     def test_large_p(self, ctx_for, p):
         ctx = ctx_for(p)
-        assert ctx.probe_residual < 1e-12
+        assert probe_residual(ctx) < 1e-12
         xs = np.linspace(0.0, ctx.quarter, 4001)
         s, c = sp_pair(ctx, xs)
         assert np.all(np.diff(s) >= 0.0)
