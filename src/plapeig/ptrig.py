@@ -259,13 +259,13 @@ def _bind_fold(ctx: PContext):
     last = TABLE_INTERVALS - 1
     scale = _BUCKETS / half_pi
     # bucket k starts at the last interval whose left node has bucket < k:
-    # that node lies below every xr of bucket k, since int(x * scale)
+    # that node lies below every xr of bucket k, since floor(x * scale)
     # does not fall as x grows
-    node_bucket = [int(x * scale) for x in xs[:last + 1]]
+    node_bucket = [floor(x * scale) for x in xs[:last + 1]]
     start = [0]
     for i in range(last):
         start += [i] * (node_bucket[i + 1] - node_bucket[i])
-    start += [last] * (int(half_pi * scale) + 1 - len(start))
+    start += [last] * (floor(half_pi * scale) + 1 - len(start))
     start = tuple(start)
     right = xs[1:last + 1] + (math.inf,)
 
@@ -287,7 +287,7 @@ def _bind_fold(ctx: PContext):
             xr = r
             sign_c = sign_s
 
-        i = start[int(xr * scale)]
+        i = start[floor(xr * scale)]
         while right[i] <= xr:
             i += 1
         d = xr - xs[i]
