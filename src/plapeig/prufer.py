@@ -37,12 +37,18 @@ Before each trial it predicts the distance to the next level from the
 slope phi' and, when the trial would reach that level, shortens it to
 end there; a trial that still passes a level is replaced by a shorter
 one that ends where the cubic Hermite dense output of the trial meets
-it (Hairer, Norsett and Wanner, Solving ODEs I, II.6).  The DP45
-estimate under-reads the error of the steps next to a level (II.4), so
-the kernel weights the error norm of a step that starts or ends on one.
-At p = 2, |S_2|^2 = sin^2 is analytic, so no level is landed and
-results keep their bits.  The amplitude and sensitivity integrations
-land too: the levels are those of their phase.
+it (Hairer, Norsett and Wanner, Solving ODEs I, II.6).  On a step that
+leaves a level or is aimed at one, the phase slope carries a term
+C*t^a in the x-distance t from the level, with a non-integer a (p at a
+zero, p/(p-1) at an extremum), which the tableau integrates with a
+defect of one sign and its estimate under-reads (II.4).  The phase
+adds that defect to its step and, where min(p, p/(p-1)) >= 3/2, takes
+the term off its estimate; below 3/2 the next terms are as large, so
+the estimate keeps them and the error norm of a step that starts or
+ends on a level is weighted instead.  At p = 2, |S_2|^2 = sin^2 is
+analytic, so no level is landed and results keep their bits.  The
+amplitude and sensitivity integrations land too: the levels are those
+of their phase, and their steps next to a level are weighted.
 
 One stage-unrolled kernel, ``_kernel``, runs the pair for every
 integration, so the step control, the step budget, the snap rule and
@@ -70,6 +76,7 @@ way, and the tests compare with ``==``.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -154,6 +161,10 @@ _A71, _A73, _A74, _A75, _A76 = (35.0 / 384.0, 500.0 / 1113.0, 125.0 / 192.0,
 _E1, _E3, _E4, _E5, _E6, _E7 = (71.0 / 57600.0, -71.0 / 16695.0,
                                 71.0 / 1920.0, -17253.0 / 339200.0,
                                 22.0 / 525.0, -1.0 / 40.0)
+# nodes, row 7 and the estimate's weights as full rows, for _level_terms
+_C = (0.0, _C2, _C3, _C4, _C5, 1.0, 1.0)
+_B = (_A71, 0.0, _A73, _A74, _A75, _A76, 0.0)
+_E = (_E1, 0.0, _E3, _E4, _E5, _E6, _E7)
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -162,12 +173,46 @@ _MAX_FACTOR = 6.0
 _PI_ALPHA = 0.17
 _PI_BETA = 0.04
 # at p != 2: a step whose phase ends within _LEVEL_WINDOW*pi_p/2 of a
-# level k*pi_p/2 sits on it, and the error norm of a step that starts on
-# a level is weighted by _START_WEIGHT, of one aimed at a level by
-# _END_WEIGHT: the DP45 estimate under-reads those steps by 5-23x
+# level k*pi_p/2 sits on it, and where _level_terms keeps the estimate
+# uncorrected, the error norm of a step that starts on a level is
+# weighted by _START_WEIGHT, of one aimed at a level by _END_WEIGHT: the
+# DP45 estimate under-reads those steps by 5-23x
 _LEVEL_WINDOW = 1e-7
 _START_WEIGHT = 3.0
 _END_WEIGHT = 10.0
+
+
+@functools.lru_cache(maxsize=None)
+def _level_terms(p):
+    """Weights and singular-term defects of the phase steps next to a
+    level k*pi_p/2 at p != 2, as ((start weight, end weight), (zero,
+    extremum)).
+
+    Next to a level the phase slope carries the term C*t^a, t the
+    x-distance from the level, k the slope phi' there and Q =
+    q*rho^(1-p): at a zero a = p and C = -Q*|k|^p, at an extremum a = p'
+    = p/(p-1) and C = Q*((p-1)*|k|)^p'.  Each kind is (g, a, leave,
+    aim): a step of length h with T = Q*h*(g*|k*h|)^a adds T*db to phi
+    and takes T*de off the estimate, where (db, de) = sign(C)*(1/(a+1) -
+    sum b_i c_i^a, sum e_i c_i^a) for a step that leaves the level and
+    the same with 1 - c_i for one aimed at it; the sums run in tableau
+    order.  Where min(p, p') < 3/2 the terms t^(a+1) and t^(2a) left out
+    are as large as this one, so de = 0 and the weights stay; elsewhere
+    the estimate drops the term and the weights are 1.
+    """
+    light = min(p, p / (p - 1.0)) >= 1.5
+    kinds = []
+    for sign, g, a in ((-1.0, 1.0, p), (1.0, p - 1.0, p / (p - 1.0))):
+        ends = []
+        for cs in (_C, tuple(1.0 - c for c in _C)):
+            db = de = 0.0
+            for b, e, c in zip(_B, _E, cs):
+                db += b * c ** a
+                de += e * c ** a
+            ends.append((sign * (1.0 / (a + 1.0) - db), sign * de if light else 0.0))
+        kinds.append((g, a, *ends))
+    weights = (1.0, 1.0) if light else (_START_WEIGHT, _END_WEIGHT)
+    return weights, tuple(kinds)
 
 
 def _pi_factor(err: float, err_old: float) -> float:
@@ -193,13 +238,14 @@ def _hermite_crossing(y0, y1, d0, d1, level):
     return theta
 
 
-def _kernel(rhs, bounds, h, tol, stats, spacing, dim):
+def _kernel(rhs, bounds, h, tol, stats, spacing, dim, rho, terms):
     """Adaptive DP45 on the first ``dim`` components of (phi, log R, u),
     all 0 at bounds[0].
 
     ``rhs(x)`` hands out the right-hand side ``f`` of the piece of
-    ``bounds`` that starts at x; the kernel asks for it once per piece.
-    With dim = 1 the phase steps alone on a plain float and
+    ``bounds`` that starts at x and ``coef``, which reads Q =
+    q*rho^(1-p) as ``f`` reads q; the kernel asks for them once per
+    piece.  With dim = 1 the phase steps alone on a plain float and
     ``f(x, phi) -> phi'``.  With dim = 2 or 3 the lanes log R and u ride
     along and ``f(x, phi, u) -> (phi', (log R)', u')``; log R enters no
     right-hand side, so only its 5th-order value is formed.  The error
@@ -228,13 +274,23 @@ def _kernel(rhs, bounds, h, tol, stats, spacing, dim):
     either end of the trial keeps the trial.  The right-hand side is
     smooth between levels, so a step straddles a non-smooth point of
     |S_p|^p by no more than the window or the error of the Hermite
-    estimate.  The DP45 estimate under-reads the error of the steps
-    next to a level, so the error norm of a step that starts on a level
-    is multiplied by ``_START_WEIGHT``, and of one aimed to end on a
-    level (predicted or Hermite) by ``_END_WEIGHT``.  A step starts on
-    the level the phase last sat on while the phase is still within
-    the window of it, so a sliver of a step before a knot does not
-    change the weight of the step after it.
+    estimate.  A step starts on the level the phase last sat on while
+    the phase is still within the window of it, so a sliver of a step
+    before a knot does not change how the step after it is treated.
+
+    The steps next to a level carry the singular term of the phase
+    slope that ``_level_terms(p)`` describes.  With ``terms``, its
+    value (the phase alone at p != 2), a step that starts on a level
+    takes that level's defect with slope k1 and Q read at x, and a step
+    aimed at a level (predicted or Hermite) takes it with slope rho at
+    a zero and rho - Q at an extremum and Q read at x + h, before k7 is
+    evaluated; the estimate drops what ``terms`` says it under-reads,
+    and its weights multiply the error norm of a step that starts on a
+    level and of one aimed at a level.  Without ``terms`` (amplitude
+    and sensitivity) no step is corrected and the weights are
+    ``_START_WEIGHT`` and ``_END_WEIGHT``.  ``snap`` and the step floor
+    are 1e-14 relative to the larger of x and the last bound, so a tiny
+    interval steps as a unit one does.
 
     The step, reject and RHS counts and ``n_landed``, the discarded
     trials (six RHS evaluations each), go to ``stats``, also when the
@@ -242,6 +298,8 @@ def _kernel(rhs, bounds, h, tol, stats, spacing, dim):
     """
     abs_tol, rel_tol, max_steps = tol.abs_tol, tol.rel_tol, tol.max_steps
     lanes = dim > 1
+    ell = bounds[-1]
+    (w_start, w_end), kinds = terms or ((_START_WEIGHT, _END_WEIGHT), None)
     phi = lr = u = 0.0
     k = dk = 0  # the phase last sat on the level k*spacing
     if spacing:
@@ -255,8 +313,8 @@ def _kernel(rhs, bounds, h, tol, stats, spacing, dim):
     dense = [] if lanes else None
     try:
         for x, x_end in zip(bounds, bounds[1:]):
-            snap = 1e-14 * max(1.0, abs(x_end))
-            f = rhs(x)
+            snap = 1e-14 * max(ell, abs(x_end))
+            f, coef = rhs(x)
             if lanes:
                 k1, l1, u1 = f(x, phi, u)
                 if not dense:
@@ -270,20 +328,24 @@ def _kernel(rhs, bounds, h, tol, stats, spacing, dim):
                 if n_steps + n_rejected + n_landed >= max_steps:
                     raise IntegrationError(
                         f"step budget {max_steps} exhausted at x={x!r}", last_x=x)
-                weight = _START_WEIGHT if on_level else 1.0
+                weight = w_start if on_level else 1.0
+                aim = None  # the level a step aimed at one ends on
                 if land:
                     ht = land
-                    weight *= _END_WEIGHT
+                    aim = k + dk
+                    weight *= w_end
                 else:
                     rest = x_end - x
                     ht = rest if rest < h else h
                     if spacing and k1:
                         # predicted landing on the next level ahead
-                        d = ((k + 1 if k1 > 0.0 else k - 1) * spacing - phi) / k1
+                        ahead = k + 1 if k1 > 0.0 else k - 1
+                        d = (ahead * spacing - phi) / k1
                         if d <= ht and x_end - (x + d) >= snap:
                             ht = d
-                            weight *= _END_WEIGHT
-                if ht < 1e-14 * max(1.0, abs(x)):
+                            aim = ahead
+                            weight *= w_end
+                if ht < 1e-14 * max(ell, abs(x)):
                     raise IntegrationError(
                         f"step size underflow at x={x!r}", last_x=x)
 
@@ -321,16 +383,31 @@ def _kernel(rhs, bounds, h, tol, stats, spacing, dim):
                     k6 = f(x + ht, y)
                 phi_new = phi + ht * (_A71 * k1 + _A73 * k3 + _A74 * k4
                                       + _A75 * k5 + _A76 * k6)
+                te = 0.0
                 if lanes:
                     u_new = u + ht * (_A71 * u1 + _A73 * u3 + _A74 * u4
                                       + _A75 * u5 + _A76 * u6)
                     k7, l7, u7 = f(x + ht, phi_new, u_new)
                 else:
+                    # the singular terms of the levels the step leaves
+                    # and is aimed at, which the tableau misreads
+                    if kinds and on_level:
+                        g, a, (db, de), _ = kinds[k & 1]
+                        t = coef(x) * ht * (g * abs(k1 * ht)) ** a
+                        phi_new += t * db
+                        te = t * de
+                    if kinds and aim is not None:
+                        g, a, _, (db, de) = kinds[aim & 1]
+                        qe = coef(x + ht)
+                        slope = rho - qe if aim & 1 else rho
+                        t = qe * ht * (g * abs(slope * ht)) ** a
+                        phi_new += t * db
+                        te += t * de
                     k7 = f(x + ht, phi_new)
                 n_rhs += 6
 
                 e = ht * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6
-                          + _E7 * k7)
+                          + _E7 * k7) - te
                 err = (e / (abs_tol + rel_tol * max(abs(phi), abs(phi_new)))) ** 2
                 if lanes:
                     lr_new = lr + ht * (_A71 * l1 + _A73 * l3 + _A74 * l4
@@ -434,6 +511,9 @@ def _integrate(ctx: PContext, q: Potential, rho: float, ell: float,
         # land) value reads the next piece, so value answers there
         x0, x1, q0, dq = q.piece(x_start)
         dx = x1 - x0
+
+        def coef(x):  # Q = q*rho^(1-p), read as f reads q
+            return (q0 + ((x - x0) / dx) * dq if x < x1 else qval(x)) * inv_rho_pm1
         if dim == 1:
             def f(x, phi):
                 qx = q0 + ((x - x0) / dx) * dq if x < x1 else qval(x)
@@ -459,11 +539,13 @@ def _integrate(ctx: PContext, q: Potential, rho: float, ell: float,
                 return (rho - coef * abs_s_p,
                         coef * (ss * s ** pm1) * (sc * (1.0 - abs_s_p) ** inv_p),
                         0.0)
-        return f
+        return f, coef
 
+    spacing = None if p == 2.0 else 0.5 * ctx.pi_p
     try:
         (phi, logr, u), dense = _kernel(
-            rhs, bounds, h, tol, stats, None if p == 2.0 else 0.5 * ctx.pi_p, dim)
+            rhs, bounds, h, tol, stats, spacing, dim, rho,
+            _level_terms(p) if spacing and dim == 1 else None)
     except IntegrationError as exc:  # name the integration that failed
         raise IntegrationError(f"{exc} (rho={rho:g}, ell={ell:g})", exc.last_x) from exc
     xs, phis, dphis, logrs, dlogrs = ((None,) * 5 if dense is None

@@ -359,8 +359,10 @@ def _hermite_root(y0, y1, s0, s1, level):
     return theta
 
 
-def _reference_piece(f, x, y, x_end, h, tol, counters, spacing):
-    """Adaptive DP45 over one smooth piece by a generic tableau loop.
+def _reference_piece(f, x, y, x_end, h, tol, counters, spacing, ell,
+                     defect=None, weights=(3.0, 10.0)):
+    """Adaptive DP45 over one smooth piece of [0, ell] by a generic
+    tableau loop.
 
     With ``spacing`` (the phase at p != 2; else None) the phase lands on
     the levels k*spacing.  ``counters["level"]`` is the level k it last
@@ -373,15 +375,21 @@ def _reference_piece(f, x, y, x_end, h, tol, counters, spacing):
     by more is replaced by the step that ends where the step's cubic
     Hermite meets the level, unless that point lies within the snap
     distance of either end of the step.  The error norm is weighted by
-    3 on a step that starts on a level, where the phase sat on it and
-    has stayed within the window since, and by 10 on a step aimed at a
-    level, predicted or Hermite.
+    ``weights[0]`` on a step that starts on a level, where the phase sat
+    on it and has stayed within the window since, and by ``weights[1]``
+    on a step aimed at a level, predicted or Hermite.  With ``defect``
+    (the phase at p != 2), ``defect(level, x, h, slope, aimed)`` gives
+    the correction of the 5th-order phase and the reading of the
+    estimate for the singular term of a step from x that leaves the
+    level (aimed False) or is aimed at it (aimed True), applied before
+    the last stage.  The snap distance and the step floor are 1e-14
+    relative to the larger of ell and x.
     """
     dim = len(y)
     k1 = f(x, y)
     counters["n_rhs"] += 1
     err_old = 1e-4
-    snap = 1e-14 * max(1.0, abs(x_end))
+    snap = 1e-14 * max(ell, abs(x_end))
     window = 1e-7 * spacing if spacing else None
     landing = None  # (length, level step) of a pending step onto a level
     while x < x_end:
@@ -391,10 +399,12 @@ def _reference_piece(f, x, y, x_end, h, tol, counters, spacing):
             raise IntegrationError(
                 f"step budget {tol.max_steps} exhausted at x={x!r}", last_x=x)
         level = counters["level"]
-        weight = 3.0 if counters["on_level"] else 1.0
+        weight = weights[0] if counters["on_level"] else 1.0
+        aim = None
         if landing:
             h_try = landing[0]
-            weight *= 10.0
+            aim = level + landing[1]
+            weight *= weights[1]
         else:
             h_try = min(h, x_end - x)
             if spacing and k1[0] != 0.0:
@@ -402,21 +412,30 @@ def _reference_piece(f, x, y, x_end, h, tol, counters, spacing):
                 dist = (ahead * spacing - y[0]) / k1[0]
                 if dist <= h_try and x_end - (x + dist) >= snap:
                     h_try = dist
-                    weight *= 10.0
-        if h_try < 1e-14 * max(1.0, abs(x)):
+                    aim = ahead
+                    weight *= weights[1]
+        if h_try < 1e-14 * max(ell, abs(x)):
             raise IntegrationError(f"step size underflow at x={x!r}", last_x=x)
 
         k = [k1]
         yi = y
+        read = 0.0  # the estimate's reading of the singular terms
         for i in range(1, 7):
             yi = tuple(y[d] + h_try * _dot(_DP_A[i], k, d) for d in range(dim))
+            if i == 6 and defect and counters["on_level"]:
+                dphi, read = defect(level, x, h_try, k1[0], False)
+                yi = (yi[0] + dphi,)
+            if i == 6 and defect and aim is not None:
+                dphi, de = defect(aim, x, h_try, None, True)
+                yi = (yi[0] + dphi,)
+                read += de
             k.append(f(x + _DP_C[i] * h_try, yi))
         counters["n_rhs"] += 6
         y_new = yi  # stage 7 argument: the 5th-order solution
 
         err = 0.0
         for d in range(dim):
-            e = h_try * _dot(_DP_E, k, d)
+            e = h_try * _dot(_DP_E, k, d) - read  # 0 but for the phase
             sc = tol.abs_tol + tol.rel_tol * max(abs(y[d]), abs(y_new[d]))
             err += (e / sc) ** 2
         err = math.sqrt(err / dim) * weight
@@ -472,8 +491,18 @@ def reference_dp45(ctx, q, rho, ell, tol, dim):
     every call) and its step control: dim = 1 is the phase, 2 adds
     log R, 3 adds u = d(phi)/d(rho).  For p != 2 the steps land on the levels
     k*pi_p/2 of the phase, whatever ``dim``, by prediction and by the
-    Hermite fallback.  The stage-unrolled kernel must match it bit for
-    bit.  Returns a dict with ``phi_end``, ``logr_end``, ``u_end`` (None
+    Hermite fallback.  The phase alone (dim = 1) also corrects the
+    leading singular term C*t^a of its slope next to a level, t the
+    x-distance from it, Q = q*rho^(1-p) and k the slope there: a = p and
+    C = -Q*|k|^p at a zero, a = p/(p-1) and C = Q*((p-1)*|k|)^a at an
+    extremum.  A step of length h that leaves a level (k its opening
+    slope, Q at its start) adds C*h^(a+1)*(1/(a+1) - sum_i b_i c_i^a) to
+    phi; one aimed at a level (k = rho at a zero and rho - Q at an
+    extremum, Q at its end) does the same with 1 - c_i for c_i.  Where
+    min(p, p/(p-1)) >= 3/2 the estimate drops C*h^(a+1)*sum_i e_i c_i^a
+    (with the same substitution) and no step is weighted; elsewhere the
+    weights are 3 and 10.  The stage-unrolled kernel must match it bit
+    for bit.  Returns a dict with ``phi_end``, ``logr_end``, ``u_end`` (None
     where not integrated), ``n_steps``, ``n_rejected``, ``n_landed`` and
     ``n_rhs``.
     """
@@ -505,15 +534,33 @@ def reference_dp45(ctx, q, rho, ell, tol, dim):
         def f(x, y):
             return (rho - qval(x) * inv_rho_pm1 * fast_abs_sp_pow(ctx, y[0]),)
 
-    y = (0.0,) * dim
     spacing = 0.5 * ctx.pi_p if p != 2.0 else None
+    light = min(p, p / (p - 1.0)) >= 1.5
+
+    def defect(level, x, h, slope, aimed):
+        odd = level % 2 == 1
+        sign, g, a = (1.0, p - 1.0, p / (p - 1.0)) if odd else (-1.0, 1.0, p)
+        powers = [((1.0 - c if aimed else c) ** a,) for c in _DP_C]
+        db = sign * (1.0 / (a + 1.0) - _dot(_DP_A[6], powers, 0))
+        de = sign * _dot(_DP_E, powers, 0) if light else 0.0
+        qx = qval(x + h if aimed else x) * inv_rho_pm1
+        if aimed:
+            slope = rho - qx if odd else rho
+        t = qx * h * (g * abs(slope * h)) ** a
+        return t * db, t * de
+
+    singular = spacing and dim == 1
+    y = (0.0,) * dim
     # phi(0) = 0 sits on the level 0
     counters = {"n_steps": 0, "n_rejected": 0, "n_landed": 0, "n_rhs": 0,
                 "level": 0, "on_level": spacing is not None}
     bounds = [0.0] + [b for b in q.interior_knots() if 0.0 < b < ell] + [ell]
     h = min(ell, 0.1 * ctx.pi_p / rho)
     for a, b in zip(bounds, bounds[1:]):
-        _, y, h = _reference_piece(f, a, y, b, h, tol, counters, spacing)
+        _, y, h = _reference_piece(
+            f, a, y, b, h, tol, counters, spacing, bounds[-1],
+            defect if singular else None,
+            (1.0, 1.0) if singular and light else (3.0, 10.0))
     del counters["level"], counters["on_level"]
     return {"phi_end": y[0],
             "logr_end": y[1] if dim > 1 else None,

@@ -620,18 +620,39 @@ class TestEntryPoint:
         assert "overflows for n=" in proc.stderr
 
     def test_huge_bound_names_rho_and_ell(self):
-        # rho = 3.1e150 is finite but underflows the first step: one
-        # warning line and one error line naming rho and ell, exit 2
+        # rho ~ 1e151 is finite; at p = 1.5 the phase of n = 5 lands on
+        # ten levels after a first step of 0.1*pi_p, so a budget of 10
+        # steps runs out by then: one warning line per rho searched and
+        # one error line naming rho and ell, exit 2
+        proc = subprocess.run(
+            [sys.executable, "-m", "plapeig", "eigs", "--p", "1.5",
+             "--potential", '{"type":"constant","value":-2}',
+             "--n-max", "5", "--ell", "1e-150", "--max-steps", "10"],
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        *warnings, error = proc.stderr.splitlines()
+        assert warnings
+        assert all(w.startswith("warning: rho=") and "extremely" in w
+                   for w in warnings)
+        assert error.startswith("error: step budget 10 exhausted at x=")
+        assert "rho=" in error and "ell=1e-150" in error
+
+    @pytest.mark.parametrize("ell", ("1e-14", "1e-150"))
+    def test_tiny_ell_solves(self, ell):
+        # the step floor and the snap distance are relative to ell, so a
+        # tiny interval solves: lambda_n = (n*pi/ell)^2 - 2 at p = 2
         proc = subprocess.run(
             [sys.executable, "-m", "plapeig", "eigs", "--p", "2",
              "--potential", '{"type":"constant","value":-2}',
-             "--n-max", "1", "--ell", "1e-150"],
+             "--n-max", "2", "--ell", ell],
             capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 2
-        warning, error = proc.stderr.splitlines()
-        assert warning.startswith("warning: rho=3.14159e+150 is extremely")
-        assert error.startswith("error: step size underflow at x=0.0")
-        assert "rho=3.14159e+150" in error and "ell=1e-150" in error
+        assert proc.returncode == 0, proc.stderr
+        rows = [line.split(",") for line in proc.stdout.splitlines()
+                if line[:1].isdigit()]
+        assert [int(r[0]) for r in rows] == [1, 2]
+        for r in rows:
+            exact = (int(r[0]) * math.pi / float(ell)) ** 2 - 2.0
+            assert float(r[1]) == pytest.approx(exact, rel=1e-12)
 
     def test_no_numpy_at_run_time(self):
         # numpy serves only the functions that return arrays: importing

@@ -253,12 +253,18 @@ class TestRootFind:
         assert all(rel_tol == CFG.tolerance.rel_tol for _, rel_tol in calls)
 
 
+# relative bound of the closed-form test per p: where min(p, p/(p-1)) >=
+# 3/2 the corrected singular term of the level steps holds 1e-9 (it read
+# 1.5e-9 to 5.0e-9 without it); p = 5 keeps the README's 1e-8
+CLOSED_FORM_BOUND = {1.5: 1e-9, 1.8: 1e-9, 2.5: 1e-9, 3.0: 1e-9, 5.0: 1e-8}
+
+
 class TestAccuracy:
-    @pytest.mark.parametrize("p", (1.5, 3.0, 5.0))
+    @pytest.mark.parametrize("p", tuple(CLOSED_FORM_BOUND))
     def test_closed_form_constant(self, ctx_for, p):
         # lambda_n = (n*pi_p/ell)^p + c on a constant, at the default
-        # settings, within the README's 1e-8 relative; the last cases are
-        # the benchmark's spectrum constants, c in [-3, -1] at ell = 1
+        # settings; the last cases are the benchmark's spectrum
+        # constants, c in [-3, -1] at ell = 1
         ctx = ctx_for(p)
         cases = [(c, ell) for c in (-2.0, 3.0) for ell in (0.5, 1.0)]
         cases += [(c, 1.0) for c in np.linspace(-3.0, -1.0, 9)]
@@ -267,7 +273,7 @@ class TestAccuracy:
             for pr in compute_spectrum(ctx, constant(c), 12, ell).pairs:
                 exact = (pr.n * ctx.pi_p / ell) ** p + c
                 worst = max(worst, abs(pr.lam - exact) / abs(exact))
-        assert worst <= 1e-8
+        assert worst <= CLOSED_FORM_BOUND[p]
 
     @pytest.mark.parametrize("q", (constant(-2.0), TENT, TENT_SEED5),
                              ids=("constant", "tent", "tent-seed5"))
@@ -277,7 +283,7 @@ class TestAccuracy:
         # every integration at the configured tolerance.  At p = 1.5 the
         # benchmark's tent at seed 5 puts the level 12*pi_p/2 of rho_12
         # a sliver before its knot: the step after the knot still
-        # starts on the level and must keep that error weight
+        # starts on the level and must keep its singular-term correction
         calls = spy_integrations(monkeypatch)
         compute_spectrum(ctx_for(p), q, 12, 1.0, CFG)
         assert calls
@@ -307,6 +313,23 @@ class TestSpectrum:
                 for n in range(m + 1, 6):
                     assert (lams[n - 1] / lams[m - 1]
                             >= (n / m) ** 2 * (1.0 - 1e-10))
+
+    def test_no_search_error_at_p18(self, ctx_for):
+        # the benchmark's constant and 5-knot potential at seed 21: the
+        # level steps, weighted but uncorrected, missed the phase target
+        # by 5.3e-9 at n = 10 and by 1.8e-9 at n = 12
+        ctx = ctx_for(1.8)
+        c = -1.7411898164136461
+        pl5 = piecewise_linear([[0.0, -2.5892173783713797],
+                                [0.17489119939495518, -4.358934388399037],
+                                [0.42220559086141196, -3.043427455675991],
+                                [0.7671203120047578, -2.364228119427041],
+                                [1.0, -2.281331068236651]])
+        spec = compute_spectrum(ctx, pl5, 12, 1.0, CFG)
+        assert [pr.n for pr in spec.pairs] == list(range(1, 13))
+        for pr in compute_spectrum(ctx, constant(c), 12, 1.0, CFG).pairs:
+            exact = (pr.n * ctx.pi_p) ** 1.8 + c
+            assert pr.lam == pytest.approx(exact, rel=1e-9), pr.n
 
     def test_no_stall_at_p15(self, ctx_for):
         # the benchmark's constant at seed 18: a straddled level once

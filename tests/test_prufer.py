@@ -175,11 +175,13 @@ class TestUnrolledKernels:
     @pytest.mark.parametrize("integrate,dim", INTEGRATORS)
     @pytest.mark.parametrize("q", (TENT, BUMP, WELL, SHORT_BUMP),
                              ids=("tent", "bump", "well", "restricted"))
-    @pytest.mark.parametrize("p", (1.5, 2.0, 3.0, 5.0))
+    @pytest.mark.parametrize("p", (1.5, 2.0, 3.0, 5.0, 1.45, 3.3))
     def test_bit_identical_to_reference(self, ctx_for, p, q, integrate, dim):
         # the reference reads q by Potential.value on every call; at
         # ell = 0.37 the last piece of the kernel ends inside a piece of
-        # the potential, at domain_end on its last knot
+        # the potential, at domain_end on its last knot.  p = 1.45 and
+        # 3.3 lie just outside min(p, p/(p-1)) >= 3/2, where the phase
+        # keeps its weights and its estimate reads the singular term
         ctx = ctx_for(p)
         for ell in (q.domain_end, 0.37):
             for rho in (2.5, 11.0):
@@ -270,7 +272,9 @@ class TestPieceRightHandSide:
     def test_equals_per_call_route(self, ctx_for, p, monkeypatch):
         # random piecewise-linear potentials, both signs: on each piece,
         # at both ends, their ulp neighbours and random interior points,
-        # the per-piece phase slope is the per-call one bit for bit
+        # the per-piece phase slope and Q = q*rho^(1-p), which the
+        # singular terms next to a level read, are the per-call ones bit
+        # for bit
         ctx = ctx_for(p)
         rng = np.random.default_rng(20)
         rho = 7.0
@@ -283,7 +287,7 @@ class TestPieceRightHandSide:
             ell = float(rng.choice([1.0, rng.uniform(0.3, 1.0)]))
             bounds, rhs = self.piece_rhs(monkeypatch, ctx, q, rho, ell)
             for a, b in zip(bounds, bounds[1:]):
-                f = rhs(a)
+                f, big_q = rhs(a)
                 points = [a, math.nextafter(a, 2.0), math.nextafter(b, 0.0),
                           b, math.nextafter(b, 2.0),
                           *rng.uniform(a, b, size=8).tolist()]
@@ -293,6 +297,7 @@ class TestPieceRightHandSide:
                     phi = float(rng.uniform(-1.0, 40.0))
                     assert f(x, phi) == (rho - q.value(x) * coef
                                          * fast_abs_sp_pow(ctx, phi)), (q, x)
+                    assert big_q(x) == q.value(x) * coef, (q, x)
                     checked += 1
         assert checked > 1000
 
