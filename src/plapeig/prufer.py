@@ -62,10 +62,13 @@ The kernel steps knot to knot, so on each of its pieces q is one affine
 function.  It asks ``_integrate`` for the right-hand side of a piece
 once, when the piece starts: that closure holds the potential's affine
 piece (``Potential.piece``, in the arithmetic of ``Potential.value``)
-and the context's bound table fold (``PContext.fold``), so an evaluation
-makes one call, to the fold, and no knot lookup.  Only the c = 1 stages
-of a piece's last step, which land on its right knot or an ulp past it,
-read q through ``Potential.value``, which takes the next piece there.
+and the context's p-sine table.  The phase closure reads |S_p|^p off
+the table itself, in the arithmetic of ``PContext.fold`` and through
+the same index, so a phase evaluation is the one call to the closure,
+with no knot lookup; the amplitude and sensitivity closures call the
+bound fold.  Only the c = 1 stages of a piece's last step, which land
+on its right knot or an ulp past it, read q through
+``Potential.value``, which takes the next piece there.
 
 Every sum is added left to right in tableau order, so the kernel
 reproduces a generic tableau loop bit for bit: terminal values, step
@@ -215,14 +218,6 @@ def _level_terms(p):
     return weights, tuple(kinds)
 
 
-def _pi_factor(err: float, err_old: float) -> float:
-    """Step-size factor after an accepted step with error norm ``err``."""
-    if err == 0.0:
-        return _MAX_FACTOR
-    return min(_MAX_FACTOR,
-               max(_MIN_FACTOR, _SAFETY * err ** -_PI_ALPHA * err_old ** _PI_BETA))
-
-
 def _hermite_crossing(y0, y1, d0, d1, level):
     """theta in (0, 1] where the cubic Hermite with end values y0, y1 and
     end slopes d0, d1 (per unit theta) equals ``level``: three Newton
@@ -288,8 +283,8 @@ def _kernel(rhs, bounds, h, tol, stats, spacing, dim, rho, terms):
     and its weights multiply the error norm of a step that starts on a
     level and of one aimed at a level.  Without ``terms`` (amplitude
     and sensitivity) no step is corrected and the weights are
-    ``_START_WEIGHT`` and ``_END_WEIGHT``.  ``snap`` and the step floor
-    are 1e-14 relative to the larger of x and the last bound, so a tiny
+    ``_START_WEIGHT`` and ``_END_WEIGHT``.  ``snap``, which is also the
+    step floor, is 1e-14 relative to the last bound ell, so a tiny
     interval steps as a unit one does.
 
     The step, reject and RHS counts and ``n_landed``, the discarded
@@ -310,10 +305,10 @@ def _kernel(rhs, bounds, h, tol, stats, spacing, dim, rho, terms):
         lo_level, hi_level = -math.inf, math.inf
     on_level = bool(spacing)  # phi(0) = 0 is the level 0
     n_steps = n_rejected = n_landed = n_rhs = 0
+    snap = 1e-14 * ell  # every x lies in [0, ell]
     dense = [] if lanes else None
     try:
         for x, x_end in zip(bounds, bounds[1:]):
-            snap = 1e-14 * max(ell, abs(x_end))
             f, coef = rhs(x)
             if lanes:
                 k1, l1, u1 = f(x, phi, u)
@@ -345,7 +340,7 @@ def _kernel(rhs, bounds, h, tol, stats, spacing, dim, rho, terms):
                             ht = d
                             aim = ahead
                             weight *= w_end
-                if ht < 1e-14 * max(ell, abs(x)):
+                if ht < snap:
                     raise IntegrationError(
                         f"step size underflow at x={x!r}", last_x=x)
 
@@ -451,8 +446,10 @@ def _kernel(rhs, bounds, h, tol, stats, spacing, dim, rho, terms):
                     if lanes:
                         lr, u, l1, u1 = lr_new, u_new, l7, u7
                         dense.append((x, phi, k1, lr, l1))
-                    if ht >= h:  # not shortened by a boundary: rescale
-                        h = ht * _pi_factor(err, err_old)
+                    if ht >= h:  # not shortened by a boundary: PI rescale
+                        h = ht * (_MAX_FACTOR if err == 0.0 else min(
+                            _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** -_PI_ALPHA
+                                             * err_old ** _PI_BETA)))
                     err_old = max(err, 1e-4)
                 else:
                     n_rejected += 1
@@ -496,6 +493,13 @@ def _integrate(ctx: PContext, q: Potential, rho: float, ell: float,
     inv_rho_p = rho ** -p
     fold = ctx.fold
     qval = q.value
+    # the table and its index, which the phase reads inline (see f below)
+    pi_p = ctx.pi_p
+    two_pi = 2.0 * pi_p
+    half_pi = 0.5 * pi_p
+    floor, sqrt = math.floor, math.sqrt
+    xs, ss, cs, c2, c3 = ctx._xs, ctx._ss, ctx._cs, ctx._c2, ctx._c3
+    scale, start, split, lo_scale, lo, hi_top, hi_scale, hi, right = ctx._index
 
     bounds = [0.0] + [b for b in q.interior_knots() if 0.0 < b < ell] + [ell]
     h = min(ell, 0.1 * ctx.pi_p / rho)
@@ -516,15 +520,37 @@ def _integrate(ctx: PContext, q: Potential, rho: float, ell: float,
             return (q0 + ((x - x0) / dx) * dq if x < x1 else qval(x)) * inv_rho_pm1
         if dim == 1:
             def f(x, phi):
+                # fold(phi)[1], in the arithmetic of PContext.fold
+                r = phi - two_pi * floor(phi / two_pi)
+                if not 0.0 <= r < two_pi:
+                    r %= two_pi
+                if r > pi_p:
+                    r -= pi_p
+                if r > half_pi:
+                    r = pi_p - r
+                i = start[floor(r * scale)]
+                if i < 0:
+                    if r < split:
+                        i = lo[floor(sqrt(r) * lo_scale)]
+                    else:
+                        i = hi[floor((hi_top - sqrt(half_pi - r)) * hi_scale)]
+                while right[i] <= r:
+                    i += 1
+                d = r - xs[i]
+                s = ss[i] + d * (cs[i] + d * (c2[i] + d * c3[i]))
+                if s > 1.0:
+                    s = 1.0
+                elif s < 0.0:
+                    s = 0.0
                 qx = q0 + ((x - x0) / dx) * dq if x < x1 else qval(x)
-                return rho - qx * inv_rho_pm1 * fold(phi)[1] ** p
-        # one table read per call: S_p = ss*s, S_p' = sc*(1 - s^p)^(1/p)
-        # (as fast_pair forms it), |S_p|^p = s^p, S_p^(p-1) = ss*s^(p-1)
+                return rho - qx * inv_rho_pm1 * s ** p
+        # one fold per call: S_p = sign_s*s, S_p' = sign_c*(1 - s^p)^(1/p)
+        # (as fast_pair forms it), |S_p|^p = s^p, S_p^(p-1) = sign_s*s^(p-1)
         elif dim == 3:
             def f(x, phi, u):
-                _, s, ss, sc = fold(phi)
+                _, s, sign_s, sign_c = fold(phi)
                 abs_s_p = s ** p
-                odd = ss * s ** pm1 * (sc * (1.0 - abs_s_p) ** inv_p)
+                odd = sign_s * s ** pm1 * (sign_c * (1.0 - abs_s_p) ** inv_p)
                 qx = q0 + ((x - x0) / dx) * dq if x < x1 else qval(x)
                 coef = qx * inv_rho_pm1
                 return (rho - coef * abs_s_p,
@@ -532,28 +558,28 @@ def _integrate(ctx: PContext, q: Potential, rho: float, ell: float,
                         neg_p * coef * odd * u + 1.0 + pm1 * qx * inv_rho_p * abs_s_p)
         else:
             def f(x, phi, u):
-                _, s, ss, sc = fold(phi)
+                _, s, sign_s, sign_c = fold(phi)
                 abs_s_p = s ** p
                 qx = q0 + ((x - x0) / dx) * dq if x < x1 else qval(x)
                 coef = qx * inv_rho_pm1
                 return (rho - coef * abs_s_p,
-                        coef * (ss * s ** pm1) * (sc * (1.0 - abs_s_p) ** inv_p),
+                        coef * (sign_s * s ** pm1) * (sign_c * (1.0 - abs_s_p) ** inv_p),
                         0.0)
         return f, coef
 
-    spacing = None if p == 2.0 else 0.5 * ctx.pi_p
+    spacing = None if p == 2.0 else half_pi
     try:
         (phi, logr, u), dense = _kernel(
             rhs, bounds, h, tol, stats, spacing, dim, rho,
             _level_terms(p) if spacing and dim == 1 else None)
     except IntegrationError as exc:  # name the integration that failed
         raise IntegrationError(f"{exc} (rho={rho:g}, ell={ell:g})", exc.last_x) from exc
-    xs, phis, dphis, logrs, dlogrs = ((None,) * 5 if dense is None
-                                      else tuple(zip(*dense)))
+    x_steps, phis, dphis, logrs, dlogrs = ((None,) * 5 if dense is None
+                                           else tuple(zip(*dense)))
     return PruferTrajectory(
         ctx=ctx, rho=rho, ell=ell, phi_end=phi, theta_end=phi / rho,
         logr_end=logr if dim > 1 else None, u_end=u if dim == 3 else None,
-        stats=stats, dense_x=xs, dense_phi=phis, dense_dphi=dphis,
+        stats=stats, dense_x=x_steps, dense_phi=phis, dense_dphi=dphis,
         dense_logr=logrs, dense_dlogr=dlogrs)
 
 

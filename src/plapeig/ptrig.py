@@ -29,13 +29,14 @@ argument onto the quarter period by periodicity, oddness and the
 reflection S_p(pi_p - x) = S_p(x), and reads S_p there off a table,
 built forward from the two series once per context: the cubic Hermite
 interpolant of each table interval, stored as its monomial coefficients
-in the distance from the interval's left node, found through a uniform
-bucket index; ``make_context`` binds it to its table as ``fold``.  The
-integrator's right-hand sides stop there; the public functions polish
-that value by Newton iteration on the series of its half, in s below
-the split and in w above it.  Both maps have a slope bounded away from
-zero and infinity on their halves, so S_p and S_p' keep full absolute
-accuracy up to the quarter-period endpoint.  All of it runs on Python
+in the distance from the interval's left node, found through a bucket
+index (``_build_index``); ``make_context`` binds it to its table as
+``fold``.  The integrator's right-hand sides stop there (the phase's
+reads the table inline, in the same arithmetic); the public functions
+polish that value by Newton iteration on the series of its half, in s
+below the split and in w above it.  Both maps have a slope bounded
+away from zero and infinity on their halves, so S_p and S_p' keep full
+absolute accuracy up to the quarter-period endpoint.  All of it runs on Python
 floats: an array argument is evaluated point by point into an ndarray,
 and only then is numpy imported.
 """
@@ -43,7 +44,10 @@ and only then is numpy imported.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
+from itertools import chain, repeat
+from operator import sub
 from typing import Callable
 
 from .errors import DomainError, PoleError, is_array, map_array
@@ -53,13 +57,79 @@ SERIES_TERMS = 60
 # Table intervals on each half of the quarter period, split at s^p = 1/2.
 HALF_INTERVALS = 1024
 TABLE_INTERVALS = 2 * HALF_INTERVALS
-# Uniform buckets over the quarter period that index the table's
-# intervals (see _bind_fold).
+# Buckets of the index (see _build_index): uniform ones over the quarter
+# period, and square-root ones over each half of the table.
 _BUCKETS = 2 * TABLE_INTERVALS
+_ROOT_BUCKETS = HALF_INTERVALS
+# the interval numbers: the index tables of every context hold these
+# int objects rather than a copy each
+_INTERVAL = tuple(range(TABLE_INTERVALS))
 # Newton polish iterations on top of the table's cubic Hermite value.
 _NEWTON_ITERS = 2
 # tp() refuses evaluation closer than this to an odd multiple of pi_p/2.
 POLE_GUARD = 1e-8
+
+
+def _starts(keys: list, first: int, n: int) -> list:
+    """The ``n`` entries of one index table: entry k is the last interval
+    whose left node's key is below k.  ``keys[j]`` is the key of the left
+    node of interval ``first + j``; the keys do not fall, and keys[0] = 0,
+    so entry 0 is ``first``."""
+    table = [_INTERVAL[first]]
+    table += chain.from_iterable(
+        map(repeat, _INTERVAL[first:], map(sub, keys[1:], keys)))
+    return table + [_INTERVAL[first + len(keys) - 1]] * (n - len(table))
+
+
+def _build_index(xs: tuple, half_pi: float) -> tuple:
+    """The index of the table nodes ``xs``: where the interval of xr in
+    [0, pi_p/2] starts, the one ``bisect_right(xs, xr) - 1`` names, the
+    last one for xr = pi_p/2.  Returns (scale, start, split, lo_scale,
+    lo, hi_top, hi_scale, hi, right), ``right`` the right end of each
+    interval, the last one open.
+
+    A bucket's entry is the last interval whose left node lies in an
+    earlier bucket, which starts at or before every xr of the bucket, and
+    a forward scan over the right ends finishes.  The first read is the
+    uniform bucket ``start[floor(xr * scale)]``.  The nodes cluster at
+    the ends of the table, as s or w = 1 - cos of a uniform angle, and
+    a uniform bucket that holds three left nodes or more reads -1
+    instead: then xr below the split node reads ``lo[floor(sqrt(xr) *
+    lo_scale)]`` and xr from the split node on ``hi[floor((hi_top -
+    sqrt(pi_p/2 - xr)) * hi_scale)]``, buckets in the square root of the
+    distance from the table's end, in which each half's nodes lie nearly
+    evenly.  Each square-root table covers only the span its side's -1
+    buckets reach.  Every key rises with xr, so every entry is right;
+    the scan takes two steps at most at p in [1.05, 50]
+    (``tests/test_ptrig.py``).
+    """
+    floor, sqrt = math.floor, math.sqrt
+    scale = _BUCKETS / half_pi
+    keys = [floor(x * scale) for x in xs]
+    start = _starts(keys[:TABLE_INTERVALS], 0, keys[-1] + 1)
+    # the buckets that hold three left nodes or more, ascending
+    dense = [k for k, k2 in zip(keys, keys[2:TABLE_INTERVALS]) if k == k2]
+    for k in dense:
+        start[k] = -1
+    # lo serves the -1 buckets up to the split node's, for xr below the
+    # split node: each such xr lies below node j_lo; hi serves those from
+    # the split node's on, for xr from the split node on: above node j_hi
+    split, k_split = xs[HALF_INTERVALS], keys[HALF_INTERVALS]
+    m = bisect_right(dense, k_split)
+    j_lo = min(HALF_INTERVALS, bisect_right(keys, dense[m - 1])) if m else 1
+    m = bisect_left(dense, k_split)
+    j_hi = (max(HALF_INTERVALS, bisect_left(keys, dense[m]) - 1)
+            if m < len(dense) else TABLE_INTERVALS - 1)
+    lo_scale = _ROOT_BUCKETS / sqrt(split)
+    lo = _starts([floor(sqrt(x) * lo_scale) for x in xs[:j_lo]],
+                 0, floor(sqrt(xs[j_lo]) * lo_scale) + 1)
+    hi_top = sqrt(half_pi - xs[j_hi])
+    hi_scale = _ROOT_BUCKETS / sqrt(half_pi - split)
+    hi = _starts([floor((hi_top - sqrt(half_pi - x)) * hi_scale)
+                  for x in xs[j_hi:TABLE_INTERVALS]],
+                 j_hi, floor(hi_top * hi_scale) + 1)
+    return (scale, tuple(start), split, lo_scale, tuple(lo), hi_top, hi_scale,
+            tuple(hi), xs[1:TABLE_INTERVALS] + (math.inf,))
 
 
 @dataclass(frozen=True)
@@ -67,9 +137,9 @@ class PContext:
     """Immutable evaluation context for one exponent p.
 
     Holds the derived constants, the coefficients of the two inverse-map
-    series, the quarter-period table and ``fold``, the front end bound to
-    that table (see :func:`_bind_fold`); every operation taking a
-    context is pure and thread-safe.
+    series, the quarter-period table with its index, and ``fold``, the
+    front end bound to that table (see :func:`_bind_fold`); every
+    operation taking a context is pure and thread-safe.
     """
 
     p: float
@@ -83,6 +153,7 @@ class PContext:
     _cs: tuple = field(repr=False, compare=False)
     _c2: tuple = field(repr=False, compare=False)
     _c3: tuple = field(repr=False, compare=False)
+    _index: tuple = field(repr=False, compare=False)  # see _build_index
     # series coefficients r_k/(k p + 1) below the split, r'_k/((k+1) p - 1)
     # above it, for k >= 1
     _lo: tuple = field(repr=False, compare=False)
@@ -146,36 +217,43 @@ def make_context(p: float) -> PContext:
 
     pi_p = 2.0 * math.pi / (p * math.sin(math.pi / p))
     qtr = 0.5 * pi_p
-    ctx = PContext(p=p, pi_p=pi_p, p_conj=p / (p - 1.0),
-                   _xs=(), _ss=(), _cs=(), _c2=(), _c3=(),
-                   _lo=_coefficients(1.0 / p, p, 1.0),
-                   _hi=_coefficients(1.0 - 1.0 / p, p, p - 1.0))
+    p_conj, inv_p, inv_pm1 = p / (p - 1.0), 1.0 / p, 1.0 / (p - 1.0)
+    lo = _coefficients(inv_p, p, 1.0)
+    hi = _coefficients(1.0 - inv_p, p, p - 1.0)
 
     # Nodes clustered at x = 0 and x = pi_p/2: s = s_split * u below the
     # split and w = w_split * u above it, with u = 1 - cos(pi j / 2048)
     # rising from 0 to 1 over j = 0..1024.  The split node comes from the
     # lower series.
-    u = [1.0 - math.cos(0.5 * math.pi * j / HALF_INTERVALS)
+    cos, right_angle = math.cos, 0.5 * math.pi
+    u = [1.0 - cos(right_angle * j / HALF_INTERVALS)
          for j in range(HALF_INTERVALS + 1)]
     half = 0.5 ** (1.0 / p)  # S_p = S_p' at the split
     w_split = half ** (p - 1.0)
     s_lo = [half * uj for uj in u]
     w = [w_split * uj for uj in u[-2::-1]]  # from the split down to 0
-    xs = tuple([_below(ctx, s) for s in s_lo]
-               + [qtr - _above(ctx, wj) for wj in w])
-    p_conj, inv_p, inv_pm1 = ctx.p_conj, 1.0 / p, 1.0 / (p - 1.0)
-    ss = tuple(s_lo + [(1.0 - wj ** p_conj) ** inv_p for wj in w])
-    cs = tuple([(1.0 - s ** p) ** inv_p for s in s_lo]
-               + [wj ** inv_pm1 for wj in w])
+    # z = s^p and zeta = w^p', raised once each for the series of x
+    # (_below and _above, inlined, a call fewer per node) and for the
+    # node values
+    zs = [s ** p for s in s_lo]
+    zetas = [wj ** p_conj for wj in w]
+    xs = tuple([s + s * _series(lo, z) for s, z in zip(s_lo, zs)]
+               + [qtr - (wj * inv_pm1 + wj * _series(hi, zeta))
+                  for wj, zeta in zip(w, zetas)])
+    ss = tuple(s_lo + [(1.0 - zeta) ** inv_p for zeta in zetas])
+    cs = tuple([(1.0 - z) ** inv_p for z in zs] + [wj ** inv_pm1 for wj in w])
     # the monomial coefficients of the cubic Hermite interpolant on each
     # interval, from its end values s0, s1 and slopes d0, d1
     c2, c3 = [], []
+    add2, add3 = c2.append, c3.append
     for x0, x1, s0, s1, d0, d1 in zip(xs, xs[1:], ss, ss[1:], cs, cs[1:]):
         h = x1 - x0
         m = (s1 - s0) / h
-        c2.append((3.0 * m - 2.0 * d0 - d1) / h)
-        c3.append((d0 + d1 - 2.0 * m) / (h * h))
-    ctx = replace(ctx, _xs=xs, _ss=ss, _cs=cs, _c2=tuple(c2), _c3=tuple(c3))
+        add2((3.0 * m - 2.0 * d0 - d1) / h)
+        add3((d0 + d1 - 2.0 * m) / (h * h))
+    ctx = PContext(p=p, pi_p=pi_p, p_conj=p_conj, _xs=xs, _ss=ss, _cs=cs,
+                   _c2=tuple(c2), _c3=tuple(c3), _index=_build_index(xs, qtr),
+                   _lo=lo, _hi=hi)
     return replace(ctx, fold=_bind_fold(ctx))
 
 
@@ -239,35 +317,21 @@ def _bind_fold(ctx: PContext):
     (pi_p/2, pi_p]), so ``xr`` never leaves the quarter period and a
     boundary belongs to the lower quadrant.
 
-    The interval is the one ``bisect_right(xs, xr) - 1`` names, the last
-    one for xr = pi_p/2: ``_BUCKETS`` uniform buckets over the quarter
-    period each hold the last interval whose left node lies in an earlier
-    bucket, which starts at or before xr's, and a forward scan over the
-    right ends (the last one open) finishes.  Over the phases of
-    ``compute_spectrum`` on the benchmark's spectrum inputs the scan took
-    1.4 steps on average and 39 at most, where the table's nodes cluster
-    at its ends.  The value is then the interval's cubic in d = xr - x_i,
-    by Horner, and a node gives its S_p exactly.  The period and the
-    tables are bound here, once per context, since fold and lookup run
-    once per integrator right-hand side.
+    The interval is the one the context's index finds, and the
+    value is its cubic in d = xr - x_i, by Horner; a node gives its S_p
+    exactly.  Over the phases of ``compute_spectrum`` on the benchmark's
+    spectrum inputs the index's scan takes 0.24 to 0.30 steps on average
+    at p = 1.5 to 5, and two at most.  The period, the tables and the
+    index are bound here, once per context, since fold runs once per
+    integrator right-hand side; the phase right-hand side in
+    ``prufer._integrate`` reads the table in the same arithmetic inline.
     """
     pi_p = ctx.pi_p
     two_pi = 2.0 * pi_p
     half_pi = 0.5 * pi_p
-    floor = math.floor
+    floor, sqrt = math.floor, math.sqrt
     xs, ss, cs, c2, c3 = ctx._xs, ctx._ss, ctx._cs, ctx._c2, ctx._c3
-    last = TABLE_INTERVALS - 1
-    scale = _BUCKETS / half_pi
-    # bucket k starts at the last interval whose left node has bucket < k:
-    # that node lies below every xr of bucket k, since floor(x * scale)
-    # does not fall as x grows
-    node_bucket = [floor(x * scale) for x in xs[:last + 1]]
-    start = [0]
-    for i in range(last):
-        start += [i] * (node_bucket[i + 1] - node_bucket[i])
-    start += [last] * (floor(half_pi * scale) + 1 - len(start))
-    start = tuple(start)
-    right = xs[1:last + 1] + (math.inf,)
+    scale, start, split, lo_scale, lo, hi_top, hi_scale, hi, right = ctx._index
 
     def fold(x: float) -> tuple[float, float, float, float]:
         r = x - two_pi * floor(x / two_pi)
@@ -288,6 +352,11 @@ def _bind_fold(ctx: PContext):
             sign_c = sign_s
 
         i = start[floor(xr * scale)]
+        if i < 0:
+            if xr < split:
+                i = lo[floor(sqrt(xr) * lo_scale)]
+            else:
+                i = hi[floor((hi_top - sqrt(half_pi - xr)) * hi_scale)]
         while right[i] <= xr:
             i += 1
         d = xr - xs[i]

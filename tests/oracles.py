@@ -278,6 +278,23 @@ def fast_abs_sp_pow(ctx, x):
     return ctx.fold(x)[1] ** ctx.p
 
 
+def index_points(ctx):
+    """The points of [0, pi_p/2] where a read through the table's index
+    could go wrong: every table node, every edge of the uniform and the
+    square-root buckets (see ``ptrig._build_index``), the ulp neighbours
+    of each, 0 and pi_p/2."""
+    scale, start, _, lo_scale, lo, hi_top, hi_scale, hi, _ = ctx._index
+    qtr = ctx.quarter
+    edges = [k / scale for k in range(len(start))]
+    edges += [(k / lo_scale) ** 2 for k in range(len(lo))]
+    edges += [qtr - (hi_top - k / hi_scale) ** 2 for k in range(len(hi))]
+    points = {0.0, qtr}
+    for x in (*ctx._xs, *edges):
+        points.update((math.nextafter(x, -math.inf), x,
+                       math.nextafter(x, math.inf)))
+    return sorted(x for x in points if 0.0 <= x <= qtr)
+
+
 def phase_end_fixed_mesh(ctx, q, rho, ell, n_steps=2000):
     """phi(ell, rho) by classic fixed-mesh RK4.
 

@@ -10,7 +10,7 @@ from plapeig import (DomainError, IntegrationError, Potential, StateError,
                      reconstruct_eigenfunction, restrict, scaled_tent, sp)
 from plapeig import prufer
 
-from oracles import (classical_prufer_p2, fast_abs_sp_pow, fd_u,
+from oracles import (classical_prufer_p2, fast_abs_sp_pow, fd_u, index_points,
                      random_nonpositive_piecewise_linear, reference_dp45)
 
 TENT = scaled_tent(-5.0, 4.0)
@@ -268,13 +268,31 @@ class TestPieceRightHandSide:
         integrate_phase(ctx, q, rho, ell)
         return seen["bounds"], seen["rhs"]
 
-    @pytest.mark.parametrize("p", (1.5, 3.0))
+    @staticmethod
+    def special_phases(ctx):
+        """Phases at which the phase slope's inline table read could part
+        from ``PContext.fold``: each point of the table's index in all
+        four quadrants, the levels k*pi_p/2, an ulp either side of the
+        multiples of the period, both signs of all of them, and phases so
+        large that phi - 2*pi_p*floor(phi/(2*pi_p)) leaves [0, 2*pi_p)."""
+        pi_p, two_pi = ctx.pi_p, 2.0 * ctx.pi_p
+        phases = []
+        for xr in index_points(ctx):
+            phases += (xr, pi_p - xr, pi_p + xr, two_pi - xr)
+        phases += [k * ctx.quarter for k in range(-16, 17)]
+        phases += [math.nextafter(k * two_pi, way) for k in range(-8, 9)
+                   for way in (-math.inf, math.inf)]
+        phases += [-phi for phi in phases]
+        big = [k * two_pi * 2.0 ** e for k in (1, 3, 7) for e in range(40, 64, 3)]
+        return phases + big + [math.nextafter(phi, math.inf) for phi in big]
+
+    @pytest.mark.parametrize("p", (1.05, 1.5, 2.0, 3.0, 5.0, 50.0))
     def test_equals_per_call_route(self, ctx_for, p, monkeypatch):
         # random piecewise-linear potentials, both signs: on each piece,
         # at both ends, their ulp neighbours and random interior points,
         # the per-piece phase slope and Q = q*rho^(1-p), which the
         # singular terms next to a level read, are the per-call ones bit
-        # for bit
+        # for bit; so is the slope at every special phase
         ctx = ctx_for(p)
         rng = np.random.default_rng(20)
         rho = 7.0
@@ -300,6 +318,17 @@ class TestPieceRightHandSide:
                     assert big_q(x) == q.value(x) * coef, (q, x)
                     checked += 1
         assert checked > 1000
+
+        f, _ = rhs(bounds[0])
+        x = 0.5 * (bounds[0] + bounds[1])
+        qx = q.value(x) * coef
+        assert qx != 0.0
+        phases = self.special_phases(ctx)
+        two_pi = 2.0 * ctx.pi_p
+        assert any(not 0.0 <= phi - two_pi * math.floor(phi / two_pi) < two_pi
+                   for phi in phases)
+        for phi in phases:
+            assert f(x, phi) == rho - qx * fast_abs_sp_pow(ctx, phi), phi
 
     @pytest.mark.parametrize("p", (1.5, 3.0))
     def test_value_read_only_from_a_right_knot(self, ctx_for, p, monkeypatch):

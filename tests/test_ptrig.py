@@ -7,10 +7,10 @@ import pytest
 
 from plapeig import (DomainError, PoleError, arcsp, compute_spectrum,
                      constant, make_context, sp, sp_pair, sp_prime, tp)
-from plapeig.ptrig import _BUCKETS, fast_pair
+from plapeig.ptrig import fast_pair
 
 from oracles import (SP_IVP_FROZEN, arcsp_quadrature, hermite_table_value,
-                     probe_residual, sp_ivp)
+                     index_points, probe_residual, sp_ivp)
 
 ALL_P = (1.2, 1.5, 2.0, 3.0, 5.0, 10.0)
 
@@ -248,27 +248,49 @@ class TestTableFold:
     interval's cubic in d = xr - x_i."""
 
     @staticmethod
-    def on_interval(ctx, xr):
-        # the clamped monomial value on the interval bisect names
+    def bisect_interval(ctx, xr):
         xs = ctx._xs
-        i = min(bisect_right(xs, xr) - 1, len(xs) - 2)
-        d = xr - xs[i]
+        return min(bisect_right(xs, xr) - 1, len(xs) - 2)
+
+    @classmethod
+    def on_interval(cls, ctx, xr):
+        # the clamped monomial value on the interval bisect names
+        i = cls.bisect_interval(ctx, xr)
+        d = xr - ctx._xs[i]
         s = ctx._ss[i] + d * (ctx._cs[i] + d * (ctx._c2[i] + d * ctx._c3[i]))
         return min(max(s, 0.0), 1.0)
 
+    @staticmethod
+    def entry(ctx, xr):
+        # the interval the index hands the forward scan
+        scale, start, split, lo_scale, lo, hi_top, hi_scale, hi, _ = ctx._index
+        i = start[math.floor(xr * scale)]
+        if i < 0:
+            if xr < split:
+                i = lo[math.floor(math.sqrt(xr) * lo_scale)]
+            else:
+                i = hi[math.floor((hi_top - math.sqrt(ctx.quarter - xr)) * hi_scale)]
+        return i
+
     @pytest.mark.parametrize("p", (1.05, 1.5, 2.0, 3.0, 5.0, 50.0))
     def test_bucket_index_is_bisect(self, ctx_for, p):
-        # every node and its two ulp neighbours, every bucket edge and
-        # its neighbours, 0 and pi_p/2; an interval other than bisect's
-        # shows in the value's last bits
+        # every node and its two ulp neighbours, every edge of a uniform
+        # or square-root bucket and its neighbours, 0 and pi_p/2; an
+        # interval other than bisect's shows in the value's last bits
         ctx = ctx_for(p)
-        edges = [k * ctx.quarter / _BUCKETS for k in range(_BUCKETS + 1)]
-        points = {0.0, ctx.quarter}
-        for x in (*ctx._xs, *edges):
-            points.update((math.nextafter(x, -math.inf), x,
-                           math.nextafter(x, math.inf)))
-        for xr in sorted(x for x in points if 0.0 <= x <= ctx.quarter):
+        for xr in index_points(ctx):
             assert ctx.fold(xr) == (xr, self.on_interval(ctx, xr), 1.0, 1.0), xr
+
+    @pytest.mark.parametrize("p", (1.05, 1.5, 2.0, 3.0, 5.0, 50.0))
+    def test_scan_is_short(self, ctx_for, p):
+        # on the same points the index hands the scan an interval at or
+        # before bisect's and at most two intervals short of it; uniform
+        # buckets alone left up to 39 at p = 5, where the nodes cluster
+        # below pi_p/2
+        ctx = ctx_for(p)
+        assert -1 in ctx._index[1]  # some uniform buckets hand over
+        for xr in index_points(ctx):
+            assert 0 <= self.bisect_interval(ctx, xr) - self.entry(ctx, xr) <= 2, xr
 
     @pytest.mark.parametrize("p", ALL_P)
     def test_monomial_matches_hermite(self, ctx_for, p):
