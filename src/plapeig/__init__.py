@@ -10,38 +10,49 @@ harnesses that numerically verify eigenvalue-ratio inequalities for
 single-barrier and single-well potentials.
 """
 
+import importlib
+
 from .errors import (DomainError, IntegrationError, PLapError, PoleError,
                      PotentialParseError, SearchError, StateError)
-from .ptrig import PContext, arcsp, make_context, sp, sp_pair, sp_prime, tp
-from .potentials import (Potential, Shape, ShapeCertificate, classify,
-                         constant, parse_potential_spec, piecewise_linear,
-                         restrict, sampled_table, scaled_tent)
-from .prufer import (PruferTrajectory, ToleranceConfig, integrate_amplitude,
-                     integrate_phase, integrate_sensitivity,
-                     reconstruct_eigenfunction)
-from .eigensolver import (Eigenpair, ShotResult, SolverConfig, Spectrum,
-                          bracket_eigenvalue, compute_spectrum, direct_shoot,
-                          find_eigenvalue)
-from .theorems import (HarnessConfig, ScanPoint, TheoremCertificate,
-                       verify_remark1, verify_theorem1, verify_theorem2,
-                       verify_theorem3)
 
 __version__ = "0.1.0"
+
+# the public names of each layer; the first use of any of them or of a
+# layer module loads every layer at once, so a process that uses none
+# compiles none, and one that uses any finds them all in sys.modules
+_LAYERS = {
+    "ptrig": ("PContext", "make_context", "sp", "sp_prime", "sp_pair", "tp",
+              "arcsp"),
+    "potentials": ("Potential", "Shape", "ShapeCertificate", "classify",
+                   "restrict", "parse_potential_spec", "constant",
+                   "piecewise_linear", "sampled_table", "scaled_tent"),
+    "prufer": ("ToleranceConfig", "PruferTrajectory", "integrate_phase",
+               "integrate_amplitude", "integrate_sensitivity",
+               "reconstruct_eigenfunction"),
+    "eigensolver": ("SolverConfig", "Eigenpair", "Spectrum",
+                    "bracket_eigenvalue", "find_eigenvalue",
+                    "compute_spectrum", "direct_shoot", "ShotResult"),
+    "theorems": ("HarnessConfig", "ScanPoint", "TheoremCertificate",
+                 "verify_theorem1", "verify_theorem2", "verify_theorem3",
+                 "verify_remark1"),
+}
 
 __all__ = [
     "PLapError", "DomainError", "PoleError", "PotentialParseError",
     "StateError", "IntegrationError", "SearchError",
-    "PContext", "make_context", "sp", "sp_prime", "sp_pair", "tp",
-    "arcsp",
-    "Potential", "Shape", "ShapeCertificate", "classify", "restrict",
-    "parse_potential_spec", "constant", "piecewise_linear", "sampled_table",
-    "scaled_tent",
-    "ToleranceConfig", "PruferTrajectory", "integrate_phase",
-    "integrate_amplitude", "integrate_sensitivity",
-    "reconstruct_eigenfunction",
-    "SolverConfig", "Eigenpair", "Spectrum", "bracket_eigenvalue",
-    "find_eigenvalue", "compute_spectrum", "direct_shoot", "ShotResult",
-    "HarnessConfig", "ScanPoint", "TheoremCertificate", "verify_theorem1",
-    "verify_theorem2", "verify_theorem3", "verify_remark1",
+    *(name for names in _LAYERS.values() for name in names),
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    if name not in _LAYERS and name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    for layer, names in _LAYERS.items():
+        module = importlib.import_module(f".{layer}", __name__)
+        globals().update((n, getattr(module, n)) for n in names)
+    return globals()[name]
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_LAYERS})

@@ -24,21 +24,21 @@ decide).
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
+import importlib
 import io
 import json
 import sys
 import warnings
 from dataclasses import dataclass, field, fields
 
-from .eigensolver import SolverConfig, compute_spectrum
+from .config import READS, HarnessConfig, SolverConfig, ToleranceConfig
 from .errors import DomainError, PLapError, PotentialParseError
-from .potentials import Potential, classify, parse_potential_spec, restrict, scaled_tent
-from .prufer import ToleranceConfig
-from .ptrig import make_context, sp_pair
-from .theorems import (CSV_HEADER, READS, HarnessConfig, verify_remark1,
-                       verify_theorem1, verify_theorem2, verify_theorem3)
+
+# each subcommand imports the layers it runs, so a cold process compiles no other
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .potentials import Potential
 
 EXIT_OK = 0
 EXIT_ERROR = 2       # usage problems and solver failures
@@ -111,6 +111,8 @@ def _fmt(v) -> str:
 def _load_potential(arg) -> Potential:
     """Parse a potential given as a spec object, as its JSON text, or as
     the path of a JSON file; any failure is a usage error."""
+    from .potentials import parse_potential_spec
+
     text = arg
     if isinstance(arg, str) and not arg.strip().startswith("{"):
         try:
@@ -200,6 +202,7 @@ def _emit(cfg: RunConfig, header: tuple[str, ...], rows: list[tuple],
           payload_kind: str) -> None:
     """Write CSV (with '#' config comments) or a JSON report."""
     if cfg.format == "csv":
+        import csv
         buf = io.StringIO()
         for key, val in sorted(cfg.echo_dict().items()):
             buf.write(f"# {key}={json.dumps(val, sort_keys=True) if isinstance(val, dict) else _fmt(val)}\n")
@@ -225,6 +228,8 @@ def _write_out(cfg: RunConfig, text: str) -> None:
 
 
 def cmd_ptrig_table(args) -> int:
+    from .ptrig import make_context, sp_pair
+
     cfg = _merge_config(args)
     if args.steps is None or args.steps < 2:
         raise UsageError("--steps must be >= 2")
@@ -241,6 +246,8 @@ def cmd_ptrig_table(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from .potentials import classify
+
     cfg = _merge_config(args)
     d = classify(cfg.potential).as_dict()
     _emit(cfg, tuple(d), [tuple(d.values())], "shape_certificate")
@@ -248,6 +255,10 @@ def cmd_classify(args) -> int:
 
 
 def cmd_eigs(args) -> int:
+    from .eigensolver import compute_spectrum
+    from .potentials import restrict
+    from .ptrig import make_context
+
     cfg = _merge_config(args)
     ctx = make_context(cfg.p)
     q = restrict(cfg.potential, cfg.ell)
@@ -261,32 +272,36 @@ def cmd_eigs(args) -> int:
     return EXIT_OK
 
 
-_THEOREMS = {"t1": verify_theorem1, "t2": verify_theorem2,
-             "t3": verify_theorem3, "r1": verify_remark1}
+# harness names, looked up on ``theorems`` when a run calls one
+_THEOREMS = {"t1": "verify_theorem1", "t2": "verify_theorem2",
+             "t3": "verify_theorem3", "r1": "verify_remark1"}
 # the settings a harness leaves unread, which its certificate omits
 _UNREAD = {t: tuple(k for k in DEFAULTS if k not in ("p", "format")
                     and k not in READS[t.upper()]) for t in _THEOREMS}
 
 
 def cmd_verify(args) -> int:
+    from .ptrig import make_context
+
     theorem = (args.theorem or "").lower()
     cfg = _merge_config(args, _UNREAD.get(theorem, ()))
     if theorem not in _THEOREMS:
         raise UsageError("--theorem must be one of t1, t2, t3, r1")
+    theorems = importlib.import_module(".theorems", __package__)
     ctx = make_context(cfg.p)
     q = cfg.potential
     kwargs = {"cfg": cfg.harness}
     if theorem != "t1":  # T1 scans rho, not an index range
         kwargs["n_max"] = cfg.n_max
     try:
-        cert = _THEOREMS[theorem](ctx, q, **kwargs)
+        cert = getattr(theorems, _THEOREMS[theorem])(ctx, q, **kwargs)
     except PLapError as exc:
         print(f"verification harness failed: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
     cfg.extra = {"theorem": theorem}
     if cfg.format == "csv":
-        _emit(cfg, CSV_HEADER, cert.csv_rows(), "theorem_certificate")
+        _emit(cfg, theorems.CSV_HEADER, cert.csv_rows(), "theorem_certificate")
     else:
         doc = {"config": cfg.echo_dict(), "kind": "theorem_certificate",
                "certificate": cert.to_report_dict()}
@@ -301,6 +316,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from .eigensolver import compute_spectrum
+    from .potentials import restrict, scaled_tent
+    from .ptrig import make_context
+
     axis = (args.axis or "").lower()
     # the swept setting replaces its flag
     cfg = _merge_config(args, (axis,) if axis in ("p", "ell") else ())

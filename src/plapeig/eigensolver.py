@@ -27,11 +27,12 @@ route, and no production path calls it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import DomainError, SearchError, check_range
+from .config import SolverConfig
+from .errors import DomainError, SearchError
 from .potentials import Potential
-from .prufer import ToleranceConfig, integrate_phase
+from .prufer import integrate_phase
 from .ptrig import PContext
 
 # secant or bisection steps one search takes at most before it returns
@@ -45,25 +46,6 @@ _SHOT_RTOL, _SHOT_ATOL = 1e-10, 1e-12
 # comparison bounds are padded by 1e-12 relative, so where they coincide
 # (every constant potential) both ends lie this close to the first guess.
 _SAME_RHO = 1e-11
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Eigenvalue search configuration.
-
-    ``phase_tol`` is the accepted residual |phi(ell) - n*pi_p| in phase
-    units.  The secant search aims at min(1e-10, phase_tol/10), so the
-    root does not depend on ``phase_tol`` at or above the default; a
-    root that misses it at ``tolerance`` is a ``SearchError``.
-    ``phase_tol`` must be positive and finite; any other value is a
-    ``DomainError`` naming it.
-    """
-
-    phase_tol: float = 1e-9
-    tolerance: ToleranceConfig = field(default_factory=ToleranceConfig)
-
-    def __post_init__(self):
-        check_range(self, 0, "phase_tol", strict=True)
 
 
 @dataclass(frozen=True)

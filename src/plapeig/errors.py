@@ -1,7 +1,5 @@
-"""Exception types shared across the package, the config range checks,
-and the array route of the functions that take a scalar or an array."""
-
-import math
+"""Exception types shared across the package, and the array route of
+the functions that take a scalar or an array."""
 
 
 class PLapError(Exception):
@@ -50,16 +48,6 @@ class SearchError(PLapError, RuntimeError):
     def __init__(self, message: str, details: dict | None = None):
         super().__init__(message)
         self.details = dict(details or {})
-
-
-def check_range(cfg, low, *names: str, strict: bool = False) -> None:
-    """Raise DomainError naming the first field of ``cfg`` in ``names``
-    that is not finite and at least ``low`` (above it, if ``strict``)."""
-    for name in names:
-        value = getattr(cfg, name)
-        if not (low < value if strict else low <= value) or value == math.inf:
-            rule = f"> {low}" if strict else f">= {low}"
-            raise DomainError(f"{name} must be finite and {rule}, got {value}")
 
 
 def is_array(x) -> bool:

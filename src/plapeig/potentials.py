@@ -14,8 +14,8 @@ import enum
 import json
 import math
 from bisect import bisect_right
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
-from typing import Mapping
 
 from .errors import DomainError, PotentialParseError, is_array, map_array
 

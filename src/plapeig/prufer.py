@@ -84,31 +84,14 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
-from .errors import DomainError, IntegrationError, StateError, check_range
+from .config import ToleranceConfig
+from .errors import DomainError, IntegrationError, StateError
 from .potentials import Potential
 from .ptrig import PContext, sp_pair
 
 # rho beyond this is accepted but flagged: b(x) -> 1 and theta -> ell,
 # so sensitivity output carries heavy cancellation
 RHO_CONDITIONING_LIMIT = 1e8
-
-
-@dataclass(frozen=True)
-class ToleranceConfig:
-    """Local error control for the adaptive integrator.
-
-    ``rel_tol`` and ``abs_tol`` must be positive and finite, and
-    ``max_steps`` at least 10; any other value is a ``DomainError``
-    naming the field.
-    """
-
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    max_steps: int = 200_000
-
-    def __post_init__(self):
-        check_range(self, 0, "rel_tol", "abs_tol", strict=True)
-        check_range(self, 10, "max_steps")
 
 
 @dataclass(frozen=True)

@@ -45,10 +45,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from itertools import chain, repeat
 from operator import sub
-from typing import Callable
 
 from .errors import DomainError, PoleError, is_array, map_array
 

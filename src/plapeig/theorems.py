@@ -30,10 +30,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
-from .eigensolver import Eigenpair, SolverConfig, find_eigenvalue
-from .errors import PLapError, SearchError, check_range
+from .config import READS, HarnessConfig
+from .eigensolver import Eigenpair, find_eigenvalue
+from .errors import PLapError, SearchError
 from .potentials import (BARRIER_LIKE, WELL_LIKE, Potential, Shape,
                          ShapeCertificate, classify, restrict)
 from .prufer import integrate_sensitivity
@@ -45,35 +46,6 @@ INCONCLUSIVE = "inconclusive"
 
 CSV_HEADER = ("theorem_id", "quantity", "rho", "ell", "m", "n",
               "value", "bound", "margin", "in_hypothesis", "satisfied", "note")
-
-
-@dataclass(frozen=True)
-class HarnessConfig:
-    """Scan resolution and slack for the verification harnesses.
-
-    ``slack_rel`` and ``slack_abs`` must be positive and finite,
-    ``rho_points`` and ``ell_points`` at least 1, and ``rho_span``
-    finite and at least 1; any other value is a ``DomainError`` naming
-    the field.
-    """
-
-    solver: SolverConfig = field(default_factory=SolverConfig)
-    slack_rel: float = 1e-8   # ratio inequalities
-    slack_abs: float = 1e-10  # sensitivity sign
-    rho_points: int = 32
-    rho_span: float = 4.0     # grid reaches rho_span * threshold
-    ell_points: int = 24
-
-    def __post_init__(self):
-        check_range(self, 0, "slack_rel", "slack_abs", strict=True)
-        check_range(self, 1, "rho_points", "ell_points", "rho_span")
-
-    def settings(self) -> dict:
-        """Every setting by field name, the solver's and its tolerance's
-        included."""
-        flat = {**vars(self.solver.tolerance), **vars(self.solver), **vars(self)}
-        del flat["tolerance"], flat["solver"]
-        return flat
 
 
 @dataclass(frozen=True)
@@ -136,14 +108,6 @@ class TheoremCertificate:
 
     def csv_rows(self) -> list[tuple]:
         return [s.csv_row(self.theorem_id) for s in self.scan]
-
-
-# the settings each harness reads and its certificate records, besides p
-# and the potential: T1 scans rho, the others an index range, T3 also ell
-_TOLERANCE = ("rel_tol", "abs_tol", "max_steps")
-_RATIO = _TOLERANCE + ("phase_tol", "n_max", "slack_rel")
-READS = {"T1": _TOLERANCE + ("rho_points", "rho_span", "slack_abs"),
-         "T2": _RATIO, "R1": _RATIO, "T3": _RATIO + ("ell_points",)}
 
 
 def _config_dict(theorem_id: str, ctx: PContext, q: Potential,

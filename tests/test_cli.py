@@ -704,3 +704,82 @@ class TestEntryPoint:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+
+LAYERS = {"ptrig", "potentials", "prufer", "eigensolver", "theorems"}
+
+
+def _loaded(code):
+    """The plapeig submodules a fresh interpreter holds after ``code``."""
+    code += ("\nimport sys\nprint(' '.join(m for m in sys.modules "
+             "if m.startswith('plapeig.')))\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return {m.split(".", 1)[1] for m in proc.stdout.split()}
+
+
+class TestImportGraph:
+    """A process loads only the layers it runs: the package, the CLI and
+    ``--help`` load none, and each subcommand only its own."""
+
+    def test_import_plapeig_loads_errors_only(self):
+        assert _loaded("import plapeig") == {"errors"}
+
+    @pytest.mark.parametrize("argv, absent", [
+        (["--help"], LAYERS),
+        (["classify", "--potential", TENT_SPEC],
+         {"ptrig", "prufer", "eigensolver", "theorems"}),
+        (["ptrig-table", "--p", "3", "--x-min", "0", "--x-max", "5",
+          "--steps", "4"],
+         {"potentials", "prufer", "eigensolver", "theorems"}),
+        (["eigs", "--p", "3", "--potential", TENT_SPEC, "--n-max", "2"],
+         {"theorems"}),
+    ], ids=["help", "classify", "ptrig-table", "eigs"])
+    def test_subcommand_loads_only_its_layers(self, argv, absent):
+        code = ("import io, contextlib, plapeig.cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    try:\n"
+                f"        assert plapeig.cli.main({argv!r}) == 0\n"
+                "    except SystemExit as exc:\n"
+                "        assert exc.code == 0\n")
+        assert not _loaded(code) & absent
+
+    def test_first_public_name_loads_every_layer(self):
+        assert LAYERS <= _loaded("import plapeig\nplapeig.Shape")
+
+    def test_star_import_binds_all(self):
+        code = ("import plapeig\nns = {}\nexec('from plapeig import *', ns)\n"
+                "missing = [n for n in plapeig.__all__ if n not in ns]\n"
+                "assert not missing, missing")
+        assert LAYERS <= _loaded(code)
+
+    def test_names_are_the_layer_objects(self):
+        import plapeig
+        from plapeig import config, eigensolver, potentials, prufer, ptrig, theorems
+
+        assert plapeig.make_context is ptrig.make_context
+        assert plapeig.classify is potentials.classify
+        assert plapeig.integrate_phase is prufer.integrate_phase
+        assert plapeig.compute_spectrum is eigensolver.compute_spectrum
+        assert plapeig.verify_theorem2 is theorems.verify_theorem2
+        # the configs keep their old homes too
+        assert (plapeig.ToleranceConfig is prufer.ToleranceConfig
+                is config.ToleranceConfig)
+        assert (plapeig.SolverConfig is eigensolver.SolverConfig
+                is config.SolverConfig)
+        assert (plapeig.HarnessConfig is theorems.HarnessConfig
+                is config.HarnessConfig)
+        assert plapeig.ptrig is ptrig
+        assert set(plapeig.__all__) | LAYERS <= set(dir(plapeig))
+
+    def test_submodules_resolve(self):
+        code = ("import plapeig, plapeig.cli\n"
+                "assert plapeig.ptrig.make_context and plapeig.cli.main")
+        assert LAYERS | {"cli"} <= _loaded(code)
+
+    def test_unknown_name_is_attribute_error(self):
+        import plapeig
+
+        with pytest.raises(AttributeError, match="no_such_name"):
+            plapeig.no_such_name
