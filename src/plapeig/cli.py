@@ -14,18 +14,17 @@ built-in defaults, and every report echoes the effective configuration
 so it can be reproduced from its own header.  Data goes to stdout or
 --out; diagnostics go to stderr, a warning as one "warning:" line.
 Numbers carry 17 significant digits (round-trip safe) and CSV output is
-locale independent.
+locale independent; a number not computed is an empty cell or null.
 
-Exit codes: 0 success/verified, 2 usage or solver failure, 3 statement
-violated, 4 inconclusive (hypothesis mismatch or solver could not
-decide).
+Exit codes: 0 success/verified, 2 usage error or a failed solve in eigs
+or sweep, 3 statement violated, 4 inconclusive (hypothesis mismatch, or
+a solve inside verify failed).
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import importlib
 import io
 import json
 import sys
@@ -41,7 +40,7 @@ if TYPE_CHECKING:
     from .potentials import Potential
 
 EXIT_OK = 0
-EXIT_ERROR = 2       # usage problems and solver failures
+EXIT_ERROR = 2       # usage problems, and solver failures outside verify
 EXIT_VIOLATED = 3
 EXIT_INCONCLUSIVE = 4
 
@@ -272,42 +271,40 @@ def cmd_eigs(args) -> int:
     return EXIT_OK
 
 
-# harness names, looked up on ``theorems`` when a run calls one
-_THEOREMS = {"t1": "verify_theorem1", "t2": "verify_theorem2",
-             "t3": "verify_theorem3", "r1": "verify_remark1"}
 # the settings a harness leaves unread, which its certificate omits
-_UNREAD = {t: tuple(k for k in DEFAULTS if k not in ("p", "format")
-                    and k not in READS[t.upper()]) for t in _THEOREMS}
+_UNREAD = {t.lower(): tuple(k for k in DEFAULTS if k not in ("p", "format")
+                            and k not in reads) for t, reads in READS.items()}
 
 
 def cmd_verify(args) -> int:
     from .ptrig import make_context
+    from .theorems import (CSV_HEADER, verify_remark1, verify_theorem1,
+                           verify_theorem2, verify_theorem3)
 
     theorem = (args.theorem or "").lower()
     cfg = _merge_config(args, _UNREAD.get(theorem, ()))
-    if theorem not in _THEOREMS:
+    harness = {"t1": verify_theorem1, "t2": verify_theorem2,
+               "t3": verify_theorem3, "r1": verify_remark1}.get(theorem)
+    if harness is None:
         raise UsageError("--theorem must be one of t1, t2, t3, r1")
-    theorems = importlib.import_module(".theorems", __package__)
-    ctx = make_context(cfg.p)
-    q = cfg.potential
     kwargs = {"cfg": cfg.harness}
     if theorem != "t1":  # T1 scans rho, not an index range
         kwargs["n_max"] = cfg.n_max
-    try:
-        cert = getattr(theorems, _THEOREMS[theorem])(ctx, q, **kwargs)
-    except PLapError as exc:
-        print(f"verification harness failed: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    # a failed solve leaves its point uncomputed in the certificate; any
+    # other error reaches main()
+    cert = harness(make_context(cfg.p), cfg.potential, **kwargs)
 
     cfg.extra = {"theorem": theorem}
     if cfg.format == "csv":
-        _emit(cfg, theorems.CSV_HEADER, cert.csv_rows(), "theorem_certificate")
+        _emit(cfg, CSV_HEADER, cert.csv_rows(), "theorem_certificate")
     else:
         doc = {"config": cfg.echo_dict(), "kind": "theorem_certificate",
                "certificate": cert.to_report_dict()}
-        _write_out(cfg, json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        _write_out(cfg, json.dumps(doc, sort_keys=True, indent=2,
+                                   allow_nan=False) + "\n")
     print(f"{cert.theorem_id}: {cert.verdict} "
-          f"(worst margin {_fmt(cert.worst_margin)})", file=sys.stderr)
+          f"(worst margin {_fmt(cert.worst_margin) or 'none'})",
+          file=sys.stderr)
     if cert.verdict == "verified":
         return EXIT_OK
     if cert.verdict == "violated":

@@ -276,7 +276,7 @@ def compute_spectrum(ctx: PContext, q: Potential, n_max: int, ell: float,
             pairs.append(find_eigenvalue(ctx, q, n, ell, cfg))
         except SearchError as exc:
             raise SearchError(f"eigenvalue search failed at index {n}: {exc}",
-                              details={"n": n}) from exc
+                              details={**exc.details, "n": n}) from exc
     for a, b in zip(pairs, pairs[1:]):
         if b.lam <= a.lam:
             raise SearchError(

@@ -44,7 +44,6 @@ and only then is numpy imported.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from itertools import chain, repeat
@@ -98,8 +97,7 @@ def _build_index(xs: tuple, half_pi: float) -> tuple:
     lo_scale)]`` and xr from the split node on ``hi[floor((hi_top -
     sqrt(pi_p/2 - xr)) * hi_scale)]``, buckets in the square root of the
     distance from the table's end, in which each half's nodes lie nearly
-    evenly.  Each square-root table covers only the span its side's -1
-    buckets reach.  Every key rises with xr, so every entry is right;
+    evenly.  Every key rises with xr, so every entry is right;
     the scan takes two steps at most at p in [1.05, 50]
     (``tests/test_ptrig.py``).
     """
@@ -107,27 +105,19 @@ def _build_index(xs: tuple, half_pi: float) -> tuple:
     scale = _BUCKETS / half_pi
     keys = [floor(x * scale) for x in xs]
     start = _starts(keys[:TABLE_INTERVALS], 0, keys[-1] + 1)
-    # the buckets that hold three left nodes or more, ascending
-    dense = [k for k, k2 in zip(keys, keys[2:TABLE_INTERVALS]) if k == k2]
-    for k in dense:
-        start[k] = -1
-    # lo serves the -1 buckets up to the split node's, for xr below the
-    # split node: each such xr lies below node j_lo; hi serves those from
-    # the split node's on, for xr from the split node on: above node j_hi
-    split, k_split = xs[HALF_INTERVALS], keys[HALF_INTERVALS]
-    m = bisect_right(dense, k_split)
-    j_lo = min(HALF_INTERVALS, bisect_right(keys, dense[m - 1])) if m else 1
-    m = bisect_left(dense, k_split)
-    j_hi = (max(HALF_INTERVALS, bisect_left(keys, dense[m]) - 1)
-            if m < len(dense) else TABLE_INTERVALS - 1)
+    # the buckets that hold three left nodes or more
+    for k, k2 in zip(keys, keys[2:TABLE_INTERVALS]):
+        if k == k2:
+            start[k] = -1
+    split = xs[HALF_INTERVALS]
     lo_scale = _ROOT_BUCKETS / sqrt(split)
-    lo = _starts([floor(sqrt(x) * lo_scale) for x in xs[:j_lo]],
-                 0, floor(sqrt(xs[j_lo]) * lo_scale) + 1)
-    hi_top = sqrt(half_pi - xs[j_hi])
-    hi_scale = _ROOT_BUCKETS / sqrt(half_pi - split)
+    lo = _starts([floor(sqrt(x) * lo_scale) for x in xs[:HALF_INTERVALS]],
+                 0, floor(sqrt(split) * lo_scale) + 1)
+    hi_top = sqrt(half_pi - split)
+    hi_scale = _ROOT_BUCKETS / hi_top
     hi = _starts([floor((hi_top - sqrt(half_pi - x)) * hi_scale)
-                  for x in xs[j_hi:TABLE_INTERVALS]],
-                 j_hi, floor(hi_top * hi_scale) + 1)
+                  for x in xs[HALF_INTERVALS:TABLE_INTERVALS]],
+                 HALF_INTERVALS, floor(hi_top * hi_scale) + 1)
     return (scale, tuple(start), split, lo_scale, tuple(lo), hi_top, hi_scale,
             tuple(hi), xs[1:TABLE_INTERVALS] + (math.inf,))
 

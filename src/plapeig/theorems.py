@@ -22,6 +22,10 @@ margin per scan point:
 Inequalities are asserted with explicit slack (relative for ratios,
 absolute for the sensitivity sign) so that "violated" is distinguished
 from solver noise; the slack used is printed in every certificate.
+A solve that fails (``SearchError`` or ``IntegrationError``) leaves its
+point uncomputed: a noted gap, never a violation, and a certificate with
+one is inconclusive unless a computed point violates its bound.  A
+number that was not computed is None (JSON null), never NaN.
 Certificates are deterministic: identical inputs and configuration
 produce identical bytes.
 """
@@ -30,11 +34,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from .config import READS, HarnessConfig
 from .eigensolver import Eigenpair, find_eigenvalue
-from .errors import PLapError, SearchError
+from .errors import IntegrationError, SearchError
 from .potentials import (BARRIER_LIKE, WELL_LIKE, Potential, Shape,
                          ShapeCertificate, classify, restrict)
 from .prufer import integrate_sensitivity
@@ -47,6 +51,9 @@ INCONCLUSIVE = "inconclusive"
 CSV_HEADER = ("theorem_id", "quantity", "rho", "ell", "m", "n",
               "value", "bound", "margin", "in_hypothesis", "satisfied", "note")
 
+# what a failed solve raises; a harness notes it and scans on
+_SOLVE_FAILED = (SearchError, IntegrationError)
+
 
 @dataclass(frozen=True)
 class ScanPoint:
@@ -54,14 +61,15 @@ class ScanPoint:
 
     ``margin`` is signed so that nonnegative means satisfied with room;
     points outside the statement's hypothesis are recorded but never
-    count toward the verdict.
+    count toward the verdict.  ``value`` and ``margin`` are None at a
+    point whose solve failed, which is out of hypothesis.
     """
 
     quantity: str
     inputs: tuple[tuple[str, float], ...]
-    value: float
+    value: float | None
     bound: float
-    margin: float
+    margin: float | None
     in_hypothesis: bool
     satisfied: bool
     note: str = ""
@@ -77,34 +85,30 @@ class ScanPoint:
 
 @dataclass(frozen=True)
 class TheoremCertificate:
-    """Hypotheses, scan table, verdict and margins for one statement."""
+    """Hypotheses, scan table, verdict and margins for one statement.
+
+    ``worst_margin`` is the least margin over the points in hypothesis,
+    None when no point is.
+    """
 
     theorem_id: str  # "T1" | "T2" | "T3" | "R1"
     verdict: str
-    worst_margin: float
+    worst_margin: float | None
     hypotheses: dict
     scan: tuple[ScanPoint, ...]
     config: dict
     notes: tuple[str, ...] = ()
 
     def to_report_dict(self) -> dict:
-        return {
-            "theorem_id": self.theorem_id,
-            "verdict": self.verdict,
-            "worst_margin": self.worst_margin,
-            "hypotheses": self.hypotheses,
-            "scan": [
-                {"quantity": s.quantity, "inputs": dict(s.inputs),
-                 "value": s.value, "bound": s.bound, "margin": s.margin,
-                 "in_hypothesis": s.in_hypothesis, "satisfied": s.satisfied,
-                 "note": s.note}
-                for s in self.scan],
-            "notes": list(self.notes),
-            "config": self.config,
-        }
+        """The fields as a JSON-ready dict, each point's inputs a dict."""
+        d = asdict(self)
+        for s in d["scan"]:
+            s["inputs"] = dict(s["inputs"])
+        return d
 
     def to_json(self) -> str:
-        return json.dumps(self.to_report_dict(), sort_keys=True, indent=2)
+        return json.dumps(self.to_report_dict(), sort_keys=True, indent=2,
+                          allow_nan=False)
 
     def csv_rows(self) -> list[tuple]:
         return [s.csv_row(self.theorem_id) for s in self.scan]
@@ -118,13 +122,16 @@ def _config_dict(theorem_id: str, ctx: PContext, q: Potential,
 
 
 def _finalize(theorem_id: str, hypotheses: dict, scan: list[ScanPoint],
-              config: dict, notes: list[str], had_errors: bool
+              config: dict, notes: list[str], failed: bool
               ) -> TheoremCertificate:
+    """The certificate of ``scan``: violated when a point in hypothesis
+    misses its bound, else inconclusive when a solve ``failed`` or no
+    point is in hypothesis, else verified."""
     in_points = [s for s in scan if s.in_hypothesis]
-    worst = min((s.margin for s in in_points), default=math.nan)
+    worst = min((s.margin for s in in_points), default=None)
     if any(not s.satisfied for s in in_points):
         verdict = VIOLATED
-    elif had_errors or not in_points:
+    elif failed or not in_points:
         verdict = INCONCLUSIVE
     else:
         verdict = VERIFIED
@@ -181,7 +188,9 @@ def verify_theorem1(ctx: PContext, q: Potential,
     Integrates the variational sensitivity over [0, x0] at
     ``rho_points`` values of rho, geometric from the threshold
     (-2 q(0))^(1/p) to ``rho_span`` times it, and checks
-    theta_dot(x0, rho) <= slack_abs at each; every row is in hypothesis.
+    theta_dot(x0, rho) <= slack_abs at each.  Every computed row is in
+    hypothesis; a rho whose integration fails keeps its row out of
+    hypothesis, with no value or margin and the failure as its note.
     When q(0) = 0 the threshold is 0 and the grid runs from
     max(1, pi_p)/2 to ``rho_span`` * max(1, pi_p).  A q with no single
     turning point (shape NEITHER) fails the hypothesis.
@@ -226,8 +235,9 @@ def verify_theorem1(ctx: PContext, q: Potential,
                      "is in hypothesis; grid uses pi_p scale")
 
     scan: list[ScanPoint] = []
-    had_errors = False
+    failed = False
     for rho in rho_grid:
+        inputs = (("rho", rho),)
         note = ""
         if trivial_interval:
             td, note = 0.0, "empty turning interval"
@@ -235,36 +245,35 @@ def verify_theorem1(ctx: PContext, q: Potential,
             try:
                 td = integrate_sensitivity(ctx, q, rho, x0,
                                            cfg.solver.tolerance).theta_dot_end
-            except PLapError as exc:
-                had_errors = True
-                scan.append(ScanPoint("theta_dot", (("rho", rho),),
-                                      math.nan, 0.0, math.nan, True, False,
+            except _SOLVE_FAILED as exc:
+                failed = True
+                scan.append(ScanPoint("theta_dot", inputs, None, 0.0, None,
+                                      False, False,
                                       f"integration failed: {exc}"))
                 continue
-        scan.append(ScanPoint("theta_dot", (("rho", rho),),
-                              td, 0.0, -td, True,
+        scan.append(ScanPoint("theta_dot", inputs, td, 0.0, -td, True,
                               td <= cfg.slack_abs, note))
 
     if sub.nonnegative and sub.nonpositive:
         notes.append("q vanishes on [0, x0]: rigidity direction, "
                      "theta_dot should be identically zero")
-    return _finalize("T1", hypotheses, scan, config, notes, had_errors)
+    return _finalize("T1", hypotheses, scan, config, notes, failed)
 
 
 def _collect_pairs(ctx: PContext, q: Potential, indices, ell: float,
                    cfg: HarnessConfig, notes: list[str]
                    ) -> tuple[dict[int, Eigenpair], bool]:
-    """Eigenpairs for ``indices``; a failed search skips its index with a
-    note and flags errors."""
+    """Eigenpairs for ``indices``, and whether a solve failed; a failed
+    solve skips its index with a note."""
     pairs: dict[int, Eigenpair] = {}
-    had_errors = False
+    failed = False
     for n in indices:
         try:
             pairs[n] = find_eigenvalue(ctx, q, n, ell, cfg.solver)
-        except SearchError as exc:
-            had_errors = True
+        except _SOLVE_FAILED as exc:
+            failed = True
             notes.append(f"eigenvalue search failed at n={n}: {exc}")
-    return pairs, had_errors
+    return pairs, failed
 
 
 def _ratio_points(ctx: PContext, pairs: dict[int, Eigenpair], n_max: int,
@@ -332,14 +341,14 @@ def verify_theorem2(ctx: PContext, q: Potential, n_max: int = 6,
                          [f"hypothesis failure: {reason}"], False)
 
     notes: list[str] = []
-    pairs, had_errors = _collect_pairs(ctx, q, range(1, n_max + 1),
-                                       q.domain_end, cfg, notes)
+    pairs, failed = _collect_pairs(ctx, q, range(1, n_max + 1),
+                                   q.domain_end, cfg, notes)
     hypotheses["lambdas"] = [pairs[n].lam if n in pairs else None
                              for n in range(1, n_max + 1)]
     scan = _ratio_points(ctx, pairs, n_max, threshold, lower=True, cfg=cfg)
     if cert.nonnegative and cert.nonpositive:
         notes.append("q vanishes: rigidity direction, ratios should be exact")
-    return _finalize("T2", hypotheses, scan, config, notes, had_errors)
+    return _finalize("T2", hypotheses, scan, config, notes, failed)
 
 
 def verify_theorem3(ctx: PContext, q: Potential, n_max: int = 4,
@@ -353,13 +362,14 @@ def verify_theorem3(ctx: PContext, q: Potential, n_max: int = 4,
     the lower end of the found lambda_1 bracket is, and only then are
     lambda_2..lambda_n_max searched and the ratios checked.  The
     ``lambda1`` row carries the found lambda_1 wherever that search
-    succeeded.  On this grid the comparison bound already gives
-    lambda_1 >= (pi_p/ell)^p + q* > 0.
+    succeeded, and None where it failed.  On this grid the comparison
+    bound already gives lambda_1 >= (pi_p/ell)^p + q* > 0.
 
     The statement only asserts that some ell_0 > 0 works, so once a grid
-    point fails, it and every larger grid point are recorded out of
-    hypothesis and the certificate reports the empirical ell_hat; if the
-    smallest grid point already fails the verdict is inconclusive.
+    point fails, or its lambda_1 search does, it and every larger grid
+    point are recorded out of hypothesis and the certificate reports the
+    empirical ell_hat; if the smallest grid point already fails the
+    verdict is inconclusive.
     """
     cert = classify(q)
     hypotheses = {"shape_certificate": cert.as_dict()}
@@ -381,23 +391,23 @@ def verify_theorem3(ctx: PContext, q: Potential, n_max: int = 4,
     hypotheses["ell_bound"] = ell_bound
 
     scan: list[ScanPoint] = []
-    had_errors = False
+    failed = False
     broken = False
     ell_hat = 0.0
     for i in range(1, cfg.ell_points + 1):
         ell = ell_bound * i / cfg.ell_points
         qr = restrict(q, ell)
         pairs, errs = _collect_pairs(ctx, qr, [1], ell, cfg, notes)
-        had_errors |= errs
+        failed |= errs
         first = pairs.get(1)
         positive = first is not None and first.bracket[0] > 0.0
-        lam1 = first.lam if first is not None else math.nan
+        lam1 = first.lam if first is not None else None
 
         pair_pts: list[ScanPoint] = []
         if positive:
             more, errs = _collect_pairs(ctx, qr, range(2, n_max + 1), ell,
                                         cfg, notes)
-            had_errors |= errs
+            failed |= errs
             pair_pts = _ratio_points(ctx, pairs | more, n_max, threshold=None,
                                      lower=True, cfg=cfg, ell=ell)
 
@@ -428,7 +438,7 @@ def verify_theorem3(ctx: PContext, q: Potential, n_max: int = 4,
     # inconclusive
     if ell_hat == 0.0:
         notes.append("no positive ell certified at this grid resolution")
-    return _finalize("T3", hypotheses, scan, config, notes, had_errors)
+    return _finalize("T3", hypotheses, scan, config, notes, failed)
 
 
 def verify_remark1(ctx: PContext, q: Potential, n_max: int = 6,
@@ -444,10 +454,10 @@ def verify_remark1(ctx: PContext, q: Potential, n_max: int = 6,
                          [f"hypothesis failure: {reason}"], False)
 
     notes: list[str] = []
-    pairs, had_errors = _collect_pairs(ctx, q, range(1, n_max + 1),
-                                       q.domain_end, cfg, notes)
+    pairs, failed = _collect_pairs(ctx, q, range(1, n_max + 1),
+                                   q.domain_end, cfg, notes)
     hypotheses["lambdas"] = [pairs[n].lam if n in pairs else None
                              for n in range(1, n_max + 1)]
     scan = _ratio_points(ctx, pairs, n_max, threshold=None, lower=False,
                          cfg=cfg)
-    return _finalize("R1", hypotheses, scan, config, notes, had_errors)
+    return _finalize("R1", hypotheses, scan, config, notes, failed)

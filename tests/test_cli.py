@@ -212,6 +212,31 @@ class TestVerify:
                                                                 rel=1e-12)
         assert doc["config"]["ell_points"] == 6
 
+    @pytest.mark.parametrize("argv", (
+        ("--theorem", "t1", "--potential", TENT_SPEC, "--max-steps", "60"),
+        ("--theorem", "t2", "--potential", TENT_SPEC, "--max-steps", "60",
+         "--n-max", "3"),
+        ("--theorem", "t2", "--potential", '{"type":"constant","value":3}')),
+        ids=("t1-failed-solves", "t2-failed-solves", "t2-refused"))
+    def test_uncomputed_is_inconclusive_and_null(self, capsys, argv):
+        # a failed solve inside verify, or a refused hypothesis, is
+        # inconclusive (exit 4); what was not computed is an empty cell
+        # or null, never nan
+        def refuse(name):
+            raise ValueError(f"non-finite number {name} in JSON")
+
+        code, out, err = run_cli(capsys, "verify", "--p", "2", *argv)
+        assert code == 4
+        assert "inconclusive" in err and "nan" not in err
+        assert "nan" not in out
+        code, out, _ = run_cli(capsys, "verify", "--p", "2", *argv,
+                               "--format", "report")
+        assert code == 4
+        cert = json.loads(out, parse_constant=refuse)["certificate"]
+        assert cert["verdict"] == "inconclusive"
+        assert all(s["in_hypothesis"] for s in cert["scan"]
+                   if s["value"] is not None)
+
     def test_t1_tent_exit_0(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--theorem", "t1", "--p",
                                "1.5", "--potential", TENT_SPEC,

@@ -356,6 +356,10 @@ class TestSpectrum:
         with pytest.raises(SearchError) as err:
             compute_spectrum(ctx2, constant(-2.0), 2, 1.0, CFG)
         assert err.value.details.get("n") == 1
+        # the failed search's own details ride along beside the index
+        cause = err.value.__cause__.details
+        assert {"rho", "phi_end"} <= set(cause)
+        assert err.value.details == {**cause, "n": 1}
 
 
 class TestShiftCovariance:

@@ -1,11 +1,11 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from plapeig import (DomainError, HarnessConfig, SolverConfig,
+from plapeig import (DomainError, HarnessConfig, SearchError, SolverConfig,
                      ToleranceConfig, constant, piecewise_linear, prufer,
                      scaled_tent, theorems, verify_remark1, verify_theorem1,
                      verify_theorem2, verify_theorem3)
@@ -23,6 +23,18 @@ SPIKE = piecewise_linear([[0.0, -2.0], [0.5002, -2.0], [0.50045, 1.0],
 TWO_MINIMA = piecewise_linear([[0.0, 5.0], [0.3001, 1.0], [0.3002, 4.0],
                                [0.3003, 1.0], [1.0, 5.0]])
 FAST = HarnessConfig(ell_points=8)
+# a step budget of 60 runs out at half of T1's rho grid on TENT, and in
+# the searches for lambda_2 and lambda_3 of T2 on TENT and of R1 on WELL
+STARVED = HarnessConfig(
+    solver=SolverConfig(tolerance=ToleranceConfig(max_steps=60)))
+
+
+def strict_json(text):
+    """``json.loads`` that refuses NaN and the infinities, as RFC 8259
+    does."""
+    def refuse(name):
+        raise ValueError(f"non-finite number {name} in JSON")
+    return json.loads(text, parse_constant=refuse)
 
 
 def assert_certificate_consistent(cert):
@@ -348,6 +360,8 @@ class TestCertificates:
         assert doc["config"]["slack_rel"] == 1e-8
         assert "slack_abs" not in doc["config"]  # T1's slack, unread here
         assert doc["hypotheses"]["shape_certificate"]["shape"] == "single_barrier"
+        assert set(doc["scan"][0]) == {f.name for f in fields(cert.scan[0])}
+        assert doc["scan"][0]["inputs"] == {"m": 1.0, "n": 2.0}
 
     def test_csv_rows_schema(self, ctx2):
         from plapeig.theorems import CSV_HEADER
@@ -378,6 +392,71 @@ class TestCertificates:
         assert len(ells) == t3.config["ell_points"] == 3
         assert ells[-1] == pytest.approx(t3.hypotheses["ell_bound"],
                                          rel=1e-15)
+
+
+class TestFailedSolves:
+    # a failed solve leaves its point uncomputed: None, never NaN, and
+    # the certificate inconclusive unless a computed point violates
+    def test_t1_failed_rows_leave_it_inconclusive(self, ctx2):
+        cert = verify_theorem1(ctx2, TENT, cfg=STARVED)
+        failed = [s for s in cert.scan if s.value is None]
+        assert len(cert.scan) == 32 and len(failed) == 16
+        for s in failed:
+            assert s.margin is None and not s.in_hypothesis
+            assert s.note.startswith("integration failed: step budget 60")
+        # every computed point holds its bound, so no violation is shown
+        assert cert.verdict == "inconclusive"
+        assert_certificate_consistent(cert)
+        doc = strict_json(cert.to_json())
+        assert doc["worst_margin"] == cert.worst_margin > 0.0
+        assert sum(s["value"] is None for s in doc["scan"]) == 16
+
+    @pytest.mark.parametrize("verify,q", ((verify_theorem2, TENT),
+                                          (verify_remark1, WELL)),
+                             ids=("T2", "R1"))
+    def test_integration_error_skips_its_index(self, ctx2, verify, q):
+        # lambda_1 is found; the searches for 2 and 3 run out of steps,
+        # which leaves no pair to scan
+        cert = verify(ctx2, q, n_max=3, cfg=STARVED)
+        assert cert.verdict == "inconclusive"
+        assert cert.worst_margin is None and cert.scan == ()
+        assert cert.hypotheses["lambdas"][1:] == [None, None]
+        assert [n.split(":")[0] for n in cert.notes][:2] == [
+            f"eigenvalue search failed at n={n}" for n in (2, 3)]
+        assert "step budget 60 exhausted" in cert.notes[0]
+        assert strict_json(cert.to_json())["worst_margin"] is None
+
+    def test_t3_failed_lambda1_is_none(self, ctx2, monkeypatch):
+        # the lambda_1 search fails at the third of four lengths: the
+        # first two stay certified, the rest leave the certified range
+        real_find = theorems.find_eigenvalue
+        first_searches = []
+
+        def find(ctx, q, n, *args, **kwargs):
+            if n == 1:
+                first_searches.append(n)
+                if len(first_searches) == 3:
+                    raise SearchError("injected", details={"rho": 1.0})
+            return real_find(ctx, q, n, *args, **kwargs)
+
+        monkeypatch.setattr(theorems, "find_eigenvalue", find)
+        cert = verify_theorem3(ctx2, constant(-6.0), n_max=2,
+                               cfg=HarnessConfig(ell_points=4))
+        rows = [s for s in cert.scan if s.quantity == "lambda1"]
+        assert [s.value is None for s in rows] == [False, False, True, False]
+        assert rows[2].margin is None and not rows[2].in_hypothesis
+        assert rows[2].note.startswith("lambda_1 search failed")
+        assert cert.hypotheses["ell_hat"] == dict(rows[1].inputs)["ell"]
+        assert cert.verdict == "inconclusive"
+        assert_certificate_consistent(cert)
+        doc = strict_json(cert.to_json())
+        assert doc["scan"][cert.scan.index(rows[2])]["value"] is None
+
+    def test_refused_certificate_writes_null(self, ctx2):
+        cert = verify_theorem2(ctx2, constant(3.0))
+        assert cert.verdict == "inconclusive"
+        assert cert.worst_margin is None
+        assert strict_json(cert.to_json())["worst_margin"] is None
 
 
 @pytest.mark.parametrize("cls,name,value", (
