@@ -26,9 +26,8 @@ _LAYERS = {
     "potentials": ("Potential", "Shape", "ShapeCertificate", "classify",
                    "restrict", "parse_potential_spec", "constant",
                    "piecewise_linear", "sampled_table", "scaled_tent"),
-    "prufer": ("ToleranceConfig", "PruferTrajectory", "integrate_phase",
-               "integrate_amplitude", "integrate_sensitivity",
-               "reconstruct_eigenfunction"),
+    "prufer": ("PruferTrajectory", "integrate_phase", "integrate_amplitude",
+               "integrate_sensitivity", "reconstruct_eigenfunction"),
     "eigensolver": ("SolverConfig", "Eigenpair", "Spectrum",
                     "bracket_eigenvalue", "find_eigenvalue",
                     "compute_spectrum", "direct_shoot", "ShotResult"),

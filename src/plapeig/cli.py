@@ -31,7 +31,7 @@ import sys
 import warnings
 from dataclasses import dataclass, field, fields
 
-from .config import READS, HarnessConfig, SolverConfig, ToleranceConfig
+from .config import READS, HarnessConfig, SolverConfig
 from .errors import DomainError, PLapError, PotentialParseError
 
 # each subcommand imports the layers it runs, so a cold process compiles no other
@@ -45,9 +45,9 @@ EXIT_VIOLATED = 3
 EXIT_INCONCLUSIVE = 4
 
 # p, ell, n_max and format are the CLI's own settings; every other key,
-# with its default, is a field of the config dataclasses
+# with its default, is a field of the harness config, the solver's first
 DEFAULTS = {"p": 2.0, "ell": 1.0, "n_max": 4,
-            **HarnessConfig().settings(), "format": "csv"}
+            **vars(HarnessConfig()), "format": "csv"}
 
 
 class UsageError(Exception):
@@ -89,7 +89,7 @@ class RunConfig:
             raise UsageError(f"--format must be csv or report, got {self.format}")
 
     def echo_dict(self) -> dict:
-        values = {**vars(self), **self.harness.settings()}
+        values = {**vars(self), **vars(self.harness)}
         d = {k: values[k] for k in self.echo}
         if self.potential is not None:
             d["potential"] = self.potential.to_spec()
@@ -123,20 +123,6 @@ def _load_potential(arg) -> Potential:
         return parse_potential_spec(text)
     except PotentialParseError as exc:
         raise UsageError(f"invalid potential spec: {exc}") from exc
-
-
-def _harness(values: dict) -> HarnessConfig:
-    """The harness config, and the solver and tolerance configs inside
-    it, from ``values`` by field name; a field without a value keeps its
-    default, and a value its dataclass refuses is a usage error."""
-    def given(cls):
-        return {f.name: values[f.name] for f in fields(cls) if f.name in values}
-    try:
-        solver = SolverConfig(tolerance=ToleranceConfig(**given(ToleranceConfig)),
-                              **given(SolverConfig))
-        return HarnessConfig(solver=solver, **given(HarnessConfig))
-    except DomainError as exc:
-        raise UsageError(str(exc)) from exc
 
 
 def _merge_config(args: argparse.Namespace, unread=()) -> RunConfig:
@@ -182,10 +168,17 @@ def _merge_config(args: argparse.Namespace, unread=()) -> RunConfig:
             raise UsageError(f"config key {k!r}: expected "
                              f"{kind.__name__}, got {v!r}")
         typed[k] = kind(v)
+    # a setting the run does not read keeps its default; a value the
+    # harness config refuses is a usage error
+    try:
+        harness = HarnessConfig(**{f.name: typed[f.name]
+                                   for f in fields(HarnessConfig)
+                                   if f.name in echo})
+    except DomainError as exc:
+        raise UsageError(str(exc)) from exc
     cfg = RunConfig(p=typed["p"], ell=typed["ell"], n_max=typed["n_max"],
-                    format=typed["format"],
-                    harness=_harness({k: typed[k] for k in echo}),
-                    echo=echo, out=getattr(args, "out", None))
+                    format=typed["format"], harness=harness, echo=echo,
+                    out=getattr(args, "out", None))
     # a potential is parsed, and echoed, only where the subcommand reads one
     if hasattr(args, "potential"):
         pot = args.potential or merged.get("potential")
@@ -198,13 +191,16 @@ def _merge_config(args: argparse.Namespace, unread=()) -> RunConfig:
 
 
 def _emit(cfg: RunConfig, header: tuple[str, ...], rows: list[tuple],
-          payload_kind: str) -> None:
-    """Write CSV (with '#' config comments) or a JSON report."""
+          payload_kind: str, notes: tuple[str, ...] = ()) -> None:
+    """Write CSV (with '#' config comments, then one '# note=' comment
+    per note) or a JSON report."""
     if cfg.format == "csv":
         import csv
         buf = io.StringIO()
         for key, val in sorted(cfg.echo_dict().items()):
             buf.write(f"# {key}={json.dumps(val, sort_keys=True) if isinstance(val, dict) else _fmt(val)}\n")
+        for note in notes:
+            buf.write(f"# note={' '.join(note.splitlines())}\n")
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
@@ -262,7 +258,7 @@ def cmd_eigs(args) -> int:
     ctx = make_context(cfg.p)
     q = restrict(cfg.potential, cfg.ell)
     # a failed search names its index; main() reports it
-    spectrum = compute_spectrum(ctx, q, cfg.n_max, cfg.ell, cfg.harness.solver)
+    spectrum = compute_spectrum(ctx, q, cfg.n_max, cfg.ell, cfg.harness)
     # rho belongs to q + shift: rho^p = lambda + shift
     rows = [(pr.n, pr.lam, pr.rho, pr.phi_end, pr.residual, pr.zero_count,
              pr.bracket_width, pr.shift) for pr in spectrum.pairs]
@@ -296,7 +292,8 @@ def cmd_verify(args) -> int:
 
     cfg.extra = {"theorem": theorem}
     if cfg.format == "csv":
-        _emit(cfg, CSV_HEADER, cert.csv_rows(), "theorem_certificate")
+        _emit(cfg, CSV_HEADER, cert.csv_rows(), "theorem_certificate",
+              cert.notes)
     else:
         doc = {"config": cfg.echo_dict(), "kind": "theorem_certificate",
                "certificate": cert.to_report_dict()}
@@ -349,7 +346,7 @@ def cmd_sweep(args) -> int:
                 q = scaled_tent(v, dict(base.params)["rise"])
             q = restrict(q, ell)
             ctx = make_context(p)
-            spectrum = compute_spectrum(ctx, q, cfg.n_max, ell, cfg.harness.solver)
+            spectrum = compute_spectrum(ctx, q, cfg.n_max, ell, cfg.harness)
             # a ratio to lambda_1 <= 0 says nothing: left empty (null)
             lam1 = spectrum.pairs[0].lam
             for pr in spectrum.pairs:
@@ -385,8 +382,8 @@ def _add_common(sub: argparse.ArgumentParser, p: bool = True,
     if solver:
         sub.add_argument("--n-max", dest="n_max", type=int, default=None,
                          help="number of eigenvalues")
-        for key in ("rel_tol", "abs_tol", "phase_tol", "max_steps"):
-            sub.add_argument(_flag(key), type=type(DEFAULTS[key]))
+        for f in fields(SolverConfig):
+            sub.add_argument(_flag(f.name), type=type(DEFAULTS[f.name]))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -419,9 +416,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(s)
     s.add_argument("--theorem", choices=("t1", "t2", "t3", "r1"),
                    default=None)
-    for key in ("rho_points", "rho_span", "ell_points", "slack_rel",
-                "slack_abs"):
-        s.add_argument(_flag(key), type=type(DEFAULTS[key]))
+    # the harness's own settings, which follow the solver's fields
+    for f in fields(HarnessConfig)[len(fields(SolverConfig)):]:
+        s.add_argument(_flag(f.name), type=type(DEFAULTS[f.name]))
     s.set_defaults(func=cmd_verify)
 
     s = add("sweep", help="parameter sweep, long-form CSV")

@@ -3,7 +3,7 @@ the harnesses, and the ones each harness reads.  No layer is imported
 here, so the CLI takes its defaults and flag types without the solver."""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DomainError
 
@@ -19,53 +19,43 @@ def check_range(cfg, low, *names: str, strict: bool = False) -> None:
 
 
 @dataclass(frozen=True)
-class ToleranceConfig:
-    """Local error control for the adaptive integrator.
+class SolverConfig:
+    """Local error control for the adaptive integrator, and the
+    eigenvalue search's residual gate.
 
-    ``rel_tol`` and ``abs_tol`` must be positive and finite, and
-    ``max_steps`` at least 10; any other value is a ``DomainError``
-    naming the field.
+    ``phase_tol`` is the accepted residual |phi(ell) - n*pi_p| in phase
+    units.  The secant search aims at min(1e-10, phase_tol/10), so the
+    root does not depend on ``phase_tol`` at or above the default; a
+    root that misses it at ``rel_tol`` and ``abs_tol`` is a
+    ``SearchError``.
+
+    ``rel_tol``, ``abs_tol`` and ``phase_tol`` must be positive and
+    finite, and ``max_steps`` at least 10; any other value is a
+    ``DomainError`` naming the field.
     """
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     max_steps: int = 200_000
+    phase_tol: float = 1e-9
 
     def __post_init__(self):
         check_range(self, 0, "rel_tol", "abs_tol", strict=True)
         check_range(self, 10, "max_steps")
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Eigenvalue search configuration.
-
-    ``phase_tol`` is the accepted residual |phi(ell) - n*pi_p| in phase
-    units.  The secant search aims at min(1e-10, phase_tol/10), so the
-    root does not depend on ``phase_tol`` at or above the default; a
-    root that misses it at ``tolerance`` is a ``SearchError``.
-    ``phase_tol`` must be positive and finite; any other value is a
-    ``DomainError`` naming it.
-    """
-
-    phase_tol: float = 1e-9
-    tolerance: ToleranceConfig = field(default_factory=ToleranceConfig)
-
-    def __post_init__(self):
         check_range(self, 0, "phase_tol", strict=True)
 
 
 @dataclass(frozen=True)
-class HarnessConfig:
-    """Scan resolution and slack for the verification harnesses.
+class HarnessConfig(SolverConfig):
+    """The solver settings, and the scan resolution and slack of the
+    verification harnesses; ``vars(cfg)`` holds every setting.
 
     ``slack_rel`` and ``slack_abs`` must be positive and finite,
     ``rho_points`` and ``ell_points`` at least 1, and ``rho_span``
     finite and at least 1; any other value is a ``DomainError`` naming
-    the field.
+    the field.  The solver's fields are checked first.
     """
 
-    solver: SolverConfig = field(default_factory=SolverConfig)
     slack_rel: float = 1e-8   # ratio inequalities
     slack_abs: float = 1e-10  # sensitivity sign
     rho_points: int = 32
@@ -73,15 +63,9 @@ class HarnessConfig:
     ell_points: int = 24
 
     def __post_init__(self):
+        super().__post_init__()
         check_range(self, 0, "slack_rel", "slack_abs", strict=True)
         check_range(self, 1, "rho_points", "ell_points", "rho_span")
-
-    def settings(self) -> dict:
-        """Every setting by field name, the solver's and its tolerance's
-        included."""
-        flat = {**vars(self.solver.tolerance), **vars(self.solver), **vars(self)}
-        del flat["tolerance"], flat["solver"]
-        return flat
 
 
 # the settings each harness reads and its certificate records, besides p

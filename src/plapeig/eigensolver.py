@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 
 from .config import SolverConfig
-from .errors import DomainError, SearchError
+from .errors import SOLVE_FAILED, DomainError, SearchError
 from .potentials import Potential
 from .prufer import integrate_phase
 from .ptrig import PContext
@@ -135,7 +135,7 @@ def find_eigenvalue(ctx: PContext, q: Potential, n: int, ell: float,
     |miss| <= min(1e-10, phase_tol/10), or takes the evaluated rho of
     least miss once the bracket collapses or ``_MAX_STEPS`` run out.
 
-    It runs once, at ``cfg.tolerance``; a root that misses ``phase_tol``
+    It runs once, at ``cfg``'s tolerances; a root that misses ``phase_tol``
     raises :class:`SearchError` with its rho and phi(ell).  The returned
     bracket spans the nearest evaluation on each side, one more taken
     just across the root when none lies there.  A root whose miss is
@@ -167,8 +167,7 @@ def find_eigenvalue(ctx: PContext, q: Potential, n: int, ell: float,
 
     def h(rho: float) -> float:
         if rho not in phis:
-            phis[rho] = integrate_phase(ctx, q, rho, ell,
-                                        cfg.tolerance).phi_end
+            phis[rho] = integrate_phase(ctx, q, rho, ell, cfg).phi_end
         return phis[rho] - target
 
     rho, slope = lam0 ** (1.0 / p), ell
@@ -274,9 +273,10 @@ def compute_spectrum(ctx: PContext, q: Potential, n_max: int, ell: float,
     for n in range(1, n_max + 1):
         try:
             pairs.append(find_eigenvalue(ctx, q, n, ell, cfg))
-        except SearchError as exc:
+        except SOLVE_FAILED as exc:
             raise SearchError(f"eigenvalue search failed at index {n}: {exc}",
-                              details={**exc.details, "n": n}) from exc
+                              details={**getattr(exc, "details", {}), "n": n}
+                              ) from exc
     for a, b in zip(pairs, pairs[1:]):
         if b.lam <= a.lam:
             raise SearchError(

@@ -50,6 +50,11 @@ class SearchError(PLapError, RuntimeError):
         self.details = dict(details or {})
 
 
+# what a failed solve raises; a harness notes it, and a spectrum names
+# its index
+SOLVE_FAILED = (SearchError, IntegrationError)
+
+
 def is_array(x) -> bool:
     """An array or a list, not a scalar; decided without numpy."""
     return isinstance(x, (list, tuple)) or bool(getattr(x, "ndim", 0))

@@ -84,7 +84,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
-from .config import ToleranceConfig
+from .config import SolverConfig
 from .errors import DomainError, IntegrationError, StateError
 from .potentials import Potential
 from .ptrig import PContext, sp_pair
@@ -445,7 +445,7 @@ def _kernel(rhs, bounds, h, tol, stats, spacing, dim, rho, terms):
 
 
 def _integrate(ctx: PContext, q: Potential, rho: float, ell: float,
-               tol: ToleranceConfig, dim: int) -> PruferTrajectory:
+               tol: SolverConfig, dim: int) -> PruferTrajectory:
     """One integration over [0, ell] of the first ``dim`` components of
     (phi, log R, u): 1 is the phase alone, 2 adds the amplitude, 3 the
     sensitivity."""
@@ -567,7 +567,7 @@ def _integrate(ctx: PContext, q: Potential, rho: float, ell: float,
 
 
 def integrate_phase(ctx: PContext, q: Potential, rho: float, ell: float,
-                    tol: ToleranceConfig = ToleranceConfig()) -> PruferTrajectory:
+                    tol: SolverConfig = SolverConfig()) -> PruferTrajectory:
     """Integrate the phase equation with phi(0) = 0 up to x = ell.
 
     For q <= 0 the phase is strictly increasing (phi' >= rho > 0).  Only
@@ -577,7 +577,7 @@ def integrate_phase(ctx: PContext, q: Potential, rho: float, ell: float,
 
 
 def integrate_amplitude(ctx: PContext, q: Potential, rho: float, ell: float,
-                        tol: ToleranceConfig = ToleranceConfig()) -> PruferTrajectory:
+                        tol: SolverConfig = SolverConfig()) -> PruferTrajectory:
     """Phase plus log-amplitude with the normalization R(0) = 1.
 
     Integrating log R keeps R positive by construction.
@@ -586,7 +586,7 @@ def integrate_amplitude(ctx: PContext, q: Potential, rho: float, ell: float,
 
 
 def integrate_sensitivity(ctx: PContext, q: Potential, rho: float, ell: float,
-                          tol: ToleranceConfig = ToleranceConfig()) -> PruferTrajectory:
+                          tol: SolverConfig = SolverConfig()) -> PruferTrajectory:
     """Phase, log-amplitude and the sensitivity u = d(phi)/d(rho).
 
     The variational route is the primary method for theta's

@@ -38,7 +38,7 @@ from dataclasses import asdict, dataclass, replace
 
 from .config import READS, HarnessConfig
 from .eigensolver import Eigenpair, find_eigenvalue
-from .errors import IntegrationError, SearchError
+from .errors import SOLVE_FAILED
 from .potentials import (BARRIER_LIKE, WELL_LIKE, Potential, Shape,
                          ShapeCertificate, classify, restrict)
 from .prufer import integrate_sensitivity
@@ -50,9 +50,6 @@ INCONCLUSIVE = "inconclusive"
 
 CSV_HEADER = ("theorem_id", "quantity", "rho", "ell", "m", "n",
               "value", "bound", "margin", "in_hypothesis", "satisfied", "note")
-
-# what a failed solve raises; a harness notes it and scans on
-_SOLVE_FAILED = (SearchError, IntegrationError)
 
 
 @dataclass(frozen=True)
@@ -116,7 +113,7 @@ class TheoremCertificate:
 
 def _config_dict(theorem_id: str, ctx: PContext, q: Potential,
                  cfg: HarnessConfig, n_max: int | None = None) -> dict:
-    settings = {**cfg.settings(), "n_max": n_max, "p": ctx.p,
+    settings = {**vars(cfg), "n_max": n_max, "p": ctx.p,
                 "potential": q.to_spec()}
     return {k: settings[k] for k in ("p", "potential") + READS[theorem_id]}
 
@@ -243,9 +240,8 @@ def verify_theorem1(ctx: PContext, q: Potential,
             td, note = 0.0, "empty turning interval"
         else:
             try:
-                td = integrate_sensitivity(ctx, q, rho, x0,
-                                           cfg.solver.tolerance).theta_dot_end
-            except _SOLVE_FAILED as exc:
+                td = integrate_sensitivity(ctx, q, rho, x0, cfg).theta_dot_end
+            except SOLVE_FAILED as exc:
                 failed = True
                 scan.append(ScanPoint("theta_dot", inputs, None, 0.0, None,
                                       False, False,
@@ -269,8 +265,8 @@ def _collect_pairs(ctx: PContext, q: Potential, indices, ell: float,
     failed = False
     for n in indices:
         try:
-            pairs[n] = find_eigenvalue(ctx, q, n, ell, cfg.solver)
-        except _SOLVE_FAILED as exc:
+            pairs[n] = find_eigenvalue(ctx, q, n, ell, cfg)
+        except SOLVE_FAILED as exc:
             failed = True
             notes.append(f"eigenvalue search failed at n={n}: {exc}")
     return pairs, failed
@@ -366,10 +362,11 @@ def verify_theorem3(ctx: PContext, q: Potential, n_max: int = 4,
     bound already gives lambda_1 >= (pi_p/ell)^p + q* > 0.
 
     The statement only asserts that some ell_0 > 0 works, so once a grid
-    point fails, or its lambda_1 search does, it and every larger grid
+    point fails, or any of its searches does, it and every larger grid
     point are recorded out of hypothesis and the certificate reports the
     empirical ell_hat; if the smallest grid point already fails the
-    verdict is inconclusive.
+    verdict is inconclusive.  A failed search leaves its length
+    uncomputed, not broken: its rows carry the failure as their note.
     """
     cert = classify(q)
     hypotheses = {"shape_certificate": cert.as_dict()}
@@ -397,17 +394,16 @@ def verify_theorem3(ctx: PContext, q: Potential, n_max: int = 4,
     for i in range(1, cfg.ell_points + 1):
         ell = ell_bound * i / cfg.ell_points
         qr = restrict(q, ell)
-        pairs, errs = _collect_pairs(ctx, qr, [1], ell, cfg, notes)
-        failed |= errs
+        lost: list[str] = []  # the failed searches at this length
+        pairs, _ = _collect_pairs(ctx, qr, [1], ell, cfg, lost)
         first = pairs.get(1)
         positive = first is not None and first.bracket[0] > 0.0
         lam1 = first.lam if first is not None else None
 
         pair_pts: list[ScanPoint] = []
         if positive:
-            more, errs = _collect_pairs(ctx, qr, range(2, n_max + 1), ell,
-                                        cfg, notes)
-            failed |= errs
+            more, _ = _collect_pairs(ctx, qr, range(2, n_max + 1), ell, cfg,
+                                     lost)
             pair_pts = _ratio_points(ctx, pairs | more, n_max, threshold=None,
                                      lower=True, cfg=cfg, ell=ell)
 
@@ -415,12 +411,18 @@ def verify_theorem3(ctx: PContext, q: Potential, n_max: int = 4,
                else "lambda_1 not positive")
         rows = [ScanPoint("lambda1", (("ell", ell),), lam1, 0.0, lam1, True,
                           positive, why), *pair_pts]
+        notes.extend(lost)
+        failed |= bool(lost)
         # existence statement: once a length fails, it and every larger
         # one leave the empirically certified range instead of refuting
         # the claim
         if broken:
             rows = [replace(s, in_hypothesis=False,
                             note=_join("beyond empirical ell_hat", s.note))
+                    for s in rows]
+        elif lost:
+            broken = True
+            rows = [replace(s, in_hypothesis=False, note=_join(s.note, *lost))
                     for s in rows]
         elif positive and all(s.satisfied for s in pair_pts):
             ell_hat = ell

@@ -70,10 +70,7 @@ def test_criterion_2_free_spectrum(ctx_for):
 
 def test_criterion_3_shift_covariance(ctx_for):
     # a 1e-8 identity check needs the solver below that error floor
-    from plapeig import ToleranceConfig
-    tight = SolverConfig(phase_tol=1e-10,
-                         tolerance=ToleranceConfig(rel_tol=1e-12,
-                                                   abs_tol=1e-13))
+    tight = SolverConfig(rel_tol=1e-12, abs_tol=1e-13, phase_tol=1e-10)
     cases = [
         (2.0, scaled_tent(-5.0, 4.0)),
         (3.0, constant(-2.0)),
@@ -216,8 +213,7 @@ def test_criterion_9_oscillation_and_monotonicity(ctx_for):
         ctx = ctx_for(p)
         for n in range(1, 6):
             pair = find_eigenvalue(ctx, tent, n, 1.0, CFG)
-            traj = integrate_amplitude(ctx, tent, pair.rho, 1.0,
-                                       CFG.tolerance)
+            traj = integrate_amplitude(ctx, tent, pair.rho, 1.0, CFG)
             ys = reconstruct_eigenfunction(traj, samples=1201)[:, 1]
             zero_ok &= count_sign_changes(ys[1:-1]) == n - 1
 

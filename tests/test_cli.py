@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from plapeig import SolverConfig, ToleranceConfig
+from plapeig import SearchError, SolverConfig
 from plapeig.cli import main
 
 TENT_SPEC = '{"type":"scaled_tent","depth":-5,"rise":4}'
@@ -149,6 +149,20 @@ class TestEigs:
         assert "index 1" in err
         assert err.count("eigenvalue search failed") == 1
 
+    @pytest.mark.parametrize("command,where", (
+        (("eigs",), "error: "),
+        (("sweep", "--axis", "depth", "--values=-5,-10"),
+         "sweep failed at depth=-5: ")), ids=("eigs", "sweep"))
+    def test_integration_failure_names_index(self, capsys, command, where):
+        # a budget of 60 steps finds lambda_1 of the tent and runs out in
+        # the search for lambda_2
+        code, out, err = run_cli(capsys, *command, "--p", "2", "--potential",
+                                 TENT_SPEC, "--n-max", "3", "--max-steps", "60")
+        assert code == 2 and out == ""
+        assert err == (where + "eigenvalue search failed at index 2: step "
+                       "budget 60 exhausted at x=0.9107421989644228 "
+                       "(rho=5.95638, ell=1)\n")
+
     def test_large_phase_tol(self, capsys):
         code, out, err = run_cli(capsys, "eigs", "--p", "2", "--potential",
                                  '{"type":"constant","value":-2}',
@@ -162,10 +176,10 @@ class TestEigs:
                                "--n-max", "1", "--format", "report")
         assert code == 0
         echoed = json.loads(out)["config"]
-        tol, solver = ToleranceConfig(), SolverConfig()
-        assert echoed["rel_tol"] == tol.rel_tol
-        assert echoed["abs_tol"] == tol.abs_tol
-        assert echoed["max_steps"] == tol.max_steps
+        solver = SolverConfig()
+        assert echoed["rel_tol"] == solver.rel_tol
+        assert echoed["abs_tol"] == solver.abs_tol
+        assert echoed["max_steps"] == solver.max_steps
         assert echoed["phase_tol"] == solver.phase_tol
 
     def test_no_crlf_and_config_echo(self, capsys):
@@ -236,6 +250,37 @@ class TestVerify:
         assert cert["verdict"] == "inconclusive"
         assert all(s["in_hypothesis"] for s in cert["scan"]
                    if s["value"] is not None)
+
+    def test_csv_keeps_the_notes(self, capsys):
+        # the searches for lambda_2 and lambda_3 run out of steps: the
+        # CSV says so, one comment line per note after the settings
+        argv = ("verify", "--theorem", "t2", "--p", "2", "--potential",
+                TENT_SPEC, "--max-steps", "60", "--n-max", "3")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 4
+        *settings, header = out.splitlines()
+        notes = [ln for ln in settings if ln.startswith("# note=")]
+        assert settings[-2:] == notes
+        assert [ln.split(":")[0] for ln in notes] == [
+            f"# note=eigenvalue search failed at n={n}" for n in (2, 3)]
+        assert header.startswith("theorem_id,")
+        code, report, _ = run_cli(capsys, *argv, "--format", "report")
+        assert [f"# note={t}" for t in
+                json.loads(report)["certificate"]["notes"]] == notes
+
+    def test_csv_note_is_one_line(self, capsys, monkeypatch):
+        from plapeig import theorems
+
+        def find(*args, **kwargs):
+            raise SearchError("first line\nsecond line")
+
+        monkeypatch.setattr(theorems, "find_eigenvalue", find)
+        code, out, _ = run_cli(capsys, "verify", "--theorem", "r1", "--p",
+                               "2", "--potential", WELL_SPEC, "--n-max", "2")
+        assert code == 4
+        assert out.splitlines()[-3:-1] == [
+            f"# note=eigenvalue search failed at n={n}: first line second line"
+            for n in (1, 2)]
 
     def test_t1_tent_exit_0(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--theorem", "t1", "--p",
@@ -648,7 +693,7 @@ class TestEntryPoint:
         # rho ~ 1e151 is finite; at p = 1.5 the phase of n = 5 lands on
         # ten levels after a first step of 0.1*pi_p, so a budget of 10
         # steps runs out by then: one warning line per rho searched and
-        # one error line naming rho and ell, exit 2
+        # one error line naming the index, rho and ell, exit 2
         proc = subprocess.run(
             [sys.executable, "-m", "plapeig", "eigs", "--p", "1.5",
              "--potential", '{"type":"constant","value":-2}',
@@ -659,7 +704,8 @@ class TestEntryPoint:
         assert warnings
         assert all(w.startswith("warning: rho=") and "extremely" in w
                    for w in warnings)
-        assert error.startswith("error: step budget 10 exhausted at x=")
+        assert error.startswith("error: eigenvalue search failed at index 5: "
+                                "step budget 10 exhausted at x=")
         assert "rho=" in error and "ell=1e-150" in error
 
     @pytest.mark.parametrize("ell", ("1e-14", "1e-150"))
@@ -788,13 +834,14 @@ class TestImportGraph:
         assert plapeig.integrate_phase is prufer.integrate_phase
         assert plapeig.compute_spectrum is eigensolver.compute_spectrum
         assert plapeig.verify_theorem2 is theorems.verify_theorem2
-        # the configs keep their old homes too
-        assert (plapeig.ToleranceConfig is prufer.ToleranceConfig
-                is config.ToleranceConfig)
+        # the two configs keep their old homes too, and the solver's
+        # serves the integrator
         assert (plapeig.SolverConfig is eigensolver.SolverConfig
-                is config.SolverConfig)
+                is prufer.SolverConfig is config.SolverConfig)
         assert (plapeig.HarnessConfig is theorems.HarnessConfig
                 is config.HarnessConfig)
+        assert issubclass(plapeig.HarnessConfig, plapeig.SolverConfig)
+        assert not hasattr(plapeig, "ToleranceConfig")
         assert plapeig.ptrig is ptrig
         assert set(plapeig.__all__) | LAYERS <= set(dir(plapeig))
 

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from plapeig import eigensolver
-from plapeig import (DomainError, SearchError, SolverConfig,
-                     bracket_eigenvalue, compute_spectrum, constant,
-                     direct_shoot, find_eigenvalue, integrate_amplitude,
+from plapeig import (DomainError, HarnessConfig, IntegrationError,
+                     SearchError, SolverConfig, bracket_eigenvalue,
+                     compute_spectrum, constant, direct_shoot,
+                     find_eigenvalue, integrate_amplitude, integrate_phase,
                      piecewise_linear, reconstruct_eigenfunction, restrict,
                      scaled_tent)
 
@@ -250,7 +251,7 @@ class TestRootFind:
             find_eigenvalue(ctx_for(1.5), TENT, 5, 1.0, CFG)
         assert {"rho", "phi_end"} <= set(err.value.details)
         assert calls
-        assert all(rel_tol == CFG.tolerance.rel_tol for _, rel_tol in calls)
+        assert all(rel_tol == CFG.rel_tol for _, rel_tol in calls)
 
 
 # relative bound of the closed-form test per p: where min(p, p/(p-1)) >=
@@ -287,7 +288,7 @@ class TestAccuracy:
         calls = spy_integrations(monkeypatch)
         compute_spectrum(ctx_for(p), q, 12, 1.0, CFG)
         assert calls
-        assert all(rel_tol == CFG.tolerance.rel_tol for _, rel_tol in calls)
+        assert all(rel_tol == CFG.rel_tol for _, rel_tol in calls)
 
 
 class TestSpectrum:
@@ -360,6 +361,31 @@ class TestSpectrum:
         cause = err.value.__cause__.details
         assert {"rho", "phi_end"} <= set(cause)
         assert err.value.details == {**cause, "n": 1}
+
+    def test_integration_failure_carries_index(self, ctx2):
+        # a step budget of 60 finds lambda_1 of TENT and runs out in the
+        # search for lambda_2: the spectrum names that index
+        with pytest.raises(SearchError) as err:
+            compute_spectrum(ctx2, TENT, 3, 1.0, SolverConfig(max_steps=60))
+        assert str(err.value).startswith(
+            "eigenvalue search failed at index 2: step budget 60 exhausted")
+        assert err.value.details == {"n": 2}
+        assert isinstance(err.value.__cause__, IntegrationError)
+
+
+def test_harness_config_is_a_solver_config(ctx3):
+    # a harness config goes to the solver as it is, and solves as the
+    # solver config with the same solver fields
+    solver = SolverConfig(rel_tol=1e-9, abs_tol=1e-11, max_steps=5000,
+                          phase_tol=1e-8)
+    harness = HarnessConfig(**vars(solver), slack_rel=1e-6, rho_points=3,
+                            ell_points=2)
+    assert (find_eigenvalue(ctx3, TENT, 3, 1.0, harness)
+            == find_eigenvalue(ctx3, TENT, 3, 1.0, solver))
+    by_harness = integrate_phase(ctx3, PL5, 7.5, 1.0, harness)
+    by_solver = integrate_phase(ctx3, PL5, 7.5, 1.0, solver)
+    assert by_harness.phi_end == by_solver.phi_end
+    assert by_harness.stats == by_solver.stats
 
 
 class TestShiftCovariance:
@@ -434,8 +460,7 @@ class TestOscillation:
     def test_eigenfunction_zero_counts(self, ctx3):
         for n in (1, 2, 3, 4):
             pair = find_eigenvalue(ctx3, TENT, n, 1.0, CFG)
-            traj = integrate_amplitude(ctx3, TENT, pair.rho, 1.0,
-                                       CFG.tolerance)
+            traj = integrate_amplitude(ctx3, TENT, pair.rho, 1.0, CFG)
             grid = reconstruct_eigenfunction(traj, samples=1001)
             ys = grid[:, 1]
             assert count_sign_changes(ys[1:-1]) == n - 1

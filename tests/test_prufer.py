@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from plapeig import (DomainError, IntegrationError, Potential, StateError,
-                     ToleranceConfig, constant, direct_shoot, find_eigenvalue,
+                     SolverConfig, constant, direct_shoot, find_eigenvalue,
                      integrate_amplitude, integrate_phase,
                      integrate_sensitivity, piecewise_linear,
                      reconstruct_eigenfunction, restrict, scaled_tent, sp)
@@ -14,7 +14,7 @@ from oracles import (classical_prufer_p2, fast_abs_sp_pow, fd_u, index_points,
                      random_nonpositive_piecewise_linear, reference_dp45)
 
 TENT = scaled_tent(-5.0, 4.0)
-TIGHT = ToleranceConfig(rel_tol=1e-12, abs_tol=1e-13)
+TIGHT = SolverConfig(rel_tol=1e-12, abs_tol=1e-13)
 # interior knots, and a piece where q > 0 (phi' < rho there)
 BUMP = piecewise_linear([[0.0, -2.0], [0.45, 3.0], [1.0, -1.0]])
 WELL = piecewise_linear([[0.0, 5.0], [0.4, 0.5], [1.0, 4.0]])
@@ -98,7 +98,7 @@ class TestSensitivity:
             q = random_nonpositive_piecewise_linear(rng)
             rho = float(rng.uniform(1.0, 6.0))
             u_var = integrate_sensitivity(ctx, q, rho, 1.0).u_end
-            u_fd = fd_u(ctx, q, rho, 1.0, ToleranceConfig())
+            u_fd = fd_u(ctx, q, rho, 1.0, SolverConfig())
             assert u_var == pytest.approx(u_fd, rel=1e-4)
 
     def test_tent_theta_dot_nonpositive_beyond_threshold(self, ctx2):
@@ -115,7 +115,7 @@ class TestSensitivity:
         # against rel_tol 1e-13; steps that straddled a level k*pi_p/2
         # put the error at 3.4e-8, 1.3e-7 and 3.3e-6
         ctx = ctx_for(p)
-        tight = ToleranceConfig(rel_tol=1e-13, abs_tol=1e-15)
+        tight = SolverConfig(rel_tol=1e-13, abs_tol=1e-15)
         r0 = 10.0 ** (1.0 / p)
         for rho in np.geomspace(r0, 4.0 * r0, 16):
             td = integrate_sensitivity(ctx, TENT, float(rho), 0.5).theta_dot_end
@@ -186,7 +186,7 @@ class TestUnrolledKernels:
         for ell in (q.domain_end, 0.37):
             for rho in (2.5, 11.0):
                 traj = integrate(ctx, q, rho, ell)
-                ref = reference_dp45(ctx, q, rho, ell, ToleranceConfig(), dim)
+                ref = reference_dp45(ctx, q, rho, ell, SolverConfig(), dim)
                 assert traj.phi_end == ref["phi_end"]
                 assert traj.logr_end == ref["logr_end"]
                 assert traj.u_end == ref["u_end"]
@@ -226,7 +226,7 @@ class TestUnrolledKernels:
             rho = ctx.pi_p * (1.0 + rel)
             traj = integrate_phase(ctx, constant(0.0), rho, 1.0)
             ref = reference_dp45(ctx, constant(0.0), rho, 1.0,
-                                 ToleranceConfig(), 1)
+                                 SolverConfig(), 1)
             assert traj.phi_end == ref["phi_end"]
             assert traj.phi_end == pytest.approx(rho, rel=1e-15)
             assert traj.stats["n_steps"] == ref["n_steps"] == steps
@@ -240,7 +240,7 @@ class TestUnrolledKernels:
     @pytest.mark.parametrize("integrate,dim", ((integrate_phase, 1),
                                                (integrate_sensitivity, 3)))
     def test_step_budget(self, ctx3, integrate, dim):
-        tol = ToleranceConfig(max_steps=10)
+        tol = SolverConfig(max_steps=10)
         with pytest.raises(IntegrationError) as info:
             integrate(ctx3, TENT, 40.0, 1.0, tol)
         with pytest.raises(IntegrationError) as ref:

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from plapeig import (DomainError, HarnessConfig, SearchError, SolverConfig,
-                     ToleranceConfig, constant, piecewise_linear, prufer,
-                     scaled_tent, theorems, verify_remark1, verify_theorem1,
+                     constant, piecewise_linear, prufer, scaled_tent,
+                     theorems, verify_remark1, verify_theorem1,
                      verify_theorem2, verify_theorem3)
 
 from oracles import fd_theta_dot
@@ -25,8 +25,7 @@ TWO_MINIMA = piecewise_linear([[0.0, 5.0], [0.3001, 1.0], [0.3002, 4.0],
 FAST = HarnessConfig(ell_points=8)
 # a step budget of 60 runs out at half of T1's rho grid on TENT, and in
 # the searches for lambda_2 and lambda_3 of T2 on TENT and of R1 on WELL
-STARVED = HarnessConfig(
-    solver=SolverConfig(tolerance=ToleranceConfig(max_steps=60)))
+STARVED = HarnessConfig(max_steps=60)
 
 
 def strict_json(text):
@@ -446,11 +445,34 @@ class TestFailedSolves:
         assert [s.value is None for s in rows] == [False, False, True, False]
         assert rows[2].margin is None and not rows[2].in_hypothesis
         assert rows[2].note.startswith("lambda_1 search failed")
+        assert not any("property breaks" in t
+                       for t in (*cert.notes, *(s.note for s in cert.scan)))
         assert cert.hypotheses["ell_hat"] == dict(rows[1].inputs)["ell"]
         assert cert.verdict == "inconclusive"
         assert_certificate_consistent(cert)
         doc = strict_json(cert.to_json())
         assert doc["scan"][cert.scan.index(rows[2])]["value"] is None
+
+    def test_t3_failed_search_ends_the_certified_range(self, ctx2):
+        # a budget of 40 steps loses lambda_3 and lambda_4 from the third
+        # of six lengths on: the range certified ends at the second, and
+        # the failed length is uncomputed, not broken
+        cert = verify_theorem3(ctx2, TENT, n_max=4,
+                               cfg=HarnessConfig(max_steps=40, ell_points=6))
+        ells = sorted({dict(s.inputs)["ell"] for s in cert.scan})
+        assert cert.hypotheses["ell_hat"] == ells[1]
+        assert cert.verdict == "inconclusive"
+        assert_certificate_consistent(cert)
+        for s in cert.scan:
+            ell = dict(s.inputs)["ell"]
+            assert s.in_hypothesis == (ell <= ells[1])
+            if ell == ells[2]:
+                assert s.note.startswith(
+                    "eigenvalue search failed at n=3: step budget 40")
+            elif ell > ells[2]:
+                assert s.note.startswith("beyond empirical ell_hat")
+        assert not any("property breaks" in t
+                       for t in (*cert.notes, *(s.note for s in cert.scan)))
 
     def test_refused_certificate_writes_null(self, ctx2):
         cert = verify_theorem2(ctx2, constant(3.0))
@@ -463,8 +485,14 @@ class TestFailedSolves:
     (HarnessConfig, "rho_points", 0), (HarnessConfig, "ell_points", 0),
     (HarnessConfig, "rho_span", 0.5), (HarnessConfig, "rho_span", math.inf),
     (HarnessConfig, "slack_rel", -1.0), (HarnessConfig, "slack_abs", math.nan),
-    (SolverConfig, "phase_tol", math.inf), (ToleranceConfig, "rel_tol", 0.0),
-    (ToleranceConfig, "abs_tol", -1e-12), (ToleranceConfig, "max_steps", 9)))
+    (SolverConfig, "phase_tol", math.inf), (SolverConfig, "rel_tol", 0.0),
+    (SolverConfig, "abs_tol", -1e-12), (SolverConfig, "max_steps", 9)))
 def test_config_refuses_out_of_range_setting(cls, name, value):
     with pytest.raises(DomainError, match=f"^{name} must be "):
         cls(**{name: value})
+
+
+def test_config_names_the_solver_field_first():
+    # the solver's fields are checked before the harness's own
+    with pytest.raises(DomainError, match="^rel_tol must be "):
+        HarnessConfig(rel_tol=0.0, rho_points=0)
