@@ -14,11 +14,19 @@ phase of each integration, kept by rho, is the search's one record: the
 part of the interval known to hold the root is read off it, a step that
 leaves that part becomes a bisection, and an end that fails to bracket
 the root is widened.  It runs once: a root whose miss exceeds the
-residual gate is a ``SearchError``.  The substitution
-rho = lambda^(1/p) needs lambda > 0, so when the lower bound is not
-positive the search runs on the shifted potential q + c with
-c = -min q and reports lambda_n(q) = lambda_n(q + c) - c; the shift
-identity is exact, and the shifted bracket starts at (n*pi_p/ell)^p > 0.
+residual gate is a ``SearchError``.
+
+The search runs on the shifted potential q + c and reports
+lambda_n(q) = lambda_n(q + c) - c; the shift identity is exact.  It
+takes c = -mean q, so only q - mean q multiplies the rough term
+Q = (q + c)*rho^(1-p) of the phase equation: a constant potential is
+searched as q = 0, whose first guess is the root, and elsewhere |Q|
+shrinks, and with it the cost of each integration.  With one scale per
+search this is the scaled Prufer transformation of Sturm-Liouville
+codes (Pryce 1993; Bailey, Everitt and Zettl, SLEIGN2, 2001).  The
+substitution rho = lambda^(1/p) needs lambda + c > 0, so where the
+shifted lower bound (n*pi_p/ell)^p + min q - mean q is not positive it
+takes c = -min q instead, whose bracket starts at (n*pi_p/ell)^p > 0.
 
 The direct shooter, ``direct_shoot``, is the tests' oracle for the phase
 route, and no production path calls it.
@@ -59,10 +67,13 @@ class Eigenpair:
     crosses the multiples of pi_p only upward, so phi(ell) = n*pi_p
     within ``phase_tol`` leaves n - 1 interior crossings.
 
-    ``shift`` is the constant c the search added to the potential (0
-    unless the comparison lower bound is not positive), so the
-    eigenfunction is ``integrate_amplitude(ctx, q.shifted(pair.shift),
-    pair.rho, ell)``.  ``bracket`` is in unshifted lambda.
+    ``shift`` is the constant c the search added to the potential:
+    -mean q on [0, ell], or -min q where that could leave lambda + c <= 0
+    (see ``find_eigenvalue``), so it is nonzero on almost every pair.
+    ``rho`` belongs to the shifted potential, rho^p = lambda + shift,
+    and the eigenfunction is ``integrate_amplitude(ctx,
+    q.shifted(pair.shift), pair.rho, ell)``.  ``bracket`` is in unshifted
+    lambda.
     """
 
     n: int
@@ -144,14 +155,19 @@ def find_eigenvalue(ctx: PContext, q: Potential, n: int, ell: float,
     [lambda_n, lambda_n], with no integration taken to close it.  So the
     bracket holds lambda_n to within the phase's rounding at the level,
     not beyond it.
-    When the comparison lower bound is not positive, the search runs on
-    q - min q and the shift is taken off again (``Eigenpair.shift``).
-    The residual, the only acceptance test, fixes ``zero_count`` at n - 1.
+    The search runs on q - mean q (``_mean``, exact on the knots), or
+    on q - min q where the shifted lower bound
+    (n*pi_p/ell)^p + min q - mean q is not positive, and the shift is
+    taken off again (``Eigenpair.shift``): the interval and the guess
+    above are those of the shifted potential, and the returned lambda
+    and bracket are unshifted.  The residual, the only
+    acceptance test, fixes ``zero_count`` at n - 1.
     """
     p = ctx.p
     target = n * ctx.pi_p
     lo, hi = bracket_eigenvalue(ctx, q, n, ell)
-    shift = 0.0 if lo > 0.0 else -q.min_max()[0]
+    qbar = _mean(q, ell)
+    shift = -qbar if lo > qbar else -q.min_max()[0]
     if shift:
         q = q.shifted(shift)
         lo, hi = lo + shift, hi + shift

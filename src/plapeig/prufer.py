@@ -38,17 +38,20 @@ slope phi' and, when the trial would reach that level, shortens it to
 end there; a trial that still passes a level is replaced by a shorter
 one that ends where the cubic Hermite dense output of the trial meets
 it (Hairer, Norsett and Wanner, Solving ODEs I, II.6).  On a step that
-leaves a level or is aimed at one, the phase slope carries a term
-C*t^a in the x-distance t from the level, with a non-integer a (p at a
-zero, p/(p-1) at an extremum), which the tableau integrates with a
-defect of one sign and its estimate under-reads (II.4).  The phase
-adds that defect to its step and, where min(p, p/(p-1)) >= 3/2, takes
-the term off its estimate; below 3/2 the next terms are as large, so
-the estimate keeps them and the error norm of a step that starts or
-ends on a level is weighted instead.  At p = 2, |S_2|^2 = sin^2 is
-analytic, so no level is landed and results keep their bits.  The
-amplitude and sensitivity integrations land too: the levels are those
-of their phase, and their steps next to a level are weighted.
+leaves a level or is aimed at one, the phase slope carries a term C*t^a
+in the x-distance t from the level, with a non-integer a (p at a zero,
+p/(p-1) at an extremum), which the tableau integrates with a defect of
+one sign and its estimate under-reads (II.4).  The next term,
+C1*t^(a+1), comes from the slope Q' of Q = q*rho^(1-p) on the piece and,
+at an extremum, from the phase's curvature phi'' = -Q' there; it changes
+sign with the direction of the step.  The phase adds the defects of both
+terms to its step and, where min(p, p/(p-1)) >= 3/2, takes them off its
+estimate; below 3/2 the terms t^(2a) are as large, so the estimate keeps
+them and the error norm of a step that starts or ends on a level is
+weighted instead.  At p = 2, |S_2|^2 = sin^2 is analytic, so no level is
+landed and results keep their bits.  The amplitude and sensitivity
+integrations land too: the levels are those of their phase, and their
+steps next to a level are weighted.
 
 One stage-unrolled kernel, ``_kernel``, runs the pair for every
 integration, so the step control, the step budget, the snap rule and
@@ -174,28 +177,42 @@ def _level_terms(p):
     level k*pi_p/2 at p != 2, as ((start weight, end weight), (zero,
     extremum)).
 
-    Next to a level the phase slope carries the term C*t^a, t the
-    x-distance from the level, k the slope phi' there and Q =
-    q*rho^(1-p): at a zero a = p and C = -Q*|k|^p, at an extremum a = p'
-    = p/(p-1) and C = Q*((p-1)*|k|)^p'.  Each kind is (g, a, leave,
-    aim): a step of length h with T = Q*h*(g*|k*h|)^a adds T*db to phi
-    and takes T*de off the estimate, where (db, de) = sign(C)*(1/(a+1) -
-    sum b_i c_i^a, sum e_i c_i^a) for a step that leaves the level and
-    the same with 1 - c_i for one aimed at it; the sums run in tableau
-    order.  Where min(p, p') < 3/2 the terms t^(a+1) and t^(2a) left out
-    are as large as this one, so de = 0 and the weights stay; elsewhere
-    the estimate drops the term and the weights are 1.
+    Next to a level the phase slope carries the terms C*t^a and
+    C1*t^(a+1), t the x-distance from the level, k the slope phi' there,
+    Q = q*rho^(1-p) and Q' = (dq/dx)*rho^(1-p) on the piece.  At a zero
+    a = p, C = -Q*|k|^a and C1 = -Q'*|k|^a.  At an extremum a = p' =
+    p/(p-1), C = Q*((p-1)*|k|)^a and C1 = Q'*(1 - a*Q/(2k))*((p-1)*|k|)^a:
+    the curvature phi'' = -Q' there bends the phase distance from the
+    level to k*t - Q'*t^2/2.  The t^(a+1) term is odd in the direction
+    of the step, so C1 changes sign for a step aimed at the level, with
+    Q and k read at the level.  Each kind is (g, a, leave, aim), and
+    each end is (db, de, db1, de1): a step of length h with P =
+    h*(g*|k*h|)^a adds P*(Q*db + c1*h*db1) to phi and takes P*(Q*de +
+    c1*h*de1) off the estimate, where c1 = Q' at a zero and
+    Q'*(1 - a*Q/(2k)) at an extremum.  For a step that leaves the level
+    (db, de) = sign(C)*(1/(a+1) - sum b_i c_i^a, sum e_i c_i^a) and
+    (db1, de1) = sign(C)*(1/(a+2) - sum b_i c_i^(a+1), sum e_i
+    c_i^(a+1)); for one aimed at it the same with 1 - c_i for c_i, and
+    (db1, de1) negated.  The sums run in tableau order.  Where
+    min(p, p') < 3/2 the terms t^(2a) left out are as large as these,
+    so de = de1 = 0 and the weights stay; elsewhere the estimate drops
+    both terms and the weights are 1.
     """
     light = min(p, p / (p - 1.0)) >= 1.5
     kinds = []
     for sign, g, a in ((-1.0, 1.0, p), (1.0, p - 1.0, p / (p - 1.0))):
         ends = []
-        for cs in (_C, tuple(1.0 - c for c in _C)):
-            db = de = 0.0
+        for side, cs in ((sign, _C), (-sign, tuple(1.0 - c for c in _C))):
+            db = de = db1 = de1 = 0.0
             for b, e, c in zip(_B, _E, cs):
                 db += b * c ** a
                 de += e * c ** a
-            ends.append((sign * (1.0 / (a + 1.0) - db), sign * de if light else 0.0))
+                db1 += b * c ** (a + 1.0)
+                de1 += e * c ** (a + 1.0)
+            ends.append((sign * (1.0 / (a + 1.0) - db),
+                         sign * de if light else 0.0,
+                         side * (1.0 / (a + 2.0) - db1),
+                         side * de1 if light else 0.0))
         kinds.append((g, a, *ends))
     weights = (1.0, 1.0) if light else (_START_WEIGHT, _END_WEIGHT)
     return weights, tuple(kinds)
@@ -221,19 +238,19 @@ def _kernel(rhs, bounds, h, tol, stats, spacing, dim, rho, terms):
     all 0 at bounds[0].
 
     ``rhs(x)`` hands out the right-hand side ``f`` of the piece of
-    ``bounds`` that starts at x and ``coef``, which reads Q =
-    q*rho^(1-p) as ``f`` reads q; the kernel asks for them once per
-    piece.  With dim = 1 the phase steps alone on a plain float and
-    ``f(x, phi) -> phi'``.  With dim = 2 or 3 the lanes log R and u ride
-    along and ``f(x, phi, u) -> (phi', (log R)', u')``; log R enters no
-    right-hand side, so only its 5th-order value is formed.  The error
-    norm is the RMS over ``dim`` components: with dim = 2 ``f`` returns
-    u' = 0, so u stays 0 and adds exactly 0 to the norm.  Each piece of
-    ``bounds`` starts with a fresh slope and a fresh controller memory;
-    the step size carries over.  Returns (phi, log R, u) at the last
-    bound and, when the lanes ride along, the list of accepted states
-    (x, phi, phi', log R, (log R)'), whose first entry holds the first
-    piece's opening slope; else None.
+    ``bounds`` that starts at x, ``coef``, which reads Q = q*rho^(1-p)
+    as ``f`` reads q, and the piece's slope Q' = (dq/dx)*rho^(1-p); the
+    kernel asks for them once per piece.  With dim = 1 the phase steps
+    alone on a plain float and ``f(x, phi) -> phi'``.  With dim = 2 or 3
+    the lanes log R and u ride along and
+    ``f(x, phi, u) -> (phi', (log R)', u')``; log R enters no right-hand
+    side, so only its 5th-order value is formed.  The error norm is the RMS over ``dim`` components:
+    with dim = 2 ``f`` returns u' = 0, so u stays 0 and adds exactly 0
+    to the norm.  Each piece of ``bounds`` starts with a fresh slope and
+    a fresh controller memory; the step size carries over.  Returns
+    (phi, log R, u) at the last bound and, when the lanes ride along,
+    the list of accepted states (x, phi, phi', log R, (log R)'), whose
+    first entry holds the first piece's opening slope; else None.
 
     With ``spacing`` (pi_p/2 for p != 2, None at p = 2) every level
     k*spacing the phase reaches becomes a step boundary.  The kernel
@@ -256,19 +273,19 @@ def _kernel(rhs, bounds, h, tol, stats, spacing, dim, rho, terms):
     the phase is still within the window of it, so a sliver of a step
     before a knot does not change how the step after it is treated.
 
-    The steps next to a level carry the singular term of the phase
-    slope that ``_level_terms(p)`` describes.  With ``terms``, its
-    value (the phase alone at p != 2), a step that starts on a level
-    takes that level's defect with slope k1 and Q read at x, and a step
-    aimed at a level (predicted or Hermite) takes it with slope rho at
-    a zero and rho - Q at an extremum and Q read at x + h, before k7 is
-    evaluated; the estimate drops what ``terms`` says it under-reads,
-    and its weights multiply the error norm of a step that starts on a
-    level and of one aimed at a level.  Without ``terms`` (amplitude
-    and sensitivity) no step is corrected and the weights are
-    ``_START_WEIGHT`` and ``_END_WEIGHT``.  ``snap``, which is also the
-    step floor, is 1e-14 relative to the last bound ell, so a tiny
-    interval steps as a unit one does.
+    The steps next to a level carry the singular term of the phase slope
+    that ``_level_terms(p)`` describes.  With ``terms``, its value (the
+    phase alone at p != 2), a step that starts on a level takes that
+    level's defects with slope k1 and Q read at x, and a step aimed at a
+    level (predicted or Hermite) takes them with slope rho at a zero and
+    rho - Q at an extremum and Q read at x + h, before k7 is evaluated,
+    and both read the piece's Q'; the estimate drops what ``terms`` says
+    it under-reads, and its weights multiply the error norm of a step
+    that starts on a level and of one aimed at a level.  Without
+    ``terms`` (amplitude and sensitivity) no step is corrected and the
+    weights are ``_START_WEIGHT`` and ``_END_WEIGHT``.  ``snap``, which
+    is also the step floor, is 1e-14 relative to the last bound ell, so
+    a tiny interval steps as a unit one does.
 
     The step, reject and RHS counts and ``n_landed``, the discarded
     trials (six RHS evaluations each), go to ``stats``, also when the
@@ -292,7 +309,7 @@ def _kernel(rhs, bounds, h, tol, stats, spacing, dim, rho, terms):
     dense = [] if lanes else None
     try:
         for x, x_end in zip(bounds, bounds[1:]):
-            f, coef = rhs(x)
+            f, coef, dcoef = rhs(x)
             if lanes:
                 k1, l1, u1 = f(x, phi, u)
                 if not dense:
@@ -370,17 +387,22 @@ def _kernel(rhs, bounds, h, tol, stats, spacing, dim, rho, terms):
                     # the singular terms of the levels the step leaves
                     # and is aimed at, which the tableau misreads
                     if kinds and on_level:
-                        g, a, (db, de), _ = kinds[k & 1]
-                        t = coef(x) * ht * (g * abs(k1 * ht)) ** a
-                        phi_new += t * db
-                        te = t * de
+                        g, a, (db, de, db1, de1), _ = kinds[k & 1]
+                        qx = coef(x)
+                        c1 = (dcoef * (1.0 - a * qx / (2.0 * k1))
+                              if k & 1 and k1 else dcoef)
+                        t = ht * (g * abs(k1 * ht)) ** a
+                        phi_new += t * (qx * db + c1 * ht * db1)
+                        te = t * (qx * de + c1 * ht * de1)
                     if kinds and aim is not None:
-                        g, a, _, (db, de) = kinds[aim & 1]
+                        g, a, _, (db, de, db1, de1) = kinds[aim & 1]
                         qe = coef(x + ht)
                         slope = rho - qe if aim & 1 else rho
-                        t = qe * ht * (g * abs(slope * ht)) ** a
-                        phi_new += t * db
-                        te += t * de
+                        c1 = (dcoef * (1.0 - a * qe / (2.0 * slope))
+                              if aim & 1 and slope else dcoef)
+                        t = ht * (g * abs(slope * ht)) ** a
+                        phi_new += t * (qe * db + c1 * ht * db1)
+                        te += t * (qe * de + c1 * ht * de1)
                     k7 = f(x + ht, phi_new)
                 n_rhs += 6
 
@@ -548,7 +570,7 @@ def _integrate(ctx: PContext, q: Potential, rho: float, ell: float,
                 return (rho - coef * abs_s_p,
                         coef * (sign_s * s ** pm1) * (sign_c * (1.0 - abs_s_p) ** inv_p),
                         0.0)
-        return f, coef
+        return f, coef, dq / dx * inv_rho_pm1
 
     spacing = None if p == 2.0 else half_pi
     try:

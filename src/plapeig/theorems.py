@@ -362,9 +362,11 @@ def verify_theorem3(ctx: PContext, q: Potential, n_max: int = 4,
     bound already gives lambda_1 >= (pi_p/ell)^p + q* > 0.
 
     The statement only asserts that some ell_0 > 0 works, so once a grid
-    point fails, or any of its searches does, it and every larger grid
-    point are recorded out of hypothesis and the certificate reports the
-    empirical ell_hat; if the smallest grid point already fails the
+    point fails, or any of its searches does, its rows are recorded out
+    of hypothesis, the certificate reports the empirical ell_hat, and
+    the larger grid points, which would lie beyond ell_hat whatever
+    their searches found, are not searched; a note names the last
+    length searched.  If the smallest grid point already fails the
     verdict is inconclusive.  A failed search leaves its length
     uncomputed, not broken: its rows carry the failure as their note.
     """
@@ -389,7 +391,6 @@ def verify_theorem3(ctx: PContext, q: Potential, n_max: int = 4,
 
     scan: list[ScanPoint] = []
     failed = False
-    broken = False
     ell_hat = 0.0
     for i in range(1, cfg.ell_points + 1):
         ell = ell_bound * i / cfg.ell_points
@@ -413,27 +414,24 @@ def verify_theorem3(ctx: PContext, q: Potential, n_max: int = 4,
                           positive, why), *pair_pts]
         notes.extend(lost)
         failed |= bool(lost)
-        # existence statement: once a length fails, it and every larger
-        # one leave the empirically certified range instead of refuting
-        # the claim
-        if broken:
-            rows = [replace(s, in_hypothesis=False,
-                            note=_join("beyond empirical ell_hat", s.note))
-                    for s in rows]
-        elif lost:
-            broken = True
-            rows = [replace(s, in_hypothesis=False, note=_join(s.note, *lost))
-                    for s in rows]
-        elif positive and all(s.satisfied for s in pair_pts):
+        if positive and not lost and all(s.satisfied for s in pair_pts):
             ell_hat = ell
-        else:
-            broken = True
-            rows = [replace(s, in_hypothesis=False,
-                            note=_join(s.note, "property breaks at this ell"))
-                    for s in rows]
+            scan.extend(rows)
+            continue
+        # existence statement: the first length that fails leaves the
+        # empirically certified range instead of refuting the claim, and
+        # the larger ones are not searched
+        if not lost:
             notes.append(f"property breaks at ell={ell!r} <= ell_bound; "
                          "flagged, existence claim judged by smaller ell")
-        scan.extend(rows)
+        why_out = lost or ["property breaks at this ell"]
+        scan.extend(replace(s, in_hypothesis=False,
+                            note=_join(s.note, *why_out)) for s in rows)
+        if i < cfg.ell_points:
+            notes.append(f"last length searched: ell={ell!r}; the "
+                         f"{cfg.ell_points - i} larger lengths lie beyond "
+                         "empirical ell_hat and were not searched")
+        break
 
     hypotheses["ell_hat"] = ell_hat
     # ell_hat = 0 leaves no row in hypothesis, so the verdict is

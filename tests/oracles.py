@@ -515,13 +515,18 @@ def reference_dp45(ctx, q, rho, ell, tol, dim):
     extremum.  A step of length h that leaves a level (k its opening
     slope, Q at its start) adds C*h^(a+1)*(1/(a+1) - sum_i b_i c_i^a) to
     phi; one aimed at a level (k = rho at a zero and rho - Q at an
-    extremum, Q at its end) does the same with 1 - c_i for c_i.  Where
+    extremum, Q at its end) does the same with 1 - c_i for c_i.  The
+    next term, C1*t^(a+1), with Q' = (dq/dx)*rho^(1-p) on the step's
+    piece, has C1 = -Q'*|k|^a at a zero and
+    Q'*(1 - a*Q/(2k))*((p-1)*|k|)^a at an extremum for a step that
+    leaves the level, and the negatives for one aimed at it; the step
+    adds C1*h^(a+2)*(1/(a+2) - sum_i b_i c_i^(a+1)) the same way.  Where
     min(p, p/(p-1)) >= 3/2 the estimate drops C*h^(a+1)*sum_i e_i c_i^a
-    (with the same substitution) and no step is weighted; elsewhere the
-    weights are 3 and 10.  The stage-unrolled kernel must match it bit
-    for bit.  Returns a dict with ``phi_end``, ``logr_end``, ``u_end`` (None
-    where not integrated), ``n_steps``, ``n_rejected``, ``n_landed`` and
-    ``n_rhs``.
+    and C1*h^(a+2)*sum_i e_i c_i^(a+1) (with the same substitution) and
+    no step is weighted; elsewhere the weights are 3 and 10.  The
+    stage-unrolled kernel must match it bit for bit.  Returns a dict
+    with ``phi_end``, ``logr_end``, ``u_end`` (None where not
+    integrated), ``n_steps``, ``n_rejected``, ``n_landed`` and ``n_rhs``.
     """
     from plapeig.ptrig import fast_pair
 
@@ -557,14 +562,24 @@ def reference_dp45(ctx, q, rho, ell, tol, dim):
     def defect(level, x, h, slope, aimed):
         odd = level % 2 == 1
         sign, g, a = (1.0, p - 1.0, p / (p - 1.0)) if odd else (-1.0, 1.0, p)
-        powers = [((1.0 - c if aimed else c) ** a,) for c in _DP_C]
+        cs = [1.0 - c if aimed else c for c in _DP_C]
+        powers = [(c ** a,) for c in cs]
         db = sign * (1.0 / (a + 1.0) - _dot(_DP_A[6], powers, 0))
         de = sign * _dot(_DP_E, powers, 0) if light else 0.0
+        # the t^(a+1) term: Q' = dq/dx*rho^(1-p) of the step's piece, and
+        # at an extremum the phase's curvature phi'' = -Q' there
+        side = -sign if aimed else sign
+        powers = [(c ** (a + 1.0),) for c in cs]
+        db1 = side * (1.0 / (a + 2.0) - _dot(_DP_A[6], powers, 0))
+        de1 = side * _dot(_DP_E, powers, 0) if light else 0.0
+        x0, x1, _, dq = q.piece(x)
+        dqx = dq / (x1 - x0) * inv_rho_pm1
         qx = qval(x + h if aimed else x) * inv_rho_pm1
         if aimed:
             slope = rho - qx if odd else rho
-        t = qx * h * (g * abs(slope * h)) ** a
-        return t * db, t * de
+        c1 = dqx * (1.0 - a * qx / (2.0 * slope)) if odd and slope else dqx
+        t = h * (g * abs(slope * h)) ** a
+        return t * (qx * db + c1 * h * db1), t * (qx * de + c1 * h * de1)
 
     singular = spacing and dim == 1
     y = (0.0,) * dim

@@ -213,7 +213,8 @@ def test_criterion_9_oscillation_and_monotonicity(ctx_for):
         ctx = ctx_for(p)
         for n in range(1, 6):
             pair = find_eigenvalue(ctx, tent, n, 1.0, CFG)
-            traj = integrate_amplitude(ctx, tent, pair.rho, 1.0, CFG)
+            traj = integrate_amplitude(ctx, tent.shifted(pair.shift),
+                                       pair.rho, 1.0, CFG)
             ys = reconstruct_eigenfunction(traj, samples=1201)[:, 1]
             zero_ok &= count_sign_changes(ys[1:-1]) == n - 1
 

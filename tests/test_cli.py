@@ -129,14 +129,15 @@ class TestEigs:
 
     def test_shift_column(self, capsys):
         # rho belongs to the shifted potential: rho^p = lambda + shift,
-        # with shift 50 wherever the comparison lower bound is <= 0
+        # with shift 50 = -mean q on every row, whatever the sign of the
+        # comparison lower bound
         code, out, _ = run_cli(capsys, "eigs", "--p", "2", "--potential",
                                '{"type":"constant","value":-50}',
                                "--n-max", "3")
         assert code == 0
         header, rows = parse_csv(out)
         assert header[-1] == "shift"
-        assert [float(r[-1]) for r in rows] == [50.0, 50.0, 0.0]
+        assert [float(r[-1]) for r in rows] == [50.0, 50.0, 50.0]
         for r in rows:
             lam, rho, shift = float(r[1]), float(r[2]), float(r[-1])
             assert rho ** 2 == pytest.approx(lam + shift, rel=1e-14)
@@ -154,14 +155,14 @@ class TestEigs:
         (("sweep", "--axis", "depth", "--values=-5,-10"),
          "sweep failed at depth=-5: ")), ids=("eigs", "sweep"))
     def test_integration_failure_names_index(self, capsys, command, where):
-        # a budget of 60 steps finds lambda_1 of the tent and runs out in
+        # a budget of 45 steps finds lambda_1 of the tent and runs out in
         # the search for lambda_2
         code, out, err = run_cli(capsys, *command, "--p", "2", "--potential",
-                                 TENT_SPEC, "--n-max", "3", "--max-steps", "60")
+                                 TENT_SPEC, "--n-max", "3", "--max-steps", "45")
         assert code == 2 and out == ""
         assert err == (where + "eigenvalue search failed at index 2: step "
-                       "budget 60 exhausted at x=0.9107421989644228 "
-                       "(rho=5.95638, ell=1)\n")
+                       "budget 45 exhausted at x=0.879987715963473 "
+                       "(rho=6.28319, ell=1)\n")
 
     def test_large_phase_tol(self, capsys):
         code, out, err = run_cli(capsys, "eigs", "--p", "2", "--potential",
@@ -228,7 +229,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("argv", (
         ("--theorem", "t1", "--potential", TENT_SPEC, "--max-steps", "60"),
-        ("--theorem", "t2", "--potential", TENT_SPEC, "--max-steps", "60",
+        ("--theorem", "t2", "--potential", TENT_SPEC, "--max-steps", "45",
          "--n-max", "3"),
         ("--theorem", "t2", "--potential", '{"type":"constant","value":3}')),
         ids=("t1-failed-solves", "t2-failed-solves", "t2-refused"))
@@ -255,7 +256,7 @@ class TestVerify:
         # the searches for lambda_2 and lambda_3 run out of steps: the
         # CSV says so, one comment line per note after the settings
         argv = ("verify", "--theorem", "t2", "--p", "2", "--potential",
-                TENT_SPEC, "--max-steps", "60", "--n-max", "3")
+                TENT_SPEC, "--max-steps", "45", "--n-max", "3")
         code, out, _ = run_cli(capsys, *argv)
         assert code == 4
         *settings, header = out.splitlines()

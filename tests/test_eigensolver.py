@@ -19,6 +19,11 @@ TENT = scaled_tent(-5.0, 4.0)
 TENT_SEED5 = scaled_tent(-4.526435930669148, 3.542758661908266)
 PL5 = piecewise_linear([[0.0, -1.0], [0.25, -4.0], [0.5, -2.0],
                         [0.75, -5.0], [1.0, -1.5]])
+PL5_SEED7 = piecewise_linear([[0, -4.434624999978452],
+                              [0.22815592588269412, -2.2144020728320495],
+                              [0.5366456421443534, -1.0849965375148063],
+                              [0.7156208631219184, -3.104699465566667],
+                              [1, -2.9023422854776664]])
 CFG = SolverConfig()
 
 
@@ -227,8 +232,8 @@ class TestRootFind:
             assert len(calls) > 1
 
     @pytest.mark.parametrize("p,ceiling", (
-        (1.5, (59, 46, 54)), (2.0, (51, 42, 52)),
-        (3.0, (47, 51, 45)), (5.0, (40, 53, 41))))
+        (1.5, (52, 15, 51)), (2.0, (43, 12, 47)),
+        (3.0, (42, 15, 42)), (5.0, (37, 12, 38))))
     def test_integration_count_ceiling(self, ctx_for, monkeypatch, p,
                                        ceiling):
         # integrations are the solver's primary cost: compute_spectrum
@@ -242,6 +247,25 @@ class TestRootFind:
             counts.append(len(calls) - before)
         assert all(c <= top for c, top in zip(counts, ceiling)), counts
 
+    @pytest.mark.parametrize("p", (1.5, 2.0, 3.0, 5.0))
+    def test_constant_first_guess_is_the_root(self, ctx_for, monkeypatch, p):
+        # on a constant the search runs on q - mean q = 0, so its first
+        # guess is the root: compute_spectrum makes one integration per
+        # eigenvalue, and a second only for the honesty step-out of a
+        # miss that rounding put above two ulps of n*pi_p.  At p = 2 no
+        # level is landed and no miss reaches that
+        ctx = ctx_for(p)
+        calls = spy_integrations(monkeypatch)
+        for c, ell in ((-2.0, 1.0), (3.0, 0.5), (-1.3, 1.0), (-50.0, 1.0)):
+            calls.clear()
+            pairs = compute_spectrum(ctx, constant(c), 12, ell, CFG).pairs
+            step_outs = sum(pr.bracket_width > 0.0 for pr in pairs)
+            assert len(calls) == len(pairs) + step_outs, (c, ell)
+            assert step_outs == 0 or p != 2.0
+            for pr in pairs:
+                assert pr.shift == -c
+                assert pr.residual <= 8.0 * math.ulp(pr.n * ctx.pi_p)
+
     def test_missed_root_raises(self, ctx_for, coarse_phase, monkeypatch):
         # phi(ell) rounded to 1e-3 leaves no root within phase_tol: the
         # one pass raises at once, every integration at the configured
@@ -254,10 +278,12 @@ class TestRootFind:
         assert all(rel_tol == CFG.rel_tol for _, rel_tol in calls)
 
 
-# relative bound of the closed-form test per p: where min(p, p/(p-1)) >=
-# 3/2 the corrected singular term of the level steps holds 1e-9 (it read
-# 1.5e-9 to 5.0e-9 without it); p = 5 keeps the README's 1e-8
-CLOSED_FORM_BOUND = {1.5: 1e-9, 1.8: 1e-9, 2.5: 1e-9, 3.0: 1e-9, 5.0: 1e-8}
+# relative bound of the closed-form test per p: the search runs on
+# q - mean q, which is 0 on a constant, so only rounding is left (it
+# read 2.05e-10 to 3.41e-9 when the search ran on q itself, and p <= 1.1
+# did not solve)
+CLOSED_FORM_BOUND = dict.fromkeys(
+    (1.05, 1.1, 1.2, 1.5, 1.8, 2.5, 3.0, 5.0, 10.0), 1e-14)
 
 
 class TestAccuracy:
@@ -275,6 +301,17 @@ class TestAccuracy:
                 exact = (pr.n * ctx.pi_p / ell) ** p + c
                 worst = max(worst, abs(pr.lam - exact) / abs(exact))
         assert worst <= CLOSED_FORM_BOUND[p]
+
+    def test_level_term_of_the_slope_of_q(self, ctx_for):
+        # the benchmark's 5-knot potential of seed 7, p = 3, n = 10: with
+        # the search on q - mean q, the level steps need the t^(a+1) term
+        # that q' adds; without it lambda_10 misses the rel_tol 1e-13
+        # solve by 2.6e-9 (2.8e-11 with it)
+        ctx = ctx_for(3.0)
+        pair = find_eigenvalue(ctx, PL5_SEED7, 10, 1.0, CFG)
+        ref = find_eigenvalue(ctx, PL5_SEED7, 10, 1.0,
+                              SolverConfig(rel_tol=1e-13, abs_tol=1e-15))
+        assert abs(pair.lam - ref.lam) <= 1e-9 * abs(ref.lam)
 
     @pytest.mark.parametrize("q", (constant(-2.0), TENT, TENT_SEED5),
                              ids=("constant", "tent", "tent-seed5"))
@@ -363,12 +400,12 @@ class TestSpectrum:
         assert err.value.details == {**cause, "n": 1}
 
     def test_integration_failure_carries_index(self, ctx2):
-        # a step budget of 60 finds lambda_1 of TENT and runs out in the
+        # a step budget of 45 finds lambda_1 of TENT and runs out in the
         # search for lambda_2: the spectrum names that index
         with pytest.raises(SearchError) as err:
-            compute_spectrum(ctx2, TENT, 3, 1.0, SolverConfig(max_steps=60))
+            compute_spectrum(ctx2, TENT, 3, 1.0, SolverConfig(max_steps=45))
         assert str(err.value).startswith(
-            "eigenvalue search failed at index 2: step budget 60 exhausted")
+            "eigenvalue search failed at index 2: step budget 45 exhausted")
         assert err.value.details == {"n": 2}
         assert isinstance(err.value.__cause__, IntegrationError)
 
@@ -455,12 +492,26 @@ class TestOracleAgreement:
         assert lam < 0.0
         assert abs(lam - lam_direct) / abs(lam) <= 1e-6
 
+    @pytest.mark.parametrize("p", (2.0, 3.0))
+    def test_min_shift_where_the_mean_is_too_low(self, ctx_for, p):
+        # (pi_p)^p + min q <= mean q here, so q - mean q might have a
+        # lambda_1 <= 0, and the search runs on q - min q instead
+        ctx = ctx_for(p)
+        q = piecewise_linear([[0.0, -200.0], [0.1, -200.0], [0.2, 0.0],
+                              [1.0, 0.0]])
+        for n in (1, 2):
+            pair = find_eigenvalue(ctx, q, n, 1.0, CFG)
+            assert pair.shift == 200.0
+            lam_direct = direct_eigenvalue(ctx, q, n, 1.0)
+            assert abs(pair.lam - lam_direct) / abs(pair.lam) <= 1e-6
+
 
 class TestOscillation:
     def test_eigenfunction_zero_counts(self, ctx3):
         for n in (1, 2, 3, 4):
             pair = find_eigenvalue(ctx3, TENT, n, 1.0, CFG)
-            traj = integrate_amplitude(ctx3, TENT, pair.rho, 1.0, CFG)
+            traj = integrate_amplitude(ctx3, TENT.shifted(pair.shift),
+                                       pair.rho, 1.0, CFG)
             grid = reconstruct_eigenfunction(traj, samples=1001)
             ys = grid[:, 1]
             assert count_sign_changes(ys[1:-1]) == n - 1

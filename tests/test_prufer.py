@@ -292,7 +292,8 @@ class TestPieceRightHandSide:
         # at both ends, their ulp neighbours and random interior points,
         # the per-piece phase slope and Q = q*rho^(1-p), which the
         # singular terms next to a level read, are the per-call ones bit
-        # for bit; so is the slope at every special phase
+        # for bit; so is the slope at every special phase.  Q', which the
+        # t^(a+1) terms read, is the piece's slope times rho^(1-p)
         ctx = ctx_for(p)
         rng = np.random.default_rng(20)
         rho = 7.0
@@ -305,7 +306,9 @@ class TestPieceRightHandSide:
             ell = float(rng.choice([1.0, rng.uniform(0.3, 1.0)]))
             bounds, rhs = self.piece_rhs(monkeypatch, ctx, q, rho, ell)
             for a, b in zip(bounds, bounds[1:]):
-                f, big_q = rhs(a)
+                f, big_q, slope = rhs(a)
+                x0, x1, _, dq = q.piece(a)
+                assert slope == dq / (x1 - x0) * coef, (q, a)
                 points = [a, math.nextafter(a, 2.0), math.nextafter(b, 0.0),
                           b, math.nextafter(b, 2.0),
                           *rng.uniform(a, b, size=8).tolist()]
@@ -319,7 +322,7 @@ class TestPieceRightHandSide:
                     checked += 1
         assert checked > 1000
 
-        f, _ = rhs(bounds[0])
+        f = rhs(bounds[0])[0]
         x = 0.5 * (bounds[0] + bounds[1])
         qx = q.value(x) * coef
         assert qx != 0.0

@@ -23,9 +23,11 @@ SPIKE = piecewise_linear([[0.0, -2.0], [0.5002, -2.0], [0.50045, 1.0],
 TWO_MINIMA = piecewise_linear([[0.0, 5.0], [0.3001, 1.0], [0.3002, 4.0],
                                [0.3003, 1.0], [1.0, 5.0]])
 FAST = HarnessConfig(ell_points=8)
-# a step budget of 60 runs out at half of T1's rho grid on TENT, and in
-# the searches for lambda_2 and lambda_3 of T2 on TENT and of R1 on WELL
+# a step budget of 60 runs out at half of T1's rho grid on TENT; one of
+# 45 runs out in the searches for lambda_2 and lambda_3 of T2 on TENT
+# and of R1 on WELL
 STARVED = HarnessConfig(max_steps=60)
+STARVED_SEARCH = HarnessConfig(max_steps=45)
 
 
 def strict_json(text):
@@ -416,18 +418,19 @@ class TestFailedSolves:
     def test_integration_error_skips_its_index(self, ctx2, verify, q):
         # lambda_1 is found; the searches for 2 and 3 run out of steps,
         # which leaves no pair to scan
-        cert = verify(ctx2, q, n_max=3, cfg=STARVED)
+        cert = verify(ctx2, q, n_max=3, cfg=STARVED_SEARCH)
         assert cert.verdict == "inconclusive"
         assert cert.worst_margin is None and cert.scan == ()
         assert cert.hypotheses["lambdas"][1:] == [None, None]
         assert [n.split(":")[0] for n in cert.notes][:2] == [
             f"eigenvalue search failed at n={n}" for n in (2, 3)]
-        assert "step budget 60 exhausted" in cert.notes[0]
+        assert "step budget 45 exhausted" in cert.notes[0]
         assert strict_json(cert.to_json())["worst_margin"] is None
 
     def test_t3_failed_lambda1_is_none(self, ctx2, monkeypatch):
         # the lambda_1 search fails at the third of four lengths: the
-        # first two stay certified, the rest leave the certified range
+        # first two stay certified, the third leaves the certified range,
+        # and the fourth is not searched
         real_find = theorems.find_eigenvalue
         first_searches = []
 
@@ -442,7 +445,12 @@ class TestFailedSolves:
         cert = verify_theorem3(ctx2, constant(-6.0), n_max=2,
                                cfg=HarnessConfig(ell_points=4))
         rows = [s for s in cert.scan if s.quantity == "lambda1"]
-        assert [s.value is None for s in rows] == [False, False, True, False]
+        assert [s.value is None for s in rows] == [False, False, True]
+        assert len(first_searches) == 3
+        assert cert.notes[-1] == (
+            f"last length searched: ell={dict(rows[2].inputs)['ell']!r}; "
+            "the 1 larger lengths lie beyond empirical ell_hat and were "
+            "not searched")
         assert rows[2].margin is None and not rows[2].in_hypothesis
         assert rows[2].note.startswith("lambda_1 search failed")
         assert not any("property breaks" in t
@@ -454,12 +462,14 @@ class TestFailedSolves:
         assert doc["scan"][cert.scan.index(rows[2])]["value"] is None
 
     def test_t3_failed_search_ends_the_certified_range(self, ctx2):
-        # a budget of 40 steps loses lambda_3 and lambda_4 from the third
-        # of six lengths on: the range certified ends at the second, and
-        # the failed length is uncomputed, not broken
+        # a budget of 22 steps loses lambda_3 and lambda_4 at the third
+        # of six lengths: the range certified ends at the second, the
+        # failed length is uncomputed, not broken, and the three larger
+        # lengths are not searched
         cert = verify_theorem3(ctx2, TENT, n_max=4,
-                               cfg=HarnessConfig(max_steps=40, ell_points=6))
+                               cfg=HarnessConfig(max_steps=22, ell_points=6))
         ells = sorted({dict(s.inputs)["ell"] for s in cert.scan})
+        assert len(ells) == 3
         assert cert.hypotheses["ell_hat"] == ells[1]
         assert cert.verdict == "inconclusive"
         assert_certificate_consistent(cert)
@@ -468,9 +478,12 @@ class TestFailedSolves:
             assert s.in_hypothesis == (ell <= ells[1])
             if ell == ells[2]:
                 assert s.note.startswith(
-                    "eigenvalue search failed at n=3: step budget 40")
-            elif ell > ells[2]:
-                assert s.note.startswith("beyond empirical ell_hat")
+                    "eigenvalue search failed at n=3: step budget 22")
+        assert [n.split(":")[0] for n in cert.notes] == [
+            "eigenvalue search failed at n=3",
+            "eigenvalue search failed at n=4", "last length searched"]
+        assert cert.notes[-1].startswith(
+            f"last length searched: ell={ells[2]!r}; the 3 larger lengths")
         assert not any("property breaks" in t
                        for t in (*cert.notes, *(s.note for s in cert.scan)))
 
