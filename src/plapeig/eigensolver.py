@@ -51,8 +51,11 @@ _SHOT_RTOL, _SHOT_ATOL = 1e-10, 1e-12
 
 # an unevaluated bracket end within this distance of an evaluated rho,
 # relative, is that rho: its integration would repeat rho's miss.  The
-# comparison bounds are padded by 1e-12 relative, so where they coincide
-# (every constant potential) both ends lie this close to the first guess.
+# comparison bounds are padded by 1e-12 relative, so both padded ends lie
+# this close to the first guess where max q - min q is below about
+# 1e-11*lambda.  A constant, searched as q = 0, has the exact phase
+# rho*ell and stops at its first guess, so the rule serves only a phase
+# map that misses by more than the stop on so narrow an interval.
 _SAME_RHO = 1e-11
 
 
@@ -71,7 +74,7 @@ class Eigenpair:
     -mean q on [0, ell], or -min q where that could leave lambda + c <= 0
     (see ``find_eigenvalue``), so it is nonzero on almost every pair.
     ``rho`` belongs to the shifted potential, rho^p = lambda + shift,
-    and the eigenfunction is ``integrate_amplitude(ctx,
+    and the eigenfunction is ``reconstruct_eigenfunction(ctx,
     q.shifted(pair.shift), pair.rho, ell)``.  ``bracket`` is in unshifted
     lambda.
     """

@@ -58,8 +58,10 @@ integration, so the step control, the step budget, the snap rule and
 the landings live in one place.  The phase alone steps on a plain
 float, with named stages k1..k7 and counts in local ints; the
 eigenvalue search uses only this path.  For amplitude and sensitivity
-the lanes log R and u ride along through a branch at each stage, and
-the accepted steps are kept as dense output.
+the lanes log R and u ride along through a branch at each stage.  The
+kernel keeps the state at the end of each of its pieces and nothing in
+between, so ``reconstruct_eigenfunction`` makes its samples bounds of
+the kernel and reads the integrated state there.
 
 The kernel steps knot to knot, so on each of its pieces q is one affine
 function.  It asks ``_integrate`` for the right-hand side of a piece
@@ -99,18 +101,14 @@ RHO_CONDITIONING_LIMIT = 1e8
 
 @dataclass(frozen=True)
 class PruferTrajectory:
-    """Result of one integration over [0, ell].
+    """Result of one integration over [0, ell]: the terminal state and
+    the counts.
 
-    ``dense_x``/``dense_phi``/``dense_logr`` (and matching derivative
-    tuples) hold, as floats, the accepted steps of an amplitude or
-    sensitivity integration for reconstruction, the steps landed on the
-    levels k*pi_p/2 included; a phase-only integration keeps none, so
-    all five are None there.  ``logr_end`` is None when amplitude was not
-    requested, ``u_end`` when sensitivity was not.  ``stats`` holds the
-    step, reject, landing and RHS counts.  Immutable once built.
+    ``logr_end`` is None when amplitude was not requested, ``u_end`` when
+    sensitivity was not.  ``stats`` holds the step, reject, landing and
+    RHS counts.  Immutable once built.
     """
 
-    ctx: PContext
     rho: float
     ell: float
     phi_end: float
@@ -118,11 +116,6 @@ class PruferTrajectory:
     logr_end: float | None
     u_end: float | None
     stats: dict = field(repr=False, compare=False)
-    dense_x: tuple | None = field(default=None, repr=False, compare=False)
-    dense_phi: tuple | None = field(default=None, repr=False, compare=False)
-    dense_dphi: tuple | None = field(default=None, repr=False, compare=False)
-    dense_logr: tuple | None = field(default=None, repr=False, compare=False)
-    dense_dlogr: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def theta_dot_end(self) -> float:
@@ -169,6 +162,8 @@ _PI_BETA = 0.04
 _LEVEL_WINDOW = 1e-7
 _START_WEIGHT = 3.0
 _END_WEIGHT = 10.0
+# snap distance and step floor, relative to the last bound ell
+_SNAP = 1e-14
 
 
 @functools.lru_cache(maxsize=None)
@@ -247,10 +242,8 @@ def _kernel(rhs, bounds, h, tol, stats, spacing, dim, rho, terms):
     side, so only its 5th-order value is formed.  The error norm is the RMS over ``dim`` components:
     with dim = 2 ``f`` returns u' = 0, so u stays 0 and adds exactly 0
     to the norm.  Each piece of ``bounds`` starts with a fresh slope and
-    a fresh controller memory; the step size carries over.  Returns
-    (phi, log R, u) at the last bound and, when the lanes ride along,
-    the list of accepted states (x, phi, phi', log R, (log R)'), whose
-    first entry holds the first piece's opening slope; else None.
+    a fresh controller memory; the step size carries over.  Returns the
+    list of states (phi, log R, u) at the end of each piece.
 
     With ``spacing`` (pi_p/2 for p != 2, None at p = 2) every level
     k*spacing the phase reaches becomes a step boundary.  The kernel
@@ -305,15 +298,13 @@ def _kernel(rhs, bounds, h, tol, stats, spacing, dim, rho, terms):
         lo_level, hi_level = -math.inf, math.inf
     on_level = bool(spacing)  # phi(0) = 0 is the level 0
     n_steps = n_rejected = n_landed = n_rhs = 0
-    snap = 1e-14 * ell  # every x lies in [0, ell]
-    dense = [] if lanes else None
+    snap = _SNAP * ell  # every x lies in [0, ell]
+    states = []
     try:
         for x, x_end in zip(bounds, bounds[1:]):
             f, coef, dcoef = rhs(x)
             if lanes:
                 k1, l1, u1 = f(x, phi, u)
-                if not dense:
-                    dense.append((x, phi, k1, lr, l1))
             else:
                 k1 = f(x, phi)
             n_rhs += 1
@@ -450,7 +441,6 @@ def _kernel(rhs, bounds, h, tol, stats, spacing, dim, rho, terms):
                     n_steps += 1
                     if lanes:
                         lr, u, l1, u1 = lr_new, u_new, l7, u7
-                        dense.append((x, phi, k1, lr, l1))
                     if ht >= h:  # not shortened by a boundary: PI rescale
                         h = ht * (_MAX_FACTOR if err == 0.0 else min(
                             _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** -_PI_ALPHA
@@ -460,17 +450,22 @@ def _kernel(rhs, bounds, h, tol, stats, spacing, dim, rho, terms):
                     n_rejected += 1
                     h = ht * max(0.1, min(0.9, _SAFETY * err ** -0.2))
                     land = 0.0
+            states.append((phi, lr, u))
     finally:
         stats.update(n_steps=n_steps, n_rejected=n_rejected, n_rhs=n_rhs,
                      n_landed=n_landed)
-    return (phi, lr, u), dense
+    return states
 
 
 def _integrate(ctx: PContext, q: Potential, rho: float, ell: float,
-               tol: SolverConfig, dim: int) -> PruferTrajectory:
+               tol: SolverConfig, dim: int, grid=()):
     """One integration over [0, ell] of the first ``dim`` components of
     (phi, log R, u): 1 is the phase alone, 2 adds the amplitude, 3 the
-    sensitivity."""
+    sensitivity.  The kernel's bounds are 0, the knots of q in (0, ell),
+    the points of ``grid`` and ell; a grid point within snap of another
+    bound is dropped, since the piece between them would be shorter than
+    the step floor.  Returns the trajectory, the bounds and the state
+    (phi, log R, u) at each bound after the first."""
     if not (isinstance(rho, (int, float)) and math.isfinite(rho)) or rho <= 0.0:
         raise DomainError(
             f"rho must be a positive real (the substitution needs lambda > 0), got {rho!r}")
@@ -507,6 +502,10 @@ def _integrate(ctx: PContext, q: Potential, rho: float, ell: float,
     scale, start, split, lo_scale, lo, hi_top, hi_scale, hi, right = ctx._index
 
     bounds = [0.0] + [b for b in q.interior_knots() if 0.0 < b < ell] + [ell]
+    if grid:
+        snap = _SNAP * ell
+        bounds = sorted(bounds + [x for x in grid
+                                  if min(abs(x - b) for b in bounds) > snap])
     h = min(ell, 0.1 * ctx.pi_p / rho)
     stats = {"n_steps": 0, "n_rejected": 0, "n_landed": 0, "n_rhs": 0,
              "n_pieces": len(bounds) - 1,
@@ -574,28 +573,25 @@ def _integrate(ctx: PContext, q: Potential, rho: float, ell: float,
 
     spacing = None if p == 2.0 else half_pi
     try:
-        (phi, logr, u), dense = _kernel(
-            rhs, bounds, h, tol, stats, spacing, dim, rho,
-            _level_terms(p) if spacing and dim == 1 else None)
+        states = _kernel(rhs, bounds, h, tol, stats, spacing, dim, rho,
+                         _level_terms(p) if spacing and dim == 1 else None)
     except IntegrationError as exc:  # name the integration that failed
         raise IntegrationError(f"{exc} (rho={rho:g}, ell={ell:g})", exc.last_x) from exc
-    x_steps, phis, dphis, logrs, dlogrs = ((None,) * 5 if dense is None
-                                           else tuple(zip(*dense)))
-    return PruferTrajectory(
-        ctx=ctx, rho=rho, ell=ell, phi_end=phi, theta_end=phi / rho,
+    phi, logr, u = states[-1]
+    traj = PruferTrajectory(
+        rho=rho, ell=ell, phi_end=phi, theta_end=phi / rho,
         logr_end=logr if dim > 1 else None, u_end=u if dim == 3 else None,
-        stats=stats, dense_x=x_steps, dense_phi=phis, dense_dphi=dphis,
-        dense_logr=logrs, dense_dlogr=dlogrs)
+        stats=stats)
+    return traj, bounds, states
 
 
 def integrate_phase(ctx: PContext, q: Potential, rho: float, ell: float,
                     tol: SolverConfig = SolverConfig()) -> PruferTrajectory:
     """Integrate the phase equation with phi(0) = 0 up to x = ell.
 
-    For q <= 0 the phase is strictly increasing (phi' >= rho > 0).  Only
-    the terminal phase and the counts are kept: the dense output is None.
+    For q <= 0 the phase is strictly increasing (phi' >= rho > 0).
     """
-    return _integrate(ctx, q, rho, ell, tol, 1)
+    return _integrate(ctx, q, rho, ell, tol, 1)[0]
 
 
 def integrate_amplitude(ctx: PContext, q: Potential, rho: float, ell: float,
@@ -604,7 +600,7 @@ def integrate_amplitude(ctx: PContext, q: Potential, rho: float, ell: float,
 
     Integrating log R keeps R positive by construction.
     """
-    return _integrate(ctx, q, rho, ell, tol, 2)
+    return _integrate(ctx, q, rho, ell, tol, 2)[0]
 
 
 def integrate_sensitivity(ctx: PContext, q: Potential, rho: float, ell: float,
@@ -615,42 +611,33 @@ def integrate_sensitivity(ctx: PContext, q: Potential, rho: float, ell: float,
     rho-derivative; finite differences in rho are noisier at large rho
     and serve only as a test oracle.
     """
-    return _integrate(ctx, q, rho, ell, tol, 3)
+    return _integrate(ctx, q, rho, ell, tol, 3)[0]
 
 
-def _hermite(xq, xs, ys, ds):
-    """Vectorized cubic Hermite evaluation on accepted-step data."""
-    import numpy as np
+def reconstruct_eigenfunction(ctx: PContext, q: Potential, rho: float,
+                              ell: float, samples: int = 513,
+                              tol: SolverConfig = SolverConfig()):
+    """Sample y = R*S_p(phi) and y' = rho*R*S_p'(phi) on a uniform grid
+    of [0, ell], with R(0) = 1.
 
-    xs, ys, ds = np.asarray(xs), np.asarray(ys), np.asarray(ds)
-    idx = np.clip(np.searchsorted(xs, xq, side="right") - 1, 0, len(xs) - 2)
-    x0 = xs[idx]
-    h = xs[idx + 1] - x0
-    t = np.where(h > 0, (xq - x0) / np.where(h > 0, h, 1.0), 0.0)
-    y0, y1 = ys[idx], ys[idx + 1]
-    d0, d1 = ds[idx], ds[idx + 1]
-    t2 = t * t
-    t3 = t2 * t
-    return ((2 * t3 - 3 * t2 + 1) * y0 + (t3 - 2 * t2 + t) * h * d0
-            + (3 * t2 - 2 * t3) * y1 + (t3 - t2) * h * d1)
-
-
-def reconstruct_eigenfunction(traj: PruferTrajectory, samples: int = 513):
-    """Sample y = R*S_p(phi) and y' = rho*R*S_p'(phi) on a uniform grid.
-
-    Requires a trajectory with amplitude dense output.  Returns an
-    ndarray of shape (samples, 3) with columns x, y, y'.
+    One amplitude integration ends a step on every sample, so each sample
+    reads the integrated state, and one within snap (1e-14*ell) of a knot
+    reads the knot's.  For an eigenpair of ``find_eigenvalue`` pass
+    ``q.shifted(pair.shift)`` and ``pair.rho``.  Returns an ndarray of
+    shape (samples, 3) with columns x, y, y'.
     """
-    if traj.dense_logr is None:
-        raise StateError("trajectory carries no amplitude dense output; "
-                         "use integrate_amplitude or integrate_sensitivity")
     if samples < 2:
         raise DomainError("need at least 2 samples")
     import numpy as np
 
-    xq = np.linspace(0.0, traj.ell, samples)
-    phi = _hermite(xq, traj.dense_x, traj.dense_phi, traj.dense_dphi)
-    logr = _hermite(xq, traj.dense_x, traj.dense_logr, traj.dense_dlogr)
+    xs = np.linspace(0.0, ell, samples)
+    traj, bounds, states = _integrate(ctx, q, rho, ell, tol, 2,
+                                      xs[1:-1].tolist())
+    # the nearer bound of each sample: its own, or the knot within snap
+    b = np.array(bounds)
+    i = np.clip(np.searchsorted(b, xs), 1, len(b) - 1)
+    i -= xs - b[i - 1] < b[i] - xs
+    phi, logr, _ = np.array([(0.0, 0.0, 0.0)] + states)[i].T
     r = np.exp(logr)
-    s, c = sp_pair(traj.ctx, phi)
-    return np.column_stack((xq, r * s, traj.rho * r * c))
+    s, c = sp_pair(ctx, phi)
+    return np.column_stack((xs, r * s, traj.rho * r * c))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from plapeig import (SolverConfig, compute_spectrum, constant,
-                     find_eigenvalue, integrate_amplitude, integrate_phase,
+                     find_eigenvalue, integrate_phase,
                      piecewise_linear, reconstruct_eigenfunction, restrict,
                      scaled_tent, sp_pair, verify_remark1, verify_theorem1,
                      verify_theorem2, verify_theorem3)
@@ -213,9 +213,9 @@ def test_criterion_9_oscillation_and_monotonicity(ctx_for):
         ctx = ctx_for(p)
         for n in range(1, 6):
             pair = find_eigenvalue(ctx, tent, n, 1.0, CFG)
-            traj = integrate_amplitude(ctx, tent.shifted(pair.shift),
-                                       pair.rho, 1.0, CFG)
-            ys = reconstruct_eigenfunction(traj, samples=1201)[:, 1]
+            ys = reconstruct_eigenfunction(ctx, tent.shifted(pair.shift),
+                                           pair.rho, 1.0, samples=1201,
+                                           tol=CFG)[:, 1]
             zero_ok &= count_sign_changes(ys[1:-1]) == n - 1
 
     # lambda_n(ell) strictly decreasing in ell

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from plapeig import eigensolver
 from plapeig import (DomainError, HarnessConfig, IntegrationError,
                      SearchError, SolverConfig, bracket_eigenvalue,
                      compute_spectrum, constant, direct_shoot,
-                     find_eigenvalue, integrate_amplitude, integrate_phase,
+                     find_eigenvalue, integrate_phase,
                      piecewise_linear, reconstruct_eigenfunction, restrict,
                      scaled_tent)
 
@@ -277,6 +278,39 @@ class TestRootFind:
         assert calls
         assert all(rel_tol == CFG.rel_tol for _, rel_tol in calls)
 
+    def test_upper_end_widens_to_a_far_root(self, ctx3, monkeypatch):
+        # phi(ell) = ell*rho - delta on q = 0 puts the root far above the
+        # padded upper comparison end, so the search widens that end by
+        # width*2^k until its miss turns positive
+        n, ell, delta = 2, 1.0, 1e-7
+        target = n * ctx3.pi_p
+        evals = []
+
+        def phase(ctx, q, rho, ell, tol):
+            evals.append((rho, ell * rho - delta))
+            return SimpleNamespace(phi_end=ell * rho - delta)
+
+        monkeypatch.setattr(eigensolver, "integrate_phase", phase)
+        pair = find_eigenvalue(ctx3, constant(0.0), n, ell, CFG)
+        assert pair.lam == pytest.approx(((target + delta) / ell) ** 3,
+                                         rel=1e-12)
+        # a widened end that still falls short of the level is widened
+        # again, so more than one widening ran
+        hi = bracket_eigenvalue(ctx3, constant(0.0), n, ell)[1]
+        top = (hi + 1e-12 * (1.0 + hi)) ** (1.0 / 3.0)
+        assert any(r > top and phi < target for r, phi in evals)
+
+    def test_upper_end_widening_gives_up(self, ctx3, monkeypatch):
+        # a phase map that stays below n*pi_p has no root: the search
+        # raises after 60 widenings of the upper end
+        target = 2 * ctx3.pi_p
+        monkeypatch.setattr(
+            eigensolver, "integrate_phase",
+            lambda ctx, q, rho, ell, tol:
+                SimpleNamespace(phi_end=target * rho / (1.0 + rho)))
+        with pytest.raises(SearchError, match="upper bracket"):
+            find_eigenvalue(ctx3, constant(0.0), 2, 1.0, CFG)
+
 
 # relative bound of the closed-form test per p: the search runs on
 # q - mean q, which is 0 on a constant, so only rounding is left (it
@@ -385,8 +419,8 @@ class TestSpectrum:
         assert isinstance(lams, np.ndarray) and lams.shape == (3,)
         assert lams.tolist() == [pr.lam for pr in spec.pairs]
         pair = spec.pairs[1]
-        traj = integrate_amplitude(ctx2, TENT, pair.rho, 1.0)
-        grid = reconstruct_eigenfunction(traj, samples=33)
+        grid = reconstruct_eigenfunction(ctx2, TENT.shifted(pair.shift),
+                                         pair.rho, 1.0, samples=33)
         assert isinstance(grid, np.ndarray) and grid.shape == (33, 3)
         assert grid.dtype == float
 
@@ -510,9 +544,9 @@ class TestOscillation:
     def test_eigenfunction_zero_counts(self, ctx3):
         for n in (1, 2, 3, 4):
             pair = find_eigenvalue(ctx3, TENT, n, 1.0, CFG)
-            traj = integrate_amplitude(ctx3, TENT.shifted(pair.shift),
-                                       pair.rho, 1.0, CFG)
-            grid = reconstruct_eigenfunction(traj, samples=1001)
+            grid = reconstruct_eigenfunction(ctx3, TENT.shifted(pair.shift),
+                                             pair.rho, 1.0, samples=1001,
+                                             tol=CFG)
             ys = grid[:, 1]
             assert count_sign_changes(ys[1:-1]) == n - 1
             assert abs(ys[-1]) <= 1e-7 * np.max(np.abs(ys))
