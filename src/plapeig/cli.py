@@ -77,17 +77,6 @@ class RunConfig:
     out: str | None = None
     extra: dict = field(default_factory=dict)
 
-    def validate(self) -> None:
-        """Check the CLI's own settings the run reads, those in ``echo``;
-        the config dataclasses check theirs."""
-        read = set(self.echo)
-        if "ell" in read and (not self.ell > 0.0 or self.ell > 1.0):
-            raise UsageError(f"--ell must lie in (0, 1], got {self.ell}")
-        if "n_max" in read and self.n_max < 1:
-            raise UsageError(f"--n-max must be >= 1, got {self.n_max}")
-        if "format" in read and self.format not in ("csv", "report"):
-            raise UsageError(f"--format must be csv or report, got {self.format}")
-
     def echo_dict(self) -> dict:
         values = {**vars(self), **vars(self.harness)}
         d = {k: values[k] for k in self.echo}
@@ -184,16 +173,24 @@ def _merge_config(args: argparse.Namespace, unread=()) -> RunConfig:
         pot = args.potential or merged.get("potential")
         if pot is not None:
             cfg.potential = _load_potential(pot)
-    cfg.validate()
+    # the CLI's own settings; one the run does not read holds its default
+    if not 0.0 < cfg.ell <= 1.0:
+        raise UsageError(f"--ell must lie in (0, 1], got {cfg.ell}")
+    if cfg.n_max < 1:
+        raise UsageError(f"--n-max must be >= 1, got {cfg.n_max}")
+    if cfg.format not in ("csv", "report"):
+        raise UsageError(f"--format must be csv or report, got {cfg.format}")
     if hasattr(args, "potential") and cfg.potential is None:
         raise UsageError("--potential is required")
     return cfg
 
 
 def _emit(cfg: RunConfig, header: tuple[str, ...], rows: list[tuple],
-          payload_kind: str, notes: tuple[str, ...] = ()) -> None:
+          payload_kind: str, notes: tuple[str, ...] = (),
+          body: dict | None = None) -> None:
     """Write CSV (with '#' config comments, then one '# note=' comment
-    per note) or a JSON report."""
+    per note) or a JSON report of the config, the kind and ``body``, by
+    default the columns and rows; a NaN in a report is an error."""
     if cfg.format == "csv":
         import csv
         buf = io.StringIO()
@@ -208,13 +205,10 @@ def _emit(cfg: RunConfig, header: tuple[str, ...], rows: list[tuple],
         text = buf.getvalue()
     else:
         doc = {"config": cfg.echo_dict(), "kind": payload_kind,
-               "columns": list(header),
-               "rows": [[v for v in row] for row in rows]}
-        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    _write_out(cfg, text)
-
-
-def _write_out(cfg: RunConfig, text: str) -> None:
+               **(body or {"columns": list(header),
+                           "rows": [list(row) for row in rows]})}
+        text = json.dumps(doc, sort_keys=True, indent=2,
+                          allow_nan=False) + "\n"
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -291,14 +285,8 @@ def cmd_verify(args) -> int:
     cert = harness(make_context(cfg.p), cfg.potential, **kwargs)
 
     cfg.extra = {"theorem": theorem}
-    if cfg.format == "csv":
-        _emit(cfg, CSV_HEADER, cert.csv_rows(), "theorem_certificate",
-              cert.notes)
-    else:
-        doc = {"config": cfg.echo_dict(), "kind": "theorem_certificate",
-               "certificate": cert.to_report_dict()}
-        _write_out(cfg, json.dumps(doc, sort_keys=True, indent=2,
-                                   allow_nan=False) + "\n")
+    _emit(cfg, CSV_HEADER, cert.csv_rows(), "theorem_certificate", cert.notes,
+          {"certificate": cert.to_report_dict()})
     print(f"{cert.theorem_id}: {cert.verdict} "
           f"(worst margin {_fmt(cert.worst_margin) or 'none'})",
           file=sys.stderr)

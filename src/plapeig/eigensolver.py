@@ -49,15 +49,6 @@ _MAX_STEPS = 100
 
 _SHOT_RTOL, _SHOT_ATOL = 1e-10, 1e-12
 
-# an unevaluated bracket end within this distance of an evaluated rho,
-# relative, is that rho: its integration would repeat rho's miss.  The
-# comparison bounds are padded by 1e-12 relative, so both padded ends lie
-# this close to the first guess where max q - min q is below about
-# 1e-11*lambda.  A constant, searched as q = 0, has the exact phase
-# rho*ell and stops at its first guess, so the rule serves only a phase
-# map that misses by more than the stop on so narrow an interval.
-_SAME_RHO = 1e-11
-
 
 @dataclass(frozen=True)
 class Eigenpair:
@@ -144,8 +135,7 @@ def find_eigenvalue(ctx: PContext, q: Potential, n: int, ell: float,
     evaluations that each failed to halve the miss, bisects it.  An end
     not yet seen is integrated and widened by width*2^k in lambda while
     its miss has the wrong sign (the lower end at most halving, so it
-    stays positive); an end within ``_SAME_RHO`` of rho is not
-    integrated, and rho's miss starts the widening.  The search stops at
+    stays positive).  The search stops at
     |miss| <= min(1e-10, phase_tol/10), or takes the evaluated rho of
     least miss once the bracket collapses or ``_MAX_STEPS`` run out.
 
@@ -206,11 +196,9 @@ def find_eigenvalue(ctx: PContext, q: Potential, n: int, ell: float,
         if not a < nxt < b:
             i = 1 if f < 0.0 else 0  # the side the root lies on
             if not (pos if i else neg):
-                # integrate end i, or take rho's miss when it is rho;
-                # widen it while the root lies beyond it
-                r, fr = (b if i else a), f
-                if abs(r - rho) > _SAME_RHO * rho:
-                    fr = h(r)
+                # integrate end i; widen it while the root lies beyond it
+                r = b if i else a
+                fr = h(r)
                 k = 0
                 while (fr < 0.0) if i else (fr > 0.0):
                     k += 1

@@ -276,9 +276,11 @@ def _kernel(rhs, bounds, h, tol, stats, spacing, dim, rho, terms):
     it under-reads, and its weights multiply the error norm of a step
     that starts on a level and of one aimed at a level.  Without
     ``terms`` (amplitude and sensitivity) no step is corrected and the
-    weights are ``_START_WEIGHT`` and ``_END_WEIGHT``.  ``snap``, which
-    is also the step floor, is 1e-14 relative to the last bound ell, so
-    a tiny interval steps as a unit one does.
+    weights are ``_START_WEIGHT`` and ``_END_WEIGHT``.  ``snap`` is
+    1e-14 relative to the last bound ell, so a tiny interval steps as a
+    unit one does.  It is also the step floor: a step shorter than snap
+    is an underflow while the piece has snap or more to go, and a piece
+    shorter than snap is taken as one step.
 
     The step, reject and RHS counts and ``n_landed``, the discarded
     trials (six RHS evaluations each), go to ``stats``, also when the
@@ -331,7 +333,7 @@ def _kernel(rhs, bounds, h, tol, stats, spacing, dim, rho, terms):
                             ht = d
                             aim = ahead
                             weight *= w_end
-                if ht < snap:
+                if ht < snap <= x_end - x:
                     raise IntegrationError(
                         f"step size underflow at x={x!r}", last_x=x)
 
@@ -461,11 +463,10 @@ def _integrate(ctx: PContext, q: Potential, rho: float, ell: float,
                tol: SolverConfig, dim: int, grid=()):
     """One integration over [0, ell] of the first ``dim`` components of
     (phi, log R, u): 1 is the phase alone, 2 adds the amplitude, 3 the
-    sensitivity.  The kernel's bounds are 0, the knots of q in (0, ell),
-    the points of ``grid`` and ell; a grid point within snap of another
-    bound is dropped, since the piece between them would be shorter than
-    the step floor.  Returns the trajectory, the bounds and the state
-    (phi, log R, u) at each bound after the first."""
+    sensitivity.  The kernel's bounds are the sorted set of 0, ell and
+    the knots of q and points of ``grid`` in (0, ell).  Returns the
+    trajectory, the bounds and the state (phi, log R, u) at each bound
+    after the first."""
     if not (isinstance(rho, (int, float)) and math.isfinite(rho)) or rho <= 0.0:
         raise DomainError(
             f"rho must be a positive real (the substitution needs lambda > 0), got {rho!r}")
@@ -501,11 +502,8 @@ def _integrate(ctx: PContext, q: Potential, rho: float, ell: float,
     xs, ss, cs, c2, c3 = ctx._xs, ctx._ss, ctx._cs, ctx._c2, ctx._c3
     scale, start, split, lo_scale, lo, hi_top, hi_scale, hi, right = ctx._index
 
-    bounds = [0.0] + [b for b in q.interior_knots() if 0.0 < b < ell] + [ell]
-    if grid:
-        snap = _SNAP * ell
-        bounds = sorted(bounds + [x for x in grid
-                                  if min(abs(x - b) for b in bounds) > snap])
+    bounds = sorted({0.0, ell, *(x for x in (*q.interior_knots(), *grid)
+                                 if 0.0 < x < ell)})
     h = min(ell, 0.1 * ctx.pi_p / rho)
     stats = {"n_steps": 0, "n_rejected": 0, "n_landed": 0, "n_rhs": 0,
              "n_pieces": len(bounds) - 1,
@@ -621,10 +619,9 @@ def reconstruct_eigenfunction(ctx: PContext, q: Potential, rho: float,
     of [0, ell], with R(0) = 1.
 
     One amplitude integration ends a step on every sample, so each sample
-    reads the integrated state, and one within snap (1e-14*ell) of a knot
-    reads the knot's.  For an eigenpair of ``find_eigenvalue`` pass
-    ``q.shifted(pair.shift)`` and ``pair.rho``.  Returns an ndarray of
-    shape (samples, 3) with columns x, y, y'.
+    reads its own integrated state.  For an eigenpair of
+    ``find_eigenvalue`` pass ``q.shifted(pair.shift)`` and ``pair.rho``.
+    Returns an ndarray of shape (samples, 3) with columns x, y, y'.
     """
     if samples < 2:
         raise DomainError("need at least 2 samples")
@@ -633,10 +630,9 @@ def reconstruct_eigenfunction(ctx: PContext, q: Potential, rho: float,
     xs = np.linspace(0.0, ell, samples)
     traj, bounds, states = _integrate(ctx, q, rho, ell, tol, 2,
                                       xs[1:-1].tolist())
-    # the nearer bound of each sample: its own, or the knot within snap
-    b = np.array(bounds)
-    i = np.clip(np.searchsorted(b, xs), 1, len(b) - 1)
-    i -= xs - b[i - 1] < b[i] - xs
+    # the last bound at or before each sample: the sample itself, or
+    # the integrated ell where ell ran up to 1e-12 past the domain
+    i = np.searchsorted(bounds, xs, side="right") - 1
     phi, logr, _ = np.array([(0.0, 0.0, 0.0)] + states)[i].T
     r = np.exp(logr)
     s, c = sp_pair(ctx, phi)

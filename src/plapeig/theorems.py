@@ -247,7 +247,8 @@ def verify_theorem1(ctx: PContext, q: Potential,
                                       False, False,
                                       f"integration failed: {exc}"))
                 continue
-        scan.append(ScanPoint("theta_dot", inputs, td, 0.0, -td, True,
+        # 0.0 - td: the margin of td = 0.0 is +0.0, not -0.0
+        scan.append(ScanPoint("theta_dot", inputs, td, 0.0, 0.0 - td, True,
                               td <= cfg.slack_abs, note))
 
     if sub.nonnegative and sub.nonpositive:

@@ -400,13 +400,15 @@ def _reference_piece(f, x, y, x_end, h, tol, counters, spacing, ell,
     estimate for the singular term of a step from x that leaves the
     level (aimed False) or is aimed at it (aimed True), applied before
     the last stage.  The snap distance and the step floor are 1e-14
-    relative to the larger of ell and x.
+    relative to ell: a step shorter than the floor is an underflow while
+    the piece has the floor or more to go, and a shorter piece is one
+    step.
     """
     dim = len(y)
     k1 = f(x, y)
     counters["n_rhs"] += 1
     err_old = 1e-4
-    snap = 1e-14 * max(ell, abs(x_end))
+    snap = 1e-14 * ell
     window = 1e-7 * spacing if spacing else None
     landing = None  # (length, level step) of a pending step onto a level
     while x < x_end:
@@ -431,7 +433,7 @@ def _reference_piece(f, x, y, x_end, h, tol, counters, spacing, ell,
                     h_try = dist
                     aim = ahead
                     weight *= weights[1]
-        if h_try < 1e-14 * max(ell, abs(x)):
+        if h_try < snap <= x_end - x:
             raise IntegrationError(f"step size underflow at x={x!r}", last_x=x)
 
         k = [k1]

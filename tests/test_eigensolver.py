@@ -278,6 +278,58 @@ class TestRootFind:
         assert calls
         assert all(rel_tol == CFG.rel_tol for _, rel_tol in calls)
 
+    def test_out_of_steps_misses_the_gate(self, ctx2, monkeypatch):
+        # one step leaves the search at its second integration, 1e-6
+        # short of the root: the miss is refused at phase_tol
+        monkeypatch.setattr(eigensolver, "_MAX_STEPS", 1)
+        calls = spy_integrations(monkeypatch)
+        with pytest.raises(SearchError,
+                           match="misses the phase target by 1.08531e-06"):
+            find_eigenvalue(ctx2, TENT, 2, 1.0, CFG)
+        assert len(calls) == 2
+
+    def test_out_of_steps_takes_the_least_miss(self, ctx2, monkeypatch):
+        # a gate wide enough accepts the evaluated rho of least miss: on
+        # the tent the second, and on a phase map of slope 3 in rho, which
+        # the first secant step (slope ell = 1) overshoots, the first
+        monkeypatch.setattr(eigensolver, "_MAX_STEPS", 1)
+        wide = SolverConfig(phase_tol=0.5)
+        target = 2.0 * ctx2.pi_p
+        real = eigensolver.integrate_phase
+        misses = {}
+
+        def spy(ctx, q, rho, ell, tol):
+            traj = real(ctx, q, rho, ell, tol)
+            misses.setdefault(rho, abs(traj.phi_end - target))
+            return traj
+
+        monkeypatch.setattr(eigensolver, "integrate_phase", spy)
+        pair = find_eigenvalue(ctx2, TENT, 2, 1.0, wide)
+        first, second = list(misses)[:2]  # before the step-out
+        assert pair.rho == second
+        assert pair.residual == misses[second] < misses[first]
+
+        rho0 = target  # the first guess on the tent at p = 2, ell = 1
+        monkeypatch.setattr(
+            eigensolver, "integrate_phase",
+            lambda ctx, q, rho, ell, tol:
+                SimpleNamespace(phi_end=target + 3.0 * (rho - rho0 + 0.01)))
+        pair = find_eigenvalue(ctx2, TENT, 2, 1.0, wide)
+        assert pair.rho == rho0
+        assert pair.residual == pytest.approx(0.03, rel=1e-12)
+
+    def test_no_evaluation_across_the_root(self, ctx2, monkeypatch):
+        # a phase map 5e-11 below the level at every rho passes the stop
+        # and the gate at once, but no step-out ever crosses the level
+        target = 2 * ctx2.pi_p
+        monkeypatch.setattr(
+            eigensolver, "integrate_phase",
+            lambda ctx, q, rho, ell, tol:
+                SimpleNamespace(phi_end=target - 5e-11))
+        with pytest.raises(SearchError,
+                           match="no evaluation across the root for n=2"):
+            find_eigenvalue(ctx2, TENT, 2, 1.0, CFG)
+
     def test_upper_end_widens_to_a_far_root(self, ctx3, monkeypatch):
         # phi(ell) = ell*rho - delta on q = 0 puts the root far above the
         # padded upper comparison end, so the search widens that end by
@@ -556,3 +608,46 @@ class TestOscillation:
         lams = [find_eigenvalue(ctx2, restrict(TENT, ell), 1, ell, CFG).lam
                 for ell in (0.3, 0.5, 0.7, 1.0)]
         assert all(a > b for a, b in zip(lams, lams[1:]))
+
+
+class TestSlivers:
+    """A piece shorter than the step floor (1e-14*ell) is one step, so
+    lambda_n stays continuous in ell and in the knots."""
+
+    @pytest.mark.parametrize("p", (1.5, 2.0, 3.0, 5.0))
+    def test_ell_one_ulp_past_a_knot(self, ctx_for, p):
+        # one ulp of ell moves lambda_n by about p ulps; each search
+        # leaves its lambda about p*residual/(n*pi_p) relative from its
+        # root (1.5e-13 apart at p = 5, n = 5), and that, doubled, is
+        # allowed on top of 1e-13
+        ctx = ctx_for(p)
+        ell = math.nextafter(0.5, 1.0)
+        sliver = compute_spectrum(ctx, restrict(TENT, ell), 6, ell, CFG)
+        half = compute_spectrum(ctx, restrict(TENT, 0.5), 6, 0.5, CFG)
+        for a, b in zip(sliver.pairs, half.pairs):
+            rel = 1e-13 + 2.0 * p * (a.residual + b.residual) / (a.n * ctx.pi_p)
+            assert a.lam == pytest.approx(b.lam, rel=rel), a.n
+
+    @pytest.mark.parametrize("p", (2.0, 3.0))
+    def test_jump_across_one_ulp(self, ctx_for, p):
+        # a jump of q by 1 across one ulp at 0.5; the same jump spread
+        # over 1e-9 moves lambda_n by about 1e-9
+        ctx = ctx_for(p)
+        jump = piecewise_linear([[0.0, 0.0], [0.5, 0.0],
+                                 [math.nextafter(0.5, 1.0), 1.0], [1.0, 1.0]])
+        ramp = piecewise_linear([[0.0, 0.0], [0.5, 0.0], [0.5 + 1e-9, 1.0],
+                                 [1.0, 1.0]])
+        sharp = compute_spectrum(ctx, jump, 4, 1.0, CFG)
+        spread = compute_spectrum(ctx, ramp, 4, 1.0, CFG)
+        for a, b in zip(sharp.pairs, spread.pairs):
+            assert a.lam == pytest.approx(b.lam, rel=1e-8), a.n
+
+    @pytest.mark.parametrize("p", (2.0, 3.0))
+    def test_sliver_at_the_left_end(self, ctx_for, p):
+        # a first piece of 1e-20 leaves the constant 1
+        ctx = ctx_for(p)
+        q = piecewise_linear([[0.0, 0.0], [1e-20, 1.0], [1.0, 1.0]])
+        sliver = compute_spectrum(ctx, q, 4, 1.0, CFG)
+        const = compute_spectrum(ctx, constant(1.0), 4, 1.0, CFG)
+        for a, b in zip(sliver.pairs, const.pairs):
+            assert a.lam == pytest.approx(b.lam, rel=1e-14), a.n

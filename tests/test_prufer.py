@@ -20,6 +20,11 @@ BUMP = piecewise_linear([[0.0, -2.0], [0.45, 3.0], [1.0, -1.0]])
 WELL = piecewise_linear([[0.0, 5.0], [0.4, 0.5], [1.0, 4.0]])
 # ends on its own last knot, at 0.8
 SHORT_BUMP = restrict(BUMP, 0.8)
+# two pieces shorter than the step floor 1e-14: one ulp at 0.3, 1e-15
+# at 0.7
+SLIVER = piecewise_linear([[0.0, -2.0], [0.3, 1.0],
+                           [math.nextafter(0.3, 1.0), -3.0], [0.7, 0.5],
+                           [0.7 + 1e-15, 2.0], [1.0, -1.0]])
 # integrator and the dimension of its state
 INTEGRATORS = ((integrate_phase, 1), (integrate_amplitude, 2),
                (integrate_sensitivity, 3))
@@ -163,15 +168,17 @@ class TestUnrolledKernels:
     """The stage-unrolled kernels against the generic tableau loop."""
 
     @pytest.mark.parametrize("integrate,dim", INTEGRATORS)
-    @pytest.mark.parametrize("q", (TENT, BUMP, WELL, SHORT_BUMP),
-                             ids=("tent", "bump", "well", "restricted"))
+    @pytest.mark.parametrize("q", (TENT, BUMP, WELL, SHORT_BUMP, SLIVER),
+                             ids=("tent", "bump", "well", "restricted",
+                                  "sliver"))
     @pytest.mark.parametrize("p", (1.5, 2.0, 3.0, 5.0, 1.45, 3.3))
     def test_bit_identical_to_reference(self, ctx_for, p, q, integrate, dim):
         # the reference reads q by Potential.value on every call; at
         # ell = 0.37 the last piece of the kernel ends inside a piece of
         # the potential, at domain_end on its last knot.  p = 1.45 and
         # 3.3 lie just outside min(p, p/(p-1)) >= 3/2, where the phase
-        # keeps its weights and its estimate reads the singular term
+        # keeps its weights and its estimate reads the singular term.
+        # Each sliver piece of SLIVER is one step of both
         ctx = ctx_for(p)
         for ell in (q.domain_end, 0.37):
             for rho in (2.5, 11.0):
@@ -428,8 +435,9 @@ class TestReconstruction:
     def test_sample_next_to_a_knot_reads_the_knot(self, ctx2, monkeypatch,
                                                   knot):
         # the fourth of 11 samples is 0.30000000000000004: one knot is
-        # that float and the other lies 5.5e-17 below it, where a piece
-        # between sample and knot would be shorter than the step floor
+        # that float and the other lies 5.5e-17 below it, a piece
+        # shorter than the step floor that the kernel takes in one step,
+        # so the sample's own state is the knot's to rounding
         q = piecewise_linear([[0.0, -1.0], [knot, -4.0], [1.0, -2.0]])
         ends = {}
         kernel = prufer._kernel
@@ -441,7 +449,8 @@ class TestReconstruction:
 
         monkeypatch.setattr(prufer, "_kernel", spy)
         grid = reconstruct_eigenfunction(ctx2, q, 3.0, 1.0, samples=11)
-        assert len(ends) == 10 and knot in ends
+        assert len(ends) == len({knot, *np.linspace(0.0, 1.0, 11)[1:]})
+        assert knot in ends
         phi, logr, _ = ends[knot]
         assert grid[3, 1] == pytest.approx(math.exp(logr) * sp(ctx2, phi),
                                            rel=1e-14)

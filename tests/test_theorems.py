@@ -127,6 +127,19 @@ class TestTheorem1:
         assert cert.hypotheses["rho_threshold"] == pytest.approx(
             2.0 ** (1.0 / 3.0), rel=1e-13)
 
+    def test_empty_turning_interval_margins_are_plus_zero(self, ctx2):
+        # q = -1 - 2x turns at x0 = 0: every row is theta_dot = 0 on an
+        # empty interval, with margin +0.0, never -0.0
+        ramp = piecewise_linear([[0.0, -1.0], [1.0, -3.0]])
+        cert = verify_theorem1(ctx2, ramp)
+        assert cert.verdict == "verified"
+        assert cert.scan
+        for s in cert.scan:
+            assert s.value == 0.0
+            assert s.margin == 0.0 and math.copysign(1.0, s.margin) == 1.0
+            assert s.note == "empty turning interval"
+        assert math.copysign(1.0, cert.worst_margin) == 1.0
+
     def test_hypothesis_gating_well(self, ctx2):
         cert = verify_theorem1(ctx2, WELL)
         assert cert.verdict == "inconclusive"
