@@ -271,7 +271,7 @@ def cmd_verify(args) -> int:
     from .theorems import (CSV_HEADER, verify_remark1, verify_theorem1,
                            verify_theorem2, verify_theorem3)
 
-    theorem = (args.theorem or "").lower()
+    theorem = args.theorem or ""
     cfg = _merge_config(args, _UNREAD.get(theorem, ()))
     harness = {"t1": verify_theorem1, "t2": verify_theorem2,
                "t3": verify_theorem3, "r1": verify_remark1}.get(theorem)
@@ -302,7 +302,7 @@ def cmd_sweep(args) -> int:
     from .potentials import restrict, scaled_tent
     from .ptrig import make_context
 
-    axis = (args.axis or "").lower()
+    axis = args.axis or ""
     # the swept setting replaces its flag
     cfg = _merge_config(args, (axis,) if axis in ("p", "ell") else ())
     if axis not in ("p", "ell", "depth"):

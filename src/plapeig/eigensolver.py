@@ -136,8 +136,9 @@ def find_eigenvalue(ctx: PContext, q: Potential, n: int, ell: float,
     not yet seen is integrated and widened by width*2^k in lambda while
     its miss has the wrong sign (the lower end at most halving, so it
     stays positive).  The search stops at
-    |miss| <= min(1e-10, phase_tol/10), or takes the evaluated rho of
-    least miss once the bracket collapses or ``_MAX_STEPS`` run out.
+    |miss| <= min(1e-10, phase_tol/10); a search that ends short of it,
+    when the bracket collapses or ``_MAX_STEPS`` run out, takes the
+    evaluated rho of least miss.
 
     It runs once, at ``cfg``'s tolerances; a root that misses ``phase_tol``
     raises :class:`SearchError` with its rho and phi(ell).  The returned
@@ -223,8 +224,6 @@ def find_eigenvalue(ctx: PContext, q: Potential, n: int, ell: float,
         slope = (fn - f) / (nxt - rho)
         f_prev = abs(f)
         rho, f = nxt, fn
-    else:
-        f = math.inf  # out of steps: fall back as on a collapse
     if abs(f) > stop:
         rho = min(phis, key=lambda r: (abs(phis[r] - target), r))
 

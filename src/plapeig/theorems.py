@@ -32,6 +32,7 @@ produce identical bytes.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, replace
@@ -147,6 +148,14 @@ _ONE_TURNING_POINT = ("monotone on each side of one turning point",
                       frozenset(Shape) - {Shape.NEITHER})
 
 
+def _refuse(theorem_id: str, hypotheses: dict, config: dict,
+            reason: str) -> TheoremCertificate:
+    """The certificate of a q that fails the hypothesis: no scan, and
+    the ``reason`` as its note."""
+    return _finalize(theorem_id, hypotheses, [], config,
+                     [f"hypothesis failure: {reason}"], False)
+
+
 def _hypothesis_gate(cert: ShapeCertificate, sign: str | None,
                      shape: tuple[str, frozenset] | None,
                      where: str = "") -> str:
@@ -199,17 +208,11 @@ def verify_theorem1(ctx: PContext, q: Potential,
     config = _config_dict("T1", ctx, q, cfg)
     reason = _hypothesis_gate(full, None, _ONE_TURNING_POINT)
     if reason:
-        return _finalize("T1", hypotheses, [], config,
-                         [f"hypothesis failure: {reason}"], False)
+        return _refuse("T1", hypotheses, config, reason)
 
     trivial_interval = x0 < 1e-9
-    if trivial_interval:
-        sub = full
-        q0 = q.value(0.0)
-    else:
-        qr = restrict(q, x0)
-        sub = classify(qr)
-        q0 = qr.value(0.0)
+    sub = full if trivial_interval else classify(restrict(q, x0))
+    q0 = q.value(0.0)  # restrict keeps q(0)
     hypotheses["restricted_shape"] = sub.shape.value
     hypotheses["q0"] = q0
 
@@ -220,8 +223,7 @@ def verify_theorem1(ctx: PContext, q: Potential,
                               None if trivial_interval else _NONDECREASING,
                               " on [0, x0]")
     if reason:
-        return _finalize("T1", hypotheses, [], config,
-                         [f"hypothesis failure: {reason}"], False)
+        return _refuse("T1", hypotheses, config, reason)
 
     if threshold > 0.0:
         rho_grid = _geomspace(threshold, cfg.rho_span * threshold, cfg.rho_points)
@@ -259,63 +261,85 @@ def verify_theorem1(ctx: PContext, q: Potential,
 
 def _collect_pairs(ctx: PContext, q: Potential, indices, ell: float,
                    cfg: HarnessConfig, notes: list[str]
-                   ) -> tuple[dict[int, Eigenpair], bool]:
-    """Eigenpairs for ``indices``, and whether a solve failed; a failed
-    solve skips its index with a note."""
+                   ) -> dict[int, Eigenpair]:
+    """Eigenpairs for ``indices``; a failed search leaves its index out
+    and appends a note."""
     pairs: dict[int, Eigenpair] = {}
-    failed = False
     for n in indices:
         try:
             pairs[n] = find_eigenvalue(ctx, q, n, ell, cfg)
         except SOLVE_FAILED as exc:
-            failed = True
             notes.append(f"eigenvalue search failed at n={n}: {exc}")
-    return pairs, failed
+    return pairs
 
 
-def _ratio_points(ctx: PContext, pairs: dict[int, Eigenpair], n_max: int,
-                  threshold: float | None, lower: bool, cfg: HarnessConfig,
-                  ell: float | None = None) -> list[ScanPoint]:
-    """Pairwise ratio checks; ``lower`` picks the bound direction.
+def _ratio_points(p: float, pairs: dict[int, Eigenpair],
+                  threshold: float | None, lower: bool, slack_rel: float,
+                  inputs: tuple = ()) -> list[ScanPoint]:
+    """Ratio checks over every two of the found ``pairs``; ``lower``
+    picks the bound direction, and ``inputs`` lead each row's inputs.
 
+    lambda_n / lambda_m against (n/m)^p is checked as lambda_n * m^p
+    against lambda_m * n^p, which reverses with the sign of lambda_m.
     With a ``threshold``, pairs need lambda_m >= threshold to be in
     hypothesis (strictness lambda_n > lambda_m is enforced with slack).
     """
-    p = ctx.p
     points = []
-    base_inputs = (("ell", ell),) if ell is not None else ()
-    for m in range(1, n_max + 1):
-        if m not in pairs:
-            continue
-        for n in range(m + 1, n_max + 1):
-            if n not in pairs:
-                continue
-            lam_m, lam_n = pairs[m].lam, pairs[n].lam
-            bound = (n / m) ** p
-            ratio = lam_n / lam_m
-            lhs = lam_n * m ** p
-            rhs = lam_m * n ** p
-            slack = cfg.slack_rel * abs(rhs)
-            if lower:
-                satisfied = lhs >= rhs - slack
-                margin = (lhs - rhs) / abs(rhs)
-            else:
-                satisfied = lhs <= rhs + slack
-                margin = (rhs - lhs) / abs(rhs)
-            in_hyp = True
-            note = ""
-            if threshold is not None:
-                strict = lam_n - lam_m > cfg.slack_rel * max(1.0, abs(lam_m))
-                if lam_m < threshold:
-                    in_hyp = False
-                    note = "lambda_m below threshold"
-                elif not strict:
-                    in_hyp = False
-                    note = "lambda_n > lambda_m not strict within slack"
-            points.append(ScanPoint(
-                "ratio", base_inputs + (("m", float(m)), ("n", float(n))),
-                ratio, bound, margin, in_hyp, satisfied, note))
+    for m, n in itertools.combinations(sorted(pairs), 2):
+        lam_m, lam_n = pairs[m].lam, pairs[n].lam
+        bound = (n / m) ** p
+        ratio = lam_n / lam_m
+        lhs = lam_n * m ** p
+        rhs = lam_m * n ** p
+        slack = slack_rel * abs(rhs)
+        if lower == (lam_m > 0.0):
+            satisfied = lhs >= rhs - slack
+            margin = (lhs - rhs) / abs(rhs)
+        else:
+            satisfied = lhs <= rhs + slack
+            margin = (rhs - lhs) / abs(rhs)
+        in_hyp = True
+        note = ""
+        if threshold is not None:
+            strict = lam_n - lam_m > slack_rel * max(1.0, abs(lam_m))
+            if lam_m < threshold:
+                in_hyp = False
+                note = "lambda_m below threshold"
+            elif not strict:
+                in_hyp = False
+                note = "lambda_n > lambda_m not strict within slack"
+        points.append(ScanPoint(
+            "ratio", inputs + (("m", float(m)), ("n", float(n))),
+            ratio, bound, margin, in_hyp, satisfied, note))
     return points
+
+
+def _ratio_statement(theorem_id: str, ctx: PContext, q: Potential,
+                     cert: ShapeCertificate, n_max: int, cfg: HarnessConfig,
+                     sign: str, shape: tuple[str, frozenset], lower: bool,
+                     threshold: float | None = None) -> TheoremCertificate:
+    """The ratio bound over the pairs among lambda_1..lambda_n_max of a
+    q whose certificate ``cert`` has the ``sign`` and ``shape``: a lower
+    bound when ``lower``, else an upper one, and with a ``threshold``
+    only pairs with lambda_m above it in hypothesis."""
+    hypotheses: dict = {"shape_certificate": cert.as_dict()}
+    if threshold is not None:
+        hypotheses["lambda_threshold"] = threshold
+    config = _config_dict(theorem_id, ctx, q, cfg, n_max)
+    reason = _hypothesis_gate(cert, sign, shape)
+    if reason:
+        return _refuse(theorem_id, hypotheses, config, reason)
+
+    notes: list[str] = []
+    pairs = _collect_pairs(ctx, q, range(1, n_max + 1), q.domain_end, cfg,
+                           notes)
+    hypotheses["lambdas"] = [pairs[n].lam if n in pairs else None
+                             for n in range(1, n_max + 1)]
+    scan = _ratio_points(ctx.p, pairs, threshold, lower, cfg.slack_rel)
+    if cert.nonnegative and cert.nonpositive:
+        notes.append("q vanishes: rigidity direction, ratios should be exact")
+    return _finalize(theorem_id, hypotheses, scan, config, notes,
+                     len(pairs) < n_max)
 
 
 def verify_theorem2(ctx: PContext, q: Potential, n_max: int = 6,
@@ -327,25 +351,8 @@ def verify_theorem2(ctx: PContext, q: Potential, n_max: int = 6,
     sharpness probe).
     """
     cert = classify(q)
-    threshold = -2.0 * cert.q_star
-    hypotheses = {"shape_certificate": cert.as_dict(),
-                  "lambda_threshold": threshold}
-    config = _config_dict("T2", ctx, q, cfg, n_max)
-
-    reason = _hypothesis_gate(cert, "nonpositive", _SINGLE_BARRIER)
-    if reason:
-        return _finalize("T2", hypotheses, [], config,
-                         [f"hypothesis failure: {reason}"], False)
-
-    notes: list[str] = []
-    pairs, failed = _collect_pairs(ctx, q, range(1, n_max + 1),
-                                   q.domain_end, cfg, notes)
-    hypotheses["lambdas"] = [pairs[n].lam if n in pairs else None
-                             for n in range(1, n_max + 1)]
-    scan = _ratio_points(ctx, pairs, n_max, threshold, lower=True, cfg=cfg)
-    if cert.nonnegative and cert.nonpositive:
-        notes.append("q vanishes: rigidity direction, ratios should be exact")
-    return _finalize("T2", hypotheses, scan, config, notes, failed)
+    return _ratio_statement("T2", ctx, q, cert, n_max, cfg, "nonpositive",
+                            _SINGLE_BARRIER, True, -2.0 * cert.q_star)
 
 
 def verify_theorem3(ctx: PContext, q: Potential, n_max: int = 4,
@@ -356,11 +363,11 @@ def verify_theorem3(ctx: PContext, q: Potential, n_max: int = 4,
     with ell_bound = min(1, (-p/(3 q*))^(1/p)); at each ell requires
     lambda_1(ell) > 0 and the ratio lower bound for every pair.  The
     sign of lambda_1 comes from its own search: positive exactly when
-    the lower end of the found lambda_1 bracket is, and only then are
-    lambda_2..lambda_n_max searched and the ratios checked.  The
-    ``lambda1`` row carries the found lambda_1 wherever that search
-    succeeded, and None where it failed.  On this grid the comparison
-    bound already gives lambda_1 >= (pi_p/ell)^p + q* > 0.
+    the found lambda_1 is, and only then are lambda_2..lambda_n_max
+    searched and the ratios checked.  The ``lambda1`` row carries the
+    found lambda_1 wherever that search succeeded, and None where it
+    failed.  On this grid the comparison bound already gives
+    lambda_1 >= (pi_p/ell)^p + q* > 0.
 
     The statement only asserts that some ell_0 > 0 works, so once a grid
     point fails, or any of its searches does, its rows are recorded out
@@ -377,8 +384,7 @@ def verify_theorem3(ctx: PContext, q: Potential, n_max: int = 4,
 
     reason = _hypothesis_gate(cert, "nonpositive", _SINGLE_BARRIER)
     if reason:
-        return _finalize("T3", hypotheses, [], config,
-                         [f"hypothesis failure: {reason}"], False)
+        return _refuse("T3", hypotheses, config, reason)
 
     notes: list[str] = []
     q_star = cert.q_star
@@ -397,17 +403,17 @@ def verify_theorem3(ctx: PContext, q: Potential, n_max: int = 4,
         ell = ell_bound * i / cfg.ell_points
         qr = restrict(q, ell)
         lost: list[str] = []  # the failed searches at this length
-        pairs, _ = _collect_pairs(ctx, qr, [1], ell, cfg, lost)
+        pairs = _collect_pairs(ctx, qr, [1], ell, cfg, lost)
         first = pairs.get(1)
-        positive = first is not None and first.bracket[0] > 0.0
+        positive = first is not None and first.lam > 0.0
         lam1 = first.lam if first is not None else None
 
         pair_pts: list[ScanPoint] = []
         if positive:
-            more, _ = _collect_pairs(ctx, qr, range(2, n_max + 1), ell, cfg,
-                                     lost)
-            pair_pts = _ratio_points(ctx, pairs | more, n_max, threshold=None,
-                                     lower=True, cfg=cfg, ell=ell)
+            pairs |= _collect_pairs(ctx, qr, range(2, n_max + 1), ell, cfg,
+                                    lost)
+            pair_pts = _ratio_points(ctx.p, pairs, None, True, cfg.slack_rel,
+                                     (("ell", ell),))
 
         why = ("" if positive else "lambda_1 search failed" if first is None
                else "lambda_1 not positive")
@@ -445,20 +451,5 @@ def verify_theorem3(ctx: PContext, q: Potential, n_max: int = 4,
 def verify_remark1(ctx: PContext, q: Potential, n_max: int = 6,
                    cfg: HarnessConfig = HarnessConfig()) -> TheoremCertificate:
     """Ratio upper bound for nonnegative single-well potentials."""
-    cert = classify(q)
-    hypotheses = {"shape_certificate": cert.as_dict()}
-    config = _config_dict("R1", ctx, q, cfg, n_max)
-
-    reason = _hypothesis_gate(cert, "nonnegative", _SINGLE_WELL)
-    if reason:
-        return _finalize("R1", hypotheses, [], config,
-                         [f"hypothesis failure: {reason}"], False)
-
-    notes: list[str] = []
-    pairs, failed = _collect_pairs(ctx, q, range(1, n_max + 1),
-                                   q.domain_end, cfg, notes)
-    hypotheses["lambdas"] = [pairs[n].lam if n in pairs else None
-                             for n in range(1, n_max + 1)]
-    scan = _ratio_points(ctx, pairs, n_max, threshold=None, lower=False,
-                         cfg=cfg)
-    return _finalize("R1", hypotheses, scan, config, notes, failed)
+    return _ratio_statement("R1", ctx, q, classify(q), n_max, cfg,
+                            "nonnegative", _SINGLE_WELL, False)

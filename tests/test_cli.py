@@ -207,6 +207,24 @@ class TestVerify:
         assert code == 4
         assert "inconclusive" in err
 
+    def test_t2_negative_lambda_m_rows_miss_their_bound(self, capsys):
+        # depth -30 leaves lambda_1 < 0 < lambda_2: the ratios over
+        # lambda_1 are negative, below (n/m)^2, and their rows say so
+        # (out of hypothesis, so the verdict stays inconclusive)
+        code, out, err = run_cli(
+            capsys, "verify", "--theorem", "t2", "--p", "2", "--potential",
+            '{"type":"scaled_tent","depth":-30,"rise":4}', "--n-max", "3")
+        assert code == 4
+        assert "inconclusive" in err
+        header, rows = parse_csv(out)
+        cols = [dict(zip(header, r)) for r in rows]
+        assert [(c["m"], c["n"], c["margin"], c["satisfied"])
+                for c in cols[:2]] == [
+            ("1", "2", "-1.1398675839860422", "false"),
+            ("1", "3", "-1.3552318024011722", "false")]
+        assert all(float(c["value"]) < 0.0 and c["in_hypothesis"] == "false"
+                   for c in cols[:2])
+
     def test_r1_well_exit_0(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--theorem", "r1", "--p", "2",
                                "--potential", WELL_SPEC, "--n-max", "4")

@@ -1,6 +1,7 @@
 import json
 import math
 from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -220,6 +221,36 @@ class TestTheorem2:
         assert all(not s.in_hypothesis and "below threshold" in s.note
                    for s in first)
 
+    def test_failed_search_leaves_its_pairs_out(self, ctx2, monkeypatch):
+        # the scan walks the pairs that were found: without lambda_2 it
+        # checks (1,3), (1,4) and (3,4), and the gap leaves it inconclusive
+        real_find = theorems.find_eigenvalue
+
+        def find(ctx, q, n, *args, **kwargs):
+            if n == 2:
+                raise SearchError("injected", details={"rho": 1.0})
+            return real_find(ctx, q, n, *args, **kwargs)
+
+        monkeypatch.setattr(theorems, "find_eigenvalue", find)
+        cert = verify_theorem2(ctx2, TENT, n_max=4)
+        assert [(dict(s.inputs)["m"], dict(s.inputs)["n"])
+                for s in cert.scan] == [(1.0, 3.0), (1.0, 4.0), (3.0, 4.0)]
+        assert cert.verdict == "inconclusive"
+        assert cert.hypotheses["lambdas"][1] is None
+        assert cert.notes == ("eigenvalue search failed at n=2: injected",)
+        assert all(s.satisfied for s in cert.scan)
+
+    @pytest.mark.parametrize("lower", (True, False), ids=("lower", "upper"))
+    def test_ratio_bound_reverses_with_the_sign_of_lambda_m(self, lower):
+        # lambda_2 / lambda_1 = -3 lies below 2^2 = 4 whatever the sign of
+        # lambda_1: it misses a lower bound and meets an upper one
+        pairs = {1: SimpleNamespace(lam=-1.0), 2: SimpleNamespace(lam=3.0)}
+        (point,) = theorems._ratio_points(2.0, pairs, None, lower, 1e-8)
+        assert point.value == -3.0 and point.bound == 4.0
+        assert point.satisfied is not lower
+        assert (point.margin < 0.0) is lower
+        assert abs(point.margin) == 1.75  # |3 - (-4)| / 4
+
     def test_t1_t2_rigidity_consistency(self, ctx2):
         # strictly negative sensitivity somewhere forbids the all-pairs
         # exact-equality pattern (equality would force q = 0)
@@ -306,6 +337,21 @@ class TestTheorem3:
                 if s.quantity == "ratio"} == set(rows)
         assert "NaN" not in cert.to_json()
 
+    def test_sign_of_lambda1_reads_the_found_lambda(self, ctx2, monkeypatch):
+        # a bracket that reaches below zero leaves the certificate as it
+        # is: the sign of lambda_1 is that of the found lambda_1
+        expected = verify_theorem3(ctx2, TENT, n_max=3).to_json()
+        real_find = theorems.find_eigenvalue
+
+        def find(*args, **kwargs):
+            pair = real_find(*args, **kwargs)
+            return replace(pair, bracket=(-1.0, pair.bracket[1]))
+
+        monkeypatch.setattr(theorems, "find_eigenvalue", find)
+        cert = verify_theorem3(ctx2, TENT, n_max=3)
+        assert cert.verdict == "verified"
+        assert cert.to_json() == expected
+
     def test_first_point_failure_is_inconclusive(self, ctx2, monkeypatch):
         # halving every lambda_2 forges a ratio violation at every point,
         # driving the existence judgment to its no-evidence outcome
@@ -345,6 +391,14 @@ class TestRemark1:
                 assert lams[n - 1] / lams[m - 1] == pytest.approx(expect,
                                                                   rel=1e-8)
                 assert expect <= (n / m) ** 3
+
+    def test_free_rigidity_note(self, ctx2):
+        # q = 0 meets both statements with equality, and both say so
+        r1 = verify_remark1(ctx2, constant(0.0), n_max=3)
+        t2 = verify_theorem2(ctx2, constant(0.0), n_max=3)
+        assert r1.verdict == t2.verdict == "verified"
+        assert r1.notes == t2.notes == (
+            "q vanishes: rigidity direction, ratios should be exact",)
 
     def test_gating_barrier(self, ctx2):
         assert verify_remark1(ctx2, TENT, n_max=3).verdict == "inconclusive"
