@@ -255,9 +255,9 @@ def cmd_eigs(args) -> int:
     spectrum = compute_spectrum(ctx, q, cfg.n_max, cfg.ell, cfg.harness)
     # rho belongs to q + shift: rho^p = lambda + shift
     rows = [(pr.n, pr.lam, pr.rho, pr.phi_end, pr.residual, pr.zero_count,
-             pr.bracket_width, pr.shift) for pr in spectrum.pairs]
+             pr.shift) for pr in spectrum.pairs]
     _emit(cfg, ("n", "lambda", "rho", "phi_end", "residual", "zero_count",
-                "bracket_width", "shift"), rows, "spectrum")
+                "shift"), rows, "spectrum")
     return EXIT_OK
 
 

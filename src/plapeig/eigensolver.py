@@ -52,10 +52,10 @@ _SHOT_RTOL, _SHOT_ATOL = 1e-10, 1e-12
 
 @dataclass(frozen=True)
 class Eigenpair:
-    """One validated eigenvalue: lambda = rho^p - shift, residual in
-    phase units, zero_count interior zeros of the eigenfunction, and the
-    final lambda-bracket as an honesty interval, [lambda, lambda] when
-    the residual is within rounding of n*pi_p (see ``find_eigenvalue``).
+    """One validated eigenvalue: lambda = rho^p - shift, phi_end and its
+    residual |phi_end - n*pi_p| in phase units at the accepted rho, and
+    zero_count interior zeros of the eigenfunction.  No interval around
+    lambda is kept: the residual is the search's only measure of its root.
 
     ``zero_count`` is n - 1, fixed by the accepted residual: the phase
     crosses the multiples of pi_p only upward, so phi(ell) = n*pi_p
@@ -66,8 +66,7 @@ class Eigenpair:
     (see ``find_eigenvalue``), so it is nonzero on almost every pair.
     ``rho`` belongs to the shifted potential, rho^p = lambda + shift,
     and the eigenfunction is ``reconstruct_eigenfunction(ctx,
-    q.shifted(pair.shift), pair.rho, ell)``.  ``bracket`` is in unshifted
-    lambda.
+    q.shifted(pair.shift), pair.rho, ell)``.
     """
 
     n: int
@@ -76,12 +75,7 @@ class Eigenpair:
     phi_end: float
     residual: float
     zero_count: int
-    bracket: tuple[float, float]
     shift: float = 0.0
-
-    @property
-    def bracket_width(self) -> float:
-        return self.bracket[1] - self.bracket[0]
 
 
 @dataclass(frozen=True)
@@ -141,21 +135,16 @@ def find_eigenvalue(ctx: PContext, q: Potential, n: int, ell: float,
     evaluated rho of least miss.
 
     It runs once, at ``cfg``'s tolerances; a root that misses ``phase_tol``
-    raises :class:`SearchError` with its rho and phi(ell).  The returned
-    bracket spans the nearest evaluation on each side, one more taken
-    just across the root when none lies there.  A root whose miss is
-    within two ulps of n*pi_p, the rounding of the level itself, is a
-    tie: like an exact hit it lies on both sides, and its bracket is
-    [lambda_n, lambda_n], with no integration taken to close it.  So the
-    bracket holds lambda_n to within the phase's rounding at the level,
-    not beyond it.
+    raises :class:`SearchError` with its rho and phi(ell).  An accepted
+    root returns at once, with the residual of its rho and no interval
+    around lambda_n, so no integration is spent beyond the search.
     The search runs on q - mean q (``_mean``, exact on the knots), or
     on q - min q where the shifted lower bound
     (n*pi_p/ell)^p + min q - mean q is not positive, and the shift is
     taken off again (``Eigenpair.shift``): the interval and the guess
     above are those of the shifted potential, and the returned lambda
-    and bracket are unshifted.  The residual, the only
-    acceptance test, fixes ``zero_count`` at n - 1.
+    is unshifted.  The residual, the only acceptance test, fixes
+    ``zero_count`` at n - 1.
     """
     p = ctx.p
     target = n * ctx.pi_p
@@ -234,32 +223,9 @@ def find_eigenvalue(ctx: PContext, q: Potential, n: int, ell: float,
             f"(phase_tol {cfg.phase_tol:g})",
             details={"rho": rho, "phi_end": phis[rho]})
 
-    # honesty bracket: a root within rounding of n*pi_p is a tie and lies
-    # on both sides of it; otherwise an evaluation across the root within
-    # four corrections of it, or one more, stepping out until it lands there
-    lam = rho ** p
-    if residual <= 2.0 * math.ulp(target):
-        bracket = (lam - shift, lam - shift)
-    else:
-        side = 1.0 if h(rho) < 0.0 else -1.0
-        step = max(2.0 * residual / slope if slope > 0.0 else 0.0,
-                   1e-12 * rho)
-        if not any(side * (phi - target) > 0.0 and abs(r - rho) <= 2.0 * step
-                   for r, phi in phis.items()):
-            for _ in range(60):
-                if side * h(rho + side * step) > 0.0:
-                    break
-                step *= 2.0
-            else:
-                raise SearchError(f"no evaluation across the root for n={n}",
-                                  details={"rho": rho, "residual": residual})
-        # both sides now hold an evaluation; one on the level is on both
-        neg = [r ** p for r, phi in phis.items() if phi <= target]
-        pos = [r ** p for r, phi in phis.items() if phi >= target]
-        bracket = (min(max(neg), lam) - shift, max(min(pos), lam) - shift)
-    return Eigenpair(n=n, lam=lam - shift, rho=rho,
+    return Eigenpair(n=n, lam=rho ** p - shift, rho=rho,
                      phi_end=phis[rho], residual=residual,
-                     zero_count=n - 1, bracket=bracket, shift=shift)
+                     zero_count=n - 1, shift=shift)
 
 
 def _mean(q: Potential, ell: float) -> float:

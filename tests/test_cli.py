@@ -92,7 +92,7 @@ class TestEigs:
         assert code == 0
         header, rows = parse_csv(out)
         assert header == ["n", "lambda", "rho", "phi_end", "residual",
-                          "zero_count", "bracket_width", "shift"]
+                          "zero_count", "shift"]
         lams = [float(r[1]) for r in rows]
         assert lams == pytest.approx([math.pi ** 2, 4 * math.pi ** 2,
                                       9 * math.pi ** 2], rel=1e-9)

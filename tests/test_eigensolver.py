@@ -81,20 +81,12 @@ class TestFindEigenvalue:
         pair = find_eigenvalue(ctx2, constant(0.0), 3, 0.5, CFG)
         assert pair.lam == pytest.approx(36.0 * math.pi ** 2, rel=1e-10)
 
-    def test_bracket_is_honest(self, ctx2):
-        pair = find_eigenvalue(ctx2, TENT, 2, 1.0, CFG)
-        lo, hi = pair.bracket
-        assert lo <= pair.lam <= hi
-        assert pair.bracket_width <= 1e-6 * pair.lam
-
     def test_negative_lambda_regime(self, ctx2):
         pair = find_eigenvalue(ctx2, constant(-50.0), 1, 1.0, CFG)
         assert pair.lam == pytest.approx(math.pi ** 2 - 50.0, rel=1e-10)
         assert pair.shift == 50.0
         assert pair.rho ** 2 == pytest.approx(pair.lam + pair.shift,
                                               rel=1e-14)
-        lo, hi = pair.bracket
-        assert lo <= pair.lam <= hi
 
     def test_large_phase_tol(self, ctx2):
         # a loose phase_tol accepts the same root; the accepted residual
@@ -157,11 +149,10 @@ class TestRootFind:
     @pytest.mark.parametrize("q", (TENT, constant(-2.0), PL5),
                              ids=("tent", "constant", "pl5"))
     @pytest.mark.parametrize("p", (1.5, 2.0, 3.0, 5.0))
-    def test_bracket_is_read_off_the_evaluations(self, ctx_for, monkeypatch,
+    def test_lambda_is_that_of_an_integrated_rho(self, ctx_for, monkeypatch,
                                                  p, q):
-        # each bracket end is lambda of the nearest integrated rho on its
-        # side of the level, or lambda_n itself when the root lies on
-        # that side; a root within two ulps of the level lies on both
+        # lambda_n is rho^p - shift of a rho the search integrated, and
+        # its residual and phi_end are that integration's
         ctx = ctx_for(p)
         real = eigensolver.integrate_phase
         evals = []
@@ -175,20 +166,15 @@ class TestRootFind:
         for n in range(1, 13):
             evals.clear()
             pair = find_eigenvalue(ctx, q, n, 1.0, CFG)
-            target = n * ctx.pi_p
-            tie = pair.residual <= 2.0 * math.ulp(target)
             lam_of = {rho: rho ** p - pair.shift for rho, _ in evals}
-            below = [lam_of[r] for r, phi in evals
-                     if phi <= target or tie and r == pair.rho]
-            above = [lam_of[r] for r, phi in evals
-                     if phi >= target or tie and r == pair.rho]
-            assert pair.lam == lam_of[pair.rho]
-            assert pair.bracket == (min(max(below), pair.lam),
-                                    max(min(above), pair.lam)), n
+            phi_of = dict(evals)
+            assert pair.lam == lam_of[pair.rho], n
+            assert pair.phi_end == phi_of[pair.rho], n
+            assert pair.residual == abs(pair.phi_end - n * ctx.pi_p), n
 
-    def test_exact_hit_is_its_own_bracket(self, ctx2, monkeypatch):
-        # a phase that lands on the level exactly lies on both sides of
-        # it: the bracket is [lambda, lambda], with no step-out
+    def test_exact_hit_takes_one_integration(self, ctx2, monkeypatch):
+        # a phase that lands on the level exactly is the root: its
+        # residual is 0 and no integration follows the first
         real = eigensolver.integrate_phase
 
         def exact(ctx, q, rho, ell, tol):
@@ -199,15 +185,14 @@ class TestRootFind:
         calls = spy_integrations(monkeypatch)
         pair = find_eigenvalue(ctx2, TENT, 2, 1.0, CFG)
         assert pair.residual == 0.0
-        assert pair.bracket == (pair.lam, pair.lam)
         assert len(calls) == 1
 
     @pytest.mark.parametrize("ulps", (-2, -1, 1, 2, 3))
-    def test_tie_closes_its_bracket(self, ctx2, monkeypatch, ulps):
-        # a first guess that misses the level by at most two ulps of
-        # n*pi_p is a tie: it closes its bracket [lambda, lambda] with no
-        # more integration.  A miss of three ulps is none, and the
-        # step-out integrates across the root
+    def test_near_miss_first_guess_is_the_root(self, ctx2, monkeypatch,
+                                               ulps):
+        # a first guess that misses the level by a few ulps of n*pi_p,
+        # on either side, is within the stop: it is the root, found with
+        # one integration and reported with its residual
         real = eigensolver.integrate_phase
         target = 2.0 * ctx2.pi_p
         first = []
@@ -225,16 +210,11 @@ class TestRootFind:
         pair = find_eigenvalue(ctx2, TENT, 2, 1.0, CFG)
         assert pair.rho == first[0]
         assert pair.residual == abs(ulps) * math.ulp(target)
-        if abs(ulps) <= 2:
-            assert pair.bracket == (pair.lam, pair.lam)
-            assert len(calls) == 1
-        else:
-            assert pair.bracket[0] < pair.bracket[1] == pair.lam
-            assert len(calls) > 1
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("p,ceiling", (
-        (1.5, (52, 15, 51)), (2.0, (43, 12, 47)),
-        (3.0, (42, 15, 42)), (5.0, (37, 12, 38))))
+        (1.5, (40, 12, 41)), (2.0, (37, 12, 38)),
+        (3.0, (32, 12, 33)), (5.0, (27, 12, 29))))
     def test_integration_count_ceiling(self, ctx_for, monkeypatch, p,
                                        ceiling):
         # integrations are the solver's primary cost: compute_spectrum
@@ -252,17 +232,13 @@ class TestRootFind:
     def test_constant_first_guess_is_the_root(self, ctx_for, monkeypatch, p):
         # on a constant the search runs on q - mean q = 0, so its first
         # guess is the root: compute_spectrum makes one integration per
-        # eigenvalue, and a second only for the honesty step-out of a
-        # miss that rounding put above two ulps of n*pi_p.  At p = 2 no
-        # level is landed and no miss reaches that
+        # eigenvalue at every p, whatever rounding leaves of the miss
         ctx = ctx_for(p)
         calls = spy_integrations(monkeypatch)
         for c, ell in ((-2.0, 1.0), (3.0, 0.5), (-1.3, 1.0), (-50.0, 1.0)):
             calls.clear()
             pairs = compute_spectrum(ctx, constant(c), 12, ell, CFG).pairs
-            step_outs = sum(pr.bracket_width > 0.0 for pr in pairs)
-            assert len(calls) == len(pairs) + step_outs, (c, ell)
-            assert step_outs == 0 or p != 2.0
+            assert len(calls) == len(pairs), (c, ell)
             for pr in pairs:
                 assert pr.shift == -c
                 assert pr.residual <= 8.0 * math.ulp(pr.n * ctx.pi_p)
@@ -305,7 +281,7 @@ class TestRootFind:
 
         monkeypatch.setattr(eigensolver, "integrate_phase", spy)
         pair = find_eigenvalue(ctx2, TENT, 2, 1.0, wide)
-        first, second = list(misses)[:2]  # before the step-out
+        first, second = list(misses)
         assert pair.rho == second
         assert pair.residual == misses[second] < misses[first]
 
@@ -317,18 +293,6 @@ class TestRootFind:
         pair = find_eigenvalue(ctx2, TENT, 2, 1.0, wide)
         assert pair.rho == rho0
         assert pair.residual == pytest.approx(0.03, rel=1e-12)
-
-    def test_no_evaluation_across_the_root(self, ctx2, monkeypatch):
-        # a phase map 5e-11 below the level at every rho passes the stop
-        # and the gate at once, but no step-out ever crosses the level
-        target = 2 * ctx2.pi_p
-        monkeypatch.setattr(
-            eigensolver, "integrate_phase",
-            lambda ctx, q, rho, ell, tol:
-                SimpleNamespace(phi_end=target - 5e-11))
-        with pytest.raises(SearchError,
-                           match="no evaluation across the root for n=2"):
-            find_eigenvalue(ctx2, TENT, 2, 1.0, CFG)
 
     def test_upper_end_widens_to_a_far_root(self, ctx3, monkeypatch):
         # phi(ell) = ell*rho - delta on q = 0 puts the root far above the
@@ -542,9 +506,9 @@ class TestDirectShoot:
 class TestSignOfLambda1:
     @pytest.mark.parametrize("p", (2.0, 3.0))
     def test_agrees_with_direct_shot(self, ctx_for, p):
-        # T3's sign test: lambda_1(ell) > 0 exactly when the lower end of
-        # the n = 1 bracket is; the lambda = 0 direct shot keeps its sign
-        # on (0, ell] exactly then
+        # the sign of the found lambda_1(ell) agrees with the direct
+        # shot: the lambda = 0 shot keeps its sign on (0, ell] exactly
+        # when lambda_1 > 0
         ctx = ctx_for(p)
         for q in (constant(-50.0), scaled_tent(-30.0, 30.0)):
             classes = set()
@@ -553,7 +517,7 @@ class TestSignOfLambda1:
                 shot = direct_shoot(ctx, qr, 0.0, ell)
                 direct = shot.zero_count == 0 and shot.y_end > 0.0
                 pair = find_eigenvalue(ctx, qr, 1, ell, CFG)
-                assert (pair.bracket[0] > 0.0) == direct, (p, ell)
+                assert (pair.lam > 0.0) == direct, (p, ell)
                 classes.add(direct)
             assert classes == {True, False}
 

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from plapeig import (DomainError, HarnessConfig, SearchError, SolverConfig,
-                     constant, piecewise_linear, prufer, scaled_tent,
-                     theorems, verify_remark1, verify_theorem1,
+                     constant, eigensolver, piecewise_linear, prufer,
+                     scaled_tent, theorems, verify_remark1, verify_theorem1,
                      verify_theorem2, verify_theorem3)
 
 from oracles import fd_theta_dot
@@ -337,20 +337,29 @@ class TestTheorem3:
                 if s.quantity == "ratio"} == set(rows)
         assert "NaN" not in cert.to_json()
 
-    def test_sign_of_lambda1_reads_the_found_lambda(self, ctx2, monkeypatch):
-        # a bracket that reaches below zero leaves the certificate as it
-        # is: the sign of lambda_1 is that of the found lambda_1
-        expected = verify_theorem3(ctx2, TENT, n_max=3).to_json()
+    @pytest.mark.parametrize("p", (2.0, 3.0))
+    def test_integrations_per_search(self, ctx_for, monkeypatch, p):
+        # T3 makes most of a certificate's searches, so their cost is
+        # pinned: on the tent at most 2.2 phase integrations per search
+        searches, integrations = [], []
         real_find = theorems.find_eigenvalue
+        real_phase = eigensolver.integrate_phase
 
         def find(*args, **kwargs):
-            pair = real_find(*args, **kwargs)
-            return replace(pair, bracket=(-1.0, pair.bracket[1]))
+            searches.append(args[2])
+            return real_find(*args, **kwargs)
+
+        def phase(*args, **kwargs):
+            integrations.append(args[2])
+            return real_phase(*args, **kwargs)
 
         monkeypatch.setattr(theorems, "find_eigenvalue", find)
-        cert = verify_theorem3(ctx2, TENT, n_max=3)
+        monkeypatch.setattr(eigensolver, "integrate_phase", phase)
+        cert = verify_theorem3(ctx_for(p), TENT, n_max=3)
         assert cert.verdict == "verified"
-        assert cert.to_json() == expected
+        assert searches
+        assert len(integrations) <= 2.2 * len(searches), (
+            len(integrations), len(searches))
 
     def test_first_point_failure_is_inconclusive(self, ctx2, monkeypatch):
         # halving every lambda_2 forges a ratio violation at every point,
