@@ -11,10 +11,12 @@ and ``find_eigenvalue`` runs a secant iteration on the phase miss
 phi(ell) - n*pi_p in rho, from the first-order guess
 (n*pi_p/ell)^p + mean q, safeguarded by that interval.  The terminal
 phase of each integration, kept by rho, is the search's one record: the
-part of the interval known to hold the root is read off it, a step that
-leaves that part becomes a bisection, and an end that fails to bracket
-the root is widened.  It runs once: a root whose miss exceeds the
-residual gate is a ``SearchError``.
+part of the interval known to hold the root is read off it, the padded
+interval's end standing in for a side not yet seen, and a step that
+leaves that part becomes a bisection.  The padded interval is the only
+bracket: its ends are never integrated by themselves and never moved.
+It runs once: a root whose miss exceeds the residual gate, one outside
+the interval included, is a ``SearchError``.
 
 The search runs on the shifted potential q + c and reports
 lambda_n(q) = lambda_n(q + c) - c; the shift identity is exact.  It
@@ -35,6 +37,7 @@ route, and no production path calls it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .config import SolverConfig
@@ -98,9 +101,9 @@ def bracket_eigenvalue(ctx: PContext, q: Potential, n: int, ell: float
                        ) -> tuple[float, float]:
     """Comparison-based lambda interval guaranteed to contain lambda_n:
     (n*pi_p/ell)^p + min q and (n*pi_p/ell)^p + max q, of either sign.
-    Bounds that overflow a float are a ``DomainError``."""
-    if n < 1:
-        raise DomainError(f"eigenvalue index must be >= 1, got {n}")
+    An index that is not an integer >= 1, or bounds that overflow a
+    float, are a ``DomainError``."""
+    _check_index("eigenvalue index", n)
     if not 0.0 < ell <= 1.0:
         raise DomainError(f"interval length must lie in (0, 1], got {ell}")
     qmin, qmax = q.min_max()
@@ -126,13 +129,15 @@ def find_eigenvalue(ctx: PContext, q: Potential, n: int, ell: float,
     off it: the largest rho whose miss is negative and the smallest whose
     miss is positive, the padded comparison ends standing in until each
     side is seen.  A step that leaves the bracket, or follows two
-    evaluations that each failed to halve the miss, bisects it.  An end
-    not yet seen is integrated and widened by width*2^k in lambda while
-    its miss has the wrong sign (the lower end at most halving, so it
-    stays positive).  The search stops at
-    |miss| <= min(1e-10, phase_tol/10); a search that ends short of it,
-    when the bracket collapses or ``_MAX_STEPS`` run out, takes the
-    evaluated rho of least miss.
+    evaluations that each failed to halve the miss, bisects it.  The
+    padded ends are never integrated by themselves and never moved, so
+    every integrated rho lies strictly inside the padded interval.  The
+    search stops at |miss| <= min(1e-10, phase_tol/10); a search that
+    ends short of it, when the bracket collapses (whichever sides have
+    been seen) or ``_MAX_STEPS`` run out, takes the evaluated rho of
+    least miss.  A root outside the interval, which only a faulty
+    integration can put there, collapses the bracket onto a padded end
+    and fails the residual gate.
 
     It runs once, at ``cfg``'s tolerances; a root that misses ``phase_tol``
     raises :class:`SearchError` with its rho and phi(ell).  An accepted
@@ -154,11 +159,11 @@ def find_eigenvalue(ctx: PContext, q: Potential, n: int, ell: float,
     if shift:
         q = q.shifted(shift)
         lo, hi = lo + shift, hi + shift
-    width = max(hi - lo, 1e-9 * (1.0 + abs(hi)))
     lam0 = min(max((n * ctx.pi_p / ell) ** p + _mean(q, ell), lo), hi)
-    # the padded comparison interval in lambda, widened as the search goes
-    ends = [max(lo - 1e-12 * (1.0 + abs(lo)), 0.5 * lo),
-            hi + 1e-12 * (1.0 + abs(hi))]
+    # the padded comparison interval in rho: the bracket's ends until
+    # each side is seen
+    ends = (max(lo - 1e-12 * (1.0 + abs(lo)), 0.5 * lo) ** (1.0 / p),
+            (hi + 1e-12 * (1.0 + abs(hi))) ** (1.0 / p))
     stop = min(1e-10, 0.1 * cfg.phase_tol)
 
     # terminal phase of every integration, by rho
@@ -175,39 +180,15 @@ def find_eigenvalue(ctx: PContext, q: Potential, n: int, ell: float,
     for _ in range(_MAX_STEPS):
         if abs(f) <= stop:
             break
-        neg = [r for r, phi in phis.items() if phi < target]
-        pos = [r for r, phi in phis.items() if phi > target]
-        a = max(neg, default=ends[0] ** (1.0 / p))
-        b = min(pos, default=ends[1] ** (1.0 / p))
-        if neg and pos and b - a <= 1e-13 * (1.0 + b):
+        a = max((r for r, phi in phis.items() if phi < target),
+                default=ends[0])
+        b = min((r for r, phi in phis.items() if phi > target),
+                default=ends[1])
+        if b - a <= 1e-13 * (1.0 + b):
             break
         stalls = stalls + 1 if abs(f) > 0.5 * f_prev else 0
         nxt = rho - f / slope if slope > 0.0 and stalls < 2 else math.nan
         if not a < nxt < b:
-            i = 1 if f < 0.0 else 0  # the side the root lies on
-            if not (pos if i else neg):
-                # integrate end i; widen it while the root lies beyond it
-                r = b if i else a
-                fr = h(r)
-                k = 0
-                while (fr < 0.0) if i else (fr > 0.0):
-                    k += 1
-                    if k > 60:
-                        raise SearchError(
-                            f"no sign change while expanding "
-                            f"{'upper' if i else 'lower'} bracket for n={n}",
-                            details={"miss": fr})
-                    if i:
-                        ends[1] += width * 2.0 ** k
-                    else:
-                        ends[0] = max(ends[0] - width * 2.0 ** k,
-                                      0.5 * ends[0])
-                    r = ends[i] ** (1.0 / p)
-                    fr = h(r)
-                slope = (fr - f) / (r - rho)
-                rho, f = r, fr
-                f_prev, stalls = math.inf, 0
-                continue
             nxt = 0.5 * (a + b)
         fn = h(nxt)
         slope = (fn - f) / (nxt - rho)
@@ -228,6 +209,15 @@ def find_eigenvalue(ctx: PContext, q: Potential, n: int, ell: float,
                      zero_count=n - 1, shift=shift)
 
 
+def _check_index(name: str, n) -> None:
+    """Refuse an index that is not an integer >= 1: a float, even a whole
+    one, and a bool are refused, numpy integers accepted."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise DomainError(f"{name} must be an integer, got {n!r}")
+    if n < 1:
+        raise DomainError(f"{name} must be >= 1, got {n}")
+
+
 def _mean(q: Potential, ell: float) -> float:
     """Mean of q on [0, ell], exact by the trapezoid rule on its knots."""
     xs = [x for x in q.xs if x < ell] + [ell]
@@ -239,8 +229,7 @@ def _mean(q: Potential, ell: float) -> float:
 def compute_spectrum(ctx: PContext, q: Potential, n_max: int, ell: float,
                      cfg: SolverConfig = SolverConfig()) -> Spectrum:
     """Eigenpairs 1..n_max, validated for strict increase."""
-    if n_max < 1:
-        raise DomainError(f"n_max must be >= 1, got {n_max}")
+    _check_index("n_max", n_max)
     pairs = []
     for n in range(1, n_max + 1):
         try:

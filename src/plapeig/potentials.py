@@ -80,8 +80,8 @@ class Potential:
             if x < -1e-12:
                 raise DomainError("evaluation outside [0, domain_end]")
             return self.qs[0]
-        if x >= xs[-1]:
-            if x > xs[-1] + 1e-12:
+        if not x < xs[-1]:  # NaN included
+            if not x <= xs[-1] + 1e-12:
                 raise DomainError("evaluation outside [0, domain_end]")
             return self.qs[-1]
         x0, x1, q0, dq = self.piece(x)

@@ -56,6 +56,22 @@ class TestBracket:
         with pytest.raises(DomainError):
             bracket_eigenvalue(ctx2, TENT, 1, 0.0)
 
+    def test_index_must_be_an_integer(self, ctx2):
+        # an index names the level n*pi_p, so only an integer has an
+        # eigenvalue: a half level lies between two, and a bool or NaN
+        # is no index at all; numpy integers are integers
+        q = constant(-2.0)
+        for n in (2.5, True, math.nan, 2.0):
+            with pytest.raises(DomainError, match="must be an integer"):
+                find_eigenvalue(ctx2, q, n, 1.0)
+        with pytest.raises(DomainError, match="n_max must be an integer"):
+            compute_spectrum(ctx2, q, 2.5, 1.0)
+        with pytest.raises(DomainError, match="n_max must be an integer"):
+            compute_spectrum(ctx2, q, True, 1.0)
+        assert (find_eigenvalue(ctx2, q, np.int64(2), 1.0).lam
+                == find_eigenvalue(ctx2, q, 2, 1.0).lam)
+        assert len(compute_spectrum(ctx2, q, np.int32(2), 1.0).pairs) == 2
+
     @pytest.mark.parametrize("p,n,ell", ((2.0, 1, 1e-300), (1000.0, 4, 1.0)))
     def test_overflow_is_domain_error(self, ctx_for, p, n, ell):
         # an in-range ell or p whose bound (n*pi_p/ell)^p passes the
@@ -126,7 +142,7 @@ class TestRootFind:
         # both missing the target by more than the stop on the same
         # side, say the same thing twice.  On a constant the comparison
         # bracket has zero width, so its padded ends lie that close to
-        # the first guess, and the first widening used to integrate one
+        # the first guess; they are never integrated
         ctx = ctx_for(p)
         real = eigensolver.integrate_phase
         for n in range(1, 13):
@@ -294,38 +310,48 @@ class TestRootFind:
         assert pair.rho == rho0
         assert pair.residual == pytest.approx(0.03, rel=1e-12)
 
-    def test_upper_end_widens_to_a_far_root(self, ctx3, monkeypatch):
-        # phi(ell) = ell*rho - delta on q = 0 puts the root far above the
-        # padded upper comparison end, so the search widens that end by
-        # width*2^k until its miss turns positive
-        n, ell, delta = 2, 1.0, 1e-7
-        target = n * ctx3.pi_p
+    @pytest.mark.parametrize("phase", (
+        lambda rho, target: rho - 1e-7,
+        lambda rho, target: target * rho / (1.0 + rho)),
+        ids=("root_past_the_upper_end", "no_root"))
+    def test_root_outside_the_interval_misses_the_gate(self, ctx3,
+                                                       monkeypatch, phase):
+        # phi(ell) = ell*rho - 1e-7 on q = 0 puts the root above the
+        # padded upper comparison end, and target*rho/(1 + rho) has no
+        # root: the bisection runs into the padded end, the bracket
+        # collapses, and the least miss is refused at phase_tol after a
+        # handful of integrations
+        target = 2 * ctx3.pi_p
         evals = []
 
-        def phase(ctx, q, rho, ell, tol):
-            evals.append((rho, ell * rho - delta))
-            return SimpleNamespace(phi_end=ell * rho - delta)
+        def fake(ctx, q, rho, ell, tol):
+            evals.append(rho)
+            return SimpleNamespace(phi_end=phase(rho, target))
 
-        monkeypatch.setattr(eigensolver, "integrate_phase", phase)
-        pair = find_eigenvalue(ctx3, constant(0.0), n, ell, CFG)
-        assert pair.lam == pytest.approx(((target + delta) / ell) ** 3,
-                                         rel=1e-12)
-        # a widened end that still falls short of the level is widened
-        # again, so more than one widening ran
-        hi = bracket_eigenvalue(ctx3, constant(0.0), n, ell)[1]
-        top = (hi + 1e-12 * (1.0 + hi)) ** (1.0 / 3.0)
-        assert any(r > top and phi < target for r, phi in evals)
-
-    def test_upper_end_widening_gives_up(self, ctx3, monkeypatch):
-        # a phase map that stays below n*pi_p has no root: the search
-        # raises after 60 widenings of the upper end
-        target = 2 * ctx3.pi_p
-        monkeypatch.setattr(
-            eigensolver, "integrate_phase",
-            lambda ctx, q, rho, ell, tol:
-                SimpleNamespace(phi_end=target * rho / (1.0 + rho)))
-        with pytest.raises(SearchError, match="upper bracket"):
+        monkeypatch.setattr(eigensolver, "integrate_phase", fake)
+        with pytest.raises(SearchError, match="misses the phase target"):
             find_eigenvalue(ctx3, constant(0.0), 2, 1.0, CFG)
+        assert 1 < len(evals) <= 5
+
+    @pytest.mark.parametrize("p,knots", (
+        (2.0, [[0, -110], [1, 60]]),
+        (3.0, [[0, 70.54889828445357],
+               [0.6502104788651704, 247.00381893036126],
+               [1, 124.02745201104779]])), ids=("p2", "p3"))
+    def test_integrations_stay_inside_the_padded_interval(
+            self, ctx_for, monkeypatch, p, knots):
+        # the padded comparison interval is the only bracket: a side not
+        # yet seen is stood in for by its end, which is never integrated,
+        # so every integrated rho (of the shifted potential) lies
+        # strictly inside it.  On these inputs lambda_1 lies near an end
+        ctx, q = ctx_for(p), piecewise_linear(knots)
+        calls = spy_integrations(monkeypatch)
+        pair = find_eigenvalue(ctx, q, 1, 1.0, CFG)
+        lo, hi = (v + pair.shift for v in bracket_eigenvalue(ctx, q, 1, 1.0))
+        bottom = max(lo - 1e-12 * (1.0 + abs(lo)), 0.5 * lo) ** (1.0 / p)
+        top = (hi + 1e-12 * (1.0 + abs(hi))) ** (1.0 / p)
+        assert calls
+        assert all(bottom < rho < top for rho, _ in calls), (bottom, top)
 
 
 # relative bound of the closed-form test per p: the search runs on

@@ -69,6 +69,14 @@ class TestEvaluation:
         with pytest.raises(DomainError):
             q(np.array([-0.2, 0.5]))
 
+    def test_nan_rejected(self):
+        # NaN lies in no piece, so it is outside the domain as x > 1 is
+        q = tent_barrier()
+        for call in (lambda: q.value(float("nan")), lambda: q(float("nan")),
+                     lambda: q([0.5, float("nan")])):
+            with pytest.raises(DomainError, match="outside"):
+                call()
+
     def test_shift(self):
         q = tent_barrier().shifted(2.0)
         assert q(0.5) == pytest.approx(-1.0)
