@@ -6,18 +6,40 @@ With rho = lambda^(1/p) the substitution
 
 turns the eigenvalue equation into the decoupled system
 
-    phi'(x)        = rho - q(x)/rho^(p-1) * |S_p(phi)|^p,      phi(0) = 0,
-    (log R)'(x)    = q(x)/rho^(p-1) * S_p(phi)^(p-1) * S_p'(phi),
+    phi'(x)        = rho - Q(x) * G,      phi(0) = 0,
+    (log R)'(x)    = Q(x) * S_p(phi)^(p-1) * S_p'(phi),
 
-where f^(p-1) = |f|^(p-2) f.  Differentiating the phase equation in rho
-gives the sensitivity u = d(phi)/d(rho):
+with Q = q/rho^(p-1), G = |S_p(phi)|^p and f^(p-1) = |f|^(p-2) f.
+Differentiating the phase equation in rho gives the sensitivity
+u = d(phi)/d(rho):
 
     u' = a(x) u + b(x),   u(0) = 0,
-    a  = -p * q/rho^(p-1) * S_p(phi)^(p-1) * S_p'(phi),
-    b  = 1 + (p-1) * q/rho^p * |S_p(phi)|^p,
+    a  = -p * Q * S_p(phi)^(p-1) * S_p'(phi),
+    b  = 1 + (p-1) * (Q/rho) * G,
 
 from which the rho-derivative of the scaled phase theta = phi/rho at
-the right endpoint is (rho*u - phi)/rho^2.
+the right endpoint is (rho*u - phi)/rho^2.  The slopes of log R and u
+carry S_p^(p-1)*S_p', which is rough next to the quarter points of phi
+(see below).  Since d/dx G = p * S_p^(p-1) * S_p' * phi', wherever
+phi' > 0 both follow from lanes whose slopes depend on phi only
+through G:
+
+    log R = -ln(phi'/rho)/p - m,        m' = Q' * G / (p * phi'),
+    u     = e^(p*m) * (phi'/rho) * v,   v' = e^(-p*m) * (rho + (p-1) * Q * G) / phi',
+
+with m(0) = v(0) = 0 and Q' = (dq/dx)/rho^(p-1).  On a steep piece
+Q' is large, and m follows ln(phi') across it faster than steps in x
+can resolve, so each piece integrates mu = m + ln(L/L0)/p in place of
+m, with L = rho - Q*G0, G0 the value of G where the piece starts and L0
+that of L: L takes the part of ln(phi') that Q' drives in closed form,
+and mu' = Q' * rho * (G - G0) / (p * phi' * L) stays bounded however
+steep the piece (G0 is 0 where L would not stay positive on the
+piece).  The sensitivity integrates (phi, v, mu) and forms log R and u
+at the right endpoint from phi' there; it is defined where the phase
+does not stall, which holds wherever q <= 0 (phi' >= rho there), and
+raises ``IntegrationError`` where some stage sees phi' <= 0.  The amplitude integrates log R
+itself, because eigenfunctions are reconstructed on potentials where
+phi' can reach 0.
 
 The integrator is an adaptive explicit Dormand-Prince 4(5) pair with PI
 step-size control.  Stiffness is not a concern.  Interior knots of
@@ -50,30 +72,34 @@ estimate; below 3/2 the terms t^(2a) are as large, so the estimate keeps
 them and the error norm of a step that starts or ends on a level is
 weighted instead.  At p = 2, |S_2|^2 = sin^2 is analytic, so no level is
 landed and results keep their bits.  The amplitude and sensitivity
-integrations land too: the levels are those of their phase, and their
-steps next to a level are weighted.
+integrations land too: the levels are those of their phase.  The
+sensitivity's lanes carry dF/dG times the phase's term, F a lane's
+slope, so one defect computation per step feeds all three components,
+and they share the phase's estimate and weights.  The amplitude's log R
+carries S_p' itself; its steps next to a level are weighted.
 
 One stage-unrolled kernel, ``_kernel``, runs the pair for every
 integration, so the step control, the step budget, the snap rule and
 the landings live in one place.  The phase alone steps on a plain
 float, with named stages k1..k7 and counts in local ints; the
 eigenvalue search uses only this path.  For amplitude and sensitivity
-the lanes log R and u ride along through a branch at each stage.  The
-kernel keeps the state at the end of each of its pieces and nothing in
-between, so ``reconstruct_eigenfunction`` makes its samples bounds of
-the kernel and reads the integrated state there.
+two lanes ride along through a branch at each stage.  The kernel keeps
+the state at the end of each of its pieces and nothing in between, so
+``reconstruct_eigenfunction`` makes its samples bounds of the kernel
+and reads the integrated state there.
 
 The kernel steps knot to knot, so on each of its pieces q is one affine
 function.  It asks ``_integrate`` for the right-hand side of a piece
 once, when the piece starts: that closure holds the potential's affine
 piece (``Potential.piece``, in the arithmetic of ``Potential.value``)
-and the context's p-sine table.  The phase closure reads |S_p|^p off
-the table itself, in the arithmetic of ``PContext.fold`` and through
-the same index, so a phase evaluation is the one call to the closure,
-with no knot lookup; the amplitude and sensitivity closures call the
-bound fold.  Only the c = 1 stages of a piece's last step, which land
-on its right knot or an ulp past it, read q through
-``Potential.value``, which takes the next piece there.
+and the context's p-sine table.  The phase and sensitivity closures
+read |S_p|^p off the table themselves, in the arithmetic of
+``PContext.fold`` and through the same index, so an evaluation is the
+one call to the closure, with no knot lookup; the amplitude closure,
+which needs the sign and S_p', calls the bound fold.  Only the c = 1
+stages of a piece's last step, which land on its right knot or an ulp
+past it, read q through ``Potential.value``, which takes the next piece
+there; Q' is the piece's throughout.
 
 Every sum is added left to right in tableau order, so the kernel
 reproduces a generic tableau loop bit for bit: terminal values, step
@@ -228,22 +254,51 @@ def _hermite_crossing(y0, y1, d0, d1, level):
     return theta
 
 
-def _kernel(rhs, bounds, h, tol, stats, spacing, dim, rho, terms):
-    """Adaptive DP45 on the first ``dim`` components of (phi, log R, u),
-    all 0 at bounds[0].
+def _lane_terms(p, rho, k, big_q, dq, m, a, odd):
+    """The sensitivity lanes' stand-ins for the phase's Q and c1 on a
+    step next to a level (see ``_level_terms``), as (Q_v, c1_v, Q_m,
+    c1_m), with the phase slope k, Q = ``big_q`` and m read at the level
+    and Q' = ``dq`` the piece's.
 
-    ``rhs(x)`` hands out the right-hand side ``f`` of the piece of
-    ``bounds`` that starts at x, ``coef``, which reads Q = q*rho^(1-p)
-    as ``f`` reads q, and the piece's slope Q' = (dq/dx)*rho^(1-p); the
-    kernel asks for them once per piece.  With dim = 1 the phase steps
+    There G = |S_p(phi)|^p carries a term that is not smooth, of which
+    the phase slope rho - Q*G carries -Q times and a lane's slope F
+    dF/dG times, so a lane takes the phase's defects with -dF/dG for Q:
+    dF/dG = p*rho*Q*e^(-p*m)/k^2 for v and Q'*rho/(p*k^2) for m, read
+    with phi' = k and G = 0 at a zero, 1 at an extremum.  For c1 it
+    takes -(D' + dF/dG*kappa), with D' the x-derivative of dF/dG along
+    the level, p*rho^2*Q'*e^(-p*m)/k^3 for v and 2*rho*Q'^2*G/(p*k^3)
+    for m, and kappa = -a*Q'/(2k) from the phase's curvature at an
+    extremum, 0 at a zero."""
+    r = rho / (k * k)
+    e = math.exp(-p * m)
+    if odd:
+        return (-p * r * big_q * e, -p * r * dq * e * (rho - 0.5 * a * big_q) / k,
+                -dq * r / p, -dq * dq * r * (2.0 - 0.5 * a) / (p * k))
+    return -p * r * big_q * e, -p * r * dq * e * rho / k, -dq * r / p, 0.0
+
+
+def _kernel(rhs, bounds, h, tol, stats, spacing, dim, rho, p, terms):
+    """Adaptive DP45 on the phase and, with dim = 2 or 3, two lanes, all
+    0 at bounds[0].
+
+    ``rhs(x, phi)`` hands out the right-hand side ``f`` of the piece of
+    ``bounds`` that starts at x with the phase phi, ``coef``, which reads
+    Q = q*rho^(1-p) as ``f`` reads q, the piece's slope
+    Q' = (dq/dx)*rho^(1-p), and ``to_m``, None but for the sensitivity;
+    the kernel asks for them once per piece.  With dim = 1 the phase steps
     alone on a plain float and ``f(x, phi) -> phi'``.  With dim = 2 or 3
-    the lanes log R and u ride along and
-    ``f(x, phi, u) -> (phi', (log R)', u')``; log R enters no right-hand
-    side, so only its 5th-order value is formed.  The error norm is the RMS over ``dim`` components:
-    with dim = 2 ``f`` returns u' = 0, so u stays 0 and adds exactly 0
-    to the norm.  Each piece of ``bounds`` starts with a fresh slope and
-    a fresh controller memory; the step size carries over.  Returns the
-    list of states (phi, log R, u) at the end of each piece.
+    the lanes v and m ride along and ``f(x, phi, m) -> (phi', v', m')``:
+    v enters no right-hand side, so only its 5th-order value is formed,
+    and m is fed back through the stages.  The amplitude (dim = 2) has
+    v = log R and m' = 0, so m stays 0 and adds exactly 0 to the error
+    norm.  The sensitivity (dim = 3) steps each piece on the piece's own
+    lane mu in place of m, and ``to_m(x, mu)`` gives m, which the kernel
+    takes at the end of the piece and where a level step reads it.  The
+    error norm is the RMS over ``dim`` components.  Each piece of
+    ``bounds`` starts with a fresh slope and a fresh controller memory;
+    the step size carries over.  Returns the list of states (phi, v, m)
+    at the end of each piece, and the phase slope at the last one, which
+    is the last step's k7.
 
     With ``spacing`` (pi_p/2 for p != 2, None at p = 2) every level
     k*spacing the phase reaches becomes a step boundary.  The kernel
@@ -268,14 +323,19 @@ def _kernel(rhs, bounds, h, tol, stats, spacing, dim, rho, terms):
 
     The steps next to a level carry the singular term of the phase slope
     that ``_level_terms(p)`` describes.  With ``terms``, its value (the
-    phase alone at p != 2), a step that starts on a level takes that
-    level's defects with slope k1 and Q read at x, and a step aimed at a
-    level (predicted or Hermite) takes them with slope rho at a zero and
-    rho - Q at an extremum and Q read at x + h, before k7 is evaluated,
-    and both read the piece's Q'; the estimate drops what ``terms`` says
-    it under-reads, and its weights multiply the error norm of a step
-    that starts on a level and of one aimed at a level.  Without
-    ``terms`` (amplitude and sensitivity) no step is corrected and the
+    phase and the sensitivity at p != 2), a step that starts on a level
+    takes that level's defects with slope k1 and Q read at x, and a step
+    aimed at a level (predicted or Hermite) takes them with slope rho at
+    a zero and rho - Q at an extremum and Q read at x + h, before k7 is
+    evaluated, and both read the piece's Q'.  One defect computation
+    feeds every component: the sensitivity's lanes take it with the
+    stand-ins for Q and c1 of ``_lane_terms``, read with m at x for a
+    step that leaves a level and with the 5th-order m at x + h for one
+    aimed at a level (mu differs from m by a function of x alone, so
+    its stand-ins are m's).  The estimate of each component drops what
+    ``terms`` says it under-reads, and its weights multiply the error
+    norm of a step that starts on a level and of one aimed at a level.
+    Without ``terms`` (the amplitude) no step is corrected and the
     weights are ``_START_WEIGHT`` and ``_END_WEIGHT``.  ``snap`` is
     1e-14 relative to the last bound ell, so a tiny interval steps as a
     unit one does.  It is also the step floor: a step shorter than snap
@@ -290,7 +350,7 @@ def _kernel(rhs, bounds, h, tol, stats, spacing, dim, rho, terms):
     lanes = dim > 1
     ell = bounds[-1]
     (w_start, w_end), kinds = terms or ((_START_WEIGHT, _END_WEIGHT), None)
-    phi = lr = u = 0.0
+    phi = v = m = 0.0
     k = dk = 0  # the phase last sat on the level k*spacing
     if spacing:
         # a phase past either bound has reached the level next to it
@@ -304,9 +364,9 @@ def _kernel(rhs, bounds, h, tol, stats, spacing, dim, rho, terms):
     states = []
     try:
         for x, x_end in zip(bounds, bounds[1:]):
-            f, coef, dcoef = rhs(x)
+            f, coef, dcoef, to_m = rhs(x, phi)
             if lanes:
-                k1, l1, u1 = f(x, phi, u)
+                k1, v1, m1 = f(x, phi, m)
             else:
                 k1 = f(x, phi)
             n_rhs += 1
@@ -339,63 +399,86 @@ def _kernel(rhs, bounds, h, tol, stats, spacing, dim, rho, terms):
 
                 y = phi + ht * (_A21 * k1)
                 if lanes:
-                    k2, l2, u2 = f(x + _C2 * ht, y, u + ht * (_A21 * u1))
+                    k2, v2, m2 = f(x + _C2 * ht, y, m + ht * (_A21 * m1))
                 else:
                     k2 = f(x + _C2 * ht, y)
                 y = phi + ht * (_A31 * k1 + _A32 * k2)
                 if lanes:
-                    k3, l3, u3 = f(x + _C3 * ht, y,
-                                   u + ht * (_A31 * u1 + _A32 * u2))
+                    k3, v3, m3 = f(x + _C3 * ht, y,
+                                   m + ht * (_A31 * m1 + _A32 * m2))
                 else:
                     k3 = f(x + _C3 * ht, y)
                 y = phi + ht * (_A41 * k1 + _A42 * k2 + _A43 * k3)
                 if lanes:
-                    k4, l4, u4 = f(x + _C4 * ht, y,
-                                   u + ht * (_A41 * u1 + _A42 * u2 + _A43 * u3))
+                    k4, v4, m4 = f(x + _C4 * ht, y,
+                                   m + ht * (_A41 * m1 + _A42 * m2 + _A43 * m3))
                 else:
                     k4 = f(x + _C4 * ht, y)
                 y = phi + ht * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4)
                 if lanes:
-                    k5, l5, u5 = f(x + _C5 * ht, y,
-                                   u + ht * (_A51 * u1 + _A52 * u2 + _A53 * u3
-                                             + _A54 * u4))
+                    k5, v5, m5 = f(x + _C5 * ht, y,
+                                   m + ht * (_A51 * m1 + _A52 * m2 + _A53 * m3
+                                             + _A54 * m4))
                 else:
                     k5 = f(x + _C5 * ht, y)
                 y = phi + ht * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4
                                 + _A65 * k5)
                 if lanes:
-                    k6, l6, u6 = f(x + ht, y,
-                                   u + ht * (_A61 * u1 + _A62 * u2 + _A63 * u3
-                                             + _A64 * u4 + _A65 * u5))
+                    k6, v6, m6 = f(x + ht, y,
+                                   m + ht * (_A61 * m1 + _A62 * m2 + _A63 * m3
+                                             + _A64 * m4 + _A65 * m5))
                 else:
                     k6 = f(x + ht, y)
                 phi_new = phi + ht * (_A71 * k1 + _A73 * k3 + _A74 * k4
                                       + _A75 * k5 + _A76 * k6)
                 te = 0.0
                 if lanes:
-                    u_new = u + ht * (_A71 * u1 + _A73 * u3 + _A74 * u4
-                                      + _A75 * u5 + _A76 * u6)
-                    k7, l7, u7 = f(x + ht, phi_new, u_new)
+                    v_new = v + ht * (_A71 * v1 + _A73 * v3 + _A74 * v4
+                                      + _A75 * v5 + _A76 * v6)
+                    m_new = m + ht * (_A71 * m1 + _A73 * m3 + _A74 * m4
+                                      + _A75 * m5 + _A76 * m6)
+                    tv = tm = 0.0
+                # the singular terms of the levels the step leaves and is
+                # aimed at, which the tableau misreads
+                if kinds and on_level:
+                    g, a, (db, de, db1, de1), _ = kinds[k & 1]
+                    qx = coef(x)
+                    c1 = (dcoef * (1.0 - a * qx / (2.0 * k1))
+                          if k & 1 and k1 else dcoef)
+                    t = ht * (g * abs(k1 * ht)) ** a
+                    phi_new += t * (qx * db + c1 * ht * db1)
+                    te = t * (qx * de + c1 * ht * de1)
+                    if lanes:
+                        qv, cv, qm, cm = _lane_terms(p, rho, k1, qx, dcoef,
+                                                     to_m(x, m), a, k & 1)
+                        v_new += t * (qv * db + cv * ht * db1)
+                        m_new += t * (qm * db + cm * ht * db1)
+                        tv = t * (qv * de + cv * ht * de1)
+                        tm = t * (qm * de + cm * ht * de1)
+                if kinds and aim is not None:
+                    g, a, _, (db, de, db1, de1) = kinds[aim & 1]
+                    qe = coef(x + ht)
+                    slope = rho - qe if aim & 1 else rho
+                    c1 = (dcoef * (1.0 - a * qe / (2.0 * slope))
+                          if aim & 1 and slope else dcoef)
+                    t = ht * (g * abs(slope * ht)) ** a
+                    phi_new += t * (qe * db + c1 * ht * db1)
+                    te += t * (qe * de + c1 * ht * de1)
+                    if lanes:
+                        if not slope > 0.0:
+                            raise IntegrationError(
+                                f"phase stalls: phi' = {slope!r} <= 0 at the "
+                                f"level ahead of x={x!r}", last_x=x)
+                        qv, cv, qm, cm = _lane_terms(p, rho, slope, qe, dcoef,
+                                                     to_m(x + ht, m_new), a,
+                                                     aim & 1)
+                        v_new += t * (qv * db + cv * ht * db1)
+                        m_new += t * (qm * db + cm * ht * db1)
+                        tv += t * (qv * de + cv * ht * de1)
+                        tm += t * (qm * de + cm * ht * de1)
+                if lanes:
+                    k7, v7, m7 = f(x + ht, phi_new, m_new)
                 else:
-                    # the singular terms of the levels the step leaves
-                    # and is aimed at, which the tableau misreads
-                    if kinds and on_level:
-                        g, a, (db, de, db1, de1), _ = kinds[k & 1]
-                        qx = coef(x)
-                        c1 = (dcoef * (1.0 - a * qx / (2.0 * k1))
-                              if k & 1 and k1 else dcoef)
-                        t = ht * (g * abs(k1 * ht)) ** a
-                        phi_new += t * (qx * db + c1 * ht * db1)
-                        te = t * (qx * de + c1 * ht * de1)
-                    if kinds and aim is not None:
-                        g, a, _, (db, de, db1, de1) = kinds[aim & 1]
-                        qe = coef(x + ht)
-                        slope = rho - qe if aim & 1 else rho
-                        c1 = (dcoef * (1.0 - a * qe / (2.0 * slope))
-                              if aim & 1 and slope else dcoef)
-                        t = ht * (g * abs(slope * ht)) ** a
-                        phi_new += t * (qe * db + c1 * ht * db1)
-                        te += t * (qe * de + c1 * ht * de1)
                     k7 = f(x + ht, phi_new)
                 n_rhs += 6
 
@@ -403,15 +486,13 @@ def _kernel(rhs, bounds, h, tol, stats, spacing, dim, rho, terms):
                           + _E7 * k7) - te
                 err = (e / (abs_tol + rel_tol * max(abs(phi), abs(phi_new)))) ** 2
                 if lanes:
-                    lr_new = lr + ht * (_A71 * l1 + _A73 * l3 + _A74 * l4
-                                        + _A75 * l5 + _A76 * l6)
-                    el = ht * (_E1 * l1 + _E3 * l3 + _E4 * l4 + _E5 * l5
-                               + _E6 * l6 + _E7 * l7)
-                    eu = ht * (_E1 * u1 + _E3 * u3 + _E4 * u4 + _E5 * u5
-                               + _E6 * u6 + _E7 * u7)
+                    ev = ht * (_E1 * v1 + _E3 * v3 + _E4 * v4 + _E5 * v5
+                               + _E6 * v6 + _E7 * v7) - tv
+                    em = ht * (_E1 * m1 + _E3 * m3 + _E4 * m4 + _E5 * m5
+                               + _E6 * m6 + _E7 * m7) - tm
                     err = (err
-                           + (el / (abs_tol + rel_tol * max(abs(lr), abs(lr_new)))) ** 2
-                           + (eu / (abs_tol + rel_tol * max(abs(u), abs(u_new)))) ** 2
+                           + (ev / (abs_tol + rel_tol * max(abs(v), abs(v_new)))) ** 2
+                           + (em / (abs_tol + rel_tol * max(abs(m), abs(m_new)))) ** 2
                            ) / dim
                 err = math.sqrt(err) * weight
 
@@ -442,7 +523,7 @@ def _kernel(rhs, bounds, h, tol, stats, spacing, dim, rho, terms):
                     phi, k1 = phi_new, k7
                     n_steps += 1
                     if lanes:
-                        lr, u, l1, u1 = lr_new, u_new, l7, u7
+                        v, m, v1, m1 = v_new, m_new, v7, m7
                     if ht >= h:  # not shortened by a boundary: PI rescale
                         h = ht * (_MAX_FACTOR if err == 0.0 else min(
                             _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** -_PI_ALPHA
@@ -452,21 +533,23 @@ def _kernel(rhs, bounds, h, tol, stats, spacing, dim, rho, terms):
                     n_rejected += 1
                     h = ht * max(0.1, min(0.9, _SAFETY * err ** -0.2))
                     land = 0.0
-            states.append((phi, lr, u))
+            if to_m:
+                m = to_m(x, m)
+            states.append((phi, v, m))
     finally:
         stats.update(n_steps=n_steps, n_rejected=n_rejected, n_rhs=n_rhs,
                      n_landed=n_landed)
-    return states
+    return states, k1
 
 
 def _integrate(ctx: PContext, q: Potential, rho: float, ell: float,
                tol: SolverConfig, dim: int, grid=()):
-    """One integration over [0, ell] of the first ``dim`` components of
-    (phi, log R, u): 1 is the phase alone, 2 adds the amplitude, 3 the
-    sensitivity.  The kernel's bounds are the sorted set of 0, ell and
-    the knots of q and points of ``grid`` in (0, ell).  Returns the
-    trajectory, the bounds and the state (phi, log R, u) at each bound
-    after the first."""
+    """One integration over [0, ell]: ``dim`` 1 is the phase alone, 2
+    adds the amplitude log R, 3 the sensitivity's lanes v and m.  The
+    kernel's bounds are the sorted set of 0, ell and the knots of q and
+    points of ``grid`` in (0, ell).  Returns the trajectory, the bounds
+    and the kernel's state (phi, v, m) at each bound after the first,
+    where v is log R for the amplitude."""
     if not (isinstance(rho, (int, float)) and math.isfinite(rho)) or rho <= 0.0:
         raise DomainError(
             f"rho must be a positive real (the substitution needs lambda > 0), got {rho!r}")
@@ -491,14 +574,13 @@ def _integrate(ctx: PContext, q: Potential, rho: float, ell: float,
     inv_p = 1.0 / p
     neg_p = -p
     inv_rho_pm1 = rho ** (1.0 - p)
-    inv_rho_p = rho ** -p
     fold = ctx.fold
     qval = q.value
     # the table and its index, which the phase reads inline (see f below)
     pi_p = ctx.pi_p
     two_pi = 2.0 * pi_p
     half_pi = 0.5 * pi_p
-    floor, sqrt = math.floor, math.sqrt
+    floor, sqrt, exp, log = math.floor, math.sqrt, math.exp, math.log
     xs, ss, cs, c2, c3 = ctx._xs, ctx._ss, ctx._cs, ctx._c2, ctx._c3
     scale, start, split, lo_scale, lo, hi_top, hi_scale, hi, right = ctx._index
 
@@ -510,13 +592,15 @@ def _integrate(ctx: PContext, q: Potential, rho: float, ell: float,
              "rel_tol": tol.rel_tol, "abs_tol": tol.abs_tol,
              "warnings": tuple(stats_warnings)}
 
-    def rhs(x_start):
+    def rhs(x_start, phi_start):
         # q on the kernel piece from x_start is the potential's affine
         # piece there, in the arithmetic of Potential.value; from its
         # right knot x1 on (where the c = 1 stages of the last step
         # land) value reads the next piece, so value answers there
         x0, x1, q0, dq = q.piece(x_start)
         dx = x1 - x0
+        dcoef = dq / dx * inv_rho_pm1  # Q' on the piece
+        to_m = None
 
         def coef(x):  # Q = q*rho^(1-p), read as f reads q
             return (q0 + ((x - x0) / dx) * dq if x < x1 else qval(x)) * inv_rho_pm1
@@ -546,20 +630,57 @@ def _integrate(ctx: PContext, q: Potential, rho: float, ell: float,
                     s = 0.0
                 qx = q0 + ((x - x0) / dx) * dq if x < x1 else qval(x)
                 return rho - qx * inv_rho_pm1 * s ** p
-        # one fold per call: S_p = sign_s*s, S_p' = sign_c*(1 - s^p)^(1/p)
-        # (as fast_pair forms it), |S_p|^p = s^p, S_p^(p-1) = sign_s*s^(p-1)
         elif dim == 3:
-            def f(x, phi, u):
-                _, s, sign_s, sign_c = fold(phi)
-                abs_s_p = s ** p
-                odd = sign_s * s ** pm1 * (sign_c * (1.0 - abs_s_p) ** inv_p)
-                qx = q0 + ((x - x0) / dx) * dq if x < x1 else qval(x)
-                coef = qx * inv_rho_pm1
-                return (rho - coef * abs_s_p,
-                        coef * odd,
-                        neg_p * coef * odd * u + 1.0 + pm1 * qx * inv_rho_p * abs_s_p)
+            # the piece's lane is mu = m + ln(L(x)/L(x_start))/p with
+            # L = rho - Q*g_bar, g_bar = G(phi_start): L' takes in closed
+            # form the part of ln(phi') that Q' drives, so mu' is bounded
+            # however steep the piece; g_bar = 0 where L would not stay
+            # positive up to x1
+            g_bar = fold(phi_start)[1] ** p
+            if not rho - (q0 + dq) * inv_rho_pm1 * g_bar > 0.0:
+                g_bar = 0.0
+            l_start = rho - coef(x_start) * g_bar
+
+            def to_m(x, mu):
+                return mu - log((rho - coef(x) * g_bar) / l_start) / p
+
+            def f(x, phi, mu):
+                # |S_p(phi)|^p off the table, as the phase reads it above
+                r = phi - two_pi * floor(phi / two_pi)
+                if not 0.0 <= r < two_pi:
+                    r %= two_pi
+                if r > pi_p:
+                    r -= pi_p
+                if r > half_pi:
+                    r = pi_p - r
+                i = start[floor(r * scale)]
+                if i < 0:
+                    if r < split:
+                        i = lo[floor(sqrt(r) * lo_scale)]
+                    else:
+                        i = hi[floor((hi_top - sqrt(half_pi - r)) * hi_scale)]
+                while right[i] <= r:
+                    i += 1
+                d = r - xs[i]
+                s = ss[i] + d * (cs[i] + d * (c2[i] + d * c3[i]))
+                if s > 1.0:
+                    s = 1.0
+                elif s < 0.0:
+                    s = 0.0
+                g = s ** p
+                big_q = (q0 + ((x - x0) / dx) * dq if x < x1 else qval(x)) * inv_rho_pm1
+                dphi = rho - big_q * g
+                if not dphi > 0.0:
+                    raise IntegrationError(
+                        f"phase stalls: phi' = {dphi!r} <= 0 at x={x!r}", last_x=x)
+                lx = rho - big_q * g_bar
+                # e^(-p*m) = e^(-p*mu)*L(x)/L(x_start)
+                return (dphi, exp(neg_p * mu) * (lx / l_start) * (rho + pm1 * big_q * g) / dphi,
+                        dcoef * rho * (g - g_bar) / (p * dphi * lx))
         else:
-            def f(x, phi, u):
+            # one fold per call: S_p = sign_s*s, S_p' = sign_c*(1 - s^p)^(1/p)
+            # (as fast_pair forms it), |S_p|^p = s^p, S_p^(p-1) = sign_s*s^(p-1)
+            def f(x, phi, m):
                 _, s, sign_s, sign_c = fold(phi)
                 abs_s_p = s ** p
                 qx = q0 + ((x - x0) / dx) * dq if x < x1 else qval(x)
@@ -567,19 +688,24 @@ def _integrate(ctx: PContext, q: Potential, rho: float, ell: float,
                 return (rho - coef * abs_s_p,
                         coef * (sign_s * s ** pm1) * (sign_c * (1.0 - abs_s_p) ** inv_p),
                         0.0)
-        return f, coef, dq / dx * inv_rho_pm1
+        return f, coef, dcoef, to_m
 
     spacing = None if p == 2.0 else half_pi
     try:
-        states = _kernel(rhs, bounds, h, tol, stats, spacing, dim, rho,
-                         _level_terms(p) if spacing and dim == 1 else None)
+        states, slope = _kernel(rhs, bounds, h, tol, stats, spacing, dim, rho, p,
+                                _level_terms(p) if spacing and dim != 2 else None)
     except IntegrationError as exc:  # name the integration that failed
         raise IntegrationError(f"{exc} (rho={rho:g}, ell={ell:g})", exc.last_x) from exc
-    phi, logr, u = states[-1]
-    traj = PruferTrajectory(
-        rho=rho, ell=ell, phi_end=phi, theta_end=phi / rho,
-        logr_end=logr if dim > 1 else None, u_end=u if dim == 3 else None,
-        stats=stats)
+    phi, v, m = states[-1]
+    logr = u = None
+    if dim == 2:
+        logr = v
+    elif dim == 3:
+        # log R and u of the identity, with phi'(ell) the last slope
+        w = slope / rho
+        logr, u = -math.log(w) / p - m, math.exp(p * m) * w * v
+    traj = PruferTrajectory(rho=rho, ell=ell, phi_end=phi, theta_end=phi / rho,
+                            logr_end=logr, u_end=u, stats=stats)
     return traj, bounds, states
 
 
@@ -607,7 +733,11 @@ def integrate_sensitivity(ctx: PContext, q: Potential, rho: float, ell: float,
 
     The variational route is the primary method for theta's
     rho-derivative; finite differences in rho are noisier at large rho
-    and serve only as a test oracle.
+    and serve only as a test oracle.  log R and u come from the lanes v
+    and m and the phase slope phi' at ell (see the module docstring),
+    so the route needs phi' > 0 on [0, ell]: it holds wherever q <= 0,
+    as on T1's interval [0, x0], and a stage that sees phi' <= 0, where
+    lambda lies far below q, raises ``IntegrationError``.
     """
     return _integrate(ctx, q, rho, ell, tol, 3)[0]
 

@@ -395,14 +395,17 @@ def _reference_piece(f, x, y, x_end, h, tol, counters, spacing, ell,
     ``weights[0]`` on a step that starts on a level, where the phase sat
     on it and has stayed within the window since, and by ``weights[1]``
     on a step aimed at a level, predicted or Hermite.  With ``defect``
-    (the phase at p != 2), ``defect(level, x, h, slope, aimed)`` gives
-    the correction of the 5th-order phase and the reading of the
-    estimate for the singular term of a step from x that leaves the
+    (the phase and the sensitivity at p != 2),
+    ``defect(level, x, h, slope, aimed, state)`` gives the corrections
+    of the 5th-order state and the readings of the estimate, one per
+    component, for the singular term of a step from x that leaves the
     level (aimed False) or is aimed at it (aimed True), applied before
-    the last stage.  The snap distance and the step floor are 1e-14
-    relative to ell: a step shorter than the floor is an underflow while
-    the piece has the floor or more to go, and a shorter piece is one
-    step.
+    the last stage; ``state`` is the step's start for a step that leaves
+    a level and its 5th-order end for one aimed at it.  The snap
+    distance and the step floor are 1e-14 relative to ell: a step
+    shorter than the floor is an underflow while the piece has the floor
+    or more to go, and a shorter piece is one step.  Returns the state
+    at ``x_end``, the step size and the slope there.
     """
     dim = len(y)
     k1 = f(x, y)
@@ -438,23 +441,23 @@ def _reference_piece(f, x, y, x_end, h, tol, counters, spacing, ell,
 
         k = [k1]
         yi = y
-        read = 0.0  # the estimate's reading of the singular terms
+        read = (0.0,) * dim  # the estimate's reading of the singular terms
         for i in range(1, 7):
             yi = tuple(y[d] + h_try * _dot(_DP_A[i], k, d) for d in range(dim))
             if i == 6 and defect and counters["on_level"]:
-                dphi, read = defect(level, x, h_try, k1[0], False)
-                yi = (yi[0] + dphi,)
+                dy, read = defect(level, x, h_try, k1[0], False, y)
+                yi = tuple(a + b for a, b in zip(yi, dy))
             if i == 6 and defect and aim is not None:
-                dphi, de = defect(aim, x, h_try, None, True)
-                yi = (yi[0] + dphi,)
-                read += de
+                dy, de = defect(aim, x, h_try, None, True, yi)
+                yi = tuple(a + b for a, b in zip(yi, dy))
+                read = tuple(a + b for a, b in zip(read, de))
             k.append(f(x + _DP_C[i] * h_try, yi))
         counters["n_rhs"] += 6
         y_new = yi  # stage 7 argument: the 5th-order solution
 
         err = 0.0
         for d in range(dim):
-            e = h_try * _dot(_DP_E, k, d) - read  # 0 but for the phase
+            e = h_try * _dot(_DP_E, k, d) - read[d]
             sc = tol.abs_tol + tol.rel_tol * max(abs(y[d]), abs(y_new[d]))
             err += (e / sc) ** 2
         err = math.sqrt(err / dim) * weight
@@ -499,7 +502,7 @@ def _reference_piece(f, x, y, x_end, h, tol, counters, spacing, ell,
             counters["n_rejected"] += 1
             h = h_try * max(0.1, min(0.9, 0.9 * err ** -0.2))
             landing = None
-    return x, y, h
+    return y, h, k1
 
 
 def reference_dp45(ctx, q, rho, ell, tol, dim):
@@ -508,60 +511,97 @@ def reference_dp45(ctx, q, rho, ell, tol, dim):
     A tableau loop over tuple states, with the package's right-hand
     sides evaluated per call (``Potential.value`` and the table fold on
     every call) and its step control: dim = 1 is the phase, 2 adds
-    log R, 3 adds u = d(phi)/d(rho).  For p != 2 the steps land on the levels
+    log R, 3 the sensitivity's lanes v and m.  With G = |S_p(phi)|^p,
+    Q = q*rho^(1-p), Q' = (dq/dx)*rho^(1-p) on the piece and
+    phi' = rho - Q*G, they are m' = Q'*G/(p*phi') and
+    v' = e^(-p*m)*(rho + (p-1)*Q*G)/phi', and at ell
+    log R = -ln(phi'/rho)/p - m and u = d(phi)/d(rho) = e^(p*m)*(phi'/rho)*v,
+    with phi'(ell) the last slope; a slope phi' <= 0 raises
+    ``IntegrationError``.  Each piece steps mu = m + ln(L/L0)/p in place
+    of m, L = rho - Q*G0 with G0 = G where the piece starts (0 if L would
+    not stay positive up to the piece's right knot) and L0 = L there, so
+    mu' = Q'*rho*(G - G0)/(p*phi'*L) and e^(-p*m) = e^(-p*mu)*L/L0; m is
+    read back at the end of the piece.  For p != 2 the steps land on the levels
     k*pi_p/2 of the phase, whatever ``dim``, by prediction and by the
-    Hermite fallback.  The phase alone (dim = 1) also corrects the
+    Hermite fallback.  The phase (dim = 1, and dim = 3) also corrects the
     leading singular term C*t^a of its slope next to a level, t the
-    x-distance from it, Q = q*rho^(1-p) and k the slope there: a = p and
+    x-distance from it and k the slope there: a = p and
     C = -Q*|k|^p at a zero, a = p/(p-1) and C = Q*((p-1)*|k|)^a at an
     extremum.  A step of length h that leaves a level (k its opening
     slope, Q at its start) adds C*h^(a+1)*(1/(a+1) - sum_i b_i c_i^a) to
     phi; one aimed at a level (k = rho at a zero and rho - Q at an
     extremum, Q at its end) does the same with 1 - c_i for c_i.  The
-    next term, C1*t^(a+1), with Q' = (dq/dx)*rho^(1-p) on the step's
+    next term, C1*t^(a+1), with Q' of the step's
     piece, has C1 = -Q'*|k|^a at a zero and
     Q'*(1 - a*Q/(2k))*((p-1)*|k|)^a at an extremum for a step that
     leaves the level, and the negatives for one aimed at it; the step
-    adds C1*h^(a+2)*(1/(a+2) - sum_i b_i c_i^(a+1)) the same way.  Where
+    adds C1*h^(a+2)*(1/(a+2) - sum_i b_i c_i^(a+1)) the same way.  A
+    lane with slope F takes the same two terms with -dF/dG in place of Q
+    and -(d/dx(dF/dG) + dF/dG*a*Q'/(2k)) in place of Q'*(1 - a*Q/(2k))
+    (without the last term at a zero), all read at the level with phi' =
+    k, G = 0 at a zero and 1 at an extremum, and m at the step's start
+    for a step that leaves the level and at its 5th-order end for one
+    aimed at it: dF/dG = p*rho*Q*e^(-p*m)/k^2 and d/dx(dF/dG) =
+    p*rho^2*Q'*e^(-p*m)/k^3 for v, and dF/dG = Q'*rho/(p*k^2) and
+    d/dx(dF/dG) = 2*rho*Q'^2*G/(p*k^3) for m.  Where
     min(p, p/(p-1)) >= 3/2 the estimate drops C*h^(a+1)*sum_i e_i c_i^a
     and C1*h^(a+2)*sum_i e_i c_i^(a+1) (with the same substitution) and
-    no step is weighted; elsewhere the weights are 3 and 10.  The
-    stage-unrolled kernel must match it bit for bit.  Returns a dict
-    with ``phi_end``, ``logr_end``, ``u_end`` (None where not
-    integrated), ``n_steps``, ``n_rejected``, ``n_landed`` and ``n_rhs``.
+    no step is weighted; elsewhere the weights are 3 and 10, as they are
+    for the amplitude.  The stage-unrolled kernel must match it bit for
+    bit.  Returns a dict with ``phi_end``, ``logr_end``, ``u_end`` (None
+    where not integrated), ``n_steps``, ``n_rejected``, ``n_landed`` and
+    ``n_rhs``.
     """
     from plapeig.ptrig import fast_pair
 
     p = ctx.p
     inv_rho_pm1 = rho ** (1.0 - p)
-    inv_rho_p = rho ** -p
     qval = q.value
 
-    if dim == 3:
-        def f(x, y):
-            phi, _, u = y
-            s, c = fast_pair(ctx, phi)
-            abs_s_p = abs(s) ** p
-            odd = math.copysign(abs(s) ** (p - 1.0), s) * c
-            qx = qval(x)
-            coef = qx * inv_rho_pm1
-            return (rho - coef * abs_s_p,
-                    coef * odd,
-                    -p * coef * odd * u + 1.0 + (p - 1.0) * qx * inv_rho_p * abs_s_p)
-    elif dim == 2:
-        def f(x, y):
-            s, c = fast_pair(ctx, y[0])
-            coef = qval(x) * inv_rho_pm1
-            return (rho - coef * abs(s) ** p,
-                    coef * math.copysign(abs(s) ** (p - 1.0), s) * c)
-    else:
-        def f(x, y):
-            return (rho - qval(x) * inv_rho_pm1 * fast_abs_sp_pow(ctx, y[0]),)
+    def rhs_of(x_start, phi_start):
+        """The piece's right-hand side and, for dim = 3, its map from the
+        piece's lane mu to m."""
+        x0, x1, q0, dq = q.piece(x_start)
+        dqx = dq / (x1 - x0) * inv_rho_pm1  # Q' of the piece
+
+        if dim == 3:
+            g_bar = fast_abs_sp_pow(ctx, phi_start)
+            if not rho - (q0 + dq) * inv_rho_pm1 * g_bar > 0.0:
+                g_bar = 0.0
+            l_start = rho - qval(x_start) * inv_rho_pm1 * g_bar
+
+            def to_m(x, mu):
+                return mu - math.log((rho - qval(x) * inv_rho_pm1 * g_bar)
+                                     / l_start) / p
+
+            def f(x, y):
+                phi, _, mu = y
+                g = fast_abs_sp_pow(ctx, phi)
+                big_q = qval(x) * inv_rho_pm1
+                dphi = rho - big_q * g
+                if not dphi > 0.0:
+                    raise IntegrationError(f"phase stalls at x={x!r}", last_x=x)
+                lx = rho - big_q * g_bar
+                return (dphi,
+                        math.exp(-p * mu) * (lx / l_start)
+                        * (rho + (p - 1.0) * big_q * g) / dphi,
+                        dqx * rho * (g - g_bar) / (p * dphi * lx))
+            return f, to_m
+        if dim == 2:
+            def f(x, y):
+                s, c = fast_pair(ctx, y[0])
+                coef = qval(x) * inv_rho_pm1
+                return (rho - coef * abs(s) ** p,
+                        coef * math.copysign(abs(s) ** (p - 1.0), s) * c)
+        else:
+            def f(x, y):
+                return (rho - qval(x) * inv_rho_pm1 * fast_abs_sp_pow(ctx, y[0]),)
+        return f, None
 
     spacing = 0.5 * ctx.pi_p if p != 2.0 else None
     light = min(p, p / (p - 1.0)) >= 1.5
 
-    def defect(level, x, h, slope, aimed):
+    def defect(level, x, h, slope, aimed, state):
         odd = level % 2 == 1
         sign, g, a = (1.0, p - 1.0, p / (p - 1.0)) if odd else (-1.0, 1.0, p)
         cs = [1.0 - c if aimed else c for c in _DP_C]
@@ -580,10 +620,24 @@ def reference_dp45(ctx, q, rho, ell, tol, dim):
         if aimed:
             slope = rho - qx if odd else rho
         c1 = dqx * (1.0 - a * qx / (2.0 * slope)) if odd and slope else dqx
+        # the (Q, c1) of each component: the phase's, then v's and m's
+        pairs = [(qx, c1)]
+        if dim == 3:
+            r = rho / (slope * slope)
+            e = math.exp(-p * to_m(x + h if aimed else x, state[2]))
+            if odd:
+                pairs += [(-p * r * qx * e,
+                           -p * r * dqx * e * (rho - 0.5 * a * qx) / slope),
+                          (-dqx * r / p,
+                           -dqx * dqx * r * (2.0 - 0.5 * a) / (p * slope))]
+            else:
+                pairs += [(-p * r * qx * e, -p * r * dqx * e * rho / slope),
+                          (-dqx * r / p, 0.0)]
         t = h * (g * abs(slope * h)) ** a
-        return t * (qx * db + c1 * h * db1), t * (qx * de + c1 * h * de1)
+        return (tuple(t * (b * db + b1 * h * db1) for b, b1 in pairs),
+                tuple(t * (b * de + b1 * h * de1) for b, b1 in pairs))
 
-    singular = spacing and dim == 1
+    singular = spacing and dim != 2
     y = (0.0,) * dim
     # phi(0) = 0 sits on the level 0
     counters = {"n_steps": 0, "n_rejected": 0, "n_landed": 0, "n_rhs": 0,
@@ -591,15 +645,54 @@ def reference_dp45(ctx, q, rho, ell, tol, dim):
     bounds = [0.0] + [b for b in q.interior_knots() if 0.0 < b < ell] + [ell]
     h = min(ell, 0.1 * ctx.pi_p / rho)
     for a, b in zip(bounds, bounds[1:]):
-        _, y, h = _reference_piece(
+        f, to_m = rhs_of(a, y[0])
+        y, h, k1 = _reference_piece(
             f, a, y, b, h, tol, counters, spacing, bounds[-1],
             defect if singular else None,
             (1.0, 1.0) if singular and light else (3.0, 10.0))
+        if to_m:
+            y = (y[0], y[1], to_m(b, y[2]))
     del counters["level"], counters["on_level"]
-    return {"phi_end": y[0],
-            "logr_end": y[1] if dim > 1 else None,
-            "u_end": y[2] if dim > 2 else None,
-            **counters}
+    logr = u = None
+    if dim == 2:
+        logr = y[1]
+    elif dim == 3:
+        w = k1[0] / rho
+        logr, u = -math.log(w) / p - y[2], math.exp(p * y[2]) * w * y[1]
+    return {"phi_end": y[0], "logr_end": logr, "u_end": u, **counters}
+
+
+def variational_theta_dot(ctx, q, rho, ell, tol):
+    """d(theta)/d(rho) at ell from the variational equation of the phase,
+    u' = a*u + b with a = -p*Q*S_p^(p-1)*S_p' and b = 1 + (p-1)*(Q/rho)*G,
+    integrated with phi and log R' = Q*S_p^(p-1)*S_p' by the generic
+    tableau loop: the levels are landed, steps next to one are weighted 3
+    and 10, and no singular term is corrected.  Its lanes carry S_p' and
+    so are rough at the levels, which the package's lanes are not: an
+    accuracy oracle at a tight ``tol``, not one matched bit for bit."""
+    from plapeig.ptrig import fast_pair
+
+    p = ctx.p
+    inv_rho_pm1 = rho ** (1.0 - p)
+
+    def f(x, y):
+        s, c = fast_pair(ctx, y[0])
+        big_q = q.value(x) * inv_rho_pm1
+        g = abs(s) ** p
+        odd = math.copysign(abs(s) ** (p - 1.0), s) * c
+        return (rho - big_q * g, big_q * odd,
+                -p * big_q * odd * y[2] + 1.0 + (p - 1.0) * big_q / rho * g)
+
+    spacing = 0.5 * ctx.pi_p if p != 2.0 else None
+    counters = {"n_steps": 0, "n_rejected": 0, "n_landed": 0, "n_rhs": 0,
+                "level": 0, "on_level": spacing is not None}
+    bounds = [0.0] + [b for b in q.interior_knots() if 0.0 < b < ell] + [ell]
+    y = (0.0, 0.0, 0.0)
+    h = min(ell, 0.1 * ctx.pi_p / rho)
+    for a, b in zip(bounds, bounds[1:]):
+        y, h, _ = _reference_piece(f, a, y, b, h, tol, counters, spacing,
+                                   bounds[-1])
+    return (rho * y[2] - y[0]) / rho ** 2
 
 
 def count_sign_changes(values, floor_rel=1e-9):

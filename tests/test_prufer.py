@@ -7,11 +7,13 @@ from plapeig import (DomainError, IntegrationError, Potential, SolverConfig,
                      constant, direct_shoot, find_eigenvalue,
                      integrate_amplitude, integrate_phase,
                      integrate_sensitivity, piecewise_linear,
-                     reconstruct_eigenfunction, restrict, scaled_tent, sp)
+                     reconstruct_eigenfunction, restrict, scaled_tent, sp,
+                     verify_theorem1)
 from plapeig import prufer
 
 from oracles import (classical_prufer_p2, fast_abs_sp_pow, fd_u, index_points,
-                     random_nonpositive_piecewise_linear, reference_dp45)
+                     random_nonpositive_piecewise_linear, reference_dp45,
+                     variational_theta_dot)
 
 TENT = scaled_tent(-5.0, 4.0)
 TIGHT = SolverConfig(rel_tol=1e-12, abs_tol=1e-13)
@@ -25,6 +27,22 @@ SHORT_BUMP = restrict(BUMP, 0.8)
 SLIVER = piecewise_linear([[0.0, -2.0], [0.3, 1.0],
                            [math.nextafter(0.3, 1.0), -3.0], [0.7, 0.5],
                            [0.7 + 1e-15, 2.0], [1.0, -1.0]])
+# the tents of the certify benchmark, seeds 1-5, both draws
+CERTIFY_TENTS = (
+    scaled_tent(-5.225974878850087, 3.919767232753784),
+    scaled_tent(-5.216348226820252, 4.299593547651581),
+    scaled_tent(-4.954359973884857, 4.029968175947934),
+    scaled_tent(-5.267675727205223, 3.872159221101144),
+    scaled_tent(-5.0788703080198285, 4.192082592205961),
+    scaled_tent(-4.773749375935416, 3.663687476717924),
+    scaled_tent(-4.818648897842557, 3.6737587309028212),
+    scaled_tent(-4.954731553135723, 3.6520207750366285),
+    scaled_tent(-4.526435930669148, 3.542758661908266),
+    scaled_tent(-5.180554408536587, 3.6975919631574876),
+)
+# a rise of 10 over a piece 1e-12 long: q' = 1e13 there
+STEEP = piecewise_linear([[0.0, -12.0], [0.3, -12.0], [0.3 + 1e-12, -2.0],
+                          [1.0, -2.0]])
 # integrator and the dimension of its state
 INTEGRATORS = ((integrate_phase, 1), (integrate_amplitude, 2),
                (integrate_sensitivity, 3))
@@ -127,6 +145,49 @@ class TestSensitivity:
             ref = integrate_sensitivity(ctx, TENT, float(rho), 0.5,
                                         tight).theta_dot_end
             assert td == pytest.approx(ref, rel=bound)
+
+
+    @pytest.mark.parametrize("p,bound", ((2.0, 1e-12), (3.0, 3e-11)))
+    def test_theta_dot_on_t1_grid(self, ctx_for, p, bound):
+        # every theta_dot T1 reports on the certify tents (its 32 rho from
+        # the threshold to 4x it, on [0, x0]) against the variational
+        # equation at rel_tol 1e-13; lanes that carried S_p' read 1.9e-12
+        # and 4.1e-11 here
+        ctx = ctx_for(p)
+        tight = SolverConfig(rel_tol=1e-13, abs_tol=1e-15)
+        worst = 0.0
+        for q in CERTIFY_TENTS:
+            cert = verify_theorem1(ctx, q)
+            x0 = cert.hypotheses["x0"]
+            assert cert.verdict == "verified" and len(cert.scan) == 32
+            for point in cert.scan:
+                rho = dict(point.inputs)["rho"]
+                ref = variational_theta_dot(ctx, q, rho, x0, tight)
+                worst = max(worst, abs(point.value - ref))
+        assert worst <= bound
+
+    @pytest.mark.parametrize("q", (TENT, BUMP, WELL, SLIVER, STEEP),
+                             ids=("tent", "bump", "well", "sliver", "steep"))
+    @pytest.mark.parametrize("p", (1.5, 2.0, 3.0, 5.0))
+    def test_log_r_matches_the_amplitude(self, ctx_for, p, q):
+        # log R of the identity -ln(phi'/rho)/p - m against the integrated
+        # log R.  Across the short steep pieces of SLIVER and STEEP, m
+        # moves by O(1): a lane m integrated in x underflowed or missed by
+        # 5e-7 there
+        ctx = ctx_for(p)
+        for rho in (2.5, 11.0):
+            sens = integrate_sensitivity(ctx, q, rho, 1.0)
+            amp = integrate_amplitude(ctx, q, rho, 1.0)
+            assert sens.logr_end == pytest.approx(amp.logr_end, abs=1e-9)
+
+    @pytest.mark.parametrize("p", (1.5, 2.0))
+    def test_stalled_phase_raises(self, ctx_for, p):
+        # lambda = 8 far below q = 1000 on [0.2, 1]: phi' = rho - Q*G
+        # reaches 0, where the identity's lanes are undefined
+        q = piecewise_linear([[0.0, -1.0], [0.2, 1000.0], [1.0, 1000.0]])
+        with pytest.raises(IntegrationError, match="phase stalls") as info:
+            integrate_sensitivity(ctx_for(p), q, 2.0, 1.0)
+        assert 0.0 < info.value.last_x < 1.0
 
 
 class TestTrajectoryContracts:
@@ -302,7 +363,7 @@ class TestPieceRightHandSide:
             ell = float(rng.choice([1.0, rng.uniform(0.3, 1.0)]))
             bounds, rhs = self.piece_rhs(monkeypatch, ctx, q, rho, ell)
             for a, b in zip(bounds, bounds[1:]):
-                f, big_q, slope = rhs(a)
+                f, big_q, slope, _ = rhs(a, 0.0)
                 x0, x1, _, dq = q.piece(a)
                 assert slope == dq / (x1 - x0) * coef, (q, a)
                 points = [a, math.nextafter(a, 2.0), math.nextafter(b, 0.0),
@@ -318,7 +379,7 @@ class TestPieceRightHandSide:
                     checked += 1
         assert checked > 1000
 
-        f = rhs(bounds[0])[0]
+        f = rhs(bounds[0], 0.0)[0]
         x = 0.5 * (bounds[0] + bounds[1])
         qx = q.value(x) * coef
         assert qx != 0.0
@@ -443,9 +504,9 @@ class TestReconstruction:
         kernel = prufer._kernel
 
         def spy(rhs, bounds, *args):
-            states = kernel(rhs, bounds, *args)
+            states, slope = kernel(rhs, bounds, *args)
             ends.update(zip(bounds[1:], states))
-            return states
+            return states, slope
 
         monkeypatch.setattr(prufer, "_kernel", spy)
         grid = reconstruct_eigenfunction(ctx2, q, 3.0, 1.0, samples=11)

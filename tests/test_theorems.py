@@ -24,10 +24,10 @@ SPIKE = piecewise_linear([[0.0, -2.0], [0.5002, -2.0], [0.50045, 1.0],
 TWO_MINIMA = piecewise_linear([[0.0, 5.0], [0.3001, 1.0], [0.3002, 4.0],
                                [0.3003, 1.0], [1.0, 5.0]])
 FAST = HarnessConfig(ell_points=8)
-# a step budget of 60 runs out at half of T1's rho grid on TENT; one of
+# a step budget of 46 runs out at half of T1's rho grid on TENT; one of
 # 45 runs out in the searches for lambda_2 and lambda_3 of T2 on TENT
 # and of R1 on WELL
-STARVED = HarnessConfig(max_steps=60)
+STARVED = HarnessConfig(max_steps=46)
 STARVED_SEARCH = HarnessConfig(max_steps=45)
 
 
@@ -480,7 +480,7 @@ class TestFailedSolves:
         assert len(cert.scan) == 32 and len(failed) == 16
         for s in failed:
             assert s.margin is None and not s.in_hypothesis
-            assert s.note.startswith("integration failed: step budget 60")
+            assert s.note.startswith("integration failed: step budget 46")
         # every computed point holds its bound, so no violation is shown
         assert cert.verdict == "inconclusive"
         assert_certificate_consistent(cert)
