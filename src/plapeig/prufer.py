@@ -37,7 +37,9 @@ steep the piece (G0 is 0 where L would not stay positive on the
 piece).  The sensitivity integrates (phi, v, mu) and forms log R and u
 at the right endpoint from phi' there; it is defined where the phase
 does not stall, which holds wherever q <= 0 (phi' >= rho there), and
-raises ``IntegrationError`` where some stage sees phi' <= 0.  The amplitude integrates log R
+raises ``IntegrationError`` naming the stall where some stage sees
+phi' <= 0 or a step underflows while phi' is below 1e-6*rho, as it
+does when phi' -> 0.  The amplitude integrates log R
 itself, because eigenfunctions are reconstructed on potentials where
 phi' can reach 0.
 
@@ -92,10 +94,11 @@ The kernel steps knot to knot, so on each of its pieces q is one affine
 function.  It asks ``_integrate`` for the right-hand side of a piece
 once, when the piece starts: that closure holds the potential's affine
 piece (``Potential.piece``, in the arithmetic of ``Potential.value``)
-and the context's p-sine table.  The phase and sensitivity closures
-read |S_p|^p off the table themselves, in the arithmetic of
-``PContext.fold`` and through the same index, so an evaluation is the
-one call to the closure, with no knot lookup; the amplitude closure,
+and the context's tables.  The phase and sensitivity closures read G =
+|S_p|^p off its own table inline, at phi mod pi_p reflected about
+pi_p/2 (G has period pi_p and is even about pi_p/2) and through the
+S_p table's index, so an evaluation is the one call to the closure,
+with no knot lookup, quadrant sign or power; the amplitude closure,
 which needs the sign and S_p', calls the bound fold.  Only the c = 1
 stages of a piece's last step, which land on its right knot or an ulp
 past it, read q through ``Potential.value``, which takes the next piece
@@ -190,6 +193,9 @@ _START_WEIGHT = 3.0
 _END_WEIGHT = 10.0
 # snap distance and step floor, relative to the last bound ell
 _SNAP = 1e-14
+# a sensitivity step underflows with phi' below _STALL*rho: the phase
+# stalls (phi' is about 1e-11*rho on the stalls of tests/test_prufer.py)
+_STALL = 1e-6
 
 
 @functools.lru_cache(maxsize=None)
@@ -340,7 +346,8 @@ def _kernel(rhs, bounds, h, tol, stats, spacing, dim, rho, p, terms):
     1e-14 relative to the last bound ell, so a tiny interval steps as a
     unit one does.  It is also the step floor: a step shorter than snap
     is an underflow while the piece has snap or more to go, and a piece
-    shorter than snap is taken as one step.
+    shorter than snap is taken as one step.  A sensitivity step that
+    underflows with k1 below ``_STALL*rho`` is named a stall.
 
     The step, reject and RHS counts and ``n_landed``, the discarded
     trials (six RHS evaluations each), go to ``stats``, also when the
@@ -394,6 +401,13 @@ def _kernel(rhs, bounds, h, tol, stats, spacing, dim, rho, p, terms):
                             aim = ahead
                             weight *= w_end
                 if ht < snap <= x_end - x:
+                    if dim == 3 and k1 < _STALL * rho:
+                        # the lanes' slopes carry 1/phi', so they shrink
+                        # the steps while phi' -> 0, before a stage can
+                        # read phi' <= 0
+                        raise IntegrationError(
+                            f"phase stalls: phi' = {k1!r} where the step size "
+                            f"underflows at x={x!r}", last_x=x)
                     raise IntegrationError(
                         f"step size underflow at x={x!r}", last_x=x)
 
@@ -576,13 +590,30 @@ def _integrate(ctx: PContext, q: Potential, rho: float, ell: float,
     inv_rho_pm1 = rho ** (1.0 - p)
     fold = ctx.fold
     qval = q.value
-    # the table and its index, which the phase reads inline (see f below)
+    # the G table and its index, which the phase and the sensitivity
+    # read inline, in the arithmetic of abs_sp_pow
     pi_p = ctx.pi_p
-    two_pi = 2.0 * pi_p
     half_pi = 0.5 * pi_p
     floor, sqrt, exp, log = math.floor, math.sqrt, math.exp, math.log
-    xs, ss, cs, c2, c3 = ctx._xs, ctx._ss, ctx._cs, ctx._c2, ctx._c3
+    xs, gs, gd, g2, g3 = ctx._xs, ctx._gs, ctx._gd, ctx._g2, ctx._g3
     scale, start, split, lo_scale, lo, hi_top, hi_scale, hi, right = ctx._index
+
+    def abs_sp_pow(phi):
+        # G = |S_p(phi)|^p has period pi_p and is even about pi_p/2, so
+        # it is read at the remainder, reflected onto the quarter period
+        r = phi % pi_p
+        if r > half_pi:
+            r = pi_p - r
+        i = start[floor(r * scale)]
+        if i < 0:
+            if r < split:
+                i = lo[floor(sqrt(r) * lo_scale)]
+            else:
+                i = hi[floor((hi_top - sqrt(half_pi - r)) * hi_scale)]
+        while right[i] <= r:
+            i += 1
+        d = r - xs[i]
+        return gs[i] + d * (gd[i] + d * (g2[i] + d * g3[i]))
 
     bounds = sorted({0.0, ell, *(x for x in (*q.interior_knots(), *grid)
                                  if 0.0 < x < ell)})
@@ -606,12 +637,8 @@ def _integrate(ctx: PContext, q: Potential, rho: float, ell: float,
             return (q0 + ((x - x0) / dx) * dq if x < x1 else qval(x)) * inv_rho_pm1
         if dim == 1:
             def f(x, phi):
-                # fold(phi)[1], in the arithmetic of PContext.fold
-                r = phi - two_pi * floor(phi / two_pi)
-                if not 0.0 <= r < two_pi:
-                    r %= two_pi
-                if r > pi_p:
-                    r -= pi_p
+                # g = abs_sp_pow(phi), inline
+                r = phi % pi_p
                 if r > half_pi:
                     r = pi_p - r
                 i = start[floor(r * scale)]
@@ -623,20 +650,16 @@ def _integrate(ctx: PContext, q: Potential, rho: float, ell: float,
                 while right[i] <= r:
                     i += 1
                 d = r - xs[i]
-                s = ss[i] + d * (cs[i] + d * (c2[i] + d * c3[i]))
-                if s > 1.0:
-                    s = 1.0
-                elif s < 0.0:
-                    s = 0.0
+                g = gs[i] + d * (gd[i] + d * (g2[i] + d * g3[i]))
                 qx = q0 + ((x - x0) / dx) * dq if x < x1 else qval(x)
-                return rho - qx * inv_rho_pm1 * s ** p
+                return rho - qx * inv_rho_pm1 * g
         elif dim == 3:
             # the piece's lane is mu = m + ln(L(x)/L(x_start))/p with
             # L = rho - Q*g_bar, g_bar = G(phi_start): L' takes in closed
             # form the part of ln(phi') that Q' drives, so mu' is bounded
             # however steep the piece; g_bar = 0 where L would not stay
             # positive up to x1
-            g_bar = fold(phi_start)[1] ** p
+            g_bar = abs_sp_pow(phi_start)
             if not rho - (q0 + dq) * inv_rho_pm1 * g_bar > 0.0:
                 g_bar = 0.0
             l_start = rho - coef(x_start) * g_bar
@@ -645,12 +668,8 @@ def _integrate(ctx: PContext, q: Potential, rho: float, ell: float,
                 return mu - log((rho - coef(x) * g_bar) / l_start) / p
 
             def f(x, phi, mu):
-                # |S_p(phi)|^p off the table, as the phase reads it above
-                r = phi - two_pi * floor(phi / two_pi)
-                if not 0.0 <= r < two_pi:
-                    r %= two_pi
-                if r > pi_p:
-                    r -= pi_p
+                # g = abs_sp_pow(phi), inline
+                r = phi % pi_p
                 if r > half_pi:
                     r = pi_p - r
                 i = start[floor(r * scale)]
@@ -662,12 +681,7 @@ def _integrate(ctx: PContext, q: Potential, rho: float, ell: float,
                 while right[i] <= r:
                     i += 1
                 d = r - xs[i]
-                s = ss[i] + d * (cs[i] + d * (c2[i] + d * c3[i]))
-                if s > 1.0:
-                    s = 1.0
-                elif s < 0.0:
-                    s = 0.0
-                g = s ** p
+                g = gs[i] + d * (gd[i] + d * (g2[i] + d * g3[i]))
                 big_q = (q0 + ((x - x0) / dx) * dq if x < x1 else qval(x)) * inv_rho_pm1
                 dphi = rho - big_q * g
                 if not dphi > 0.0:
@@ -736,8 +750,9 @@ def integrate_sensitivity(ctx: PContext, q: Potential, rho: float, ell: float,
     and serve only as a test oracle.  log R and u come from the lanes v
     and m and the phase slope phi' at ell (see the module docstring),
     so the route needs phi' > 0 on [0, ell]: it holds wherever q <= 0,
-    as on T1's interval [0, x0], and a stage that sees phi' <= 0, where
-    lambda lies far below q, raises ``IntegrationError``.
+    as on T1's interval [0, x0].  Where lambda lies far below q the
+    phase stalls, and a stage that sees phi' <= 0, or a step that
+    underflows while phi' -> 0, raises ``IntegrationError``.
     """
     return _integrate(ctx, q, rho, ell, tol, 3)[0]
 

@@ -31,10 +31,13 @@ built forward from the two series once per context: the cubic Hermite
 interpolant of each table interval, stored as its monomial coefficients
 in the distance from the interval's left node, found through a bucket
 index (``_build_index``); ``make_context`` binds it to its table as
-``fold``.  The integrator's right-hand sides stop there (the phase's
-reads the table inline, in the same arithmetic); the public functions
-polish that value by Newton iteration on the series of its half, in s
-below the split and in w above it.  Both maps have a slope bounded
+``fold``.  The amplitude's right-hand side stops there; the phase and
+the sensitivity see S_p only through G = |S_p|^p, which has period
+pi_p and is even about pi_p/2, and read it inline off a second table on
+the same nodes and index, the cubic Hermite interpolant of G with the
+slopes p*G*S_p'/S_p.  The public functions polish the fold's value by
+Newton iteration on the series of its half, in s below the split and
+in w above it.  Both maps have a slope bounded
 away from zero and infinity on their halves, so S_p and S_p' keep full
 absolute accuracy up to the quarter-period endpoint.  All of it runs on Python
 floats: an array argument is evaluated point by point into an ndarray,
@@ -127,9 +130,10 @@ class PContext:
     """Immutable evaluation context for one exponent p.
 
     Holds the derived constants, the coefficients of the two inverse-map
-    series, the quarter-period table with its index, and ``fold``, the
-    front end bound to that table (see :func:`_bind_fold`); every
-    operation taking a context is pure and thread-safe.
+    series, the quarter-period tables of S_p and of G = |S_p|^p with
+    their index, and ``fold``, the front end bound to the S_p table (see
+    :func:`_bind_fold`); every operation taking a context is pure and
+    thread-safe.
     """
 
     p: float
@@ -143,6 +147,13 @@ class PContext:
     _cs: tuple = field(repr=False, compare=False)
     _c2: tuple = field(repr=False, compare=False)
     _c3: tuple = field(repr=False, compare=False)
+    # the G table, G = |S_p|^p on the same nodes and in the same form:
+    # _gs[i] + _gd[i] d + _g2[i] d^2 + _g3[i] d^3, which the integrator's
+    # phase and sensitivity right-hand sides read
+    _gs: tuple = field(repr=False, compare=False)
+    _gd: tuple = field(repr=False, compare=False)
+    _g2: tuple = field(repr=False, compare=False)
+    _g3: tuple = field(repr=False, compare=False)
     _index: tuple = field(repr=False, compare=False)  # see _build_index
     # series coefficients r_k/(k p + 1) below the split, r'_k/((k+1) p - 1)
     # above it, for k >= 1
@@ -232,17 +243,28 @@ def make_context(p: float) -> PContext:
                   for wj, zeta in zip(w, zetas)])
     ss = tuple(s_lo + [(1.0 - zeta) ** inv_p for zeta in zetas])
     cs = tuple([(1.0 - z) ** inv_p for z in zs] + [wj ** inv_pm1 for wj in w])
-    # the monomial coefficients of the cubic Hermite interpolant on each
-    # interval, from its end values s0, s1 and slopes d0, d1
-    c2, c3 = [], []
-    add2, add3 = c2.append, c3.append
-    for x0, x1, s0, s1, d0, d1 in zip(xs, xs[1:], ss, ss[1:], cs, cs[1:]):
+    # G = |S_p|^p is z below the split and 1 - zeta above it, and its
+    # slope p*S_p^(p-1)*S_p' is p*G*S_p'/S_p, 0 at the zero node
+    gs = tuple(zs + [1.0 - zeta for zeta in zetas])
+    gd = tuple([0.0] + [p * g * c / s for g, c, s in zip(gs[1:], cs[1:], ss[1:])])
+    # the monomial coefficients of the cubic Hermite interpolants of S_p
+    # and G on each interval, from their end values s0, s1 (g0, g1) and
+    # slopes d0, d1 (e0, e1)
+    c2, c3, g2, g3 = [], [], [], []
+    add2, add3, addg2, addg3 = c2.append, c3.append, g2.append, g3.append
+    for x0, x1, s0, s1, d0, d1, g0, g1, e0, e1 in zip(
+            xs, xs[1:], ss, ss[1:], cs, cs[1:], gs, gs[1:], gd, gd[1:]):
         h = x1 - x0
+        hh = h * h
         m = (s1 - s0) / h
         add2((3.0 * m - 2.0 * d0 - d1) / h)
-        add3((d0 + d1 - 2.0 * m) / (h * h))
+        add3((d0 + d1 - 2.0 * m) / hh)
+        m = (g1 - g0) / h
+        addg2((3.0 * m - 2.0 * e0 - e1) / h)
+        addg3((e0 + e1 - 2.0 * m) / hh)
     ctx = PContext(p=p, pi_p=pi_p, p_conj=p_conj, _xs=xs, _ss=ss, _cs=cs,
-                   _c2=tuple(c2), _c3=tuple(c3), _index=_build_index(xs, qtr),
+                   _c2=tuple(c2), _c3=tuple(c3), _gs=gs, _gd=gd,
+                   _g2=tuple(g2), _g3=tuple(g3), _index=_build_index(xs, qtr),
                    _lo=lo, _hi=hi)
     return replace(ctx, fold=_bind_fold(ctx))
 
@@ -313,8 +335,9 @@ def _bind_fold(ctx: PContext):
     spectrum inputs the index's scan takes 0.24 to 0.30 steps on average
     at p = 1.5 to 5, and two at most.  The period, the tables and the
     index are bound here, once per context, since fold runs once per
-    integrator right-hand side; the phase right-hand side in
-    ``prufer._integrate`` reads the table in the same arithmetic inline.
+    amplitude right-hand side; the phase and sensitivity right-hand
+    sides in ``prufer._integrate`` read the G table instead, through the
+    same index.
     """
     pi_p = ctx.pi_p
     two_pi = 2.0 * pi_p

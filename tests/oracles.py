@@ -272,10 +272,22 @@ def hermite_table_value(ctx, xr):
 
 
 def fast_abs_sp_pow(ctx, x):
-    """|S_p(x)|^p by the table front end, folded afresh on every call:
+    """|S_p(x)|^p off the context's G table, read afresh on every call:
     the per-call reference for the integrator's per-piece right-hand
-    sides."""
-    return ctx.fold(x)[1] ** ctx.p
+    sides.  G has period pi_p and is even about pi_p/2, so the read is
+    at x mod pi_p reflected onto [0, pi_p/2], on the interval
+    ``bisect_right`` names (the last one at pi_p/2), by the cubic in
+    monomial form that the integrator evaluates."""
+    from bisect import bisect_right
+
+    pi_p = ctx.pi_p
+    xs = ctx._xs
+    r = x % pi_p
+    if r > 0.5 * pi_p:
+        r = pi_p - r
+    i = min(bisect_right(xs, r) - 1, len(xs) - 2)
+    d = r - xs[i]
+    return ctx._gs[i] + d * (ctx._gd[i] + d * (ctx._g2[i] + d * ctx._g3[i]))
 
 
 def index_points(ctx):
@@ -509,7 +521,8 @@ def reference_dp45(ctx, q, rho, ell, tol, dim):
     """Terminal state and counts of the Prufer system by a generic DP45.
 
     A tableau loop over tuple states, with the package's right-hand
-    sides evaluated per call (``Potential.value`` and the table fold on
+    sides evaluated per call (``Potential.value``, and the G table read
+    by ``fast_abs_sp_pow`` or, for the amplitude, ``fast_pair``, on
     every call) and its step control: dim = 1 is the phase, 2 adds
     log R, 3 the sensitivity's lanes v and m.  With G = |S_p(phi)|^p,
     Q = q*rho^(1-p), Q' = (dq/dx)*rho^(1-p) on the piece and

@@ -161,7 +161,7 @@ class TestEigs:
                                  TENT_SPEC, "--n-max", "3", "--max-steps", "45")
         assert code == 2 and out == ""
         assert err == (where + "eigenvalue search failed at index 2: step "
-                       "budget 45 exhausted at x=0.879987715963473 "
+                       "budget 45 exhausted at x=0.8799877121728168 "
                        "(rho=6.28319, ell=1)\n")
 
     def test_large_phase_tol(self, capsys):
@@ -220,8 +220,8 @@ class TestVerify:
         cols = [dict(zip(header, r)) for r in rows]
         assert [(c["m"], c["n"], c["margin"], c["satisfied"])
                 for c in cols[:2]] == [
-            ("1", "2", "-1.1398675839860422", "false"),
-            ("1", "3", "-1.3552318024011722", "false")]
+            ("1", "2", "-1.1398675839860419", "false"),
+            ("1", "3", "-1.355231802401172", "false")]
         assert all(float(c["value"]) < 0.0 and c["in_hypothesis"] == "false"
                    for c in cols[:2])
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -189,6 +190,22 @@ class TestSensitivity:
             integrate_sensitivity(ctx_for(p), q, 2.0, 1.0)
         assert 0.0 < info.value.last_x < 1.0
 
+    @pytest.mark.parametrize("knots,p", (
+        ([[0.0, -1.0], [0.2, 1000.0], [1.0, 1000.0]], 3.0),
+        ([[0.0, 0.0], [0.3, 200.0], [0.7, 200.0], [1.0, 0.0]], 2.0),
+        ([[0.0, 0.0], [0.3, 200.0], [0.7, 200.0], [1.0, 0.0]], 3.0)))
+    def test_stall_that_underflows_is_named(self, ctx_for, knots, p):
+        # at rho = 3 the lanes' 1/phi' shrinks the steps while phi' -> 0
+        # until one underflows, before any stage reads phi' <= 0; the
+        # error names the stall and its slope, about 1e-11*rho here
+        rho = 3.0
+        with pytest.raises(IntegrationError, match="phase stalls") as info:
+            integrate_sensitivity(ctx_for(p), piecewise_linear(knots), rho, 1.0)
+        slope = re.search(r"phi' = (\S+) where the step size underflows",
+                          str(info.value))
+        assert slope and 0.0 < float(slope.group(1)) < 1e-6 * rho
+        assert 0.0 < info.value.last_x < 1.0
+
 
 class TestTrajectoryContracts:
     def test_theta_is_phi_over_rho(self, ctx3):
@@ -327,11 +344,13 @@ class TestPieceRightHandSide:
 
     @staticmethod
     def special_phases(ctx):
-        """Phases at which the phase slope's inline table read could part
-        from ``PContext.fold``: each point of the table's index in all
-        four quadrants, the levels k*pi_p/2, an ulp either side of the
-        multiples of the period, both signs of all of them, and phases so
-        large that phi - 2*pi_p*floor(phi/(2*pi_p)) leaves [0, 2*pi_p)."""
+        """Phases at which the phase slope's inline read of the G table
+        could part from the per-call one: each point of the table's index
+        in all four quadrants, the levels k*pi_p/2, an ulp either side of
+        the multiples of the period, both signs of all of them, and
+        phases so large that the spacing of floats near them exceeds the
+        period.  Among the negative ones are phases whose remainder
+        phi % pi_p rounds up to pi_p itself."""
         pi_p, two_pi = ctx.pi_p, 2.0 * ctx.pi_p
         phases = []
         for xr in index_points(ctx):
@@ -384,9 +403,7 @@ class TestPieceRightHandSide:
         qx = q.value(x) * coef
         assert qx != 0.0
         phases = self.special_phases(ctx)
-        two_pi = 2.0 * ctx.pi_p
-        assert any(not 0.0 <= phi - two_pi * math.floor(phi / two_pi) < two_pi
-                   for phi in phases)
+        assert any(phi % ctx.pi_p == ctx.pi_p for phi in phases)
         for phi in phases:
             assert f(x, phi) == rho - qx * fast_abs_sp_pow(ctx, phi), phi
 
