@@ -300,7 +300,11 @@ def _kernel(rhs, bounds, h, tol, stats, spacing, dim, rho, p, terms):
     norm.  The sensitivity (dim = 3) steps each piece on the piece's own
     lane mu in place of m, and ``to_m(x, mu)`` gives m, which the kernel
     takes at the end of the piece and where a level step reads it.  The
-    error norm is the RMS over ``dim`` components.  Each piece of
+    error norm is the RMS over ``dim`` components of z = e/scale, with
+    scale = abs_tol + rel_tol*max(|y|, |y_new|): |z| at dim = 1, and
+    sqrt((z*z + z_v*z_v + z_m*z_m)/dim) with the lanes.  A square is a
+    product, not a power, so it overflows to inf, and the step is
+    rejected, where a power would raise ``OverflowError``.  Each piece of
     ``bounds`` starts with a fresh slope and a fresh controller memory;
     the step size carries over.  Returns the list of states (phi, v, m)
     at the end of each piece, and the phase slope at the last one, which
@@ -354,6 +358,17 @@ def _kernel(rhs, bounds, h, tol, stats, spacing, dim, rho, p, terms):
     integration fails.
     """
     abs_tol, rel_tol, max_steps = tol.abs_tol, tol.rel_tol, tol.max_steps
+    # the tableau, the controller and sqrt as locals, which the step loop
+    # reads faster than globals
+    c2, c3, c4, c5 = _C2, _C3, _C4, _C5
+    a21, a31, a32, a41, a42, a43 = _A21, _A31, _A32, _A41, _A42, _A43
+    a51, a52, a53, a54 = _A51, _A52, _A53, _A54
+    a61, a62, a63, a64, a65 = _A61, _A62, _A63, _A64, _A65
+    a71, a73, a74, a75, a76 = _A71, _A73, _A74, _A75, _A76
+    e1, e3, e4, e5, e6, e7 = _E1, _E3, _E4, _E5, _E6, _E7
+    safety, neg_alpha, beta = _SAFETY, -_PI_ALPHA, _PI_BETA
+    min_factor, max_factor = _MIN_FACTOR, _MAX_FACTOR
+    sqrt = math.sqrt
     lanes = dim > 1
     ell = bounds[-1]
     (w_start, w_end), kinds = terms or ((_START_WEIGHT, _END_WEIGHT), None)
@@ -366,7 +381,8 @@ def _kernel(rhs, bounds, h, tol, stats, spacing, dim, rho, p, terms):
     else:
         lo_level, hi_level = -math.inf, math.inf
     on_level = bool(spacing)  # phi(0) = 0 is the level 0
-    n_steps = n_rejected = n_landed = n_rhs = 0
+    # every attempt is a step, a reject or a discarded trial
+    attempts = n_rejected = n_landed = n_rhs = 0
     snap = _SNAP * ell  # every x lies in [0, ell]
     states = []
     try:
@@ -380,7 +396,7 @@ def _kernel(rhs, bounds, h, tol, stats, spacing, dim, rho, p, terms):
             err_old = 1e-4
             land = 0.0  # length of a pending step onto a level, else 0
             while x < x_end:
-                if n_steps + n_rejected + n_landed >= max_steps:
+                if attempts >= max_steps:
                     raise IntegrationError(
                         f"step budget {max_steps} exhausted at x={x!r}", last_x=x)
                 weight = w_start if on_level else 1.0
@@ -411,46 +427,46 @@ def _kernel(rhs, bounds, h, tol, stats, spacing, dim, rho, p, terms):
                     raise IntegrationError(
                         f"step size underflow at x={x!r}", last_x=x)
 
-                y = phi + ht * (_A21 * k1)
+                y = phi + ht * (a21 * k1)
                 if lanes:
-                    k2, v2, m2 = f(x + _C2 * ht, y, m + ht * (_A21 * m1))
+                    k2, v2, m2 = f(x + c2 * ht, y, m + ht * (a21 * m1))
                 else:
-                    k2 = f(x + _C2 * ht, y)
-                y = phi + ht * (_A31 * k1 + _A32 * k2)
+                    k2 = f(x + c2 * ht, y)
+                y = phi + ht * (a31 * k1 + a32 * k2)
                 if lanes:
-                    k3, v3, m3 = f(x + _C3 * ht, y,
-                                   m + ht * (_A31 * m1 + _A32 * m2))
+                    k3, v3, m3 = f(x + c3 * ht, y,
+                                   m + ht * (a31 * m1 + a32 * m2))
                 else:
-                    k3 = f(x + _C3 * ht, y)
-                y = phi + ht * (_A41 * k1 + _A42 * k2 + _A43 * k3)
+                    k3 = f(x + c3 * ht, y)
+                y = phi + ht * (a41 * k1 + a42 * k2 + a43 * k3)
                 if lanes:
-                    k4, v4, m4 = f(x + _C4 * ht, y,
-                                   m + ht * (_A41 * m1 + _A42 * m2 + _A43 * m3))
+                    k4, v4, m4 = f(x + c4 * ht, y,
+                                   m + ht * (a41 * m1 + a42 * m2 + a43 * m3))
                 else:
-                    k4 = f(x + _C4 * ht, y)
-                y = phi + ht * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4)
+                    k4 = f(x + c4 * ht, y)
+                y = phi + ht * (a51 * k1 + a52 * k2 + a53 * k3 + a54 * k4)
                 if lanes:
-                    k5, v5, m5 = f(x + _C5 * ht, y,
-                                   m + ht * (_A51 * m1 + _A52 * m2 + _A53 * m3
-                                             + _A54 * m4))
+                    k5, v5, m5 = f(x + c5 * ht, y,
+                                   m + ht * (a51 * m1 + a52 * m2 + a53 * m3
+                                             + a54 * m4))
                 else:
-                    k5 = f(x + _C5 * ht, y)
-                y = phi + ht * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4
-                                + _A65 * k5)
+                    k5 = f(x + c5 * ht, y)
+                y = phi + ht * (a61 * k1 + a62 * k2 + a63 * k3 + a64 * k4
+                                + a65 * k5)
                 if lanes:
                     k6, v6, m6 = f(x + ht, y,
-                                   m + ht * (_A61 * m1 + _A62 * m2 + _A63 * m3
-                                             + _A64 * m4 + _A65 * m5))
+                                   m + ht * (a61 * m1 + a62 * m2 + a63 * m3
+                                             + a64 * m4 + a65 * m5))
                 else:
                     k6 = f(x + ht, y)
-                phi_new = phi + ht * (_A71 * k1 + _A73 * k3 + _A74 * k4
-                                      + _A75 * k5 + _A76 * k6)
+                phi_new = phi + ht * (a71 * k1 + a73 * k3 + a74 * k4
+                                      + a75 * k5 + a76 * k6)
                 te = 0.0
                 if lanes:
-                    v_new = v + ht * (_A71 * v1 + _A73 * v3 + _A74 * v4
-                                      + _A75 * v5 + _A76 * v6)
-                    m_new = m + ht * (_A71 * m1 + _A73 * m3 + _A74 * m4
-                                      + _A75 * m5 + _A76 * m6)
+                    v_new = v + ht * (a71 * v1 + a73 * v3 + a74 * v4
+                                      + a75 * v5 + a76 * v6)
+                    m_new = m + ht * (a71 * m1 + a73 * m3 + a74 * m4
+                                      + a75 * m5 + a76 * m6)
                     tv = tm = 0.0
                 # the singular terms of the levels the step leaves and is
                 # aimed at, which the tableau misreads
@@ -459,7 +475,8 @@ def _kernel(rhs, bounds, h, tol, stats, spacing, dim, rho, p, terms):
                     qx = coef(x)
                     c1 = (dcoef * (1.0 - a * qx / (2.0 * k1))
                           if k & 1 and k1 else dcoef)
-                    t = ht * (g * abs(k1 * ht)) ** a
+                    kh = k1 * ht
+                    t = ht * (g * (kh if kh > 0.0 else -kh)) ** a
                     phi_new += t * (qx * db + c1 * ht * db1)
                     te = t * (qx * de + c1 * ht * de1)
                     if lanes:
@@ -475,7 +492,8 @@ def _kernel(rhs, bounds, h, tol, stats, spacing, dim, rho, p, terms):
                     slope = rho - qe if aim & 1 else rho
                     c1 = (dcoef * (1.0 - a * qe / (2.0 * slope))
                           if aim & 1 and slope else dcoef)
-                    t = ht * (g * abs(slope * ht)) ** a
+                    kh = slope * ht
+                    t = ht * (g * (kh if kh > 0.0 else -kh)) ** a
                     phi_new += t * (qe * db + c1 * ht * db1)
                     te += t * (qe * de + c1 * ht * de1)
                     if lanes:
@@ -496,30 +514,41 @@ def _kernel(rhs, bounds, h, tol, stats, spacing, dim, rho, p, terms):
                     k7 = f(x + ht, phi_new)
                 n_rhs += 6
 
-                e = ht * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6
-                          + _E7 * k7) - te
-                err = (e / (abs_tol + rel_tol * max(abs(phi), abs(phi_new)))) ** 2
+                # each component's error over its scale abs_tol + rel_tol*
+                # max(|y|, |y_new|), the abs and the max written out
+                e = ht * (e1 * k1 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6
+                          + e7 * k7) - te
+                s0 = phi if phi > 0.0 else -phi
+                s1 = phi_new if phi_new > 0.0 else -phi_new
+                z = e / (abs_tol + rel_tol * (s1 if s1 > s0 else s0))
                 if lanes:
-                    ev = ht * (_E1 * v1 + _E3 * v3 + _E4 * v4 + _E5 * v5
-                               + _E6 * v6 + _E7 * v7) - tv
-                    em = ht * (_E1 * m1 + _E3 * m3 + _E4 * m4 + _E5 * m5
-                               + _E6 * m6 + _E7 * m7) - tm
-                    err = (err
-                           + (ev / (abs_tol + rel_tol * max(abs(v), abs(v_new)))) ** 2
-                           + (em / (abs_tol + rel_tol * max(abs(m), abs(m_new)))) ** 2
-                           ) / dim
-                err = math.sqrt(err) * weight
+                    ev = ht * (e1 * v1 + e3 * v3 + e4 * v4 + e5 * v5
+                               + e6 * v6 + e7 * v7) - tv
+                    em = ht * (e1 * m1 + e3 * m3 + e4 * m4 + e5 * m5
+                               + e6 * m6 + e7 * m7) - tm
+                    s0 = v if v > 0.0 else -v
+                    s1 = v_new if v_new > 0.0 else -v_new
+                    zv = ev / (abs_tol + rel_tol * (s1 if s1 > s0 else s0))
+                    s0 = m if m > 0.0 else -m
+                    s1 = m_new if m_new > 0.0 else -m_new
+                    zm = em / (abs_tol + rel_tol * (s1 if s1 > s0 else s0))
+                    err = sqrt((z * z + zv * zv + zm * zm) / dim) * weight
+                else:
+                    err = (z if z > 0.0 else -z) * weight
 
                 if err <= 1.0:
                     if land or phi_new >= hi_level or phi_new <= lo_level:
                         if not land:
                             dk = 1 if phi_new >= hi_level else -1
                             level = (k + dk) * spacing
-                            if abs(phi_new - level) > win:
+                            off = phi_new - level
+                            if off > win or off < -win:
                                 land = ht * _hermite_crossing(
                                     phi, phi_new, ht * k1, ht * k7, level)
                                 if land >= snap and x_end - (x + land) >= snap:
-                                    n_landed += 1  # discard: land next attempt
+                                    # discard: land next attempt
+                                    attempts += 1
+                                    n_landed += 1
                                     continue
                         # on the level: landed, within the window, or the
                         # crossing is an end of the trial, which is kept
@@ -531,28 +560,38 @@ def _kernel(rhs, bounds, h, tol, stats, spacing, dim, rho, p, terms):
                     elif spacing:
                         # a step that stays within the window of its
                         # level leaves the next one starting on it
-                        on_level = abs(phi_new - k * spacing) <= win
+                        off = phi_new - k * spacing
+                        on_level = -win <= off <= win
                     x_new = x + ht
                     x = x_end if x_end - x_new < snap else x_new
                     phi, k1 = phi_new, k7
-                    n_steps += 1
+                    attempts += 1
                     if lanes:
                         v, m, v1, m1 = v_new, m_new, v7, m7
+                    # the clamps as the builtins evaluate them: min(a, b)
+                    # is b if b < a else a, max(a, b) b if b > a else a
                     if ht >= h:  # not shortened by a boundary: PI rescale
-                        h = ht * (_MAX_FACTOR if err == 0.0 else min(
-                            _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** -_PI_ALPHA
-                                             * err_old ** _PI_BETA)))
-                    err_old = max(err, 1e-4)
+                        if err == 0.0:
+                            h = ht * max_factor
+                        else:
+                            fac = safety * err ** neg_alpha * err_old ** beta
+                            fac = fac if fac > min_factor else min_factor
+                            h = ht * (fac if fac < max_factor else max_factor)
+                    err_old = 1e-4 if 1e-4 > err else err
                 else:
+                    attempts += 1
                     n_rejected += 1
-                    h = ht * max(0.1, min(0.9, _SAFETY * err ** -0.2))
+                    # a NaN estimate takes the factor 0.9
+                    fac = safety * err ** -0.2
+                    fac = fac if fac < 0.9 else 0.9
+                    h = ht * (fac if fac > 0.1 else 0.1)
                     land = 0.0
             if to_m:
                 m = to_m(x, m)
             states.append((phi, v, m))
     finally:
-        stats.update(n_steps=n_steps, n_rejected=n_rejected, n_rhs=n_rhs,
-                     n_landed=n_landed)
+        stats.update(n_steps=attempts - n_rejected - n_landed,
+                     n_rejected=n_rejected, n_rhs=n_rhs, n_landed=n_landed)
     return states, k1
 
 

@@ -403,11 +403,18 @@ def _reference_piece(f, x, y, x_end, h, tol, counters, spacing, ell,
     1e-7*spacing of the level next to k sits on it; one that passes it
     by more is replaced by the step that ends where the step's cubic
     Hermite meets the level, unless that point lies within the snap
-    distance of either end of the step.  The error norm is weighted by
-    ``weights[0]`` on a step that starts on a level, where the phase sat
-    on it and has stayed within the window since, and by ``weights[1]``
-    on a step aimed at a level, predicted or Hermite.  With ``defect``
-    (the phase and the sensitivity at p != 2),
+    distance of either end of the step.  The error norm is the RMS over
+    the components of z = e/(abs_tol + rel_tol*max(|y|, |y_new|)) as the
+    kernel forms it: |z| for one component, else sqrt(sum(z*z)/dim).
+    Both square by a product, never by a power, which can round apart
+    from it and raises ``OverflowError`` where it gives inf.  The step
+    factors are clamped by the builtin ``min`` and ``max``, which the
+    kernel writes out as conditionals that evaluate the same way, NaN
+    included, so the kernel matches this loop by construction.  The norm
+    is weighted by ``weights[0]`` on a step that starts on a level, where
+    the phase sat on it and has stayed within the window since, and by
+    ``weights[1]`` on a step aimed at a level, predicted or Hermite.
+    With ``defect`` (the phase and the sensitivity at p != 2),
     ``defect(level, x, h, slope, aimed, state)`` gives the corrections
     of the 5th-order state and the readings of the estimate, one per
     component, for the singular term of a step from x that leaves the
@@ -467,12 +474,16 @@ def _reference_piece(f, x, y, x_end, h, tol, counters, spacing, ell,
         counters["n_rhs"] += 6
         y_new = yi  # stage 7 argument: the 5th-order solution
 
-        err = 0.0
-        for d in range(dim):
-            e = h_try * _dot(_DP_E, k, d) - read[d]
-            sc = tol.abs_tol + tol.rel_tol * max(abs(y[d]), abs(y_new[d]))
-            err += (e / sc) ** 2
-        err = math.sqrt(err / dim) * weight
+        zs = [(h_try * _dot(_DP_E, k, d) - read[d])
+              / (tol.abs_tol + tol.rel_tol * max(abs(y[d]), abs(y_new[d])))
+              for d in range(dim)]
+        if dim == 1:
+            err = abs(zs[0]) * weight
+        else:
+            err = 0.0
+            for z in zs:
+                err += z * z
+            err = math.sqrt(err / dim) * weight
 
         if err <= 1.0:
             if landing:

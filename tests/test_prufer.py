@@ -49,6 +49,11 @@ INTEGRATORS = ((integrate_phase, 1), (integrate_amplitude, 2),
                (integrate_sensitivity, 3))
 
 
+def _spike(top):
+    """A spike of height ``top`` at x = 0.5 on q = 0 at both ends."""
+    return piecewise_linear([[0.0, 0.0], [0.5, top], [1.0, 0.0]])
+
+
 class TestFreePotential:
     @pytest.mark.parametrize("p", (1.5, 2.0, 3.0))
     def test_phase_is_linear(self, ctx_for, p):
@@ -246,9 +251,10 @@ class TestUnrolledKernels:
     """The stage-unrolled kernels against the generic tableau loop."""
 
     @pytest.mark.parametrize("integrate,dim", INTEGRATORS)
-    @pytest.mark.parametrize("q", (TENT, BUMP, WELL, SHORT_BUMP, SLIVER),
+    @pytest.mark.parametrize("q", (TENT, BUMP, WELL, SHORT_BUMP, SLIVER,
+                                   _spike(1e-300)),
                              ids=("tent", "bump", "well", "restricted",
-                                  "sliver"))
+                                  "sliver", "tiny_spike"))
     @pytest.mark.parametrize("p", (1.5, 2.0, 3.0, 5.0, 1.45, 3.3))
     def test_bit_identical_to_reference(self, ctx_for, p, q, integrate, dim):
         # the reference reads q by Potential.value on every call; at
@@ -256,7 +262,10 @@ class TestUnrolledKernels:
         # the potential, at domain_end on its last knot.  p = 1.45 and
         # 3.3 lie just outside min(p, p/(p-1)) >= 3/2, where the phase
         # keeps its weights and its estimate reads the singular term.
-        # Each sliver piece of SLIVER is one step of both
+        # Each sliver piece of SLIVER is one step of both.  On the tiny
+        # spike the errors' squares underflow to 0, while |e/scale| of the
+        # phase at p = 3 reads about 4e-298: a zero and a tiny norm both
+        # grow the step by the largest factor
         ctx = ctx_for(p)
         for ell in (q.domain_end, 0.37):
             for rho in (2.5, 11.0):
@@ -495,6 +504,26 @@ class TestErrors:
         with pytest.warns(RuntimeWarning):
             traj = integrate_phase(ctx2, TENT, 1e9, 1e-3)
         assert traj.stats["warnings"]
+
+    @pytest.mark.parametrize("integrate,dim", INTEGRATORS)
+    @pytest.mark.parametrize("p,top", ((2.0, 1e150), (3.0, 1e300)))
+    def test_overflowing_error_norm_is_named(self, ctx_for, p, top,
+                                             integrate, dim):
+        # the error of log R over its scale passes 1e154 on the spike, so
+        # its square is inf: the step is rejected, not an OverflowError,
+        # and the integration fails where the reference's does
+        ctx = ctx_for(p)
+        with pytest.raises(IntegrationError) as info:
+            integrate(ctx, _spike(top), 2.5, 1.0)
+        with pytest.raises(IntegrationError) as ref:
+            reference_dp45(ctx, _spike(top), 2.5, 1.0, SolverConfig(), dim)
+        assert info.value.last_x == ref.value.last_x
+
+    @pytest.mark.parametrize("p,top", ((2.0, 1e150), (3.0, 1e300)))
+    def test_overflowing_reconstruction_is_named(self, ctx_for, p, top):
+        with pytest.raises(IntegrationError, match="step size underflow"):
+            reconstruct_eigenfunction(ctx_for(p), _spike(top), 2.5, 1.0,
+                                      samples=11)
 
 
 class TestReconstruction:
