@@ -7,14 +7,16 @@ intervals come from the constant-comparison bound
 
     (n*pi_p/ell)^p + min q  <=  lambda_n  <=  (n*pi_p/ell)^p + max q,
 
-and ``find_eigenvalue`` runs a secant iteration on the phase miss
-phi(ell) - n*pi_p in rho, from the first-order guess
-(n*pi_p/ell)^p + mean q, safeguarded by that interval.  The terminal
-phase of each integration, kept by rho, is the search's one record: the
-part of the interval known to hold the root is read off it, the padded
+and ``find_eigenvalue`` solves phi(ell, rho) = n*pi_p in rho.  Its
+loop is ``_search``, a safeguarded secant over a phase map: here the
+map rho -> phi(ell, rho), one integration per evaluation, but any
+increasing map of rho will do.  It starts from the first-order guess
+(n*pi_p/ell)^p + mean q and is safeguarded by that interval.  The value
+of each evaluation, kept by rho, is the search's one record: the part
+of the interval known to hold the root is read off it, the padded
 interval's end standing in for a side not yet seen, and a step that
 leaves that part becomes a bisection.  The padded interval is the only
-bracket: its ends are never integrated by themselves and never moved.
+bracket: its ends are never evaluated by themselves and never moved.
 It runs once: a root whose miss exceeds the residual gate, one outside
 the interval included, is a ``SearchError``.
 
@@ -121,35 +123,25 @@ def find_eigenvalue(ctx: PContext, q: Potential, n: int, ell: float,
                     cfg: SolverConfig = SolverConfig()) -> Eigenpair:
     """Locate lambda_n(ell) by root-finding phi(ell, rho) = n*pi_p.
 
-    A safeguarded secant in rho runs from the first-order guess
+    The index n must be an integer >= 1 (``bracket_eigenvalue``).  The
+    search runs on q - mean q (``_mean``, exact on the knots), or on
+    q - min q where the shifted lower bound (n*pi_p/ell)^p + min q -
+    mean q is not positive, and the shift is taken off again
+    (``Eigenpair.shift``).  ``_search`` solves the phase map
+    rho -> phi(ell, rho), one ``integrate_phase`` at ``cfg``'s
+    tolerances per evaluation, from the first-order guess
     lambda_0 = (n*pi_p/ell)^p + mean q with the slope d phi/d rho = ell
-    of q = 0; phi(ell, .) crosses each level n*pi_p once, upward, so the
-    root is unique.  The terminal phase of each integration, kept by
-    rho, is the search's only record, and each step reads the bracket
-    off it: the largest rho whose miss is negative and the smallest whose
-    miss is positive, the padded comparison ends standing in until each
-    side is seen.  A step that leaves the bracket, or follows two
-    evaluations that each failed to halve the miss, bisects it.  The
-    padded ends are never integrated by themselves and never moved, so
-    every integrated rho lies strictly inside the padded interval.  The
-    search stops at |miss| <= min(1e-10, phase_tol/10); a search that
-    ends short of it, when the bracket collapses (whichever sides have
-    been seen) or ``_MAX_STEPS`` run out, takes the evaluated rho of
-    least miss.  A root outside the interval, which only a faulty
-    integration can put there, collapses the bracket onto a padded end
-    and fails the residual gate.
+    of q = 0, inside the comparison interval padded by 1e-12 relative,
+    to |miss| <= min(1e-10, phase_tol/10).  phi(ell, .) crosses each
+    level n*pi_p once, upward, so the root is unique; the interval and
+    the guess are those of the shifted potential.
 
-    It runs once, at ``cfg``'s tolerances; a root that misses ``phase_tol``
-    raises :class:`SearchError` with its rho and phi(ell).  An accepted
-    root returns at once, with the residual of its rho and no interval
-    around lambda_n, so no integration is spent beyond the search.
-    The search runs on q - mean q (``_mean``, exact on the knots), or
-    on q - min q where the shifted lower bound
-    (n*pi_p/ell)^p + min q - mean q is not positive, and the shift is
-    taken off again (``Eigenpair.shift``): the interval and the guess
-    above are those of the shifted potential, and the returned lambda
-    is unshifted.  The residual, the only acceptance test, fixes
-    ``zero_count`` at n - 1.
+    It runs once.  The residual |phi(ell) - n*pi_p| of the accepted rho
+    is the only acceptance test: one above ``phase_tol``, a root outside
+    the interval included, raises :class:`SearchError` with its rho and
+    phi(ell).  An accepted root returns at once, unshifted, with no
+    interval around lambda_n, and its residual fixes ``zero_count`` at
+    n - 1.
     """
     p = ctx.p
     target = n * ctx.pi_p
@@ -165,16 +157,48 @@ def find_eigenvalue(ctx: PContext, q: Potential, n: int, ell: float,
     ends = (max(lo - 1e-12 * (1.0 + abs(lo)), 0.5 * lo) ** (1.0 / p),
             (hi + 1e-12 * (1.0 + abs(hi))) ** (1.0 / p))
     stop = min(1e-10, 0.1 * cfg.phase_tol)
+    rho, phi = _search(lambda r: integrate_phase(ctx, q, r, ell, cfg).phi_end,
+                       target, ends, lam0 ** (1.0 / p), ell, stop)
 
-    # terminal phase of every integration, by rho
+    residual = abs(phi - target)
+    if residual > cfg.phase_tol:
+        raise SearchError(
+            f"root for n={n} misses the phase target by {residual:g} "
+            f"(phase_tol {cfg.phase_tol:g})",
+            details={"rho": rho, "phi_end": phi})
+
+    return Eigenpair(n=n, lam=rho ** p - shift, rho=rho,
+                     phi_end=phi, residual=residual,
+                     zero_count=n - 1, shift=shift)
+
+
+def _search(phase, target: float, ends: tuple[float, float], rho: float,
+            slope: float, stop: float) -> tuple[float, float]:
+    """Solve phase(rho) = target for an increasing ``phase`` by a
+    safeguarded secant from ``rho`` with the first slope ``slope``.
+
+    The value of each evaluation, kept by rho, is the search's only
+    record, and no rho is evaluated twice.  Each step reads the bracket
+    off it: the largest rho whose miss phase - target is negative and
+    the smallest whose miss is positive, the ends of ``ends`` standing
+    in until each side is seen.  A step that leaves the bracket, or
+    follows two evaluations that each failed to halve the miss, bisects
+    it.  The ends are never evaluated and never moved, so every
+    evaluated rho lies strictly inside ``ends`` when ``rho`` does.  The
+    search stops at |miss| <= ``stop``; one that ends short of it, when
+    the bracket collapses (whichever sides have been seen) or
+    ``_MAX_STEPS`` run out, takes the evaluated rho of least miss.  A
+    root outside ``ends`` collapses the bracket onto an end.  Returns
+    the accepted rho and phase(rho).
+    """
+    # phase of every evaluation, by rho
     phis: dict[float, float] = {}
 
     def h(rho: float) -> float:
         if rho not in phis:
-            phis[rho] = integrate_phase(ctx, q, rho, ell, cfg).phi_end
+            phis[rho] = phase(rho)
         return phis[rho] - target
 
-    rho, slope = lam0 ** (1.0 / p), ell
     f = h(rho)
     f_prev, stalls = math.inf, 0
     for _ in range(_MAX_STEPS):
@@ -196,17 +220,7 @@ def find_eigenvalue(ctx: PContext, q: Potential, n: int, ell: float,
         rho, f = nxt, fn
     if abs(f) > stop:
         rho = min(phis, key=lambda r: (abs(phis[r] - target), r))
-
-    residual = abs(phis[rho] - target)
-    if residual > cfg.phase_tol:
-        raise SearchError(
-            f"root for n={n} misses the phase target by {residual:g} "
-            f"(phase_tol {cfg.phase_tol:g})",
-            details={"rho": rho, "phi_end": phis[rho]})
-
-    return Eigenpair(n=n, lam=rho ** p - shift, rho=rho,
-                     phi_end=phis[rho], residual=residual,
-                     zero_count=n - 1, shift=shift)
+    return rho, phis[rho]
 
 
 def _check_index(name: str, n) -> None:

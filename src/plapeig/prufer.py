@@ -123,8 +123,8 @@ from .errors import DomainError, IntegrationError, StateError
 from .potentials import Potential
 from .ptrig import PContext, sp_pair
 
-# rho beyond this is accepted but flagged: b(x) -> 1 and theta -> ell,
-# so sensitivity output carries heavy cancellation
+# rho beyond this is accepted, but a sensitivity integration is flagged:
+# b(x) -> 1 and theta -> ell, so its output carries heavy cancellation
 RHO_CONDITIONING_LIMIT = 1e8
 
 
@@ -616,7 +616,7 @@ def _integrate(ctx: PContext, q: Potential, rho: float, ell: float,
     ell = min(ell, q.domain_end)
 
     stats_warnings: list[str] = []
-    if rho > RHO_CONDITIONING_LIMIT:
+    if dim == 3 and rho > RHO_CONDITIONING_LIMIT:
         msg = (f"rho={rho:g} is extremely large; theta ~ ell and "
                "sensitivity output is ill-conditioned")
         warnings.warn(msg, RuntimeWarning, stacklevel=3)

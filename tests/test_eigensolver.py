@@ -1,9 +1,9 @@
-import dataclasses
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from plapeig import eigensolver
 from plapeig import (DomainError, HarnessConfig, IntegrationError,
@@ -26,6 +26,8 @@ PL5_SEED7 = piecewise_linear([[0, -4.434624999978452],
                               [0.7156208631219184, -3.104699465566667],
                               [1, -2.9023422854776664]])
 CFG = SolverConfig()
+# the search's stop at the default phase_tol
+STOP = min(1e-10, 0.1 * CFG.phase_tol)
 
 
 class TestBracket:
@@ -188,45 +190,36 @@ class TestRootFind:
             assert pair.phi_end == phi_of[pair.rho], n
             assert pair.residual == abs(pair.phi_end - n * ctx.pi_p), n
 
-    def test_exact_hit_takes_one_integration(self, ctx2, monkeypatch):
+    def test_exact_hit_takes_one_integration(self):
         # a phase that lands on the level exactly is the root: its
-        # residual is 0 and no integration follows the first
-        real = eigensolver.integrate_phase
+        # residual is 0 and no evaluation follows the first
+        target, evals = 2.0 * math.pi, []
 
-        def exact(ctx, q, rho, ell, tol):
-            return dataclasses.replace(real(ctx, q, rho, ell, tol),
-                                       phi_end=2.0 * ctx.pi_p)
+        def exact(rho):
+            evals.append(rho)
+            return target
 
-        monkeypatch.setattr(eigensolver, "integrate_phase", exact)
-        calls = spy_integrations(monkeypatch)
-        pair = find_eigenvalue(ctx2, TENT, 2, 1.0, CFG)
-        assert pair.residual == 0.0
-        assert len(calls) == 1
+        rho, phi = eigensolver._search(exact, target, (5.0, 8.0), 6.0, 1.0,
+                                       STOP)
+        assert (rho, phi) == (6.0, target)
+        assert evals == [6.0]
 
     @pytest.mark.parametrize("ulps", (-2, -1, 1, 2, 3))
-    def test_near_miss_first_guess_is_the_root(self, ctx2, monkeypatch,
-                                               ulps):
+    def test_near_miss_first_guess_is_the_root(self, ulps):
         # a first guess that misses the level by a few ulps of n*pi_p,
         # on either side, is within the stop: it is the root, found with
-        # one integration and reported with its residual
-        real = eigensolver.integrate_phase
-        target = 2.0 * ctx2.pi_p
-        first = []
+        # one evaluation and reported with its phase
+        target, rho0, evals = 2.0 * math.pi, 6.0, []
 
-        def near_miss(ctx, q, rho, ell, tol):
-            traj = real(ctx, q, rho, ell, tol)
-            first.append(rho)
-            if rho != first[0]:
-                return traj
-            return dataclasses.replace(
-                traj, phi_end=target + ulps * math.ulp(target))
+        def near_miss(rho):
+            evals.append(rho)
+            return target + ulps * math.ulp(target) + (rho - rho0)
 
-        monkeypatch.setattr(eigensolver, "integrate_phase", near_miss)
-        calls = spy_integrations(monkeypatch)
-        pair = find_eigenvalue(ctx2, TENT, 2, 1.0, CFG)
-        assert pair.rho == first[0]
-        assert pair.residual == abs(ulps) * math.ulp(target)
-        assert len(calls) == 1
+        rho, phi = eigensolver._search(near_miss, target, (5.0, 8.0), rho0,
+                                       1.0, STOP)
+        assert rho == rho0
+        assert abs(phi - target) == abs(ulps) * math.ulp(target)
+        assert evals == [rho0]
 
     @pytest.mark.parametrize("p,ceiling", (
         (1.5, (40, 12, 41)), (2.0, (37, 12, 38)),
@@ -301,37 +294,40 @@ class TestRootFind:
         assert pair.rho == second
         assert pair.residual == misses[second] < misses[first]
 
-        rho0 = target  # the first guess on the tent at p = 2, ell = 1
-        monkeypatch.setattr(
-            eigensolver, "integrate_phase",
-            lambda ctx, q, rho, ell, tol:
-                SimpleNamespace(phi_end=target + 3.0 * (rho - rho0 + 0.01)))
-        pair = find_eigenvalue(ctx2, TENT, 2, 1.0, wide)
-        assert pair.rho == rho0
-        assert pair.residual == pytest.approx(0.03, rel=1e-12)
+        # the first step, at slope 1, lands at miss -0.06: the first
+        # evaluation, at miss 0.03, is the least
+        rho0 = target
+        rho, phi = eigensolver._search(
+            lambda rho: target + 3.0 * (rho - rho0 + 0.01), target,
+            (rho0 - 1.0, rho0 + 1.0), rho0, 1.0, STOP)
+        assert rho == rho0
+        assert phi - target == pytest.approx(0.03, rel=1e-12)
 
     @pytest.mark.parametrize("phase", (
         lambda rho, target: rho - 1e-7,
         lambda rho, target: target * rho / (1.0 + rho)),
         ids=("root_past_the_upper_end", "no_root"))
-    def test_root_outside_the_interval_misses_the_gate(self, ctx3,
-                                                       monkeypatch, phase):
+    def test_root_outside_the_interval_misses_the_gate(self, ctx3, phase):
         # phi(ell) = ell*rho - 1e-7 on q = 0 puts the root above the
         # padded upper comparison end, and target*rho/(1 + rho) has no
         # root: the bisection runs into the padded end, the bracket
-        # collapses, and the least miss is refused at phase_tol after a
-        # handful of integrations
+        # collapses, and the least miss, above phase_tol, comes back
+        # after a handful of evaluations
         target = 2 * ctx3.pi_p
+        # the padded interval of q = 0, whose comparison bracket is
+        # the one point (2*pi_p)^3
+        ends = (target * (1.0 - 1e-12), target * (1.0 + 1e-12))
         evals = []
 
-        def fake(ctx, q, rho, ell, tol):
+        def fake(rho):
             evals.append(rho)
-            return SimpleNamespace(phi_end=phase(rho, target))
+            return phase(rho, target)
 
-        monkeypatch.setattr(eigensolver, "integrate_phase", fake)
-        with pytest.raises(SearchError, match="misses the phase target"):
-            find_eigenvalue(ctx3, constant(0.0), 2, 1.0, CFG)
+        rho, phi = eigensolver._search(fake, target, ends, target, 1.0,
+                                       STOP)
+        assert abs(phi - target) > CFG.phase_tol
         assert 1 < len(evals) <= 5
+        assert all(ends[0] < r < ends[1] for r in evals)
 
     @pytest.mark.parametrize("p,knots", (
         (2.0, [[0, -110], [1, 60]]),
@@ -352,6 +348,55 @@ class TestRootFind:
         top = (hi + 1e-12 * (1.0 + abs(hi))) ** (1.0 / p)
         assert calls
         assert all(bottom < rho < top for rho, _ in calls), (bottom, top)
+
+
+# the level of the drawn maps
+TARGET = 2.0 * math.pi
+
+
+@st.composite
+def increasing_maps(draw):
+    """An increasing map rho -> target + a*(rho - r0) + b*tanh(k*(rho - c)),
+    its interval ``ends`` and a start strictly inside it.  The root, if
+    any, lies inside the interval or outside it; a steep step makes the
+    secant stall and the search bisect."""
+    lo = draw(st.floats(0.1, 10.0))
+    width = draw(st.floats(1e-6, 10.0))
+    hi = lo + width
+    start = lo + draw(st.floats(0.01, 0.99)) * width
+    assume(lo < start < hi)
+    a = draw(st.floats(1e-3, 1e3))
+    b = draw(st.floats(0.0, 1e2))
+    k = 10.0 ** draw(st.floats(-2.0, 6.0))
+    r0 = draw(st.floats(lo - width, hi + width))  # zero of the affine part
+    c = draw(st.floats(lo - width, hi + width))  # centre of the step
+    slope = draw(st.floats(1e-3, 1e3))
+    return (lambda rho: TARGET + a * (rho - r0) + b * math.tanh(k * (rho - c)),
+            (lo, hi), start, slope)
+
+
+class TestSearch:
+    @settings(max_examples=300, deadline=None)
+    @given(increasing_maps())
+    def test_search_guarantees(self, drawn):
+        # on any increasing map: every evaluation strictly inside the
+        # ends and at a new rho, at most _MAX_STEPS + 1 of them, and the
+        # result an evaluated rho, of least miss where it misses the stop
+        phase, ends, start, slope = drawn
+        evals = []
+
+        def spy(rho):
+            evals.append((rho, phase(rho)))
+            return evals[-1][1]
+
+        rho, phi = eigensolver._search(spy, TARGET, ends, start, slope, STOP)
+        rhos = [r for r, _ in evals]
+        assert all(ends[0] < r < ends[1] for r in rhos)
+        assert len(set(rhos)) == len(rhos)
+        assert len(evals) <= eigensolver._MAX_STEPS + 1
+        assert (rho, phi) in evals
+        if abs(phi - TARGET) > STOP:
+            assert abs(phi - TARGET) == min(abs(v - TARGET) for _, v in evals)
 
 
 # relative bound of the closed-form test per p: the search runs on

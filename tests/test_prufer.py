@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -501,9 +502,15 @@ class TestErrors:
             integrate_phase(ctx2, TENT, 1.0, 1.5)
 
     def test_huge_rho_warns(self, ctx2):
-        with pytest.warns(RuntimeWarning):
-            traj = integrate_phase(ctx2, TENT, 1e9, 1e-3)
+        # the warning is the sensitivity's: the phase alone at that rho
+        # neither warns nor records one
+        with pytest.warns(RuntimeWarning, match="ill-conditioned"):
+            traj = integrate_sensitivity(ctx2, TENT, 1e9, 1e-3)
         assert traj.stats["warnings"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = integrate_phase(ctx2, TENT, 1e9, 1e-3)
+        assert traj.stats["warnings"] == ()
 
     @pytest.mark.parametrize("integrate,dim", INTEGRATORS)
     @pytest.mark.parametrize("p,top", ((2.0, 1e150), (3.0, 1e300)))
