@@ -12,9 +12,9 @@ Potentials are given inline as a JSON object or as a path to a JSON
 file.  Option precedence is CLI flags over config file (--config) over
 built-in defaults, and every report echoes the effective configuration
 so it can be reproduced from its own header.  Data goes to stdout or
---out; diagnostics go to stderr, a warning as one "warning:" line.
-Numbers carry 17 significant digits (round-trip safe) and CSV output is
-locale independent; a number not computed is an empty cell or null.
+--out; diagnostics go to stderr.  Numbers carry 17 significant digits
+(round-trip safe) and CSV output is locale independent; a number not
+computed is an empty cell or null.
 
 Exit codes: 0 success/verified, 2 usage error or a failed solve in eigs
 or sweep, 3 statement violated, 4 inconclusive (hypothesis mismatch, or
@@ -28,7 +28,6 @@ import functools
 import io
 import json
 import sys
-import warnings
 from dataclasses import dataclass, field, fields
 
 from .config import READS, HarnessConfig, SolverConfig
@@ -421,17 +420,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    with warnings.catch_warnings():
-        warnings.showwarning = lambda message, *_: print(
-            f"warning: {message}", file=sys.stderr)
-        try:
-            return args.func(args)
-        except UsageError as exc:
-            print(f"usage error: {exc}", file=sys.stderr)
-            return EXIT_ERROR
-        except PLapError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_ERROR
+    try:
+        return args.func(args)
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except PLapError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

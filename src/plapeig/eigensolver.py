@@ -178,10 +178,12 @@ def _search(phase, target: float, ends: tuple[float, float], rho: float,
     safeguarded secant from ``rho`` with the first slope ``slope``.
 
     The value of each evaluation, kept by rho, is the search's only
-    record, and no rho is evaluated twice.  Each step reads the bracket
-    off it: the largest rho whose miss phase - target is negative and
-    the smallest whose miss is positive, the ends of ``ends`` standing
-    in until each side is seen.  A step that leaves the bracket, or
+    record.  Each step reads the bracket off it: the largest rho whose
+    miss phase - target is negative and the smallest whose miss is
+    positive, the ends of ``ends`` standing in until each side is seen.
+    A NaN value lies on neither side and raises :class:`SearchError`
+    with its rho; every other value moves an end of the bracket, so no
+    rho is evaluated twice.  A step that leaves the bracket, or
     follows two evaluations that each failed to halve the miss, bisects
     it.  The ends are never evaluated and never moved, so every
     evaluated rho lies strictly inside ``ends`` when ``rho`` does.  The
@@ -195,9 +197,11 @@ def _search(phase, target: float, ends: tuple[float, float], rho: float,
     phis: dict[float, float] = {}
 
     def h(rho: float) -> float:
-        if rho not in phis:
-            phis[rho] = phase(rho)
-        return phis[rho] - target
+        phi = phis[rho] = phase(rho)
+        if math.isnan(phi):
+            raise SearchError(f"phase is NaN at rho={rho!r}",
+                              details={"rho": rho})
+        return phi - target
 
     f = h(rho)
     f_prev, stalls = math.inf, 0

@@ -115,7 +115,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass, field
 
 from .config import SolverConfig
@@ -123,8 +122,9 @@ from .errors import DomainError, IntegrationError, StateError
 from .potentials import Potential
 from .ptrig import PContext, sp_pair
 
-# rho beyond this is accepted, but a sensitivity integration is flagged:
-# b(x) -> 1 and theta -> ell, so its output carries heavy cancellation
+# rho beyond this is accepted, but a sensitivity integration notes it in
+# stats["warnings"]: b(x) -> 1 and theta -> ell, so its output carries
+# heavy cancellation
 RHO_CONDITIONING_LIMIT = 1e8
 
 
@@ -135,7 +135,9 @@ class PruferTrajectory:
 
     ``logr_end`` is None when amplitude was not requested, ``u_end`` when
     sensitivity was not.  ``stats`` holds the step, reject, landing and
-    RHS counts.  Immutable once built.
+    RHS counts, and ``warnings``: a sensitivity integration at rho above
+    ``RHO_CONDITIONING_LIMIT`` notes there that its output is
+    ill-conditioned.  Immutable once built.
     """
 
     rho: float
@@ -154,28 +156,23 @@ class PruferTrajectory:
         return (self.rho * self.u_end - self.phi_end) / self.rho ** 2
 
 
-# Dormand-Prince 4(5) pair.  _Aij: weight of slope j in stage i; row 7
-# is the 5th-order solution, so k7 is the next step's k1 (FSAL).  _Ej:
-# 5th- minus 4th-order weights.  The zero entries a72 and e2 are left
-# out of the sums: a term 0*k can change only the sign of a zero sum.
-_C2, _C3, _C4, _C5 = 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0  # c6 = c7 = 1
-_A21 = 1.0 / 5.0
-_A31, _A32 = 3.0 / 40.0, 9.0 / 40.0
-_A41, _A42, _A43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
-_A51, _A52, _A53, _A54 = (19372.0 / 6561.0, -25360.0 / 2187.0,
-                          64448.0 / 6561.0, -212.0 / 729.0)
-_A61, _A62, _A63, _A64, _A65 = (9017.0 / 3168.0, -355.0 / 33.0,
-                                46732.0 / 5247.0, 49.0 / 176.0,
-                                -5103.0 / 18656.0)
-_A71, _A73, _A74, _A75, _A76 = (35.0 / 384.0, 500.0 / 1113.0, 125.0 / 192.0,
-                                -2187.0 / 6784.0, 11.0 / 84.0)
-_E1, _E3, _E4, _E5, _E6, _E7 = (71.0 / 57600.0, -71.0 / 16695.0,
-                                71.0 / 1920.0, -17253.0 / 339200.0,
-                                22.0 / 525.0, -1.0 / 40.0)
-# nodes, row 7 and the estimate's weights as full rows, for _level_terms
-_C = (0.0, _C2, _C3, _C4, _C5, 1.0, 1.0)
-_B = (_A71, 0.0, _A73, _A74, _A75, _A76, 0.0)
-_E = (_E1, 0.0, _E3, _E4, _E5, _E6, _E7)
+# Dormand-Prince 4(5) pair.  _A[i]: weights of the slopes in stage
+# i + 2; its last row is the 5th-order solution, so k7 is the next
+# step's k1 (FSAL).  _E: 5th- minus 4th-order weights.  The zero entries
+# a72 and e2 are left out of _kernel's sums: a term 0*k can change only
+# the sign of a zero sum.
+_C = (0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0)
+_A = ((1.0 / 5.0,),
+      (3.0 / 40.0, 9.0 / 40.0),
+      (44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0),
+      (19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0),
+      (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0,
+       -5103.0 / 18656.0),
+      (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0,
+       11.0 / 84.0))
+_B = (*_A[-1], 0.0)
+_E = (71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0,
+      -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0)
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -360,12 +357,10 @@ def _kernel(rhs, bounds, h, tol, stats, spacing, dim, rho, p, terms):
     abs_tol, rel_tol, max_steps = tol.abs_tol, tol.rel_tol, tol.max_steps
     # the tableau, the controller and sqrt as locals, which the step loop
     # reads faster than globals
-    c2, c3, c4, c5 = _C2, _C3, _C4, _C5
-    a21, a31, a32, a41, a42, a43 = _A21, _A31, _A32, _A41, _A42, _A43
-    a51, a52, a53, a54 = _A51, _A52, _A53, _A54
-    a61, a62, a63, a64, a65 = _A61, _A62, _A63, _A64, _A65
-    a71, a73, a74, a75, a76 = _A71, _A73, _A74, _A75, _A76
-    e1, e3, e4, e5, e6, e7 = _E1, _E3, _E4, _E5, _E6, _E7
+    _, c2, c3, c4, c5, _, _ = _C
+    ((a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54),
+     (a61, a62, a63, a64, a65), (a71, _, a73, a74, a75, a76)) = _A
+    e1, _, e3, e4, e5, e6, e7 = _E
     safety, neg_alpha, beta = _SAFETY, -_PI_ALPHA, _PI_BETA
     min_factor, max_factor = _MIN_FACTOR, _MAX_FACTOR
     sqrt = math.sqrt
@@ -615,13 +610,6 @@ def _integrate(ctx: PContext, q: Potential, rho: float, ell: float,
             f"right endpoint {ell} exceeds potential domain [0, {q.domain_end}]")
     ell = min(ell, q.domain_end)
 
-    stats_warnings: list[str] = []
-    if dim == 3 and rho > RHO_CONDITIONING_LIMIT:
-        msg = (f"rho={rho:g} is extremely large; theta ~ ell and "
-               "sensitivity output is ill-conditioned")
-        warnings.warn(msg, RuntimeWarning, stacklevel=3)
-        stats_warnings.append(msg)
-
     p = ctx.p
     pm1 = p - 1.0
     inv_p = 1.0 / p
@@ -660,7 +648,10 @@ def _integrate(ctx: PContext, q: Potential, rho: float, ell: float,
     stats = {"n_steps": 0, "n_rejected": 0, "n_landed": 0, "n_rhs": 0,
              "n_pieces": len(bounds) - 1,
              "rel_tol": tol.rel_tol, "abs_tol": tol.abs_tol,
-             "warnings": tuple(stats_warnings)}
+             "warnings": ()}
+    if dim == 3 and rho > RHO_CONDITIONING_LIMIT:
+        stats["warnings"] = (f"rho={rho:g} is extremely large; theta ~ ell "
+                             "and sensitivity output is ill-conditioned",)
 
     def rhs(x_start, phi_start):
         # q on the kernel piece from x_start is the potential's affine
@@ -732,7 +723,8 @@ def _integrate(ctx: PContext, q: Potential, rho: float, ell: float,
                         dcoef * rho * (g - g_bar) / (p * dphi * lx))
         else:
             # one fold per call: S_p = sign_s*s, S_p' = sign_c*(1 - s^p)^(1/p)
-            # (as fast_pair forms it), |S_p|^p = s^p, S_p^(p-1) = sign_s*s^(p-1)
+            # (the formula of ptrig.fast_pair, which the test oracle
+            # calls), |S_p|^p = s^p, S_p^(p-1) = sign_s*s^(p-1)
             def f(x, phi, m):
                 _, s, sign_s, sign_c = fold(phi)
                 abs_s_p = s ** p

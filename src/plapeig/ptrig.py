@@ -435,7 +435,8 @@ def tp(ctx: PContext, x: float) -> float:
 
 
 def fast_pair(ctx: PContext, x: float) -> tuple[float, float]:
-    """Table-only (S_p, S_p') for integrator right-hand sides.
+    """Table-only (S_p, S_p'), for the tests' DP45 oracle and the
+    benchmark's layer probe; the integrator reads its own tables.
 
     Cubic Hermite interpolation on the quarter-period table, no Newton
     polish.  Against the polished pair, on 20,000 uniform points of a

@@ -195,8 +195,10 @@ def verify_theorem1(ctx: PContext, q: Potential,
     ``rho_points`` values of rho, geometric from the threshold
     (-2 q(0))^(1/p) to ``rho_span`` times it, and checks
     theta_dot(x0, rho) <= slack_abs at each.  Every computed row is in
-    hypothesis; a rho whose integration fails keeps its row out of
-    hypothesis, with no value or margin and the failure as its note.
+    hypothesis, and its note carries the integration's warnings (rho
+    above 1e8 is ill-conditioned); a rho whose integration fails keeps
+    its row out of hypothesis, with no value or margin and the failure
+    as its note.
     When q(0) = 0 the threshold is 0 and the grid runs from
     max(1, pi_p)/2 to ``rho_span`` * max(1, pi_p).  A q with no single
     turning point (shape NEITHER) fails the hypothesis.
@@ -242,13 +244,14 @@ def verify_theorem1(ctx: PContext, q: Potential,
             td, note = 0.0, "empty turning interval"
         else:
             try:
-                td = integrate_sensitivity(ctx, q, rho, x0, cfg).theta_dot_end
+                traj = integrate_sensitivity(ctx, q, rho, x0, cfg)
             except SOLVE_FAILED as exc:
                 failed = True
                 scan.append(ScanPoint("theta_dot", inputs, None, 0.0, None,
                                       False, False,
                                       f"integration failed: {exc}"))
                 continue
+            td, note = traj.theta_dot_end, _join(*traj.stats["warnings"])
         # 0.0 - td: the margin of td = 0.0 is +0.0, not -0.0
         scan.append(ScanPoint("theta_dot", inputs, td, 0.0, 0.0 - td, True,
                               td <= cfg.slack_abs, note))

@@ -11,6 +11,9 @@ from plapeig.cli import main
 TENT_SPEC = '{"type":"scaled_tent","depth":-5,"rise":4}'
 WELL_SPEC = '{"type":"piecewise_linear","knots":[[0,5],[0.5,3],[1,5]]}'
 FREE_SPEC = '{"type":"constant","value":0}'
+# T1's rho threshold on it is (2*5e15)^(1/2) = 1e8, the conditioning limit
+HUGE_RHO_SPEC = ('{"type":"piecewise_linear",'
+                 '"knots":[[0,-5e15],[1e-6,-4e15],[1,-5e15]]}')
 
 
 def run_cli(capsys, *argv):
@@ -743,6 +746,35 @@ class TestEntryPoint:
         for r in rows:
             exact = (int(r[0]) * math.pi / float(ell)) ** 2 - 2.0
             assert float(r[1]) == pytest.approx(exact, rel=1e-12)
+
+    def test_ill_conditioned_t1_rows_carry_the_note(self):
+        # T1's grid on this q runs from rho = 1e8 to 4e8: the rows above
+        # 1e8 carry the conditioning note in the CSV and in the report,
+        # and stderr holds the verdict line alone
+        argv = [sys.executable, "-m", "plapeig", "verify", "--theorem", "t1",
+                "--p", "2", "--potential", HUGE_RHO_SPEC, "--rho-points", "4"]
+        proc = subprocess.run(argv, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0
+        assert proc.stderr == ("T1: verified (worst margin "
+                               "9.3625682621971867e-17)\n")
+        header, rows = parse_csv(proc.stdout)
+        notes = {row[header.index("rho")]: row[-1] for row in rows}
+        ill = ("rho={} is extremely large; theta ~ ell and sensitivity "
+               "output is ill-conditioned")
+        assert notes == {"100000000": "",
+                         "158740105.19682017": ill.format("1.5874e+08"),
+                         "251984209.97897434": ill.format("2.51984e+08"),
+                         "400000000": ill.format("4e+08")}
+
+        def refuse(name):
+            raise ValueError(f"non-finite number {name} in JSON")
+
+        proc = subprocess.run(argv + ["--format", "report"],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0
+        cert = json.loads(proc.stdout, parse_constant=refuse)["certificate"]
+        assert [s["note"] for s in cert["scan"]] == list(notes.values())
 
     def test_no_numpy_at_run_time(self):
         # numpy serves only the functions that return arrays: importing

@@ -398,6 +398,31 @@ class TestSearch:
         if abs(phi - TARGET) > STOP:
             assert abs(phi - TARGET) == min(abs(v - TARGET) for _, v in evals)
 
+    def test_nan_phase_is_refused(self):
+        # a NaN lies on neither side of the target, so the search refuses
+        # it with its rho; it used to divide by zero on a map that is NaN
+        # everywhere, and to go on by bisection past a NaN at one rho
+        with pytest.raises(SearchError) as info:
+            eigensolver._search(lambda r: math.nan, 6.0, (5.0, 7.0), 5.5,
+                                1.0, 1e-10)
+        assert info.value.details == {"rho": 5.5}
+        evals = []
+
+        def phase(rho, nan_at):
+            evals.append(rho)
+            return math.nan if rho == nan_at else rho + 0.1
+
+        # the map is exact at 5.9, which the secant from 5.6 hits
+        assert eigensolver._search(lambda r: phase(r, None), 6.0, (5.0, 7.0),
+                                   5.6, 1.0, 1e-10) == (5.9, 6.0)
+        assert evals == [5.6, 5.9]
+        evals.clear()
+        with pytest.raises(SearchError, match="NaN") as info:
+            eigensolver._search(lambda r: phase(r, 5.9), 6.0, (5.0, 7.0),
+                                5.6, 1.0, 1e-10)
+        assert info.value.details == {"rho": 5.9}
+        assert evals == [5.6, 5.9]
+
 
 # relative bound of the closed-form test per p: the search runs on
 # q - mean q, which is 0 on a constant, so only rounding is left (it

@@ -20,6 +20,8 @@ WSHAPE = piecewise_linear([[0.0, 0.0], [0.25, -1.0], [0.5, 0.0],
 # a narrow rise to +1 on an otherwise constant -2
 SPIKE = piecewise_linear([[0.0, -2.0], [0.5002, -2.0], [0.50045, 1.0],
                           [0.5007, -2.0], [1.0, -2.0]])
+# T1's rho threshold is 1e8, so its grid runs above the conditioning limit
+HUGE_RHO = piecewise_linear([[0.0, -5e15], [1e-6, -4e15], [1.0, -5e15]])
 # two minima 2e-4 apart
 TWO_MINIMA = piecewise_linear([[0.0, 5.0], [0.3001, 1.0], [0.3002, 4.0],
                                [0.3003, 1.0], [1.0, 5.0]])
@@ -75,6 +77,7 @@ class TestTheorem1:
         # q(0) = 0
         class Flat:
             theta_dot_end = -1.0
+            stats = {"warnings": ()}
         monkeypatch.setattr(theorems, "integrate_sensitivity",
                             lambda *args: Flat())
         cfg = HarnessConfig(rho_points=8, rho_span=3.0)
@@ -84,6 +87,28 @@ class TestTheorem1:
         lo, hi = ((threshold, 3.0 * threshold) if threshold > 0.0
                   else (0.5 * math.pi, 3.0 * math.pi))
         assert rhos == theorems._geomspace(lo, hi, 8)
+
+    def test_ill_conditioned_rows_carry_the_note(self, ctx2):
+        # the threshold is (2*5e15)^(1/2) = 1e8, so the grid is 1e8,
+        # 1.587e8, 2.52e8 and 4e8: each row above 1e8 carries its
+        # integration's warning as its note, and the row at 1e8 has
+        # none; every value is the integration's theta_dot
+        cfg = HarnessConfig(rho_points=4)
+        cert = verify_theorem1(ctx2, HUGE_RHO, cfg=cfg)
+        assert cert.verdict == "verified" and cert.notes == ()
+        rhos = [dict(s.inputs)["rho"] for s in cert.scan]
+        assert rhos[0] == prufer.RHO_CONDITIONING_LIMIT < rhos[1]
+        for rho, s in zip(rhos, cert.scan):
+            traj = prufer.integrate_sensitivity(ctx2, HUGE_RHO, rho,
+                                                cert.hypotheses["x0"], cfg)
+            assert s.value == traj.theta_dot_end
+            assert s.note == theorems._join(*traj.stats["warnings"])
+            assert (s.note == "") == (rho <= 1e8)
+        assert cert.scan[-1].note == (
+            "rho=4e+08 is extremely large; theta ~ ell and sensitivity "
+            "output is ill-conditioned")
+        # rows at ordinary rho carry no note
+        assert all(s.note == "" for s in verify_theorem1(ctx2, TENT).scan)
 
     def test_free_potential_zero_margin(self, ctx2):
         cert = verify_theorem1(ctx2, constant(0.0))
