@@ -39,7 +39,7 @@ route, and no production path calls it.
 from __future__ import annotations
 
 import math
-import numbers
+import operator
 from dataclasses import dataclass
 
 from .config import SolverConfig
@@ -228,10 +228,15 @@ def _search(phase, target: float, ends: tuple[float, float], rho: float,
 
 
 def _check_index(name: str, n) -> None:
-    """Refuse an index that is not an integer >= 1: a float, even a whole
-    one, and a bool are refused, numpy integers accepted."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-        raise DomainError(f"{name} must be an integer, got {n!r}")
+    """Refuse an index that is not an integer >= 1: what ``operator.index``
+    takes (int, numpy integers) is accepted but for a bool; a float, even
+    a whole one, is refused."""
+    try:
+        if isinstance(n, bool):
+            raise TypeError
+        operator.index(n)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {n!r}") from None
     if n < 1:
         raise DomainError(f"{name} must be >= 1, got {n}")
 

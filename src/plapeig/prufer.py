@@ -73,12 +73,15 @@ terms to its step and, where min(p, p/(p-1)) >= 3/2, takes them off its
 estimate; below 3/2 the terms t^(2a) are as large, so the estimate keeps
 them and the error norm of a step that starts or ends on a level is
 weighted instead.  At p = 2, |S_2|^2 = sin^2 is analytic, so no level is
-landed and results keep their bits.  The amplitude and sensitivity
-integrations land too: the levels are those of their phase.  The
-sensitivity's lanes carry dF/dG times the phase's term, F a lane's
-slope, so one defect computation per step feeds all three components,
-and they share the phase's estimate and weights.  The amplitude's log R
-carries S_p' itself; its steps next to a level are weighted.
+landed, and the phase and the sensitivity read it from libm as s*s with
+s = sin(phi): math.sin joins the pow and cos that ``make_context`` takes
+from libm, so results keep their bits on one platform.  The amplitude
+and sensitivity integrations land too: the levels are those of their
+phase.  The sensitivity's lanes carry dF/dG times the phase's term, F a
+lane's slope, so one defect computation per step feeds all three
+components, and they share the phase's estimate and weights.  The
+amplitude's log R carries S_p' itself; its steps next to a level are
+weighted.
 
 One stage-unrolled kernel, ``_kernel``, runs the pair for every
 integration, so the step control, the step budget, the snap rule and
@@ -94,15 +97,17 @@ The kernel steps knot to knot, so on each of its pieces q is one affine
 function.  It asks ``_integrate`` for the right-hand side of a piece
 once, when the piece starts: that closure holds the potential's affine
 piece (``Potential.piece``, in the arithmetic of ``Potential.value``)
-and the context's tables.  The phase and sensitivity closures read G =
-|S_p|^p off its own table inline, at phi mod pi_p reflected about
-pi_p/2 (G has period pi_p and is even about pi_p/2) and through the
-S_p table's index, so an evaluation is the one call to the closure,
-with no knot lookup, quadrant sign or power; the amplitude closure,
-which needs the sign and S_p', calls the bound fold.  Only the c = 1
-stages of a piece's last step, which land on its right knot or an ulp
-past it, read q through ``Potential.value``, which takes the next piece
-there; Q' is the piece's throughout.
+and the context's tables.  At p != 2 the phase and sensitivity closures
+read G = |S_p|^p off its own table inline, at phi mod pi_p reflected
+about pi_p/2 (G has period pi_p and is even about pi_p/2) and through
+the S_p table's index, and at p = 2 as sin(phi)^2, so an evaluation is
+the one call to the closure, with no knot lookup, quadrant sign or
+power; ``_integrate`` picks the closure once per piece, so no closure
+tests p.  The amplitude closure, which needs the sign and S_p', calls
+the bound fold at every p.  Only the c = 1 stages of a piece's last
+step, which land on its right knot or an ulp past it, read q through
+``Potential.value``, which takes the next piece there; Q' is the
+piece's throughout.
 
 Every sum is added left to right in tableau order, so the kernel
 reproduces a generic tableau loop bit for bit: terminal values, step
@@ -617,30 +622,38 @@ def _integrate(ctx: PContext, q: Potential, rho: float, ell: float,
     inv_rho_pm1 = rho ** (1.0 - p)
     fold = ctx.fold
     qval = q.value
-    # the G table and its index, which the phase and the sensitivity
-    # read inline, in the arithmetic of abs_sp_pow
+    # at p = 2, S_2 = sin: the phase and the sensitivity read G as s*s
+    # with s from libm's sin, and no level is landed; elsewhere they read
+    # the G table and its index inline, in the arithmetic of abs_sp_pow
+    sine = p == 2.0
     pi_p = ctx.pi_p
     half_pi = 0.5 * pi_p
-    floor, sqrt, exp, log = math.floor, math.sqrt, math.exp, math.log
+    floor, sqrt, exp, log, sin = math.floor, math.sqrt, math.exp, math.log, math.sin
     xs, gs, gd, g2, g3 = ctx._xs, ctx._gs, ctx._gd, ctx._g2, ctx._g3
     scale, start, split, lo_scale, lo, hi_top, hi_scale, hi, right = ctx._index
 
-    def abs_sp_pow(phi):
-        # G = |S_p(phi)|^p has period pi_p and is even about pi_p/2, so
-        # it is read at the remainder, reflected onto the quarter period
-        r = phi % pi_p
-        if r > half_pi:
-            r = pi_p - r
-        i = start[floor(r * scale)]
-        if i < 0:
-            if r < split:
-                i = lo[floor(sqrt(r) * lo_scale)]
-            else:
-                i = hi[floor((hi_top - sqrt(half_pi - r)) * hi_scale)]
-        while right[i] <= r:
-            i += 1
-        d = r - xs[i]
-        return gs[i] + d * (gd[i] + d * (g2[i] + d * g3[i]))
+    if sine:
+        def abs_sp_pow(phi):
+            s = sin(phi)
+            return s * s
+    else:
+        def abs_sp_pow(phi):
+            # G = |S_p(phi)|^p has period pi_p and is even about pi_p/2,
+            # so it is read at the remainder, reflected onto the quarter
+            # period
+            r = phi % pi_p
+            if r > half_pi:
+                r = pi_p - r
+            i = start[floor(r * scale)]
+            if i < 0:
+                if r < split:
+                    i = lo[floor(sqrt(r) * lo_scale)]
+                else:
+                    i = hi[floor((hi_top - sqrt(half_pi - r)) * hi_scale)]
+            while right[i] <= r:
+                i += 1
+            d = r - xs[i]
+            return gs[i] + d * (gd[i] + d * (g2[i] + d * g3[i]))
 
     bounds = sorted({0.0, ell, *(x for x in (*q.interior_knots(), *grid)
                                  if 0.0 < x < ell)})
@@ -665,7 +678,12 @@ def _integrate(ctx: PContext, q: Potential, rho: float, ell: float,
 
         def coef(x):  # Q = q*rho^(1-p), read as f reads q
             return (q0 + ((x - x0) / dx) * dq if x < x1 else qval(x)) * inv_rho_pm1
-        if dim == 1:
+        if dim == 1 and sine:
+            def f(x, phi):
+                s = sin(phi)
+                qx = q0 + ((x - x0) / dx) * dq if x < x1 else qval(x)
+                return rho - qx * inv_rho_pm1 * (s * s)
+        elif dim == 1:
             def f(x, phi):
                 # g = abs_sp_pow(phi), inline
                 r = phi % pi_p
@@ -697,30 +715,45 @@ def _integrate(ctx: PContext, q: Potential, rho: float, ell: float,
             def to_m(x, mu):
                 return mu - log((rho - coef(x) * g_bar) / l_start) / p
 
-            def f(x, phi, mu):
-                # g = abs_sp_pow(phi), inline
-                r = phi % pi_p
-                if r > half_pi:
-                    r = pi_p - r
-                i = start[floor(r * scale)]
-                if i < 0:
-                    if r < split:
-                        i = lo[floor(sqrt(r) * lo_scale)]
-                    else:
-                        i = hi[floor((hi_top - sqrt(half_pi - r)) * hi_scale)]
-                while right[i] <= r:
-                    i += 1
-                d = r - xs[i]
-                g = gs[i] + d * (gd[i] + d * (g2[i] + d * g3[i]))
-                big_q = (q0 + ((x - x0) / dx) * dq if x < x1 else qval(x)) * inv_rho_pm1
-                dphi = rho - big_q * g
-                if not dphi > 0.0:
-                    raise IntegrationError(
-                        f"phase stalls: phi' = {dphi!r} <= 0 at x={x!r}", last_x=x)
-                lx = rho - big_q * g_bar
-                # e^(-p*m) = e^(-p*mu)*L(x)/L(x_start)
-                return (dphi, exp(neg_p * mu) * (lx / l_start) * (rho + pm1 * big_q * g) / dphi,
-                        dcoef * rho * (g - g_bar) / (p * dphi * lx))
+            # e^(-p*m) = e^(-p*mu)*L(x)/L(x_start) in v'
+            if sine:
+                def f(x, phi, mu):
+                    s = sin(phi)
+                    g = s * s
+                    big_q = (q0 + ((x - x0) / dx) * dq if x < x1 else qval(x)) * inv_rho_pm1
+                    dphi = rho - big_q * g
+                    if not dphi > 0.0:
+                        raise IntegrationError(
+                            f"phase stalls: phi' = {dphi!r} <= 0 at x={x!r}", last_x=x)
+                    lx = rho - big_q * g_bar
+                    return (dphi,
+                            exp(neg_p * mu) * (lx / l_start) * (rho + pm1 * big_q * g) / dphi,
+                            dcoef * rho * (g - g_bar) / (p * dphi * lx))
+            else:
+                def f(x, phi, mu):
+                    # g = abs_sp_pow(phi), inline
+                    r = phi % pi_p
+                    if r > half_pi:
+                        r = pi_p - r
+                    i = start[floor(r * scale)]
+                    if i < 0:
+                        if r < split:
+                            i = lo[floor(sqrt(r) * lo_scale)]
+                        else:
+                            i = hi[floor((hi_top - sqrt(half_pi - r)) * hi_scale)]
+                    while right[i] <= r:
+                        i += 1
+                    d = r - xs[i]
+                    g = gs[i] + d * (gd[i] + d * (g2[i] + d * g3[i]))
+                    big_q = (q0 + ((x - x0) / dx) * dq if x < x1 else qval(x)) * inv_rho_pm1
+                    dphi = rho - big_q * g
+                    if not dphi > 0.0:
+                        raise IntegrationError(
+                            f"phase stalls: phi' = {dphi!r} <= 0 at x={x!r}", last_x=x)
+                    lx = rho - big_q * g_bar
+                    return (dphi,
+                            exp(neg_p * mu) * (lx / l_start) * (rho + pm1 * big_q * g) / dphi,
+                            dcoef * rho * (g - g_bar) / (p * dphi * lx))
         else:
             # one fold per call: S_p = sign_s*s, S_p' = sign_c*(1 - s^p)^(1/p)
             # (the formula of ptrig.fast_pair, which the test oracle
@@ -735,7 +768,7 @@ def _integrate(ctx: PContext, q: Potential, rho: float, ell: float,
                         0.0)
         return f, coef, dcoef, to_m
 
-    spacing = None if p == 2.0 else half_pi
+    spacing = None if sine else half_pi
     try:
         states, slope = _kernel(rhs, bounds, h, tol, stats, spacing, dim, rho, p,
                                 _level_terms(p) if spacing and dim != 2 else None)

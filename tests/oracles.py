@@ -273,9 +273,9 @@ def hermite_table_value(ctx, xr):
 
 def fast_abs_sp_pow(ctx, x):
     """|S_p(x)|^p off the context's G table, read afresh on every call:
-    the per-call reference for the integrator's per-piece right-hand
-    sides.  G has period pi_p and is even about pi_p/2, so the read is
-    at x mod pi_p reflected onto [0, pi_p/2], on the interval
+    at p != 2 the per-call reference for the integrator's per-piece
+    right-hand sides.  G has period pi_p and is even about pi_p/2, so
+    the read is at x mod pi_p reflected onto [0, pi_p/2], on the interval
     ``bisect_right`` names (the last one at pi_p/2), by the cubic in
     monomial form that the integrator evaluates."""
     from bisect import bisect_right
@@ -288,6 +288,17 @@ def fast_abs_sp_pow(ctx, x):
     i = min(bisect_right(xs, r) - 1, len(xs) - 2)
     d = r - xs[i]
     return ctx._gs[i] + d * (ctx._gd[i] + d * (ctx._g2[i] + d * ctx._g3[i]))
+
+
+def rhs_abs_sp_pow(ctx, x):
+    """G = |S_p(x)|^p as the phase and sensitivity right-hand sides read
+    it, afresh on every call: at p = 2, where S_2 = sin, s*s with
+    s = sin(x) from libm; elsewhere off the G table by
+    ``fast_abs_sp_pow``."""
+    if ctx.p == 2.0:
+        s = math.sin(x)
+        return s * s
+    return fast_abs_sp_pow(ctx, x)
 
 
 def index_points(ctx):
@@ -320,7 +331,7 @@ def phase_end_fixed_mesh(ctx, q, rho, ell, n_steps=2000):
     qv = q.value
 
     def f(x, phi):
-        return rho - qv(x) * coef * fast_abs_sp_pow(ctx, phi)
+        return rho - qv(x) * coef * rhs_abs_sp_pow(ctx, phi)
 
     bounds = [0.0] + [b for b in q.interior_knots() if 0.0 < b < ell] + [ell]
     phi = 0.0
@@ -532,12 +543,12 @@ def reference_dp45(ctx, q, rho, ell, tol, dim):
     """Terminal state and counts of the Prufer system by a generic DP45.
 
     A tableau loop over tuple states, with the package's right-hand
-    sides evaluated per call (``Potential.value``, and the G table read
-    by ``fast_abs_sp_pow`` or, for the amplitude, ``fast_pair``, on
-    every call) and its step control: dim = 1 is the phase, 2 adds
-    log R, 3 the sensitivity's lanes v and m.  With G = |S_p(phi)|^p,
-    Q = q*rho^(1-p), Q' = (dq/dx)*rho^(1-p) on the piece and
-    phi' = rho - Q*G, they are m' = Q'*G/(p*phi') and
+    sides evaluated per call (``Potential.value``, and G read by
+    ``rhs_abs_sp_pow`` or, for the amplitude, S_p and S_p' by
+    ``fast_pair``, on every call) and its step control: dim = 1 is the
+    phase, 2 adds log R, 3 the sensitivity's lanes v and m.  With
+    G = |S_p(phi)|^p, Q = q*rho^(1-p), Q' = (dq/dx)*rho^(1-p) on the
+    piece and phi' = rho - Q*G, they are m' = Q'*G/(p*phi') and
     v' = e^(-p*m)*(rho + (p-1)*Q*G)/phi', and at ell
     log R = -ln(phi'/rho)/p - m and u = d(phi)/d(rho) = e^(p*m)*(phi'/rho)*v,
     with phi'(ell) the last slope; a slope phi' <= 0 raises
@@ -589,7 +600,7 @@ def reference_dp45(ctx, q, rho, ell, tol, dim):
         dqx = dq / (x1 - x0) * inv_rho_pm1  # Q' of the piece
 
         if dim == 3:
-            g_bar = fast_abs_sp_pow(ctx, phi_start)
+            g_bar = rhs_abs_sp_pow(ctx, phi_start)
             if not rho - (q0 + dq) * inv_rho_pm1 * g_bar > 0.0:
                 g_bar = 0.0
             l_start = rho - qval(x_start) * inv_rho_pm1 * g_bar
@@ -600,7 +611,7 @@ def reference_dp45(ctx, q, rho, ell, tol, dim):
 
             def f(x, y):
                 phi, _, mu = y
-                g = fast_abs_sp_pow(ctx, phi)
+                g = rhs_abs_sp_pow(ctx, phi)
                 big_q = qval(x) * inv_rho_pm1
                 dphi = rho - big_q * g
                 if not dphi > 0.0:
@@ -619,7 +630,7 @@ def reference_dp45(ctx, q, rho, ell, tol, dim):
                         coef * math.copysign(abs(s) ** (p - 1.0), s) * c)
         else:
             def f(x, y):
-                return (rho - qval(x) * inv_rho_pm1 * fast_abs_sp_pow(ctx, y[0]),)
+                return (rho - qval(x) * inv_rho_pm1 * rhs_abs_sp_pow(ctx, y[0]),)
         return f, None
 
     spacing = 0.5 * ctx.pi_p if p != 2.0 else None

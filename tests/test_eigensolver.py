@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -61,9 +62,11 @@ class TestBracket:
     def test_index_must_be_an_integer(self, ctx2):
         # an index names the level n*pi_p, so only an integer has an
         # eigenvalue: a half level lies between two, and a bool or NaN
-        # is no index at all; numpy integers are integers
+        # is no index at all; numpy integers are integers, and a whole
+        # numpy float or Fraction, which has no __index__, is not
         q = constant(-2.0)
-        for n in (2.5, True, math.nan, 2.0):
+        for n in (2.5, True, math.nan, 2.0, np.float64(2.0), Fraction(2),
+                  np.bool_(True)):
             with pytest.raises(DomainError, match="must be an integer"):
                 find_eigenvalue(ctx2, q, n, 1.0)
         with pytest.raises(DomainError, match="n_max must be an integer"):

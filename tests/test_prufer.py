@@ -13,9 +13,9 @@ from plapeig import (DomainError, IntegrationError, Potential, SolverConfig,
                      verify_theorem1)
 from plapeig import prufer
 
-from oracles import (classical_prufer_p2, fast_abs_sp_pow, fd_u, index_points,
+from oracles import (classical_prufer_p2, fd_u, index_points,
                      random_nonpositive_piecewise_linear, reference_dp45,
-                     variational_theta_dot)
+                     rhs_abs_sp_pow, variational_theta_dot)
 
 TENT = scaled_tent(-5.0, 4.0)
 TIGHT = SolverConfig(rel_tol=1e-12, abs_tol=1e-13)
@@ -403,7 +403,7 @@ class TestPieceRightHandSide:
                         continue
                     phi = float(rng.uniform(-1.0, 40.0))
                     assert f(x, phi) == (rho - q.value(x) * coef
-                                         * fast_abs_sp_pow(ctx, phi)), (q, x)
+                                         * rhs_abs_sp_pow(ctx, phi)), (q, x)
                     assert big_q(x) == q.value(x) * coef, (q, x)
                     checked += 1
         assert checked > 1000
@@ -415,7 +415,7 @@ class TestPieceRightHandSide:
         phases = self.special_phases(ctx)
         assert any(phi % ctx.pi_p == ctx.pi_p for phi in phases)
         for phi in phases:
-            assert f(x, phi) == rho - qx * fast_abs_sp_pow(ctx, phi), phi
+            assert f(x, phi) == rho - qx * rhs_abs_sp_pow(ctx, phi), phi
 
     @pytest.mark.parametrize("p", (1.5, 3.0))
     def test_value_read_only_from_a_right_knot(self, ctx_for, p, monkeypatch):
